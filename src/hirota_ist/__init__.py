@@ -22,7 +22,6 @@ from .solitons import (
     DiscreteEigenpair,
     RankFlag,
     SolitonSpec,
-    assemble_system,
     eval_field,
     expand_quartets,
     one_soliton_closed_form,

@@ -1,22 +1,22 @@
 """Reflectionless inverse problem for the focusing regime.
 
 Seed eigenvalue/norming-constant pairs are expanded into symmetric quartets,
-the block linear system of the pole conditions is assembled and solved, and
-the potential is rebuilt from its solution.  A closed-form one-quartet
-solution provides an independent evaluation path; the two are cross-checked
-to full precision in the tests.
+the residue system of the pole conditions is solved, and the potential is
+rebuilt from its solution.
 
 Numerics: every exponential E_j = e^{-2i theta(zeta_j)} is bounded on
 compact (x, t) sets but grows like e^{2 Im lambda |x|} toward the left far
-field.  Eliminating one eigenfunction family (the system of
-`assemble_system`) mixes O(1) and O(E^2) entries and loses about eps * e^{s},
-s being the largest log-magnitude among the E_j.  The double-precision path
-therefore solves the un-eliminated residue system instead, with each norming
-constant factored by rank and every unknown scaled by its exponential, so
-that all entries stay O(1) and, on the presets, the result stays within
-1e-14 of the mpmath evaluation (see `_reconstruct_np`).  Points with s above
-SAFE_LOG_SCALE still go to a fixed-precision mpmath backend; both evaluation
-paths share the switch.
+field.  Eliminating one eigenfunction family mixes O(1) and O(E^2) entries
+and loses about eps * e^{s}, s being the largest log-magnitude among the E_j.
+`reconstruct_Q` therefore solves the un-eliminated residue system, with each
+norming constant factored by rank and every unknown scaled by its
+exponential, so that all entries stay O(1) at every (x, t); it runs in
+double precision only.
+
+mpmath serves the oracles alone: `_reconstruct_mp` (the eliminated system at
+`_dps_for(log_scale)` digits) and `one_soliton_closed_form` (the
+back-substituted one-quartet algebra) are independent evaluations that the
+tests compare `reconstruct_Q` against.
 """
 
 from __future__ import annotations
@@ -39,15 +39,9 @@ from .errors import (
     SingularSystem,
 )
 from .grids import FieldGrid, GridSpec
-from .matrices import CMat2, I2, dagger, det2
-from .spectral import Background, Region, classify_region, theta
+from .matrices import CMat2, dagger, det2
+from .spectral import Background, theta
 
-# Largest log-magnitude of the plane-wave factors that the double-precision
-# solve handles; above it the mpmath backend takes over.  On the presets the
-# scaled residue solve stays within 1e-14 of mpmath below the switch (and,
-# measured, to |x| = 40 beyond it), so the value sets which points pay for
-# mpmath rather than where the double path stops being accurate.
-SAFE_LOG_SCALE = 6.0
 COND_LIMIT = 1e12
 
 
@@ -78,14 +72,6 @@ class DiscreteEigenpair:
         if self.rank_flag is None:
             object.__setattr__(self, "rank_flag", rank_of(self.Cn))
 
-    def in_strict_region(self, bg: Background) -> bool:
-        """True when the seed sits in the genuine discrete-spectrum region."""
-        return (
-            self.zn.imag > 0
-            and abs(self.zn) > bg.k0
-            and classify_region(self.zn, bg) is Region.D_PLUS
-        )
-
 
 def quartet_partner(z: complex, k0: float) -> complex:
     """Second member of the eigenvalue quartet, z -> -k0^2 / z*."""
@@ -100,10 +86,6 @@ class SolitonSpec:
     zetas: tuple[complex, ...]
     Cs: tuple[CMat2, ...]
     Cbars: tuple[CMat2, ...]
-
-    @property
-    def n_seeds(self) -> int:
-        return len(self.zetas) // 2
 
     @cached_property
     def _residues(self) -> "_ResidueSystem":
@@ -209,76 +191,29 @@ def log_scale(x: float, t: float, spec: SolitonSpec) -> float:
     return float(np.max(_log_factors(x, t, spec).real, initial=0.0))
 
 
-def assemble_system(x: float, t: float, spec: SolitonSpec):
-    """Blocks of the reflectionless linear system at one point.
-
-    Returns (A, B) where A[n][l] = delta_{nl} I + Gamma_{nl} with
-    Gamma_{nl} = sum_j c_l^dag(zeta_j*) c_j(zeta_n*),
-    B[n] = I - i Q+ sum_j c_j(zeta_n*) / zeta_j, and
-    c_j(z) = C_j e^{-2i theta(zeta_j)} / (z - zeta_j).
-
-    The unknown blocks X_n multiply Gamma from the left:
-    X_n + sum_l X_l Gamma_{nl} = B_n.
-    """
-    zetas, Cs = spec.zetas, spec.Cs
-    n2 = len(zetas)
-    _check_poles(zetas)
-    E = np.exp(_log_factors(x, t, spec))
-
-    def c(j, z):
-        return Cs[j] * (E[j] / (z - zetas[j]))
-
-    B = []
-    for n in range(n2):
-        s = np.zeros((2, 2), dtype=complex)
-        zc = np.conj(zetas[n])
-        for j in range(n2):
-            s = s + c(j, zc) / zetas[j]
-        B.append(I2 - 1j * spec.bg.Qplus @ s)
-    A = [[None] * n2 for _ in range(n2)]
-    cdag = [[dagger(c(l, np.conj(zetas[j]))) for j in range(n2)] for l in range(n2)]
-    for n in range(n2):
-        zc = np.conj(zetas[n])
-        cj = [c(j, zc) for j in range(n2)]
-        for l in range(n2):
-            G = np.zeros((2, 2), dtype=complex)
-            for j in range(n2):
-                G = G + cdag[l][j] @ cj[j]
-            A[n][l] = G + (I2 if n == l else 0.0)
-    return A, B
-
-
-def _solve_left(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve_left(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve Z M = rhs for the rows of Z, refusing an ill-conditioned M."""
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystem(f"linear system condition number {cond:.3e}")
-    return np.linalg.solve(M.T, rhs.T).T, float(cond)
+    return np.linalg.solve(M.T, rhs.T).T
 
 
-def _solve_blocks(A, B):
-    """Solve X_n + sum_l X_l Gamma_{nl} = B_n (the blocks of `assemble_system`)."""
-    n2 = len(B)
-    M = np.zeros((2 * n2, 2 * n2), dtype=complex)
-    for n in range(n2):
-        for l in range(n2):
-            M[2 * l : 2 * l + 2, 2 * n : 2 * n + 2] = A[n][l]
-    Z, cond = _solve_left(M, np.hstack(B))
-    return [Z[:, 2 * n : 2 * n + 2] for n in range(n2)], cond
+def reconstruct_Q(x: float, t: float, spec: SolitonSpec) -> CMat2:
+    """Potential at one point from the reflectionless residue system.
 
-
-def _reconstruct_np(x: float, t: float, spec: SolitonSpec) -> CMat2:
-    """Potential from the rank-factored, exponentially scaled residue system.
-
-    With c_j(z) = C_j E_j / (z - zeta_j), the residues of the two
-    eigenfunction families satisfy
+    Double precision at every (x, t); the mpmath oracles `_reconstruct_mp`
+    and `one_soliton_closed_form` check it in the tests.  With
+    c_j(z) = C_j E_j / (z - zeta_j), the residues of the two eigenfunction
+    families satisfy
 
         X_n + sum_j Y_j c_j(zeta_n*) = I,
         Y_j - sum_n X_n c_n^dag(zeta_j*) = i Q+ / zeta_j,
 
-    and eliminating Y gives `assemble_system`.  Only X_n B_n^dag and Y_j A_j
-    enter, so the unknowns are x_n = E_n* X_n B_n^dag and y_j = E_j Y_j A_j
-    (2 x r blocks), which stay O(1):
+    and Q = Q+ + i sum_n E_n* X_n Cbar_n.  Only X_n B_n^dag and Y_j A_j
+    enter (C_j = A_j B_j, see `_rank_factor`), so the unknowns are
+    x_n = E_n* X_n B_n^dag and y_j = E_j Y_j A_j (2 x r blocks), which stay
+    O(1):
 
         x_n / E_n* + sum_j y_j B_j B_n^dag / (zeta_n* - zeta_j) = B_n^dag,
         y_j / E_j + sum_n x_n A_n^dag A_j / (zeta_n* - zeta_j) = i Q+ A_j / zeta_j.
@@ -286,7 +221,10 @@ def _reconstruct_np(x: float, t: float, spec: SolitonSpec) -> CMat2:
     Scaling the first equation by conj(e_n) and the second by e_j, where
     e = E / max(1, |E|), leaves every entry bounded by its Cauchy factor and
     puts 1 / max(1, |E|) on the diagonal; E itself is never formed, so
-    nothing overflows.  Then Q = Q+ - i sum_n x_n A_n^dag.
+    nothing overflows.  Then Q = Q+ - i sum_n x_n A_n^dag, symmetric to
+    1e-10 by the norming-constant symmetries.  Raises `PoleCollision` for
+    colliding poles and `SingularSystem` when the scaled system is
+    ill-conditioned.
     """
     rs = spec._residues
     R = len(rs.col)
@@ -298,11 +236,15 @@ def _reconstruct_np(x: float, t: float, spec: SolitonSpec) -> CMat2:
     M[:R, R:] = rs.AA * e
     M[R:, :R] = rs.BB * np.conj(e)
     rhs = np.hstack((rs.Bh * np.conj(e), rs.Ay * e))
-    Z, _ = _solve_left(M, rhs)
+    Z = _solve_left(M, rhs)
     return spec.bg.Qplus - 1j * Z[:, :R] @ dagger(rs.A)
 
 
-# mpmath backend ------------------------------------------------------------
+# mpmath oracles -------------------------------------------------------------
+#
+# Independent reference evaluations that the tests compare `reconstruct_Q`
+# against; `reconstruct_Q` never calls them.  Precision grows with the
+# largest log-magnitude of the plane-wave factors (`_dps_for`).
 
 def _mp_c(v) -> mp.mpc:
     v = complex(v)
@@ -339,6 +281,17 @@ def _mp_to_np(Q: mp.matrix) -> np.ndarray:
 
 
 def _reconstruct_mp(x: float, t: float, spec: SolitonSpec, dps: int) -> CMat2:
+    """Oracle for `reconstruct_Q`: the eliminated system at `dps` digits.
+
+    Solves X_n + sum_l X_l Gamma_{nl} = B_n with
+    Gamma_{nl} = sum_j c_l^dag(zeta_j*) c_j(zeta_n*) and
+    B_n = I - i Q+ sum_j c_j(zeta_n*) / zeta_j, which loses about e^{s}
+    times the working precision; `_dps_for(log_scale)` adds digits in
+    proportion to s so that the loss stays far below double rounding.
+    It honours every digit of the norming constants, including the
+    rounding-level rank-2 part that a float partner constant of a rank-1
+    seed carries and `reconstruct_Q` drops.
+    """
     bg = spec.bg
     n2 = len(spec.zetas)
     with mp.workdps(dps):
@@ -396,74 +349,7 @@ def _dps_for(scale: float) -> int:
     return 40 + int(2.0 * scale / 2.302585)
 
 
-def reconstruct_Q(x: float, t: float, spec: SolitonSpec) -> CMat2:
-    """Potential at one point from the reflectionless residue system.
-
-    Q = Q+ + i sum_n e^{2i theta(zeta_n*)} X_n Cbar_n with X solving the
-    system; in double precision (`_reconstruct_np`) up to SAFE_LOG_SCALE,
-    in mpmath above it.  Output is symmetric to 1e-10 by construction of the
-    norming-constant symmetries.
-    """
-    s = log_scale(x, t, spec)
-    if s > SAFE_LOG_SCALE:
-        return _reconstruct_mp(x, t, spec, _dps_for(s))
-    return _reconstruct_np(x, t, spec)
-
-
-# Closed-form one-quartet solution ------------------------------------------
-
-def _closed_np(x: float, t: float, seed: DiscreteEigenpair, bg: Background) -> CMat2:
-    z1 = seed.zn
-    C1 = seed.Cn
-    Qp = bg.Qplus
-    k0 = bg.k0
-    z1c = np.conj(z1)
-    z2 = -k0**2 / z1c
-    C2 = -dagger(Qp) @ dagger(C1) @ dagger(Qp) / z1c**2
-    E1 = np.exp(-2j * theta(x, t, z1, bg))
-    E1bar = np.exp(2j * theta(x, t, z1c, bg))
-    E2 = np.exp(-2j * theta(x, t, z2, bg))
-    c1 = C1 * (E1 / (z1c - z1))
-    c2 = C2 * (E2 / (np.conj(z2) - z2))
-    D1 = I2 + (1j / (z1c**2 + k0**2)) * (dagger(C1) @ dagger(Qp)) * E1bar
-    D2 = dagger(D1)
-    # The back-substituted product formula has removable singularities where
-    # det D vanishes (isolated (x, t) points); near them, evaluate the same
-    # two-block system by a coupled solve instead.
-    rel_det = abs(det2(D2)) / max(1.0, float(np.max(np.abs(D2))) ** 2)
-    if rel_det < 1e-2:
-        X1, X2 = _closed_coupled_np(z1, c1, c2, D1, D2, Qp, k0)
-    else:
-        try:
-            D1i = np.linalg.inv(D1)
-            D2i = np.linalg.inv(D2)
-            K1 = D1 - (z1c / (z1 * k0**2)) * Qp @ c2 @ D2i @ Qp @ c1
-            K2 = D2 - (z1c / (z1 * k0**2)) * Qp @ c1 @ D1i @ Qp @ c2
-            X1 = (I2 - (1j / z1) * D2i @ Qp @ c1) @ np.linalg.inv(K1)
-            X2 = (I2 + (1j * z1c / k0**2) * D1i @ Qp @ c2) @ np.linalg.inv(K2)
-        except np.linalg.LinAlgError:
-            X1, X2 = _closed_coupled_np(z1, c1, c2, D1, D2, Qp, k0)
-    return Qp - 1j * E1bar * (X1 @ dagger(C1)) + 1j * E1 * (X2 @ Qp @ C1 @ Qp) / z1**2
-
-
-def _closed_coupled_np(z1, c1, c2, D1, D2, Qp, k0):
-    """Solve X1 D1 = I - (i/z1) X2 Qp c1, X2 D2 = I + (i z1*/k0^2) X1 Qp c2
-    jointly (unknowns multiply from the left, so flatten transposed)."""
-    z1c = np.conj(z1)
-    B12 = (1j / z1) * Qp @ c1
-    B21 = -(1j * z1c / k0**2) * Qp @ c2
-    M = np.zeros((4, 4), dtype=complex)
-    M[:2, :2] = D1.T
-    M[:2, 2:] = B12.T
-    M[2:, :2] = B21.T
-    M[2:, 2:] = D2.T
-    rhs = np.vstack((I2, I2)).astype(complex)
-    try:
-        XT = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"closed-form system singular: {exc}") from exc
-    return XT[:2, :].T, XT[2:, :].T
-
+# Closed-form one-quartet oracle --------------------------------------------
 
 def _closed_mp(x: float, t: float, seed: DiscreteEigenpair, bg: Background, dps: int) -> CMat2:
     with mp.workdps(dps):
@@ -519,15 +405,14 @@ def _closed_mp(x: float, t: float, seed: DiscreteEigenpair, bg: Background, dps:
 def one_soliton_closed_form(x: float, t: float, seed: DiscreteEigenpair, bg: Background) -> CMat2:
     """Closed-form one-quartet solution (independent of the linear solver).
 
-    Evaluates the back-substituted 2x2 algebra: D1, D2 = D1^dag, then X1, X2,
-    then Q = Q+ - i X1 e^{2i theta(zeta1*)} C1^dag
-             + i X2 e^{-2i theta(zeta1)} Q+ C1 Q+ / zeta1^2.
+    Evaluates the back-substituted 2x2 algebra in mpmath at
+    `_dps_for(log_scale)` digits: D1, D2 = D1^dag, then X1, X2, then
+    Q = Q+ - i X1 e^{2i theta(zeta1*)} C1^dag
+          + i X2 e^{-2i theta(zeta1)} Q+ C1 Q+ / zeta1^2.
+    It serves as the oracle for `reconstruct_Q` in the tests.
     """
     spec = expand_quartets([seed], bg)
-    s = log_scale(x, t, spec)
-    if s > SAFE_LOG_SCALE:
-        return _closed_mp(x, t, seed, bg, _dps_for(s))
-    return _closed_np(x, t, seed, bg)
+    return _closed_mp(x, t, seed, bg, _dps_for(log_scale(x, t, spec)))
 
 
 # Grid and sampled-field helpers ---------------------------------------------
@@ -567,10 +452,9 @@ def sampled_field(spec: SolitonSpec, t0: float, L: float = 20.0) -> Callable[[fl
     """Fast field callable at fixed t0 backed by a cubic spline in x.
 
     Knot spacing grows with |x| where the field is exponentially close to
-    its limits, keeping interpolation error near 1e-10 while the expensive
-    high-precision evaluations are confined to a few hundred points.
-    Evaluations outside the sampled window (or off t0) fall back to the
-    exact per-point reconstruction.
+    its limits, keeping interpolation error near 1e-10 with a few thousand
+    `reconstruct_Q` evaluations.  Evaluations outside the sampled window (or
+    off t0) fall back to the exact per-point reconstruction.
     """
     rate = min_decay_rate(spec)
     f = min(3.0, max(1.0, 1.5 / rate)) if rate > 0 else 3.0

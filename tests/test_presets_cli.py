@@ -170,6 +170,34 @@ def test_cli_verify_preset(tmp_path):
     assert doc["checks"]["theta_condition"]["pass"] is True
 
 
+def test_cli_verify_rank1_config_theta_condition(tmp_path):
+    # a float rank-1 seed from the benchmark's seeded range: alpha = 0.5,
+    # beta = 0.02, |zeta| in [1.7, 1.85], arg zeta in [82, 98] deg, Q+ = I;
+    # its partner constant carries a rounding-level rank-2 part that must
+    # not change the measured left boundary phase
+    rng = np.random.default_rng(1)
+    zeta = rng.uniform(1.7, 1.85) * np.exp(1j * math.radians(rng.uniform(82.0, 98.0)))
+    u = rng.normal(size=2) + 1j * rng.normal(size=2)
+    C = np.outer(u, u)
+    C[1, 0] = C[0, 1]
+    pair = lambda v: [float(v.real), float(v.imag)]
+    cfg = {
+        "name": "rank1",
+        "background": {"sigma": -1, "k0": 1.0, "alpha": 0.5, "beta": 0.02,
+                       "qplus": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        "seeds": [{"zeta": pair(zeta), "c": [[pair(C[0, 0]), pair(C[0, 1])],
+                                             [pair(C[1, 0]), pair(C[1, 1])]]}],
+        "grid": {"xmin": -4, "xmax": 4, "nx": 41, "tmin": -2, "tmax": 2, "nt": 25},
+    }
+    cfg_path = tmp_path / "rank1.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert load_config(cfg_path).seeds[0].rank_flag is RankFlag.RANK1
+    out = tmp_path / "verify_rank1.json"
+    main(["verify", "--config", str(cfg_path), "--n-probe", "12", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["checks"]["theta_condition"]["pass"] is True, doc["checks"]["theta_condition"]
+
+
 def test_cli_verify_skips_decay_checks_without_decay(tmp_path):
     # fig5's eigenvalue gives Im lambda < 0.375: no spatial decay to fit
     out = tmp_path / "verify5.json"
