@@ -6,7 +6,7 @@ from .grids import ARTIFACT_VERSION as __version__
 
 from .errors import HirotaError
 from .grids import FieldGrid, GridSpec, read_csv, read_json, write_csv, write_json
-from .matrices import CMat2, CMat4, dagger, det2, det4, inv2, inv4, pauli_set
+from .matrices import CMat2, CMat4, dagger, det2, inv2
 from .presets import Preset, preset, preset_names
 from .scattering import (
     JostState,
@@ -29,7 +29,7 @@ from .solitons import (
     reconstruct_Q,
     sampled_field,
 )
-from .spectral import Background, Region, SpectralPoint, classify_region, contour_samples, theta, uniformize
+from .spectral import Background, Region, SpectralPoint, classify_region, theta, uniformize
 from .traceform import TraceInput, theta_condition, theta_condition_variants, trace_det_a
 from .verification import (
     DecayReport,

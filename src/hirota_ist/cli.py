@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -237,7 +238,7 @@ def cmd_verify(args) -> int:
     region = (g.xmin, g.xmax, g.tmin, g.tmax)
     checks: dict[str, dict] = {}
 
-    rep = pde_residual(reconstruct_Q_field(spec), region, args.n_probe, args.h, bg)
+    rep = pde_residual(functools.partial(reconstruct_Q, spec=spec), region, args.n_probe, args.h, bg)
     checks["pde_residual"] = {
         "max_residual": rep.max_residual,
         "argmax": list(rep.argmax),
@@ -252,7 +253,7 @@ def cmd_verify(args) -> int:
 
     rate = min_decay_rate(spec)
     if rate >= 0.75:
-        dec = boundary_decay(reconstruct_Q_field(spec), t=0.25, bg=bg, x_far=20.0)
+        dec = boundary_decay(functools.partial(reconstruct_Q, spec=spec), t=0.25, bg=bg, x_far=20.0)
         expected = rate
         rate_ok = abs(dec.rate - expected) <= 0.1 * expected
         checks["boundary_decay"] = {
@@ -288,13 +289,6 @@ def cmd_verify(args) -> int:
     for name, c in checks.items():
         print(f"{name}: {'PASS' if c.get('pass') else 'FAIL'} {c}")
     return 0 if ok else 1
-
-
-def reconstruct_Q_field(spec: SolitonSpec):
-    def field(x: float, t: float):
-        return reconstruct_Q(x, t, spec)
-
-    return field
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,10 +13,6 @@ class ZeroArgument(HirotaError):
     """Spectral-plane map evaluated at (or too close to) z = 0."""
 
 
-class BadContour(HirotaError):
-    """Contour parameters are inconsistent (e.g. truncation inside the circle)."""
-
-
 class MissingDerivatives(HirotaError):
     """Potential sample lacks the x-derivatives needed for the time generator."""
 

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchPointSingular, MissingDerivatives
-from .matrices import CMat2, CMat4, I4, dagger, from_blocks, pauli_set
+from .matrices import SIGMA3, CMat2, CMat4, I4, dagger, from_blocks
 from .spectral import Background, SpectralPoint
 
 _Z2 = np.zeros((2, 2), dtype=complex)
@@ -48,8 +48,7 @@ def embed(Q: CMat2, sigma: int) -> CMat4:
 
 
 def assemble_U(p: PotentialSample, sp: SpectralPoint, bg: Background) -> CMat4:
-    s3 = pauli_set(bg.sigma).sigma3
-    return -1j * sp.k * s3 + embed(p.Q, bg.sigma)
+    return -1j * sp.k * SIGMA3 + embed(p.Q, bg.sigma)
 
 
 def assemble_V(p: PotentialSample, sp: SpectralPoint, bg: Background) -> CMat4:
@@ -61,14 +60,13 @@ def assemble_V(p: PotentialSample, sp: SpectralPoint, bg: Background) -> CMat4:
     """
     if p.Qx is None or p.Qxx is None:
         raise MissingDerivatives("assemble_V needs Qx and Qxx")
-    s3 = pauli_set(bg.sigma).sigma3
     Qe = embed(p.Q, bg.sigma)
     Qex = embed(p.Qx, bg.sigma)
     Qexx = embed(p.Qxx, bg.sigma)
     k, k0, sg = sp.k, bg.k0, bg.sigma
-    U = -1j * k * s3 + Qe
-    T2 = 2.0 * k * U + 1j * s3 @ (Qex - Qe @ Qe + sg * k0**2 * I4)
-    T3 = 2.0 * k * (T2 - 1j * sg * k0**2 * s3) - (Qe @ Qex - Qex @ Qe) + 2.0 * Qe @ Qe @ Qe - Qexx
+    U = -1j * k * SIGMA3 + Qe
+    T2 = 2.0 * k * U + 1j * SIGMA3 @ (Qex - Qe @ Qe + sg * k0**2 * I4)
+    T3 = 2.0 * k * (T2 - 1j * sg * k0**2 * SIGMA3) - (Qe @ Qex - Qex @ Qe) + 2.0 * Qe @ Qe @ Qe - Qexx
     return bg.alpha * T2 + bg.beta * T3
 
 
@@ -80,10 +78,9 @@ def asymptotic_eigenvectors(sp: SpectralPoint, Qpm: CMat2, bg: Background) -> tu
     """
     if abs(sp.gamma) < bg.delta_reg:
         raise BranchPointSingular(f"gamma(z) = {sp.gamma} too small at z = {sp.z}")
-    s3 = pauli_set(bg.sigma).sigma3
     Qe = embed(Qpm, bg.sigma)
-    X = I4 - (1j / sp.z) * s3 @ Qe
-    Xinv = (I4 + (1j / sp.z) * s3 @ Qe) / sp.gamma
+    X = I4 - (1j / sp.z) * SIGMA3 @ Qe
+    Xinv = (I4 + (1j / sp.z) * SIGMA3 @ Qe) / sp.gamma
     return X, Xinv
 
 

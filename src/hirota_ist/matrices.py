@@ -1,13 +1,11 @@
-"""Exact small complex-matrix kernel: 2x2 and 4x4 (block 2x2 of 2x2).
+"""Small complex-matrix helpers: 2x2 closed forms and 4x4 block layout.
 
-All operations are pure functions over immutable ndarray values; inverses use
-closed adjugate forms rather than factorizations so the structure stays exact
-at this size.
+The 2x2 determinant and inverse are closed forms; 4x4 determinants and
+solves go through numpy.linalg.  SIGMA3 and SIGMA2 are the block Pauli
+matrices of the 4x4 linear problem.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,73 +55,6 @@ def from_blocks(ul: CMat2, ur: CMat2, dl: CMat2, dr: CMat2) -> CMat4:
     return M
 
 
-def _det3(M: np.ndarray) -> complex:
-    return complex(
-        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
-    )
-
-
-def _minor(M: CMat4, i: int, j: int) -> np.ndarray:
-    rows = [r for r in range(4) if r != i]
-    cols = [c for c in range(4) if c != j]
-    return M[np.ix_(rows, cols)]
-
-
-def det4_cofactor(M: CMat4) -> complex:
-    """Laplace expansion along the first row."""
-    s = 0.0 + 0.0j
-    for j in range(4):
-        s += (-1) ** j * M[0, j] * _det3(_minor(M, 0, j))
-    return complex(s)
-
-
-def det4_block(M: CMat4) -> complex:
-    """det via det(AD - BC), valid when the down blocks commute."""
-    A, B, C, D = blocks(M)
-    return det2(A @ D - B @ C)
-
-
-def det4(M: CMat4) -> complex:
-    A, B, C, D = blocks(M)
-    comm = C @ D - D @ C
-    scale = max(1.0, float(np.max(np.abs(C))) * float(np.max(np.abs(D))))
-    if np.max(np.abs(comm)) <= 1e-14 * scale:
-        return det4_block(M)
-    return det4_cofactor(M)
-
-
-def inv4(M: CMat4) -> CMat4:
-    d = det4_cofactor(M)
-    if abs(d) <= _singularity_threshold(M) * max(1.0, float(np.max(np.abs(M))) ** 2):
-        raise SingularMatrix(f"4x4 determinant {d} below threshold")
-    adj = np.empty((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            adj[j, i] = (-1) ** (i + j) * _det3(_minor(M, i, j))
-    return adj / d
-
-
-@dataclass(frozen=True)
-class PauliSet:
-    """Block generalizations of the Pauli matrices used by the 4x4 problem.
-
-    sigma3 = diag(I, -I), sigma2 has off-diagonal blocks +iI / -iI, and
-    j_sigma = diag(I, -sigma I) (the identity in the focusing case).
-    """
-
-    sigma: int
-    sigma3: CMat4
-    sigma2: CMat4
-    j_sigma: CMat4
-
-
-def pauli_set(sigma: int) -> PauliSet:
-    if sigma not in (-1, 1):
-        raise ValueError("sigma must be +1 or -1")
-    Z = np.zeros((2, 2), dtype=complex)
-    s3 = from_blocks(I2, Z, Z, -I2)
-    s2 = from_blocks(Z, 1j * I2, -1j * I2, Z)
-    js = from_blocks(I2, Z, Z, -sigma * I2)
-    return PauliSet(sigma=sigma, sigma3=s3, sigma2=s2, j_sigma=js)
+_Z2 = np.zeros((2, 2), dtype=complex)
+SIGMA3 = from_blocks(I2, _Z2, _Z2, -I2)
+SIGMA2 = from_blocks(_Z2, 1j * I2, -1j * I2, _Z2)

@@ -26,12 +26,10 @@ from .errors import (
     SingularWronskian,
 )
 from .lax import asymptotic_eigenvectors
-from .matrices import CMat2, CMat4, dagger, det4, inv2, inv4, pauli_set
+from .matrices import SIGMA2, CMat2, CMat4, dagger, inv2
 from .spectral import Background, Region, classify_region, theta, uniformize
 
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
-# Growth bound above which the non-analytic columns overflow and are skipped.
-_GROWTH_LOG_LIMIT = 200.0
 
 
 @dataclass(frozen=True)
@@ -81,15 +79,15 @@ def integrate_jost(
     tol: float,
     bg: Background,
     t0: float = 0.0,
-    columns: str = "auto",
+    columns: str = "all",
 ) -> CMat4:
     """Integrate the modified-eigenfunction ODE mu_x = U mu + i lambda mu sigma3.
 
     Starts from the background eigenvector matrix at -L (side "left") or +L
     (side "right") and returns the 4x4 value at x = 0.  Off the continuous
-    spectrum the non-analytic column pair grows like e^{2 Im lambda L}; with
-    columns="auto" those columns are integrated only while representable and
-    are NaN otherwise, while "analytic" restricts to the bounded pair.
+    spectrum the non-analytic column pair grows like e^{2 Im lambda L};
+    columns="analytic" integrates only the bounded pair and leaves the other
+    two columns NaN.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -100,21 +98,18 @@ def integrate_jost(
         raise BranchPointSingular(f"z = {z} is a branch point")
     Qpm = bg.Qminus if side == "left" else bg.Qplus
     X0, _ = asymptotic_eigenvectors(sp, Qpm, bg)
-    growth = 2.0 * abs(sp.lam.imag) * L
     # bounded (analytic) column pair: M / N in D+ (Im lambda > 0), the
     # barred pair in D-
     if sp.lam.imag >= 0:
         analytic_cols = [0, 1] if side == "left" else [2, 3]
     else:
         analytic_cols = [2, 3] if side == "left" else [0, 1]
-    if columns == "auto":
-        cols = list(range(4)) if growth < _GROWTH_LOG_LIMIT else analytic_cols
-    elif columns == "all":
+    if columns == "all":
         cols = list(range(4))
     elif columns == "analytic":
         cols = analytic_cols
     else:
-        raise ValueError("columns must be 'auto', 'all' or 'analytic'")
+        raise ValueError("columns must be 'all' or 'analytic'")
 
     k, lam, sg = sp.k, sp.lam, bg.sigma
     signs = 1j * lam * _SGN[cols]
@@ -175,10 +170,10 @@ def scattering_matrix(
     ph = np.exp(1j * th0 * _SGN)
     Phi = mu_l * ph[None, :]
     Psi = mu_r * ph[None, :]
-    d = det4(Psi)
+    d = np.linalg.det(Psi)
     if abs(d) < 1e-12:
         raise SingularWronskian(f"det Psi(0) = {d} at z = {z}")
-    S = inv4(Psi) @ Phi
+    S = np.linalg.solve(Psi, Phi)
     a, bbar, b, abar = S[:2, :2], S[:2, 2:], S[2:, :2], S[2:, 2:]
     rho = b @ inv2(a)
     rhobar = bbar @ inv2(abar)
@@ -229,15 +224,14 @@ def audit_symmetries(samples: Sequence[ScatteringSample], bg: Background) -> Sym
     Needs the sample set closed under z -> z* and z -> sigma k0^2/z (real
     points are their own conjugates).
     """
-    ps = pauli_set(bg.sigma)
-    J, s2 = ps.j_sigma, ps.sigma2
+    J = np.diag([1.0, 1.0, -bg.sigma, -bg.sigma])
     Qpd = dagger(bg.Qplus)
     dev1 = dev2 = dev3 = dev4 = dev5 = 0.0
     for s in samples:
         conj_s = _find_partner(samples, complex(np.conj(s.z)))
         anti_s = _find_partner(samples, bg.sigma * bg.k0**2 / s.z)
         dev1 = max(dev1, float(np.max(np.abs(dagger(conj_s.S) @ J @ s.S - J))))
-        dev2 = max(dev2, float(np.max(np.abs(s.S.T @ s2 @ s.S - s2))))
+        dev2 = max(dev2, float(np.max(np.abs(s.S.T @ SIGMA2 @ s.S - SIGMA2))))
         dev3 = max(dev3, float(np.max(np.abs(s.rho - s.rho.T))))
         dev4 = max(
             dev4,
@@ -275,7 +269,7 @@ def det_a(
     W = np.empty((4, 4), dtype=complex)
     W[:, :2] = mu_l[:, :2]
     W[:, 2:] = mu_r[:, 2:]
-    return det4(W) / sp.gamma**2
+    return np.linalg.det(W) / sp.gamma**2
 
 
 class _DetACache:

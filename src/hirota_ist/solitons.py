@@ -356,7 +356,14 @@ def _closed_mp(x: float, t: float, seed: DiscreteEigenpair, bg: Background, dps:
         z1 = _mp_c(seed.zn)
         z1c = mp.conj(z1)
         k0 = bg.k0
-        C1 = _mp_mat(seed.Cn)
+        if rank_of(seed.Cn) is RankFlag.RANK1:
+            # the product of the float rank factors is rank 1 at this
+            # precision; the rounding-level rank-2 part of a float C1 would
+            # grow into a spurious structure in the left far field
+            A, B = _rank_factor(seed.Cn)
+            C1 = mp.matrix([[_mp_c(A[i, 0]) * _mp_c(B[0, j]) for j in range(2)] for i in range(2)])
+        else:
+            C1 = _mp_mat(seed.Cn)
         Qp = _mp_mat(bg.Qplus)
         z2 = -(k0**2) / z1c
         C2 = -(_mp_dag(Qp) * _mp_dag(C1) * _mp_dag(Qp)) / z1c**2
@@ -409,7 +416,9 @@ def one_soliton_closed_form(x: float, t: float, seed: DiscreteEigenpair, bg: Bac
     `_dps_for(log_scale)` digits: D1, D2 = D1^dag, then X1, X2, then
     Q = Q+ - i X1 e^{2i theta(zeta1*)} C1^dag
           + i X2 e^{-2i theta(zeta1)} Q+ C1 Q+ / zeta1^2.
-    It serves as the oracle for `reconstruct_Q` in the tests.
+    A rank-1 C1 enters as the product of its `_rank_factor` factors, as in
+    `reconstruct_Q`.  It serves as the oracle for `reconstruct_Q` in the
+    tests.
     """
     spec = expand_quartets([seed], bg)
     return _closed_mp(x, t, seed, bg, _dps_for(log_scale(x, t, spec)))

@@ -1,4 +1,4 @@
-"""Uniformized spectral plane: z <-> (k, lambda), regions, phase, contour.
+"""Uniformized spectral plane: z <-> (k, lambda), regions and phase.
 
 Everything lives on the z-plane through the rational maps
 k = (z + sigma k0^2/z)/2 and lambda = (z - sigma k0^2/z)/2, so no square
@@ -8,13 +8,11 @@ roots (and hence no sheet or branch-cut bookkeeping) appear anywhere.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .errors import BadContour, ZeroArgument
+from .errors import ZeroArgument
 from .matrices import CMat2, dagger
 
 
@@ -131,55 +129,3 @@ def theta(x: float, t: float, z: complex, bg: Background) -> complex:
     sp = uniformize(z, bg)
     w = bg.beta * (4.0 * sp.k**2 - 2.0 * bg.k0**2) + 2.0 * bg.alpha * sp.k
     return sp.lam * (-x - w * t)
-
-
-@dataclass(frozen=True)
-class ContourNode:
-    z: complex
-    weight: complex
-    part: str = field(default="real")  # "real" or "circle"
-
-
-def contour_samples(bg: Background, n_real: int, n_circle: int, L: float) -> list[ContourNode]:
-    """Quadrature nodes and signed complex weights along the spectrum contour.
-
-    The real segment [-L, L] gets composite Gauss-Legendre panels split at
-    0 and +-k0 (so nodes never land on z = 0, the branch points, or the
-    circle crossings); in the focusing case the inner segments carry the
-    reversed orientation and the circle |z| = k0 is a closed trapezoid loop
-    whose signed weights cancel.  Nodes within delta_reg of a branch point
-    are displaced along the contour.
-    """
-    if n_real < 2 or (bg.sigma == -1 and n_circle < 2):
-        raise BadContour("need at least 2 nodes per contour part")
-    if not L > bg.k0:
-        raise BadContour("truncation L must exceed k0")
-    k0 = bg.k0
-    nodes: list[ContourNode] = []
-
-    if bg.sigma == -1:
-        segments = [(-L, -k0, +1.0), (-k0, 0.0, -1.0), (0.0, k0, -1.0), (k0, L, +1.0)]
-    else:
-        segments = [(-L, -k0, +1.0), (-k0, 0.0, +1.0), (0.0, k0, +1.0), (k0, L, +1.0)]
-    total_len = 2.0 * L
-    for a, b, orient in segments:
-        n_seg = max(2, int(round(n_real * (b - a) / total_len)))
-        xg, wg = leggauss(n_seg)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for xi, wi in zip(xg, wg):
-            nodes.append(ContourNode(z=complex(mid + half * xi), weight=complex(orient * half * wi), part="real"))
-
-    if bg.sigma == -1:
-        bps = bg.branch_points()
-        dphi = 2.0 * math.pi / n_circle
-        for m in range(n_circle):
-            phi = m * dphi
-            z = k0 * complex(math.cos(phi), math.sin(phi))
-            if min(abs(z - b) for b in bps) <= bg.delta_reg:
-                # displace along the circle, away from the real axis, so the
-                # node set stays closed under conjugation
-                phi += 2.0 * bg.delta_reg / k0 * (1.0 if math.sin(phi) > 0 else -1.0)
-                z = k0 * complex(math.cos(phi), math.sin(phi))
-            w = 1j * z * dphi  # dz = i k0 e^{i phi} dphi
-            nodes.append(ContourNode(z=z, weight=w, part="circle"))
-    return nodes

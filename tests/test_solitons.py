@@ -201,7 +201,7 @@ def test_double_path_matches_mpmath_on_exact_rank1_seed():
 
 
 def test_double_path_matches_oracles_on_benchmark_range_seed():
-    # a rank-2 seed from the range the benchmark's seeded config draws:
+    # seeds from the range the benchmark's seeded config draws:
     # alpha = 0.5, beta = 0.02, |zeta| in [1.7, 1.85], arg zeta in [82, 98] deg
     bg = Background(sigma=-1, k0=1.0, alpha=0.5, beta=0.02, Qplus=EYE, Qminus=EYE)
     g1, g0, gm1 = 1.2 * np.exp(0.4j), 0.7 * np.exp(2.1j), 1.5 * np.exp(-1.3j)
@@ -212,6 +212,20 @@ def test_double_path_matches_oracles_on_benchmark_range_seed():
         Q = h.reconstruct_Q(x, t, spec)
         assert np.max(np.abs(Q - _reconstruct_mp(x, t, spec, 45))) <= 1e-14, (x, t)
         assert np.max(np.abs(Q - h.one_soliton_closed_form(x, t, seed, bg))) <= 1e-14, (x, t)
+    # the float rank-1 seed of test_cli_verify_rank1_config_theta_condition:
+    # C = u u^T carries a rounding-level rank-2 part, which the closed form
+    # must drop as the solver does, out to the left far field
+    rng = np.random.default_rng(1)
+    zeta = rng.uniform(1.7, 1.85) * np.exp(1j * np.radians(rng.uniform(82.0, 98.0)))
+    u = rng.normal(size=2) + 1j * rng.normal(size=2)
+    C = np.outer(u, u)
+    C[1, 0] = C[0, 1]
+    seed = DiscreteEigenpair(zeta, C)
+    assert seed.rank_flag is RankFlag.RANK1
+    spec = expand_quartets([seed], bg)
+    for x in (-10.0, -20.0, -30.0, -40.0):
+        d = np.max(np.abs(h.reconstruct_Q(x, 0.0, spec) - h.one_soliton_closed_form(x, 0.0, seed, bg)))
+        assert d <= 1e-14, (x, d)
 
 
 def test_closed_form_zero_constant_reduces_to_background():

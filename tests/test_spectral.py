@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hirota_ist as h
-from hirota_ist.errors import BadContour, ZeroArgument
-from hirota_ist.spectral import Background, Region, classify_region, contour_samples, theta, uniformize
+from hirota_ist.errors import ZeroArgument
+from hirota_ist.spectral import Background, Region, classify_region, theta, uniformize
 
 EYE = np.eye(2, dtype=complex)
 
@@ -117,44 +117,6 @@ def test_region_parity_defocusing():
         z = complex(rng.uniform(-4, 4), rng.uniform(0.05, 4))
         if classify_region(z, DEF) is Region.D_PLUS:
             assert classify_region(np.conj(z), DEF) is Region.D_MINUS
-
-
-def test_contour_defocusing_has_no_circle():
-    nodes = contour_samples(DEF, 64, 16, 5.0)
-    assert all(n.part == "real" for n in nodes)
-
-
-def test_contour_focusing_nodes_avoid_branch_points():
-    nodes = contour_samples(FOC, 16, 4, 5.0)
-    circle = [n for n in nodes if n.part == "circle"]
-    assert len(circle) == 4
-    for n in circle:
-        assert min(abs(n.z - 1j), abs(n.z + 1j)) >= 0.9 * FOC.delta_reg
-        assert abs(abs(n.z) - 1.0) < 1e-12
-
-
-def test_contour_circle_weights_cancel():
-    nodes = contour_samples(FOC, 32, 512, 5.0)
-    total = sum(n.weight for n in nodes if n.part == "circle")
-    assert abs(total) < 1e-8
-
-
-def test_contour_bad_truncation():
-    with pytest.raises(BadContour):
-        contour_samples(FOC, 16, 8, 0.5)
-
-
-def test_contour_quadrature_integrates_moments():
-    # integral of z over [-L, L] with the focusing orientation:
-    # outer parts (+) give 0 by symmetry; inner parts reversed give
-    # -(k0^2/2 - 0) - (0 - k0^2/2)... net zero as well; use z^2 instead.
-    nodes = contour_samples(FOC, 400, 8, 3.0)
-    real = [n for n in nodes if n.part == "real"]
-    val = sum(n.weight * n.z**2 for n in real)
-    # int z^2 over [-3,-1]+[1,3] minus int over [-1,1] = (2/3)(27-1)-(2/3) *... :
-    outer = 2.0 * (27 - 1) / 3.0
-    inner = 2.0 / 3.0
-    assert abs(val - (outer - inner)) < 1e-8
 
 
 def test_background_validation():

@@ -7,8 +7,8 @@ import pytest
 import hirota_ist as h
 from hirota_ist.errors import PoleHit
 from hirota_ist.matrices import dagger
-from hirota_ist.spectral import Background, contour_samples
-from hirota_ist.traceform import TraceInput, theta_condition, theta_condition_variants, trace_det_a
+from hirota_ist.spectral import Background
+from hirota_ist.traceform import TraceInput, _quadrature, theta_condition, theta_condition_variants, trace_det_a
 
 EYE = np.eye(2, dtype=complex)
 FOC = Background(sigma=-1, k0=1.0, alpha=1.0, beta=0.1, Qplus=EYE, Qminus=EYE)
@@ -111,10 +111,39 @@ def test_theta_condition_consistency_with_measured_boundary_rank2(fig6, fig6_spe
     assert min(diffs.values()) == diffs["simple_plus_double_plus"]
 
 
+def _contour_nodes(n_real, n_circle, L):
+    """Cell midpoints of [-L, L] (never 0 or +-k0 = +-1 for the sizes used)
+    and the unit circle at half-step angles, closed under conjugation."""
+    xs = -L + (np.arange(n_real) + 0.5) * (2.0 * L / n_real)
+    phis = (np.arange(n_circle) + 0.5) * (2.0 * math.pi / n_circle)
+    return [complex(x) for x in xs] + [complex(np.exp(1j * p)) for p in phis]
+
+
 def _constant_rho_samples(scale):
-    nodes = contour_samples(FOC, 768, 512, 30.0)
     rho = scale * np.array([[1.0, 0.2], [0.2, 1.0]], dtype=complex)
-    return tuple((n.z, rho) for n in nodes)
+    return tuple((z, rho) for z in _contour_nodes(768, 512, 30.0))
+
+
+def test_quadrature_orientation_focusing():
+    # constant rho: every term is weight * logdet, and the trapezoid weights
+    # of a sorted segment sum to its node span, so the real terms sum to
+    # logdet (outer spans - inner spans) and the closed circle loop to 0
+    rho = np.array([[0.3 + 0.1j, 0.2], [0.2, -0.4j]])
+    inp = TraceInput(bg=FOC, rho_samples=tuple((z, rho) for z in _contour_nodes(64, 16, 5.0)))
+    logdet = cmath.log(np.linalg.det(np.eye(2) + dagger(rho) @ rho))
+    terms = _quadrature(inp)
+    real = [(z.real, wl) for z, wl in terms if z.imag == 0]
+    circle = [wl for z, wl in terms if z.imag != 0]
+    assert len(real) == 64 and len(circle) == 16
+
+    def span(pred):
+        xs = [x for x, _ in real if pred(x)]
+        return max(xs) - min(xs)
+
+    outer = span(lambda x: x <= -1) + span(lambda x: x >= 1)
+    inner = span(lambda x: -1 < x < 0) + span(lambda x: 0 < x < 1)
+    assert abs(sum(wl for _, wl in real) - logdet * (outer - inner)) <= 1e-12
+    assert abs(sum(circle)) <= 1e-12
 
 
 def test_quadrature_term_scales_quadratically():
