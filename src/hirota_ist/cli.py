@@ -253,7 +253,7 @@ def cmd_verify(args) -> int:
 
     rate = min_decay_rate(spec)
     if rate >= 0.75:
-        dec = boundary_decay(functools.partial(reconstruct_Q, spec=spec), t=0.25, bg=bg, x_far=20.0)
+        dec = boundary_decay(functools.partial(reconstruct_Q, spec=spec), t=0.25, bg=bg)
         expected = rate
         rate_ok = abs(dec.rate - expected) <= 0.1 * expected
         checks["boundary_decay"] = {

@@ -40,8 +40,8 @@ def inv2(M: CMat2) -> CMat2:
 
 
 def dagger(M: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate (conjugate transpose)."""
-    return M.conj().T
+    """Hermitian conjugate: conjugate transpose of the last two axes."""
+    return np.swapaxes(M.conj(), -1, -2)
 
 
 def blocks(M: CMat4) -> tuple[CMat2, CMat2, CMat2, CMat2]:

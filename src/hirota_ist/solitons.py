@@ -35,12 +35,13 @@ from .errors import (
     DuplicateEigenvalue,
     EigenvalueRegionError,
     EigenvalueTooCloseToSigma,
+    HirotaError,
     PoleCollision,
     SingularSystem,
 )
-from .grids import FieldGrid, GridSpec
+from .grids import ARTIFACT_VERSION, FieldGrid, GridSpec
 from .matrices import CMat2, dagger, det2
-from .spectral import Background, theta
+from .spectral import Background, theta, uniformize
 
 COND_LIMIT = 1e12
 
@@ -181,9 +182,9 @@ def _residue_system(spec: SolitonSpec) -> _ResidueSystem:
     )
 
 
-def _log_factors(x: float, t: float, spec: SolitonSpec) -> np.ndarray:
-    """log E_j = -2i theta(x, t; zeta_j), per eigenvalue."""
-    return np.array([-2j * theta(x, t, z, spec.bg) for z in spec.zetas], dtype=complex)
+def _log_factors(x, t, spec: SolitonSpec) -> np.ndarray:
+    """log E_j = -2i theta(x, t; zeta_j), eigenvalues on the last axis."""
+    return np.stack([-2j * theta(x, t, z, spec.bg) for z in spec.zetas], axis=-1)
 
 
 def log_scale(x: float, t: float, spec: SolitonSpec) -> float:
@@ -191,19 +192,42 @@ def log_scale(x: float, t: float, spec: SolitonSpec) -> float:
     return float(np.max(_log_factors(x, t, spec).real, initial=0.0))
 
 
-def _solve_left(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve Z M = rhs for the rows of Z, refusing an ill-conditioned M."""
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystem(f"linear system condition number {cond:.3e}")
-    return np.linalg.solve(M.T, rhs.T).T
+_BLOCK = 512  # points per batched solve, so that memory stays flat for any grid
 
 
-def reconstruct_Q(x: float, t: float, spec: SolitonSpec) -> CMat2:
-    """Potential at one point from the reflectionless residue system.
+def _field(x, t, spec: SolitonSpec) -> tuple[np.ndarray, np.ndarray]:
+    """`reconstruct_Q` with (Q, ok) in place of `SingularSystem`; Q is 0 where not ok.
 
-    Double precision at every (x, t); the mpmath oracles `_reconstruct_mp`
-    and `one_soliton_closed_form` check it in the tests.  With
+    Each point's solve is independent, so a point alone and in any batch gives the same bits.
+    """
+    x, t = np.broadcast_arrays(x, t)
+    rs = spec._residues
+    R = len(rs.col)
+    Q, ok = np.zeros((x.size, 2, 2), dtype=complex), np.zeros(x.size, dtype=bool)
+    for lo in range(0, x.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        log_e = _log_factors(x.flat[blk], t.flat[blk], spec)[:, rs.col]
+        g = np.maximum(log_e.real, 0.0)
+        e = np.exp(log_e - g)[:, None, :]
+        M = np.empty((len(g), 2 * R, 2 * R), dtype=complex)
+        M[:, :R, :R] = M[:, R:, R:] = np.exp(-g)[:, :, None] * np.eye(R)
+        M[:, :R, R:] = rs.AA * e
+        M[:, R:, :R] = rs.BB * np.conj(e)
+        rhs = np.concatenate((rs.Bh * np.conj(e), rs.Ay * e), axis=-1)
+        ok[blk] = good = np.linalg.cond(M) <= COND_LIMIT  # False for inf and nan too
+        # Z M = rhs for the rows of Z, solved as M^T Z^T = rhs^T
+        ZT = np.linalg.solve(np.swapaxes(M[good], -1, -2), np.swapaxes(rhs[good], -1, -2))
+        Q[blk][good] = spec.bg.Qplus - 1j * np.swapaxes(ZT[:, :R], -1, -2) @ dagger(rs.A)
+    return Q.reshape(x.shape + (2, 2)), ok.reshape(x.shape)
+
+
+def reconstruct_Q(x, t, spec: SolitonSpec) -> np.ndarray:
+    """Potential from the reflectionless residue system, on arrays of points.
+
+    x and t are scalars or arrays that broadcast to one shape S; the result
+    has shape S + (2, 2), a 2x2 matrix for a scalar point.  Double precision
+    at every (x, t); the mpmath oracles `_reconstruct_mp` and
+    `one_soliton_closed_form` check it in the tests.  With
     c_j(z) = C_j E_j / (z - zeta_j), the residues of the two eigenfunction
     families satisfy
 
@@ -224,20 +248,13 @@ def reconstruct_Q(x: float, t: float, spec: SolitonSpec) -> CMat2:
     nothing overflows.  Then Q = Q+ - i sum_n x_n A_n^dag, symmetric to
     1e-10 by the norming-constant symmetries.  Raises `PoleCollision` for
     colliding poles and `SingularSystem` when the scaled system is
-    ill-conditioned.
+    ill-conditioned at any of the points (`eval_field` masks such points
+    instead).
     """
-    rs = spec._residues
-    R = len(rs.col)
-    log_e = _log_factors(x, t, spec)[rs.col]
-    g = np.maximum(log_e.real, 0.0)
-    e = np.exp(log_e - g)
-    M = np.empty((2 * R, 2 * R), dtype=complex)
-    M[:R, :R] = M[R:, R:] = np.diag(np.exp(-g))
-    M[:R, R:] = rs.AA * e
-    M[R:, :R] = rs.BB * np.conj(e)
-    rhs = np.hstack((rs.Bh * np.conj(e), rs.Ay * e))
-    Z = _solve_left(M, rhs)
-    return spec.bg.Qplus - 1j * Z[:, :R] @ dagger(rs.A)
+    Q, ok = _field(x, t, spec)
+    if not ok.all():
+        raise SingularSystem(f"condition number above {COND_LIMIT:.0e} at {np.sum(~ok)} of {ok.size} points")
+    return Q
 
 
 # mpmath oracles -------------------------------------------------------------
@@ -429,31 +446,24 @@ def one_soliton_closed_form(x: float, t: float, seed: DiscreteEigenpair, bg: Bac
 def eval_field(grid: GridSpec, spec: SolitonSpec, preset_name: str = "") -> FieldGrid:
     """Evaluate the reconstruction on a rectangular grid (t outer, x inner).
 
-    Per-point failures are recorded in the mask instead of aborting the run.
+    Points whose system is ill-conditioned are recorded in the mask (their
+    values stay zero) instead of aborting the run; a failure of the whole
+    spec, such as `PoleCollision`, masks every point.
     """
     xs, ts = grid.x_axis(), grid.t_axis()
-    values = np.zeros((len(ts), len(xs), 2, 2), dtype=complex)
-    mask = np.zeros((len(ts), len(xs)), dtype=bool)
-    from .errors import HirotaError
-
-    for it, t in enumerate(ts):
-        for ix, x in enumerate(xs):
-            try:
-                values[it, ix] = reconstruct_Q(float(x), float(t), spec)
-            except HirotaError:
-                mask[it, ix] = True
-    from .grids import ARTIFACT_VERSION
-
+    try:
+        values, ok = _field(xs[None, :], ts[:, None], spec)
+    except HirotaError:
+        values = np.zeros((len(ts), len(xs), 2, 2), dtype=complex)
+        ok = np.zeros((len(ts), len(xs)), dtype=bool)
     meta = {"preset": preset_name, "artifact_version": ARTIFACT_VERSION,
             "sigma": spec.bg.sigma, "k0": spec.bg.k0,
             "alpha": spec.bg.alpha, "beta": spec.bg.beta}
-    return FieldGrid(xs=xs, ts=ts, values=values, mask=mask, metadata=meta)
+    return FieldGrid(xs=xs, ts=ts, values=values, mask=~ok, metadata=meta)
 
 
 def min_decay_rate(spec: SolitonSpec) -> float:
     """2 min_n Im lambda(zeta_n), the slowest spatial decay rate."""
-    from .spectral import uniformize
-
     return 2.0 * min(uniformize(z, spec.bg).lam.imag for z in spec.zetas)
 
 
@@ -478,10 +488,7 @@ def sampled_field(spec: SolitonSpec, t0: float, L: float = 20.0) -> Callable[[fl
         outer = np.arange(x_mid + 0.1, outer_hi + 1e-12, 0.1)
         knots = [-outer[::-1]] + knots + [outer]
     xs = np.concatenate(knots)
-    vals = np.empty((len(xs), 2, 2), dtype=complex)
-    for i, x in enumerate(xs):
-        vals[i] = reconstruct_Q(float(x), t0, spec)
-    spline = CubicSpline(xs, vals, axis=0)
+    spline = CubicSpline(xs, reconstruct_Q(xs, t0, spec), axis=0)
     lo, hi = xs[0], xs[-1]
 
     def field(x: float, t: float = t0) -> CMat2:

@@ -2,7 +2,8 @@
 
 These checks never reuse the inverse-problem algebra; they probe candidate
 solutions with finite differences and asymptotic measurements only, so they
-catch sign or convention errors anywhere upstream.
+catch sign or convention errors anywhere upstream.  A field maps arrays: x
+and t of one broadcast shape S to Q of shape S + (2, 2).
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from typing import Callable
 import numpy as np
 
 from .grids import FieldGrid
-from .matrices import CMat2, I2, dagger
+from .matrices import I2, dagger
 from .spectral import Background
+
+Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # 6th-order central stencils in paired-difference form (coefficients for
 # offsets 1..n); the third derivative needs the 9-point form to keep the
@@ -24,9 +27,13 @@ _D1 = np.array([3 / 4, -3 / 20, 1 / 60])
 _D2 = np.array([3 / 2, -3 / 20, 1 / 90])
 _D3 = np.array([-61 / 30, 169 / 120, -3 / 10, 7 / 240])
 
+X_FAR = 20.0  # boundary_decay reads Q+ at X_FAR and the left limit at -2 X_FAR
+
 
 def halton_points(n: int, skip: int = 20) -> np.ndarray:
     """Deterministic low-discrepancy points in [0, 1)^2 (bases 2 and 3)."""
+    if n < 1:
+        raise ValueError("need at least one probe point")
 
     def radical_inverse(i, base):
         f, r = 1.0, 0.0
@@ -49,7 +56,7 @@ class ResidualReport:
 
 
 def pde_residual(
-    field: Callable[[float, float], CMat2],
+    field: Field,
     region: tuple[float, float, float, float],
     n_probe: int,
     h: float,
@@ -81,28 +88,28 @@ def pde_residual(
     xs = xmin + (xmax - xmin) * pts[:, 0]
     ts = tmin + (tmax - tmin) * pts[:, 1]
     sg, k0, alpha, beta = bg.sigma, bg.k0, bg.alpha, bg.beta
-    worst, arg = -1.0, (0.0, 0.0)
-    for x, t in zip(xs, ts):
-        Q0 = field(x, t)
-        Qt = sum(_D1[i - 1] * (field(x, t + i * h) - field(x, t - i * h)) for i in (1, 2, 3)) / h
-        xp = {i: field(x + i * h, t) for i in range(-4, 5) if i}
-        Qx = sum(_D1[i - 1] * (xp[i] - xp[-i]) for i in (1, 2, 3)) / h
-        Qxx = sum(_D2[i - 1] * ((xp[i] - Q0) + (xp[-i] - Q0)) for i in (1, 2, 3)) / h**2
-        Qxxx = sum(_D3[i - 1] * (xp[i] - xp[-i]) for i in (1, 2, 3, 4)) / h**3
-        QQd = Q0 @ dagger(Q0)
-        if cubic_term == "lax":
-            cubic = 3.0 * sg * (QQd @ Qx + Qx @ dagger(Q0) @ Q0)
-        else:
-            cubic = 6.0 * sg * QQd @ Qx
-        R = (
-            1j * Qt
-            + alpha * (Qxx - 2.0 * sg * (QQd - k0**2 * I2) @ Q0)
-            + 1j * beta * (Qxxx - cubic)
-        )
-        r = float(np.max(np.abs(R)))
-        if r > worst:
-            worst, arg = r, (float(x), float(t))
-    return ResidualReport(max_residual=worst, argmax=arg, h=h, stencil_order=6, points=n_probe)
+    # xp[4 + i] = Q(x + i h, t) for i in -4..4, tp[3 + i] = Q(x, t + i h) for i in -3..3
+    xp = field(xs + h * np.arange(-4, 5)[:, None], ts)
+    tp = field(xs, ts + h * np.arange(-3, 4)[:, None])
+    Q0 = xp[4]
+    Qt = sum(_D1[i - 1] * (tp[3 + i] - tp[3 - i]) for i in (1, 2, 3)) / h
+    Qx = sum(_D1[i - 1] * (xp[4 + i] - xp[4 - i]) for i in (1, 2, 3)) / h
+    Qxx = sum(_D2[i - 1] * ((xp[4 + i] - Q0) + (xp[4 - i] - Q0)) for i in (1, 2, 3)) / h**2
+    Qxxx = sum(_D3[i - 1] * (xp[4 + i] - xp[4 - i]) for i in (1, 2, 3, 4)) / h**3
+    QQd = Q0 @ dagger(Q0)
+    if cubic_term == "lax":
+        cubic = 3.0 * sg * (QQd @ Qx + Qx @ dagger(Q0) @ Q0)
+    else:
+        cubic = 6.0 * sg * QQd @ Qx
+    R = (
+        1j * Qt
+        + alpha * (Qxx - 2.0 * sg * (QQd - k0**2 * I2) @ Q0)
+        + 1j * beta * (Qxxx - cubic)
+    )
+    r = np.max(np.abs(R), axis=(-2, -1))
+    k = int(np.argmax(r))  # the first probe on a tie
+    return ResidualReport(max_residual=float(r[k]), argmax=(float(xs[k]), float(ts[k])),
+                          h=h, stencil_order=6, points=n_probe)
 
 
 @dataclass(frozen=True)
@@ -113,31 +120,22 @@ class DecayReport:
     Qminus_measured: np.ndarray
 
 
-def boundary_decay(
-    field: Callable[[float, float], CMat2],
-    t: float,
-    bg: Background,
-    x_far: float = 20.0,
-) -> DecayReport:
+def boundary_decay(field: Field, t: float, bg: Background) -> DecayReport:
     """Deviation from the boundary matrices and the fitted decay rate.
 
     The left limit is measured at -2 x_far (not assumed); the rate comes
-    from a log-linear fit of ||Q(x) - Q+|| over [x_far/2, x_far].
+    from a log-linear fit of ||Q(x) - Q+|| over [x_far/2, x_far], where
+    x_far = X_FAR.
     """
-    if not x_far >= 10:
-        raise ValueError("x_far must be at least 10")
-    Qp = bg.Qplus
-    right_dev = float(np.max(np.abs(field(x_far, t) - Qp)))
-    Qm_meas = np.asarray(field(-2.0 * x_far, t))
-    left_dev = float(np.max(np.abs(field(-x_far, t) - Qm_meas)))
-    xs = np.linspace(x_far / 2.0, x_far, 9)
-    devs = np.array([max(np.max(np.abs(field(float(x), t) - Qp)), 1e-300) for x in xs])
-    slope = np.polyfit(xs, np.log(devs), 1)[0]
+    fit_xs = np.linspace(X_FAR / 2.0, X_FAR, 9)
+    Q = field(np.concatenate(([X_FAR, -2.0 * X_FAR, -X_FAR], fit_xs)), t)
+    devs = np.maximum(np.max(np.abs(Q[3:] - bg.Qplus), axis=(-2, -1)), 1e-300)
+    slope = np.polyfit(fit_xs, np.log(devs), 1)[0]
     return DecayReport(
-        right_deviation=right_dev,
-        left_deviation=left_dev,
+        right_deviation=float(np.max(np.abs(Q[0] - bg.Qplus))),
+        left_deviation=float(np.max(np.abs(Q[2] - Q[1]))),
         rate=float(-slope),
-        Qminus_measured=Qm_meas,
+        Qminus_measured=Q[1],
     )
 
 
@@ -149,7 +147,7 @@ def symmetry_residual(grid: FieldGrid) -> float:
 
 
 def periodicity_probe(
-    field: Callable[[float, float], CMat2],
+    field: Field,
     axis: str,
     period: float,
     n: int,
@@ -166,13 +164,7 @@ def periodicity_probe(
         raise ValueError("axis must be 'x' or 't'")
     xmin, xmax, tmin, tmax = region
     pts = halton_points(n)
-    worst = 0.0
-    for u, v in pts:
-        x = xmin + (xmax - xmin) * u
-        t = tmin + (tmax - tmin) * v
-        if axis == "x":
-            d = np.abs(field(x + period, t)) - np.abs(field(x, t))
-        else:
-            d = np.abs(field(x, t + period)) - np.abs(field(x, t))
-        worst = max(worst, float(np.max(np.abs(d))))
-    return worst
+    x = xmin + (xmax - xmin) * pts[:, 0]
+    t = tmin + (tmax - tmin) * pts[:, 1]
+    shifted = field(x + period, t) if axis == "x" else field(x, t + period)
+    return float(np.max(np.abs(np.abs(shifted) - np.abs(field(x, t)))))

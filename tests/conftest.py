@@ -48,6 +48,6 @@ def background_field(background_bg):
     Qp = background_bg.Qplus
 
     def field(x, t):
-        return Qp
+        return np.broadcast_to(Qp, np.broadcast_shapes(np.shape(x), np.shape(t)) + (2, 2))
 
     return field

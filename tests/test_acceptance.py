@@ -10,7 +10,7 @@ halving cuts the residual by at least 2^5: truncation falls as h^6, while a
 field that does not solve the equation leaves a floor that does not fall.
 """
 
-import dataclasses
+import functools
 import math
 import time
 
@@ -51,8 +51,7 @@ def test_criterion_01_pde_residual(name):
     g = p.grid
     region = (g.xmin, g.xmax, g.tmin, g.tmax)
 
-    def field(x, t):
-        return h.reconstruct_Q(x, t, spec)
+    field = functools.partial(h.reconstruct_Q, spec=spec)
 
     t0 = time.perf_counter()
     residuals = [pde_residual(field, region, 200, PDE_STEPS[0], p.bg).max_residual]
@@ -182,8 +181,7 @@ def test_criterion_07_km_periodicity():
     spec = expand_quartets([DiscreteEigenpair(2j, np.ones((2, 2), dtype=complex))], bg)
     period = 2 * math.pi / 3.75  # frequency from the exponent with k = 1.25i, lam = 0.75i
 
-    def field(x, t):
-        return h.reconstruct_Q(x, t, spec)
+    field = functools.partial(h.reconstruct_Q, spec=spec)
 
     dev = periodicity_probe(field, "t", period, 50)
     ok = dev <= 1e-6
@@ -194,10 +192,9 @@ def test_criterion_07_km_periodicity():
 # -- criterion 8: boundary decay --------------------------------------------
 
 def test_criterion_08_boundary_decay(fig3a_spec):
-    def field(x, t):
-        return h.reconstruct_Q(x, t, fig3a_spec)
+    field = functools.partial(h.reconstruct_Q, spec=fig3a_spec)
 
-    rep = boundary_decay(field, 0.3, fig3a_spec.bg, x_far=20.0)
+    rep = boundary_decay(field, 0.3, fig3a_spec.bg)
     ok = rep.right_deviation <= 1e-8 and abs(rep.rate - 1.5) <= 0.1
     report(
         "criterion 8", ok,
@@ -268,8 +265,7 @@ def test_criterion_09_invariants(tmp_path):
 # -- criterion 10: residual convergence order --------------------------------
 
 def test_criterion_10_residual_order(fig3a_spec):
-    def field(x, t):
-        return h.reconstruct_Q(x, t, fig3a_spec)
+    field = functools.partial(h.reconstruct_Q, spec=fig3a_spec)
 
     hs = [4e-2, 2e-2, 1e-2]
     vals = [

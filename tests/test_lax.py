@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,8 +122,7 @@ def test_zero_curvature_constant_background(background_bg, background_field):
 
 
 def test_zero_curvature_on_soliton(fig3a_spec):
-    def field(x, t):
-        return h.reconstruct_Q(x, t, fig3a_spec)
+    field = functools.partial(h.reconstruct_Q, spec=fig3a_spec)
 
     r = h.zero_curvature_residual(field, 3 + 3j, (0.4, 0.2), 1e-3, fig3a_spec.bg)
     assert r <= 1e-5

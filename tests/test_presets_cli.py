@@ -8,7 +8,7 @@ import pytest
 import hirota_ist as h
 from hirota_ist.cli import load_config, main, measured_background, sigma_sample_points
 from hirota_ist.errors import UnknownPreset
-from hirota_ist.grids import CSV_HEADER, FieldGrid, GridSpec, read_csv, read_json, write_csv, write_json
+from hirota_ist.grids import CSV_HEADER, FieldGrid, read_csv, read_json, write_csv, write_json
 from hirota_ist.presets import preset, preset_names
 from hirota_ist.solitons import RankFlag
 
@@ -212,6 +212,12 @@ def test_cli_verify_exit_1_on_residual_failure(tmp_path):
     # 1e-5 tolerance (see ledger); the command reports it as failure
     rc = main(["verify", "--preset", "fig3d", "--n-probe", "40"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("n_probe", ["0", "-3"])
+def test_cli_verify_exit_2_on_bad_probe_count(n_probe):
+    # bad input, not a failed verification
+    assert main(["verify", "--preset", "fig5", "--n-probe", n_probe]) == 2
 
 
 def test_measured_background_validates(fig3a_spec):

@@ -258,6 +258,65 @@ def test_eval_field_fig6_robust(fig6_spec):
     assert symmetry_residual(fg) <= 1e-10
 
 
+def _seed_spec(rank):
+    # off-preset seeds from the benchmark's seeded range (see
+    # test_double_path_matches_oracles_on_benchmark_range_seed)
+    bg = Background(sigma=-1, k0=1.0, alpha=0.5, beta=0.02, Qplus=EYE, Qminus=EYE)
+    rng = np.random.default_rng(7)
+    zeta = rng.uniform(1.7, 1.85) * np.exp(1j * np.radians(rng.uniform(82.0, 98.0)))
+    u, v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    C = np.outer(u, u) + (np.outer(v, v) if rank == 2 else 0)
+    C[1, 0] = C[0, 1]
+    seed = DiscreteEigenpair(zeta, C)
+    assert seed.rank_flag is (RankFlag.RANK1 if rank == 1 else RankFlag.RANK2)
+    return expand_quartets([seed], bg), GridSpec(-40.0, 40.0, 41, -3.0, 3.0, 25)
+
+
+@pytest.mark.parametrize("name", h.preset_names() + ["rank1-seed", "rank2-seed"])
+def test_eval_field_matches_point_calls_bit_for_bit(name):
+    if name.endswith("-seed"):
+        spec, grid = _seed_spec(int(name[4]))
+    else:
+        p = h.preset(name)
+        spec, g = p.spec(), p.grid
+        grid = GridSpec(g.xmin, g.xmax, 41, g.tmin, g.tmax, 25)
+    fg = h.eval_field(grid, spec)  # 1025 points: three solve blocks
+    assert fg.masked_count == 0
+    points = np.array([[h.reconstruct_Q(float(x), float(t), spec) for x in fg.xs] for t in fg.ts])
+    assert np.array_equal(points.view(np.uint64), fg.values.view(np.uint64))
+
+
+def test_reconstruct_Q_broadcasts(fig3a_spec):
+    xs, ts = np.linspace(-3.0, 3.0, 7), np.linspace(-1.0, 1.0, 4)
+    assert h.reconstruct_Q(0.3, -0.2, fig3a_spec).shape == (2, 2)
+    assert h.reconstruct_Q(xs, 0.5, fig3a_spec).shape == (7, 2, 2)
+    Q = h.reconstruct_Q(xs[None, :], ts[:, None], fig3a_spec)
+    assert Q.shape == (4, 7, 2, 2)
+    np.testing.assert_array_equal(Q[2, 5], h.reconstruct_Q(xs[5], ts[2], fig3a_spec))
+
+
+def test_eval_field_masks_exactly_the_singular_points(monkeypatch, fig3a_spec):
+    from hirota_ist import solitons
+    from hirota_ist.errors import SingularSystem
+
+    # condition numbers on this grid lie between 1 and 3
+    monkeypatch.setattr(solitons, "COND_LIMIT", 1.5)
+    fg = h.eval_field(GridSpec(-5, 5, 21, -3, 3, 11), fig3a_spec)
+    assert 0 < fg.masked_count < fg.mask.size
+    for it, t in enumerate(fg.ts):
+        for ix, x in enumerate(fg.xs):
+            try:
+                Q = h.reconstruct_Q(float(x), float(t), fig3a_spec)
+            except SingularSystem:
+                assert fg.mask[it, ix]
+                assert np.all(fg.values[it, ix] == 0)
+            else:
+                assert not fg.mask[it, ix]
+                np.testing.assert_array_equal(fg.values[it, ix], Q)
+    with pytest.raises(SingularSystem):
+        h.reconstruct_Q(fg.xs[None, :], fg.ts[:, None], fig3a_spec)
+
+
 class _NoMpmath:
     def __getattr__(self, name):
         raise AssertionError(f"runtime reached mpmath (mp.{name})")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hirota_ist as h
 from hirota_ist.errors import ZeroArgument
 from hirota_ist.spectral import Background, Region, classify_region, theta, uniformize
 from hirota_ist.traceform import TraceInput, _quadrature

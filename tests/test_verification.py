@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -17,8 +18,7 @@ def test_residual_constant_background(background_bg, background_field):
 
 
 def test_residual_soliton(fig3a_spec):
-    def field(x, t):
-        return h.reconstruct_Q(x, t, fig3a_spec)
+    field = functools.partial(h.reconstruct_Q, spec=fig3a_spec)
 
     # the breather core's 7th t-derivative is ~1e9, so the genuine h^6
     # truncation at h = 1e-2 peaks at 1.2e-5; it passes 1e-5 at h = 5e-3
@@ -33,8 +33,7 @@ def test_residual_soliton(fig3a_spec):
 def test_cubic_term_forms_agree_for_commuting_data(fig3a_spec):
     # fig3a's norming constant is normal, so Q Q^dag Q_x = Q_x Q^dag Q and
     # the two nonlinearity forms coincide
-    def field(x, t):
-        return h.reconstruct_Q(x, t, fig3a_spec)
+    field = functools.partial(h.reconstruct_Q, spec=fig3a_spec)
 
     r_lax = pde_residual(field, (-2, 2, -1, 1), 10, 1e-2, fig3a_spec.bg, cubic_term="lax")
     r_pr = pde_residual(field, (-2, 2, -1, 1), 10, 1e-2, fig3a_spec.bg, cubic_term="printed")
@@ -47,8 +46,7 @@ def test_cubic_term_forms_differ_for_noncommuting_data():
     p = h.preset("fig11")
     spec = p.spec()
 
-    def field(x, t):
-        return h.reconstruct_Q(x, t, spec)
+    field = functools.partial(h.reconstruct_Q, spec=spec)
 
     r_lax = pde_residual(field, (-2, 2, -1, 1), 10, 1e-2, p.bg, cubic_term="lax")
     r_pr = pde_residual(field, (-2, 2, -1, 1), 10, 1e-2, p.bg, cubic_term="printed")
@@ -58,33 +56,31 @@ def test_cubic_term_forms_differ_for_noncommuting_data():
 
 def test_residual_flags_fault_injection(background_bg):
     def bad_field(x, t):
-        bump = 1e-3 * math.exp(-(x**2) - t**2)
-        return background_bg.Qplus + bump * np.eye(2)
+        bump = 1e-3 * np.exp(-(np.asarray(x) ** 2) - np.asarray(t) ** 2)
+        return background_bg.Qplus + bump[..., None, None] * np.eye(2)
 
     rep = pde_residual(bad_field, (-2, 2, -2, 2), 40, 1e-2, background_bg)
     assert rep.max_residual >= 1e-4
 
 
 def test_decay_background(background_bg, background_field):
-    rep = boundary_decay(background_field, 0.0, background_bg, x_far=20.0)
+    rep = boundary_decay(background_field, 0.0, background_bg)
     assert rep.right_deviation == 0.0
     assert rep.left_deviation == 0.0
 
 
 def test_decay_fig3a(fig3a_spec):
-    def field(x, t):
-        return h.reconstruct_Q(x, t, fig3a_spec)
+    field = functools.partial(h.reconstruct_Q, spec=fig3a_spec)
 
-    rep = boundary_decay(field, 0.3, fig3a_spec.bg, x_far=20.0)
+    rep = boundary_decay(field, 0.3, fig3a_spec.bg)
     assert rep.right_deviation <= 1e-8
     assert abs(rep.rate - 1.5) <= 0.1
 
 
 def test_decay_fig6_rate(fig6_spec):
-    def field(x, t):
-        return h.reconstruct_Q(x, t, fig6_spec)
+    field = functools.partial(h.reconstruct_Q, spec=fig6_spec)
 
-    rep = boundary_decay(field, 0.0, fig6_spec.bg, x_far=20.0)
+    rep = boundary_decay(field, 0.0, fig6_spec.bg)
     expected = min_decay_rate(fig6_spec)
     assert abs(rep.rate - expected) <= 0.1 * expected
 
@@ -98,10 +94,9 @@ def test_decay_rate_all_decaying_presets(name):
     expected = min_decay_rate(spec)
     assert expected >= 0.75
 
-    def field(x, t):
-        return h.reconstruct_Q(x, t, spec)
+    field = functools.partial(h.reconstruct_Q, spec=spec)
 
-    rep = boundary_decay(field, 0.15, p.bg, x_far=20.0)
+    rep = boundary_decay(field, 0.15, p.bg)
     assert abs(rep.rate - expected) <= 0.1 * expected
     assert rep.right_deviation <= 1e-8
     assert rep.left_deviation <= 1e-8  # Q(-20) vs the measured left limit
@@ -138,8 +133,7 @@ def test_periodicity_ab_along_x_on_circle():
     assert abs(lam.imag) < 1e-12
     period = 2 * math.pi / abs(2 * lam.real)
 
-    def field(x, t):
-        return h.reconstruct_Q(x, t, spec)
+    field = functools.partial(h.reconstruct_Q, spec=spec)
 
     dev = periodicity_probe(field, "x", period, 20, region=(-3, 3, -1, 1))
     assert dev <= 1e-3
@@ -153,8 +147,7 @@ def test_periodicity_near_circle_quasi_period():
     lam = uniformize(p.seeds[0].zn, p.bg).lam
     period = 2 * math.pi / abs(2 * lam.real)
 
-    def field(x, t):
-        return h.reconstruct_Q(x, t, spec)
+    field = functools.partial(h.reconstruct_Q, spec=spec)
 
     dev = periodicity_probe(field, "x", period, 12, region=(-3, 3, -0.5, 0.5))
     dev_off = periodicity_probe(field, "x", 0.71 * period, 12, region=(-3, 3, -0.5, 0.5))
@@ -166,3 +159,5 @@ def test_periodicity_rejects_bad_args(background_field):
         periodicity_probe(background_field, "x", -1.0, 4)
     with pytest.raises(ValueError):
         periodicity_probe(background_field, "y", 1.0, 4)
+    with pytest.raises(ValueError):
+        periodicity_probe(background_field, "x", 1.0, 0)
