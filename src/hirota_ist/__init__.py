@@ -9,13 +9,11 @@ from .grids import FieldGrid, GridSpec, read_csv, read_json, write_csv, write_js
 from .matrices import CMat2, CMat4, dagger, det2, inv2
 from .presets import Preset, preset, preset_names
 from .scattering import (
-    JostState,
     ScatteringSample,
     audit_symmetries,
     det_a,
     find_discrete_spectrum,
     integrate_jost,
-    jost_state,
     scattering_matrix,
 )
 from .solitons import (
@@ -27,7 +25,6 @@ from .solitons import (
     one_soliton_closed_form,
     quartet_partner,
     reconstruct_Q,
-    sampled_field,
 )
 from .spectral import Background, Region, SpectralPoint, classify_region, theta, uniformize
 from .traceform import TraceInput, theta_condition, theta_condition_variants, trace_det_a

@@ -22,7 +22,7 @@ class BranchPointSingular(HirotaError):
 
 
 class IntegrationFailure(HirotaError):
-    """ODE integration did not reach the matching point within tolerance."""
+    """Jost propagation met a non-finite field sample or propagator."""
 
 
 class SingularWronskian(HirotaError):

@@ -8,15 +8,12 @@ constant-background generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import BranchPointSingular, MissingDerivatives
-from .matrices import SIGMA3, CMat2, CMat4, I4, dagger, from_blocks
-from .spectral import Background, SpectralPoint
-
-_Z2 = np.zeros((2, 2), dtype=complex)
+from .matrices import SIGMA3, CMat2, CMat4, I4, dagger
+from .spectral import Background, SpectralPoint, uniformize
+from .verification import Field
 
 
 @dataclass(frozen=True)
@@ -42,9 +39,16 @@ class PotentialSample:
             raise ValueError("physical potential sample must be symmetric")
 
 
-def embed(Q: CMat2, sigma: int) -> CMat4:
-    """Off-diagonal block embedding with blocks Q (up-right) and sigma Q^dag."""
-    return from_blocks(_Z2, np.asarray(Q, dtype=complex), sigma * dagger(Q), _Z2)
+def embed(Q: np.ndarray, sigma: int) -> np.ndarray:
+    """Off-diagonal block embedding with blocks Q (up-right) and sigma Q^dag.
+
+    Maps a (..., 2, 2) stack to (..., 4, 4).
+    """
+    Q = np.asarray(Q, dtype=complex)
+    E = np.zeros(Q.shape[:-2] + (4, 4), dtype=complex)
+    E[..., :2, 2:] = Q
+    E[..., 2:, :2] = sigma * dagger(Q)
+    return E
 
 
 def assemble_U(p: PotentialSample, sp: SpectralPoint, bg: Background) -> CMat4:
@@ -85,7 +89,7 @@ def asymptotic_eigenvectors(sp: SpectralPoint, Qpm: CMat2, bg: Background) -> tu
 
 
 def zero_curvature_residual(
-    field: Callable[[float, float], CMat2],
+    field: Field,
     z: complex,
     at: tuple[float, float],
     h: float,
@@ -99,23 +103,24 @@ def zero_curvature_residual(
     """
     if not h > 0:
         raise ValueError("finite-difference step h must be positive")
-    from .spectral import uniformize
-
     sp = uniformize(z, bg)
     x0, t0 = at
+    # x0 - 2h ... x0 + 2h at t0 (indices 0-4), then x0 at t0 - h and t0 + h
+    m = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, 0.0, 0.0])
+    n = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0])
+    Q = np.asarray(field(x0 + h * m, t0 + h * n), dtype=complex)
 
-    def U_at(x, t):
-        return assemble_U(PotentialSample(field(x, t), physical=False), sp, bg)
+    def U_at(i):
+        return assemble_U(PotentialSample(Q[i], physical=False), sp, bg)
 
-    def V_at(x, t):
-        Q = field(x, t)
-        Qx = (field(x + h, t) - field(x - h, t)) / (2.0 * h)
-        Qxx = (field(x + h, t) - 2.0 * Q + field(x - h, t)) / h**2
-        return assemble_V(PotentialSample(Q, Qx, Qxx, physical=False), sp, bg)
+    def V_at(i):
+        Qx = (Q[i + 1] - Q[i - 1]) / (2.0 * h)
+        Qxx = (Q[i + 1] - 2.0 * Q[i] + Q[i - 1]) / h**2
+        return assemble_V(PotentialSample(Q[i], Qx, Qxx, physical=False), sp, bg)
 
-    Ut = (U_at(x0, t0 + h) - U_at(x0, t0 - h)) / (2.0 * h)
-    Vx = (V_at(x0 + h, t0) - V_at(x0 - h, t0)) / (2.0 * h)
-    U = U_at(x0, t0)
-    V = V_at(x0, t0)
+    Ut = (U_at(6) - U_at(5)) / (2.0 * h)
+    Vx = (V_at(3) - V_at(1)) / (2.0 * h)
+    U = U_at(2)
+    V = V_at(2)
     R = Ut - Vx + U @ V - V @ U
     return float(np.max(np.abs(R)))

@@ -1,61 +1,162 @@
 """Numerical direct scattering at fixed time.
 
-Modified Jost eigenfunctions are integrated across a truncated line (they
-stay bounded in the decaying directions, unlike the raw plane-wave-dressed
-solutions), matched at x = 0 into the scattering matrix, and probed for the
-symmetry identities.  Discrete eigenvalues are located as zeros of det a(z)
-by argument-principle winding plus secant refinement.
+Modified Jost eigenfunctions mu (mu_x = U mu + i lambda mu sigma3; bounded in
+the decaying directions, unlike the plane-wave-dressed solutions) are
+propagated across a truncated line, matched at x = 0 into the scattering
+matrix, and probed for the symmetry identities.  Discrete eigenvalues are
+zeros of det a(z), located by argument-principle winding plus secant steps.
+
+Propagation is the 4th-order Magnus exponential integrator (Blanes-Casas-
+Oteo-Ros, Phys. Rep. 470, 2009) on uniform cells of length
+h = H (tol/1e-8)^(1/4), with Q at the cells' two Gauss nodes from one call of
+the array field.  A cell's Omega = (h/2)(U1 + U2) + (sqrt(3)/12) h^2 [U2, U1]
+is A0 + k(z) A1 with A0, A1 independent of z, so one mesh serves every z.
+Each cell exponential is multiplied by the column shift e^{+-i lambda h} that
+keeps the analytic column pair bounded, and the cells are multiplied in
+pairs.  Every z is propagated alone, so it gets the same bits in any batch.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import (
-    BranchPointSingular,
-    IntegrationFailure,
-    MissingPartner,
-    NoConvergenceWarning,
-    SingularWronskian,
-)
-from .lax import asymptotic_eigenvectors
-from .matrices import SIGMA2, CMat2, CMat4, dagger, inv2
-from .spectral import Background, Region, classify_region, theta, uniformize
+from .errors import IntegrationFailure, MissingPartner, NoConvergenceWarning, SingularWronskian
+from .lax import asymptotic_eigenvectors, embed
+from .matrices import SIGMA2, SIGMA3, CMat2, CMat4, dagger, inv2
+from .spectral import Background, Region, SpectralPoint, classify_region, theta, uniformize
+from .verification import Field
 
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
 
+H = 0.005  # cell length at tol = 1e-8; the error of a crossing scales like h^4
+_CHUNK = 4096  # cells exponentiated at once
+_THETA = 0.1  # bound on |Omega|_1 for the degree-9 Taylor sum (remainder < 3e-17)
+_TAYLOR = [1.0 / math.factorial(j) for j in range(10)]
+_DIAG = np.arange(4)
+# Fraction at which a search cell is split.  A zero on a split line gets its
+# winding from the sign of rounding noise in det a; a transcendental fraction
+# keeps the split lines off the rational coordinates where eigenvalues are
+# usually placed (a midpoint split puts the line Re z = 0 through 2i).
+_SPLIT = 0.5 - 0.125 / math.pi
+
 
 @dataclass(frozen=True)
-class JostState:
-    """Modified eigenfunctions of both sides at the matching point x = 0."""
+class _Cells:
+    """One side's A0, A1 as (4, 4, n) in the order of travel, and max 1-norms."""
 
-    z: complex
-    t0: float
-    mu_left: CMat4
-    mu_right: CMat4
+    A0: np.ndarray
+    A1: np.ndarray
+    h: float
+    norm0: float
+    norm1: float
 
-    @property
-    def M(self) -> np.ndarray:
-        return self.mu_left[:, :2]
 
-    @property
-    def Mbar(self) -> np.ndarray:
-        return self.mu_left[:, 2:]
+def _cells(Qe: np.ndarray, step: float) -> _Cells:
+    Q1, Q2 = Qe[:, 0], Qe[:, 1]
+    c = math.sqrt(3.0) / 12.0 * step**2
+    A0 = 0.5 * step * (Q1 + Q2) + c * (Q2 @ Q1 - Q1 @ Q2)
+    D = Q1 - Q2
+    A1 = -1j * c * (SIGMA3 @ D - D @ SIGMA3) - 1j * step * SIGMA3
+    A0, A1 = (np.ascontiguousarray(np.moveaxis(A, 0, -1)) for A in (A0, A1))
+    A0.flags.writeable = A1.flags.writeable = False  # shared through the _mesh cache
+    norm = lambda A: float(np.abs(A).sum(axis=0).max())
+    return _Cells(A0, A1, abs(step), norm(A0), norm(A1))
 
-    @property
-    def Nbar(self) -> np.ndarray:
-        return self.mu_right[:, :2]
 
-    @property
-    def N(self) -> np.ndarray:
-        return self.mu_right[:, 2:]
+@functools.lru_cache(maxsize=2)
+def _mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_Cells, _Cells]:
+    """(left, right) cells: [-L, 0] travelled upward, [0, L] downward."""
+    if not (L > 0 and tol > 0):
+        raise ValueError("domain truncation L and tolerance must be positive")
+    n = math.ceil(L / (H * (tol / 1e-8) ** 0.25))
+    h = L / n
+    centres = h * (np.arange(n) + 0.5) - L
+    gauss = h / (2.0 * math.sqrt(3.0)) * np.array([-1.0, 1.0])
+    xs = np.concatenate(((centres[:, None] + gauss).ravel(), (-centres[:, None] - gauss).ravel()))
+    Q = np.asarray(field(xs, t0), dtype=complex)
+    bad = ~np.isfinite(Q).all(axis=(-2, -1))
+    if bad.any():
+        raise IntegrationFailure(f"non-finite field sample at x = {xs[bad][0]}, t = {t0}")
+    Qe = embed(Q, sigma).reshape(2, n, 2, 4, 4)
+    sides = _cells(Qe[0], h), _cells(Qe[1], -h)
+    if not all(math.isfinite(c.norm0 + c.norm1) for c in sides):
+        raise IntegrationFailure(f"Magnus generators overflow for the field at t = {t0}")
+    return sides
+
+
+def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Cellwise 4x4 products of (4, 4, n) stacks."""
+    return np.einsum("ikn,kjn->ijn", A, B)
+
+
+def _expm(om: np.ndarray, squarings: int) -> np.ndarray:
+    """Degree-9 Taylor exponential (Paterson-Stockmeyer), then squarings."""
+    om2 = _mm(om, om)
+    om3 = _mm(om2, om)
+
+    def poly(j):  # c_j I + c_{j+1} Omega + c_{j+2} Omega^2
+        B = _TAYLOR[j + 1] * om + _TAYLOR[j + 2] * om2
+        B[_DIAG, _DIAG] += _TAYLOR[j]
+        return B
+
+    E = poly(0) + _mm(om3, poly(3) + _mm(om3, poly(6) + _TAYLOR[9] * om3))
+    for _ in range(squarings):
+        E = _mm(E, E)
+    return E
+
+
+def _transfer(cells: _Cells, k: complex, shift: complex) -> CMat4:
+    """shift^n exp(Omega_{n-1}) ... exp(Omega_0) over the cells of one side."""
+    b = cells.norm0 + abs(k) * cells.norm1
+    s = max(0, math.ceil(math.log2(max(b, _THETA) / _THETA)))
+    total = None
+    for lo in range(0, cells.A0.shape[-1], _CHUNK):
+        om = (cells.A0[..., lo : lo + _CHUNK] + k * cells.A1[..., lo : lo + _CHUNK]) * 0.5**s
+        E = _expm(om, s) * shift
+        while E.shape[-1] > 1:
+            m = E.shape[-1]
+            P = _mm(E[..., 1:m:2], E[..., 0 : m - 1 : 2])
+            E = np.concatenate((P, E[..., m - 1 :]), axis=-1) if m % 2 else P
+        total = E if total is None else _mm(E, total)
+    return total[..., 0]
+
+
+def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: bool = False) -> np.ndarray:
+    """mu(0) of one side: all four columns, or only the bounded pair.
+
+    The bounded (analytic) pair is M / N in D+, the barred pair in D-; the
+    other pair grows like e^{2 |Im lambda| L} off the continuous spectrum.
+    """
+    left = side == "left"
+    cells = mesh[0] if left else mesh[1]
+    X0, _ = asymptotic_eigenvectors(sp, bg.Qminus if left else bg.Qplus, bg)  # rejects branch points
+    eps = 1.0 if sp.lam.imag >= 0 else -1.0
+    P = _transfer(cells, sp.k, cmath.exp(1j * sp.lam * cells.h * eps))
+    analytic = (1.0 if left else -1.0) * _SGN == eps
+    if analytic_only:
+        mu = P @ X0[:, analytic]
+    else:
+        length = cells.h * cells.A0.shape[-1]
+        mu = P @ (X0 * np.where(analytic, 1.0, np.exp(-2j * sp.lam * length * eps)))
+    if not np.all(np.isfinite(mu)):
+        raise IntegrationFailure(f"non-finite Jost solution at z = {sp.z} ({side})")
+    return mu
+
+
+def _over_z(z, fn):
+    """fn at a scalar z, or the list of fn over a 1-D array of z."""
+    if np.ndim(z) == 0:
+        return fn(complex(z))
+    if np.ndim(z) != 1:
+        raise ValueError("z must be a scalar or a 1-D array")
+    return [fn(complex(w)) for w in np.asarray(z)]
 
 
 @dataclass(frozen=True)
@@ -71,105 +172,26 @@ class ScatteringSample:
     rhobar: CMat2
 
 
-def integrate_jost(
-    field: Callable[[float, float], CMat2],
-    z: complex,
-    side: str,
-    L: float,
-    tol: float,
-    bg: Background,
-    t0: float = 0.0,
-    columns: str = "all",
-) -> CMat4:
-    """Integrate the modified-eigenfunction ODE mu_x = U mu + i lambda mu sigma3.
+def integrate_jost(field: Field, z, side: str, L: float, tol: float, bg: Background, t0: float = 0.0):
+    """Propagate the modified eigenfunction mu_x = U mu + i lambda mu sigma3.
 
     Starts from the background eigenvector matrix at -L (side "left") or +L
-    (side "right") and returns the 4x4 value at x = 0.  Off the continuous
-    spectrum the non-analytic column pair grows like e^{2 Im lambda L};
-    columns="analytic" integrates only the bounded pair and leaves the other
-    two columns NaN.
+    (side "right") and returns the 4x4 value at x = 0, stacked to (n, 4, 4)
+    for a 1-D array of z.  Off the continuous spectrum the non-analytic
+    column pair grows like e^{2 |Im lambda| L}.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if not L > 0:
-        raise ValueError("domain truncation L must be positive")
+    mesh = _mesh(field, L, tol, t0, bg.sigma)
+    out = _over_z(z, lambda w: _jost(mesh, uniformize(w, bg), side, bg))
+    return out if np.ndim(z) == 0 else np.array(out).reshape(-1, 4, 4)
+
+
+def _sample(mesh, z: complex, t0: float, bg: Background) -> ScatteringSample:
     sp = uniformize(z, bg)
-    if sp.region is Region.BRANCH_POINT:
-        raise BranchPointSingular(f"z = {z} is a branch point")
-    Qpm = bg.Qminus if side == "left" else bg.Qplus
-    X0, _ = asymptotic_eigenvectors(sp, Qpm, bg)
-    # bounded (analytic) column pair: M / N in D+ (Im lambda > 0), the
-    # barred pair in D-
-    if sp.lam.imag >= 0:
-        analytic_cols = [0, 1] if side == "left" else [2, 3]
-    else:
-        analytic_cols = [2, 3] if side == "left" else [0, 1]
-    if columns == "all":
-        cols = list(range(4))
-    elif columns == "analytic":
-        cols = analytic_cols
-    else:
-        raise ValueError("columns must be 'all' or 'analytic'")
-
-    k, lam, sg = sp.k, sp.lam, bg.sigma
-    signs = 1j * lam * _SGN[cols]
-    ncols = len(cols)
-
-    def rhs(x, y):
-        mu = y.reshape(4, ncols)
-        Q = field(x, t0)
-        up = -1j * k * mu[:2] + Q @ mu[2:]
-        dn = sg * dagger(Q) @ mu[:2] + 1j * k * mu[2:]
-        dmu = np.vstack((up, dn)) + mu * signs[None, :]
-        return dmu.ravel()
-
-    x_start = -L if side == "left" else L
-    y0 = X0[:, cols].ravel()
-    sol = solve_ivp(rhs, (x_start, 0.0), y0, method="RK45", rtol=tol, atol=tol * 1e-2)
-    if not sol.success:
-        raise IntegrationFailure(f"Jost integration failed at z = {z} ({side}): {sol.message}")
-    out = np.full((4, 4), np.nan, dtype=complex)
-    out[:, cols] = sol.y[:, -1].reshape(4, ncols)
-    return out
-
-
-def jost_state(
-    field: Callable[[float, float], CMat2],
-    z: complex,
-    L: float,
-    tol: float,
-    bg: Background,
-    t0: float = 0.0,
-) -> JostState:
-    """Both modified-eigenfunction halves matched at x = 0."""
-    return JostState(
-        z=z,
-        t0=t0,
-        mu_left=integrate_jost(field, z, "left", L, tol, bg, t0=t0, columns="all"),
-        mu_right=integrate_jost(field, z, "right", L, tol, bg, t0=t0, columns="all"),
-    )
-
-
-def scattering_matrix(
-    field: Callable[[float, float], CMat2],
-    z: complex,
-    L: float,
-    tol: float,
-    bg: Background,
-    t0: float = 0.0,
-) -> ScatteringSample:
-    """Scattering matrix S with Phi = Psi S, blocks, and reflection data.
-
-    Phi(0) and Psi(0) are rebuilt from the two modified-eigenfunction halves
-    by restoring the phase factor e^{i theta(0, t0) sigma3}; that factor is
-    what makes S independent of t0.
-    """
-    js = jost_state(field, z, L, tol, bg, t0=t0)
-    mu_l, mu_r = js.mu_left, js.mu_right
-    th0 = theta(0.0, t0, z, bg)
-    ph = np.exp(1j * th0 * _SGN)
-    Phi = mu_l * ph[None, :]
-    Psi = mu_r * ph[None, :]
+    ph = np.exp(1j * theta(0.0, t0, z, bg) * _SGN)
+    Phi = _jost(mesh, sp, "left", bg) * ph[None, :]
+    Psi = _jost(mesh, sp, "right", bg) * ph[None, :]
     d = np.linalg.det(Psi)
     if abs(d) < 1e-12:
         raise SingularWronskian(f"det Psi(0) = {d} at z = {z}")
@@ -178,6 +200,18 @@ def scattering_matrix(
     rho = b @ inv2(a)
     rhobar = bbar @ inv2(abar)
     return ScatteringSample(z=z, t0=t0, S=S, a=a, b=b, abar=abar, bbar=bbar, rho=rho, rhobar=rhobar)
+
+
+def scattering_matrix(field: Field, z, L: float, tol: float, bg: Background, t0: float = 0.0):
+    """Scattering matrix S with Phi = Psi S, blocks, and reflection data.
+
+    Phi(0) and Psi(0) are rebuilt from the two modified-eigenfunction halves
+    by restoring the phase factor e^{i theta(0, t0) sigma3}; that factor is
+    what makes S independent of t0.  A scalar z gives one sample, a 1-D
+    array of z the list of samples.
+    """
+    mesh = _mesh(field, L, tol, t0, bg.sigma)
+    return _over_z(z, lambda w: _sample(mesh, w, t0, bg))
 
 
 @dataclass(frozen=True)
@@ -248,41 +282,37 @@ def audit_symmetries(samples: Sequence[ScatteringSample], bg: Background) -> Sym
     )
 
 
-def det_a(
-    field: Callable[[float, float], CMat2],
-    z: complex,
-    L: float,
-    tol: float,
-    bg: Background,
-    t0: float = 0.0,
-) -> complex:
+def _det_a(mesh, z: complex, bg: Background) -> complex:
+    sp = uniformize(z, bg)
+    if sp.region is not Region.D_PLUS:
+        raise ValueError(f"det_a requires z in D+ (got {sp.region} at z = {z})")
+    W = np.hstack([_jost(mesh, sp, side, bg, analytic_only=True) for side in ("left", "right")])
+    return complex(np.linalg.det(W) / sp.gamma**2)
+
+
+def det_a(field: Field, z, L: float, tol: float, bg: Background, t0: float = 0.0):
     """det a(z) via the Wronskian det(phi, psi)/gamma^2 at x = 0.
 
     Analytic in D+; uses only the two analytic column pairs, so it stays
     well defined arbitrarily deep in D+ where the other columns overflow.
+    A 1-D array of z gives an array of values.
     """
-    sp = uniformize(z, bg)
-    if sp.region is not Region.D_PLUS:
-        raise ValueError(f"det_a requires z in D+ (got {sp.region} at z = {z})")
-    mu_l = integrate_jost(field, z, "left", L, tol, bg, t0=t0, columns="analytic")
-    mu_r = integrate_jost(field, z, "right", L, tol, bg, t0=t0, columns="analytic")
-    W = np.empty((4, 4), dtype=complex)
-    W[:, :2] = mu_l[:, :2]
-    W[:, 2:] = mu_r[:, 2:]
-    return np.linalg.det(W) / sp.gamma**2
+    mesh = _mesh(field, L, tol, t0, bg.sigma)
+    out = _over_z(z, lambda w: _det_a(mesh, w, bg))
+    return out if np.ndim(z) == 0 else np.array(out, dtype=complex)
 
 
 class _DetACache:
     def __init__(self, field, L, tol, bg, t0):
-        self.args = (field, L, tol, bg, t0)
+        self.mesh = _mesh(field, L, tol, t0, bg.sigma)
+        self.bg = bg
         self.cache: dict[complex, complex] = {}
         self.evals = 0
 
     def __call__(self, z: complex) -> complex:
         key = complex(round(z.real, 13), round(z.imag, 13))
         if key not in self.cache:
-            field, L, tol, bg, t0 = self.args
-            self.cache[key] = det_a(field, key, L, tol, bg, t0=t0)
+            self.cache[key] = _det_a(self.mesh, key, self.bg)
             self.evals += 1
         return self.cache[key]
 
@@ -338,7 +368,7 @@ def _secant_refine(f: _DetACache, z0: complex, span: float, target: float = 1e-8
 
 
 def find_discrete_spectrum(
-    field: Callable[[float, float], CMat2],
+    field: Field,
     searchbox: tuple[float, float, float, float],
     grid: tuple[int, int],
     L: float,
@@ -349,9 +379,9 @@ def find_discrete_spectrum(
 ) -> list[complex]:
     """Zeros of det a(z) inside a rectangle of D+ (upper half plane).
 
-    Argument-principle winding over subdivided rectangles isolates the
-    zeros (up to 4 refinement levels), then complex secant iteration pushes
-    each to |det a| < 1e-8.  Cells whose refinement fails are reported via
+    Argument-principle winding over subdivided rectangles (split
+    off-centre at _SPLIT, up to 4 levels) isolates the zeros, then complex
+    secant iteration pushes each to |det a| < 1e-8.  Cells whose refinement fails are reported via
     NoConvergenceWarning, not fatally.
 
     merge_tol sets the resolution: refined zeros closer than this are one
@@ -390,7 +420,7 @@ def find_discrete_spectrum(
             else:
                 zeros.append(z)
             return
-        am, bm = 0.5 * (a0 + a1), 0.5 * (b0 + b1)
+        am, bm = a0 + _SPLIT * (a1 - a0), b0 + _SPLIT * (b1 - b0)
         for (c0, c1, d0, d1) in ((a0, am, b0, bm), (am, a1, b0, bm), (a0, am, bm, b1), (am, a1, bm, b1)):
             process(c0, c1, d0, d1, level + 1)
 

@@ -24,11 +24,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath as mp
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DefocusingUnsupported,
@@ -465,35 +464,3 @@ def eval_field(grid: GridSpec, spec: SolitonSpec, preset_name: str = "") -> Fiel
 def min_decay_rate(spec: SolitonSpec) -> float:
     """2 min_n Im lambda(zeta_n), the slowest spatial decay rate."""
     return 2.0 * min(uniformize(z, spec.bg).lam.imag for z in spec.zetas)
-
-
-def sampled_field(spec: SolitonSpec, t0: float, L: float = 20.0) -> Callable[[float, float], CMat2]:
-    """Fast field callable at fixed t0 backed by a cubic spline in x.
-
-    Knot spacing grows with |x| where the field is exponentially close to
-    its limits, keeping interpolation error near 1e-10 with a few thousand
-    `reconstruct_Q` evaluations.  Evaluations outside the sampled window (or
-    off t0) fall back to the exact per-point reconstruction.
-    """
-    rate = min_decay_rate(spec)
-    f = min(3.0, max(1.0, 1.5 / rate)) if rate > 0 else 3.0
-    x_dense = min(8.0 * f, L)
-    x_mid = min(12.0 * f, L + 1.0)
-    knots = [np.arange(-x_dense, x_dense + 1e-12, 0.005)]
-    if x_mid > x_dense:
-        mid = np.arange(x_dense + 0.02, x_mid + 1e-12, 0.02)
-        knots = [-mid[::-1], knots[0], mid]
-    outer_hi = L + 1.0
-    if outer_hi > x_mid:
-        outer = np.arange(x_mid + 0.1, outer_hi + 1e-12, 0.1)
-        knots = [-outer[::-1]] + knots + [outer]
-    xs = np.concatenate(knots)
-    spline = CubicSpline(xs, reconstruct_Q(xs, t0, spec), axis=0)
-    lo, hi = xs[0], xs[-1]
-
-    def field(x: float, t: float = t0) -> CMat2:
-        if t == t0 and lo <= x <= hi:
-            return spline(x)
-        return reconstruct_Q(float(x), float(t), spec)
-
-    return field

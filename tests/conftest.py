@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ def fig3a_spec(fig3a):
 
 @pytest.fixture(scope="session")
 def fig3a_field(fig3a_spec):
-    return h.sampled_field(fig3a_spec, t0=0.0, L=20.0)
+    return functools.partial(h.reconstruct_Q, spec=fig3a_spec)
 
 
 @pytest.fixture(scope="session")

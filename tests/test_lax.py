@@ -130,8 +130,8 @@ def test_zero_curvature_on_soliton(fig3a_spec):
 
 def test_zero_curvature_flags_non_solution(background_bg):
     def bad_field(x, t):
-        bump = 0.35 * np.exp(-(x**2) - t**2)
-        return background_bg.Qplus + bump * np.array([[1, 0.5], [0.5, -1.0]])
+        bump = 0.35 * np.exp(-(np.asarray(x) ** 2) - np.asarray(t) ** 2)
+        return background_bg.Qplus + bump[..., None, None] * np.array([[1, 0.5], [0.5, -1.0]])
 
     r = h.zero_curvature_residual(bad_field, 1.1 + 0.6j, (0.2, 0.1), 1e-3, background_bg)
     assert r > 1e-2

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,3 +226,11 @@ def test_cli_verify_exit_2_on_bad_probe_count(n_probe):
 def test_measured_background_validates(fig3a_spec):
     bg = measured_background(fig3a_spec)
     np.testing.assert_allclose(bg.Qminus, np.eye(2), atol=1e-10)
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(h.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, hirota_ist.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

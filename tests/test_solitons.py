@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,22 +335,10 @@ def test_runtime_never_reaches_mpmath(monkeypatch, fig6_spec):
     assert fg.masked_count == 0
     bg = measured_background(fig6_spec)  # probes x = -40
     assert np.all(np.isfinite(bg.Qminus))
-    field = h.sampled_field(fig6_spec, 0.0)
-    assert np.all(np.isfinite(field(0.3)))
+    s = h.scattering_matrix(functools.partial(h.reconstruct_Q, spec=fig6_spec), 0.5, 20.0, 1e-8, bg)
+    assert np.all(np.isfinite(s.S))
 
 
 def test_min_decay_rate(fig3a_spec, fig6_spec):
     assert abs(min_decay_rate(fig3a_spec) - 1.5) < 1e-12
     assert abs(min_decay_rate(fig6_spec) - 1.6) < 1e-12
-
-
-def test_sampled_field_accuracy(fig3a_spec, fig3a_field):
-    rng = np.random.default_rng(12)
-    for _ in range(12):
-        x = rng.uniform(-19.5, 19.5)
-        d = np.max(np.abs(fig3a_field(x, 0.0) - h.reconstruct_Q(x, 0.0, fig3a_spec)))
-        assert d <= 1e-9
-    # off-window or off-t0 queries fall back to the exact evaluation
-    np.testing.assert_array_equal(
-        fig3a_field(-30.0, 0.0), h.reconstruct_Q(-30.0, 0.0, fig3a_spec)
-    )
