@@ -58,19 +58,22 @@ class _Cells:
     norm1: float
 
 
-def _cells(Qe: np.ndarray, step: float) -> _Cells:
-    Q1, Q2 = Qe[:, 0], Qe[:, 1]
+def _cells(Q: np.ndarray, sigma: int, step: float) -> _Cells:
+    """Generators of the cells whose Gauss-node samples are Q (n, 2, 2, 2)."""
     c = math.sqrt(3.0) / 12.0 * step**2
-    A0 = 0.5 * step * (Q1 + Q2) + c * (Q2 @ Q1 - Q1 @ Q2)
-    D = Q1 - Q2
-    A1 = -1j * c * (SIGMA3 @ D - D @ SIGMA3) - 1j * step * SIGMA3
-    A0, A1 = (np.ascontiguousarray(np.moveaxis(A, 0, -1)) for A in (A0, A1))
+    A0, A1 = (np.empty((4, 4, len(Q)), dtype=complex) for _ in range(2))
+    for lo in range(0, len(Q), _CHUNK):  # in chunks, to bound the temporaries
+        cut = slice(lo, lo + _CHUNK)
+        Q1, Q2 = (embed(Q[cut, i], sigma) for i in (0, 1))
+        A0[..., cut] = np.moveaxis(0.5 * step * (Q1 + Q2) + c * (Q2 @ Q1 - Q1 @ Q2), 0, -1)
+        D = Q1 - Q2
+        A1[..., cut] = np.moveaxis(-1j * c * (SIGMA3 @ D - D @ SIGMA3) - 1j * step * SIGMA3, 0, -1)
     A0.flags.writeable = A1.flags.writeable = False  # shared through the _mesh cache
     norm = lambda A: float(np.abs(A).sum(axis=0).max())
     return _Cells(A0, A1, abs(step), norm(A0), norm(A1))
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_Cells, _Cells]:
     """(left, right) cells: [-L, 0] travelled upward, [0, L] downward."""
     if not (L > 0 and tol > 0):
@@ -84,8 +87,8 @@ def _mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_C
     bad = ~np.isfinite(Q).all(axis=(-2, -1))
     if bad.any():
         raise IntegrationFailure(f"non-finite field sample at x = {xs[bad][0]}, t = {t0}")
-    Qe = embed(Q, sigma).reshape(2, n, 2, 4, 4)
-    sides = _cells(Qe[0], h), _cells(Qe[1], -h)
+    Q = Q.reshape(2, n, 2, 2, 2)
+    sides = _cells(Q[0], sigma, h), _cells(Q[1], sigma, -h)
     if not all(math.isfinite(c.norm0 + c.norm1) for c in sides):
         raise IntegrationFailure(f"Magnus generators overflow for the field at t = {t0}")
     return sides
