@@ -30,7 +30,7 @@ def run(name: str, L: float, tol: float) -> bool:
         err = min((abs(z - seed.zn) for z in found), default=float("inf"))
         ok &= err <= tol
         print(f"  seed {seed.zn}: closest recovered zero error {err:.2e}")
-    zs = np.array(sigma_sample_points(bg.k0, 3, 1))
+    zs = sigma_sample_points(bg.k0, 3, 1)
     rho = max(float(np.max(np.abs(s.rho))) for s in scattering_matrix(field, zs, L, 1e-10, bg))
     ok &= rho <= tol
     print(f"  max |rho| on 16 spectrum samples: {rho:.2e}  ({time.time()-t0:.0f} s)")

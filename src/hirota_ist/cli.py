@@ -159,8 +159,7 @@ def cmd_scatter(args) -> int:
     spec = p.spec()
     field = functools.partial(reconstruct_Q, spec=spec)
     bg = measured_background(spec)
-    zs = np.array(_scatter_points(args, bg.k0), dtype=complex)
-    samples = scattering_matrix(field, zs, args.L, args.tol, bg, t0=args.t0)
+    samples = scattering_matrix(field, _scatter_points(args, bg.k0), args.L, args.tol, bg, t0=args.t0)
     report = {
         "schema_version": SCHEMA_VERSION,
         "preset": p.name,
@@ -217,7 +216,7 @@ def cmd_roundtrip(args) -> int:
     if extras:
         ok = False
         print(f"spurious zeros found: {extras}")
-    zs = np.array(sigma_sample_points(k0, n_real_orbits=3, n_circle_orbits=1))
+    zs = sigma_sample_points(k0, n_real_orbits=3, n_circle_orbits=1)
     samples = scattering_matrix(field, zs, args.L, 1e-10, bg, t0=0.0)
     rho_max = max(float(np.max(np.abs(s.rho))) for s in samples)
     dets_ok = all(abs(np.linalg.det(s.S) - 1.0) <= 1e-8 for s in samples)

@@ -120,7 +120,6 @@ def zero_curvature_residual(
 
     Ut = (U_at(6) - U_at(5)) / (2.0 * h)
     Vx = (V_at(3) - V_at(1)) / (2.0 * h)
-    U = U_at(2)
-    V = V_at(2)
+    U, V = U_at(2), V_at(2)
     R = Ut - Vx + U @ V - V @ U
     return float(np.max(np.abs(R)))

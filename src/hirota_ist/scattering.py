@@ -7,13 +7,12 @@ matrix, and probed for the symmetry identities.  Discrete eigenvalues are
 zeros of det a(z), located by argument-principle winding plus secant steps.
 
 Propagation is the 4th-order Magnus exponential integrator (Blanes-Casas-
-Oteo-Ros, Phys. Rep. 470, 2009) on uniform cells of length
-h = H (tol/1e-8)^(1/4), with Q at the cells' two Gauss nodes from one call of
-the array field.  A cell's Omega = (h/2)(U1 + U2) + (sqrt(3)/12) h^2 [U2, U1]
-is A0 + k(z) A1 with A0, A1 independent of z, so one mesh serves every z.
-Each cell exponential is multiplied by the column shift e^{+-i lambda h} that
-keeps the analytic column pair bounded, and the cells are multiplied in
-pairs.  Every z is propagated alone, so it gets the same bits in any batch.
+Oteo-Ros, Phys. Rep. 470, 2009) on cells of length h = H (tol/1e-8)^(1/4),
+with Q at the two Gauss nodes of every cell from one call of the array field.
+A cell's Omega = (h/2)(U1 + U2) + (sqrt(3)/12) h^2 [U2, U1] is A0 + k(z) A1,
+A0 and A1 independent of z.  Cell exponentials, times the column shift
+e^{+-i lambda h} that keeps the analytic pair bounded, are multiplied in
+pairs; every z is propagated alone, so it gets the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -40,10 +39,9 @@ _CHUNK = 4096  # cells exponentiated at once
 _THETA = 0.1  # bound on |Omega|_1 for the degree-9 Taylor sum (remainder < 3e-17)
 _TAYLOR = [1.0 / math.factorial(j) for j in range(10)]
 _DIAG = np.arange(4)
-# Fraction at which a search cell is split.  A zero on a split line gets its
-# winding from the sign of rounding noise in det a; a transcendental fraction
-# keeps the split lines off the rational coordinates where eigenvalues are
-# usually placed (a midpoint split puts the line Re z = 0 through 2i).
+# Search cells split at this fraction: a zero on a split line gets its winding
+# from the sign of rounding noise in det a, and a transcendental fraction keeps
+# the lines off rational points such as 2i, where eigenvalues usually sit.
 _SPLIT = 0.5 - 0.125 / math.pi
 
 
@@ -99,8 +97,8 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ikn,kjn->ijn", A, B)
 
 
-def _expm(om: np.ndarray, squarings: int) -> np.ndarray:
-    """Degree-9 Taylor exponential (Paterson-Stockmeyer), then squarings."""
+def _expm1(om: np.ndarray, squarings: int) -> np.ndarray:
+    """exp(Omega) - I by a degree-9 Taylor sum (Paterson-Stockmeyer), then squarings."""
     om2 = _mm(om, om)
     om3 = _mm(om2, om)
 
@@ -109,26 +107,33 @@ def _expm(om: np.ndarray, squarings: int) -> np.ndarray:
         B[_DIAG, _DIAG] += _TAYLOR[j]
         return B
 
-    E = poly(0) + _mm(om3, poly(3) + _mm(om3, poly(6) + _TAYLOR[9] * om3))
+    F = om + _TAYLOR[2] * om2 + _mm(om3, poly(3) + _mm(om3, poly(6) + _TAYLOR[9] * om3))
     for _ in range(squarings):
-        E = _mm(E, E)
-    return E
+        F = 2.0 * F + _mm(F, F)
+    return F
 
 
-def _transfer(cells: _Cells, k: complex, shift: complex) -> CMat4:
-    """shift^n exp(Omega_{n-1}) ... exp(Omega_0) over the cells of one side."""
+def _transfer(cells: _Cells, k: complex, w: complex) -> CMat4:
+    """e^{n w} exp(Omega_{n-1}) ... exp(Omega_0) over the cells of one side.
+
+    Factors are carried as I + F, (I + A)(I + B) = I + (A + B + AB), so
+    rounding scales with the small |F| = |exp(Omega) - I|, not with 1.
+    """
     b = cells.norm0 + abs(k) * cells.norm1
     s = max(0, math.ceil(math.log2(max(b, _THETA) / _THETA)))
+    shift, shift1 = cmath.exp(w), 2.0 * cmath.exp(0.5 * w) * cmath.sinh(0.5 * w)  # e^w, e^w - 1
     total = None
     for lo in range(0, cells.A0.shape[-1], _CHUNK):
         om = (cells.A0[..., lo : lo + _CHUNK] + k * cells.A1[..., lo : lo + _CHUNK]) * 0.5**s
-        E = _expm(om, s) * shift
-        while E.shape[-1] > 1:
-            m = E.shape[-1]
-            P = _mm(E[..., 1:m:2], E[..., 0 : m - 1 : 2])
-            E = np.concatenate((P, E[..., m - 1 :]), axis=-1) if m % 2 else P
-        total = E if total is None else _mm(E, total)
-    return total[..., 0]
+        F = _expm1(om, s) * shift
+        F[_DIAG, _DIAG] += shift1
+        while F.shape[-1] > 1:
+            m = F.shape[-1]
+            A, B = F[..., 1:m:2], F[..., 0 : m - 1 : 2]
+            P = A + B + _mm(A, B)
+            F = np.concatenate((P, F[..., m - 1 :]), axis=-1) if m % 2 else P
+        total = F if total is None else F + total + _mm(F, total)
+    return np.eye(4) + total[..., 0]
 
 
 def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: bool = False) -> np.ndarray:
@@ -141,7 +146,7 @@ def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: boo
     cells = mesh[0] if left else mesh[1]
     X0, _ = asymptotic_eigenvectors(sp, bg.Qminus if left else bg.Qplus, bg)  # rejects branch points
     eps = 1.0 if sp.lam.imag >= 0 else -1.0
-    P = _transfer(cells, sp.k, cmath.exp(1j * sp.lam * cells.h * eps))
+    P = _transfer(cells, sp.k, 1j * sp.lam * cells.h * eps)
     analytic = (1.0 if left else -1.0) * _SGN == eps
     if analytic_only:
         mu = P @ X0[:, analytic]
@@ -155,11 +160,9 @@ def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: boo
 
 def _over_z(z, fn):
     """fn at a scalar z, or the list of fn over a 1-D array of z."""
-    if np.ndim(z) == 0:
-        return fn(complex(z))
-    if np.ndim(z) != 1:
+    if np.ndim(z) > 1:
         raise ValueError("z must be a scalar or a 1-D array")
-    return [fn(complex(w)) for w in np.asarray(z)]
+    return fn(complex(z)) if np.ndim(z) == 0 else [fn(complex(w)) for w in np.asarray(z)]
 
 
 @dataclass(frozen=True)
@@ -310,13 +313,11 @@ class _DetACache:
         self.mesh = _mesh(field, L, tol, t0, bg.sigma)
         self.bg = bg
         self.cache: dict[complex, complex] = {}
-        self.evals = 0
 
     def __call__(self, z: complex) -> complex:
         key = complex(round(z.real, 13), round(z.imag, 13))
         if key not in self.cache:
             self.cache[key] = _det_a(self.mesh, key, self.bg)
-            self.evals += 1
         return self.cache[key]
 
 
