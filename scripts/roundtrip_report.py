@@ -4,10 +4,13 @@
 For each requested preset: build the field, measure its left boundary,
 locate the zeros of det a in the upper part of D+, and report eigenvalue
 recovery errors plus reflection-coefficient norms on spectrum samples.
+With --verbose, each zero search logs its contour nodes, winding, Hankel
+singular values, zeros and contour moves.
 """
 
 import argparse
 import functools
+import logging
 import sys
 import time
 
@@ -24,7 +27,7 @@ def run(name: str, L: float, tol: float) -> bool:
     field = functools.partial(reconstruct_Q, spec=spec)
     bg = measured_background(spec)
     box = (-3.07, 3.05, 1.085, 3.21)
-    found = find_discrete_spectrum(field, box, (3, 2), L, 1e-8, bg)
+    found = find_discrete_spectrum(field, box, L, 1e-8, bg)
     ok = True
     for seed in p.seeds:
         err = min((abs(z - seed.zn) for z in found), default=float("inf"))
@@ -42,7 +45,11 @@ def main() -> int:
     ap.add_argument("--presets", nargs="*", default=["fig3a", "fig6"])
     ap.add_argument("--L", type=float, default=20.0)
     ap.add_argument("--tol", type=float, default=1e-3)
+    ap.add_argument("--verbose", action="store_true", help="log each zero search at DEBUG level")
     args = ap.parse_args()
+    if args.verbose:
+        logging.basicConfig(format="%(name)s: %(message)s")
+        logging.getLogger("hirota_ist.scattering").setLevel(logging.DEBUG)
     ok = True
     for name in args.presets:
         print(f"{name}:")

@@ -201,10 +201,10 @@ def cmd_roundtrip(args) -> int:
     field = functools.partial(reconstruct_Q, spec=spec)
     bg = measured_background(spec)
     k0 = bg.k0
-    # slightly asymmetric box so subdivision boundaries avoid common
-    # eigenvalue locations (integer/half-integer real parts)
+    # slightly asymmetric box so its edges avoid common eigenvalue locations
+    # (integer/half-integer real parts); a zero near an edge moves the contour
     box = (-3.07 * k0, 3.05 * k0, 1.085 * k0, 3.21 * k0)
-    found = find_discrete_spectrum(field, box, (3, 2), args.L, args.find_tol, bg, t0=0.0)
+    found = find_discrete_spectrum(field, box, args.L, args.find_tol, bg, t0=0.0)
     ok = True
     for seed in p.seeds:
         hits = [z for z in found if abs(z - seed.zn) <= args.tol]

@@ -66,4 +66,4 @@ class UnknownPreset(HirotaError):
 
 
 class NoConvergenceWarning(UserWarning):
-    """Zero refinement failed in one search cell; reported, not fatal."""
+    """The zero search met a zero near its contour or inconsistent moments; reported, not fatal."""

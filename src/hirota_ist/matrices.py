@@ -18,10 +18,6 @@ I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
 
 
-def cmat2(a11, a12, a21, a22) -> CMat2:
-    return np.array([[a11, a12], [a21, a22]], dtype=complex)
-
-
 def _singularity_threshold(M: np.ndarray) -> float:
     # Scale-covariant: the adjugate formula degrades only at true rank loss.
     m = float(np.max(np.abs(M))) if M.size else 0.0
@@ -42,11 +38,6 @@ def inv2(M: CMat2) -> CMat2:
 def dagger(M: np.ndarray) -> np.ndarray:
     """Hermitian conjugate: conjugate transpose of the last two axes."""
     return np.swapaxes(M.conj(), -1, -2)
-
-
-def blocks(M: CMat4) -> tuple[CMat2, CMat2, CMat2, CMat2]:
-    """Split into (up-left, up-right, down-left, down-right) 2x2 blocks."""
-    return M[:2, :2], M[:2, 2:], M[2:, :2], M[2:, 2:]
 
 
 def from_blocks(ul: CMat2, ur: CMat2, dl: CMat2, dr: CMat2) -> CMat4:

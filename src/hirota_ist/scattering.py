@@ -4,7 +4,10 @@ Modified Jost eigenfunctions mu (mu_x = U mu + i lambda mu sigma3; bounded in
 the decaying directions, unlike the plane-wave-dressed solutions) are
 propagated across a truncated line, matched at x = 0 into the scattering
 matrix, and probed for the symmetry identities.  Discrete eigenvalues are
-zeros of det a(z), located by argument-principle winding plus secant steps.
+zeros of det a(z): det a is evaluated in one batch at Gauss-Legendre nodes on
+the boundary of a search box, and the zeros are the eigenvalues of the Hankel
+pencil of the contour moments of d log a (Delves-Lyness, Math. Comp. 21,
+1967; multiple zeros as in Kravanja-Van Barel, LNM 1727, 2000).
 
 Propagation is the 4th-order Magnus exponential integrator (Blanes-Casas-
 Oteo-Ros, Phys. Rep. 470, 2009) on cells of length h = H (tol/1e-8)^(1/4),
@@ -18,9 +21,10 @@ pairs; every z is propagated alone, so it gets the same bits in any batch.
 from __future__ import annotations
 
 import cmath
-import functools
+import logging
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,16 +37,19 @@ from .spectral import Background, Region, SpectralPoint, classify_region, theta,
 from .verification import Field
 
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
+_Box = tuple[float, float, float, float]  # (re0, re1, im0, im1)
 
 H = 0.005  # cell length at tol = 1e-8; the error of a crossing scales like h^4
 _CHUNK = 4096  # cells exponentiated at once
 _THETA = 0.1  # bound on |Omega|_1 for the degree-9 Taylor sum (remainder < 3e-17)
 _TAYLOR = [1.0 / math.factorial(j) for j in range(10)]
 _DIAG = np.arange(4)
-# Search cells split at this fraction: a zero on a split line gets its winding
-# from the sign of rounding noise in det a, and a transcendental fraction keeps
-# the lines off rational points such as 2i, where eigenvalues usually sit.
-_SPLIT = 0.5 - 0.125 / math.pi
+_PANELS, _NODES = 36, 8  # Gauss-Legendre panels on the search contour, nodes per panel
+_RANK = 1e-8  # Hankel singular values below this fraction of the largest are noise
+_DIP = 0.25  # |det a| at a node below this fraction of both neighbours: zero on the contour
+_MOVES = 2  # contour moves before a zero near the boundary is reported, not avoided
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -66,13 +73,28 @@ def _cells(Q: np.ndarray, sigma: int, step: float) -> _Cells:
         A0[..., cut] = np.moveaxis(0.5 * step * (Q1 + Q2) + c * (Q2 @ Q1 - Q1 @ Q2), 0, -1)
         D = Q1 - Q2
         A1[..., cut] = np.moveaxis(-1j * c * (SIGMA3 @ D - D @ SIGMA3) - 1j * step * SIGMA3, 0, -1)
-    A0.flags.writeable = A1.flags.writeable = False  # shared through the _mesh cache
+    A0.flags.writeable = A1.flags.writeable = False  # shared through the kept mesh
     norm = lambda A: float(np.abs(A).sum(axis=0).max())
     return _Cells(A0, A1, abs(step), norm(A0), norm(A1))
 
 
-@functools.lru_cache(maxsize=1)
+_KEPT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # field -> ((L, tol, t0, sigma), mesh)
+
+
 def _mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_Cells, _Cells]:
+    """The mesh of field; the last one is kept while its field lives, and dropped before another is built."""
+    key = (L, tol, t0, sigma)
+    try:
+        kept = _KEPT.get(field)
+    except TypeError:  # a field that takes no weak reference is not kept
+        return _new_mesh(field, *key)
+    if kept is None or kept[0] != key:
+        _KEPT.clear()
+        kept = _KEPT[field] = key, _new_mesh(field, *key)
+    return kept[1]
+
+
+def _new_mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_Cells, _Cells]:
     """(left, right) cells: [-L, 0] travelled upward, [0, L] downward."""
     if not (L > 0 and tol > 0):
         raise ValueError("domain truncation L and tolerance must be positive")
@@ -308,139 +330,116 @@ def det_a(field: Field, z, L: float, tol: float, bg: Background, t0: float = 0.0
     return out if np.ndim(z) == 0 else np.array(out, dtype=complex)
 
 
-class _DetACache:
-    def __init__(self, field, L, tol, bg, t0):
-        self.mesh = _mesh(field, L, tol, t0, bg.sigma)
-        self.bg = bg
-        self.cache: dict[complex, complex] = {}
+def _contour(box: _Box) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes z and weights dz on the boundary of box.
 
-    def __call__(self, z: complex) -> complex:
-        key = complex(round(z.real, 13), round(z.imag, 13))
-        if key not in self.cache:
-            self.cache[key] = _det_a(self.mesh, key, self.bg)
-        return self.cache[key]
-
-
-def _winding(f: _DetACache, corners: list[complex], n_side: int = 16, max_insert: int = 7) -> float:
-    """Winding number of det_a around a rectangle by unwrapped phase.
-
-    Between adjacent boundary nodes the phase step must stay below 0.9 pi;
-    midpoints are inserted (up to max_insert levels) where it does not.
+    Counterclockwise from the corner re0 + i im0; each edge gets a share of
+    the _PANELS panels in proportion to its length, at least one.
     """
-    pts: list[complex] = []
-    for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
-        for m in range(n_side):
-            pts.append(a + (b - a) * (m / n_side))
-    pts.append(pts[0])
-    total = 0.0
-    for i in range(len(pts) - 1):
-        total += _phase_step(f, pts[i], pts[i + 1], max_insert)
-    return total / (2.0 * math.pi)
+    re0, re1, im0, im1 = box
+    corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1), complex(re0, im0)]
+    perimeter = 2.0 * (re1 - re0 + im1 - im0)
+    x, w = np.polynomial.legendre.leggauss(_NODES)
+    z, dz = [], []
+    for a, b in zip(corners, corners[1:]):
+        n = max(1, round(_PANELS * abs(b - a) / perimeter))
+        half = 0.5 * (b - a) / n
+        z.append((a + half * (2 * np.arange(n) + 1)[:, None] + half * x).ravel())
+        dz.append(np.tile(half * w, n))
+    return np.concatenate(z), np.concatenate(dz)
 
 
-def _phase_step(f: _DetACache, z1: complex, z2: complex, depth: int) -> float:
-    f1, f2 = f(z1), f(z2)
-    if f1 == 0 or f2 == 0:
-        return cmath.phase(f2 / f1) if f1 and f2 else 0.0
-    d = cmath.phase(f2 / f1)
-    if abs(d) <= 0.9 * math.pi or depth <= 0 or abs(z2 - z1) < 1e-9:
-        return d
-    zm = 0.5 * (z1 + z2)
-    return _phase_step(f, z1, zm, depth - 1) + _phase_step(f, zm, z2, depth - 1)
+def _moment_zeros(z: np.ndarray, dz: np.ndarray, a: np.ndarray, box: _Box, N: int, steps: np.ndarray):
+    """Distinct zeros, their multiplicities and the Hankel singular values.
 
-
-def _secant_refine(f: _DetACache, z0: complex, span: float, target: float = 1e-8, max_iter: int = 80):
-    best, best_f = z0, abs(f(z0))
-    z1 = z0 + 0.05 * span * (1 + 1j)
-    f0, f1 = f(z0), f(z1)
-    for _ in range(max_iter):
-        if abs(f1) < best_f:
-            best, best_f = z1, abs(f1)
-        if best_f < target:
-            return best
-        denom = f1 - f0
-        if denom == 0:
-            break
-        dz = -f1 * (z1 - z0) / denom
-        if abs(dz) > 2.0 * span:
-            dz *= 2.0 * span / abs(dz)
-        z0, f0 = z1, f1
-        z1 = z1 + dz
-        f1 = f(z1)
-    return best if best_f < 10 * target else None
+    With u = (z - c)/r (c the centre, r the half diagonal of box) and log a
+    unwrapped from the corner u0, s_p = u0^p N - (p/2 pi i) oint u^(p-1) log a du;
+    the zeros are the eigenvalues of the pencil ([s_(i+j+1)], [s_(i+j)])
+    projected on the singular vectors of [s_(i+j)] above _RANK.
+    """
+    re0, re1, im0, im1 = box
+    c = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
+    r = 0.5 * abs(complex(re1 - re0, im1 - im0))
+    u, du, u0 = (z - c) / r, dz / r, (complex(re0, im0) - c) / r
+    log_a = np.log(np.abs(a)) + 1j * (np.angle(a[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1]))))
+    p = np.arange(2 * N)
+    upow = u[None, :] ** np.maximum(p - 1, 0)[:, None]
+    s = u0**p * N - p / (2j * math.pi) * (upow @ (log_a * du))
+    H0, H1 = (s[np.add.outer(np.arange(N), np.arange(N)) + k] for k in (0, 1))
+    U, sv, Vh = np.linalg.svd(H0)
+    m = int(np.sum(sv > _RANK * sv[0]))
+    Um, Vm = U[:, :m], Vh[:m].conj().T
+    roots = np.linalg.eigvals((Um.conj().T @ H1 @ Vm) / sv[:m, None])
+    mult = np.linalg.lstsq(roots[None, :] ** p[:N, None], s[:N], rcond=None)[0]
+    return c + r * roots, mult, sv
 
 
 def find_discrete_spectrum(
-    field: Field,
-    searchbox: tuple[float, float, float, float],
-    grid: tuple[int, int],
-    L: float,
-    tol: float,
-    bg: Background,
-    t0: float = 0.0,
-    merge_tol: float = 1e-3,
+    field: Field, searchbox: _Box, L: float, tol: float, bg: Background, t0: float = 0.0
 ) -> list[complex]:
-    """Zeros of det a(z) inside a rectangle of D+ (upper half plane).
+    """Distinct zeros of det a(z) inside a rectangle of D+ (upper half plane).
 
-    Argument-principle winding over subdivided rectangles (split
-    off-centre at _SPLIT, up to 4 levels) isolates the zeros, then complex
-    secant iteration pushes each to |det a| < 1e-8.  Cells whose refinement fails are reported via
-    NoConvergenceWarning, not fatally.
+    det a is evaluated in one batched call at composite Gauss-Legendre
+    nodes on the box boundary (_PANELS panels of _NODES).  The unwrapped
+    phase gives the winding N, the moments of d log a by parts the power
+    sums of the zeros (Delves-Lyness), and the Hankel pencil of the moments
+    the distinct zeros; its numerical rank is their number, so a multiple
+    zero comes back once (Kravanja-Van Barel).
 
-    merge_tol sets the resolution: refined zeros closer than this are one
-    zero (a double zero of det a refines only to ~sqrt of the |det a|
-    target, so merge_tol should stay above ~1e-4).
+    A zero on or near the contour (a phase step between neighbouring nodes
+    above pi/2, |det a| at a node below _DIP times both neighbours, or a
+    located zero closer to the boundary than half a panel) moves every edge
+    outward by two panel lengths, at most _MOVES times; each move, a
+    non-integer winding and multiplicities that are not positive integers
+    summing to N are reported via NoConvergenceWarning, not fatally.
     """
     re0, re1, im0, im1 = searchbox
     if not (re1 > re0 and im1 > im0 and im0 > 0):
         raise ValueError("searchbox must be a rectangle in the upper half plane")
-    for zc in (
-        complex(re0, im0), complex(re1, im0), complex(re0, im1), complex(re1, im1),
-        complex(0.5 * (re0 + re1), im0), complex(0.5 * (re0 + re1), im1),
-        complex(re0, 0.5 * (im0 + im1)), complex(re1, 0.5 * (im0 + im1)),
-    ):
-        if classify_region(zc, bg) is not Region.D_PLUS:
-            raise ValueError(f"searchbox touches the complement of D+ at {zc}")
-    f = _DetACache(field, L, tol, bg, t0)
-    nx, ny = grid
-    zeros: list[complex] = []
-
-    def process(a0, a1, b0, b1, level):
-        corners = [complex(a0, b0), complex(a1, b0), complex(a1, b1), complex(a0, b1)]
-        w = _winding(f, corners)
-        w_int = int(round(w))
-        if abs(w - w_int) > 0.25:
-            warnings.warn(f"non-integer winding {w:.3f} in cell ({a0},{a1})x({b0},{b1})", NoConvergenceWarning)
-        if w_int <= 0:
-            return
-        span = max(a1 - a0, b1 - b0)
-        if level >= 4 or span < 4e-3:
-            z = _secant_refine(f, complex(0.5 * (a0 + a1), 0.5 * (b0 + b1)), span)
-            if z is None:
-                warnings.warn(
-                    f"secant refinement failed in cell ({a0},{a1})x({b0},{b1})", NoConvergenceWarning
-                )
-            else:
-                zeros.append(z)
-            return
-        am, bm = a0 + _SPLIT * (a1 - a0), b0 + _SPLIT * (b1 - b0)
-        for (c0, c1, d0, d1) in ((a0, am, b0, bm), (am, a1, b0, bm), (a0, am, bm, b1), (am, a1, bm, b1)):
-            process(c0, c1, d0, d1, level + 1)
-
-    dx, dy = (re1 - re0) / nx, (im1 - im0) / ny
-    for i in range(nx):
-        for j in range(ny):
-            process(re0 + i * dx, re0 + (i + 1) * dx, im0 + j * dy, im0 + (j + 1) * dy, 0)
-
+    box = (float(re0), float(re1), float(im0), float(im1))
+    moves: list[_Box] = []
+    while True:
+        re0, re1, im0, im1 = box
+        z, dz = _contour(box)
+        for zc in (complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1), *z):
+            if classify_region(complex(zc), bg) is not Region.D_PLUS:
+                raise ValueError(f"searchbox {box} touches the complement of D+ at {zc}")
+        a = det_a(field, z, L, tol, bg, t0)
+        mag = np.abs(a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.angle(np.roll(a, -1) / a)  # node j to j + 1, the last one closing the contour
+        dip = mag < _DIP * np.minimum(np.roll(mag, 1), np.roll(mag, -1))
+        near = not mag.all() or bool(np.abs(steps).max() > 0.5 * math.pi or dip.any())
+        w = float(np.nansum(steps)) / (2.0 * math.pi)
+        N = max(0, round(w))
+        panel = 2.0 * (re1 - re0 + im1 - im0) / _PANELS
+        roots, mult, sv = np.empty(0, complex), np.empty(0), np.empty(0)
+        if N and mag.all():
+            roots, mult, sv = _moment_zeros(z, dz, a, box, N, steps)
+            edges = (roots.real - re0, re1 - roots.real, roots.imag - im0, im1 - roots.imag)
+            margin = np.minimum.reduce(edges)
+            near = near or bool(np.any(margin < 0.5 * panel))
+        if not near or len(moves) == _MOVES:
+            break
+        box = (re0 - 2.0 * panel, re1 + 2.0 * panel, im0 - 2.0 * panel, im1 + 2.0 * panel)
+        moves.append(box)
+        warnings.warn(f"zero of det a on or near the contour; box moved to {box}", NoConvergenceWarning)
+    if near:
+        warnings.warn(f"zero of det a near the contour of {box} after {_MOVES} moves", NoConvergenceWarning)
+    if abs(w - N) > 0.25:
+        warnings.warn(f"non-integer winding {w:.3f} around {box}", NoConvergenceWarning)
+    m = np.rint(mult.real)
+    if np.any(m < 1) or m.sum() != N or np.any(np.abs(mult - m) > 0.25):
+        warnings.warn(f"multiplicities {mult} in {box} are not integers summing to {N}", NoConvergenceWarning)
     kept: list[complex] = []
-    for z in zeros:
-        if z.imag <= 0:
-            continue
-        if abs(abs(z) - bg.k0) < 1e-6 or abs(z.imag) < 1e-6:
-            warnings.warn(f"zero {z} rejected: too close to the continuous spectrum", NoConvergenceWarning)
-            continue
-        if any(abs(z - u) < merge_tol for u in kept):
-            continue
-        kept.append(complex(z))
+    for zr in roots:
+        if abs(abs(zr) - bg.k0) >= 1e-6 and abs(zr.imag) >= 1e-6:
+            kept.append(complex(zr))
+        else:
+            warnings.warn(f"zero {zr} rejected: too close to the continuous spectrum", NoConvergenceWarning)
+    _log.debug(
+        "find_discrete_spectrum: %d nodes, winding %.4f, Hankel singular values %s, zeros %s, "
+        "multiplicities %s, contour moves %s",
+        len(z), w, sv.tolist(), kept, mult.real.round(3).tolist(), moves,
+    )
     return kept

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import hirota_ist as h
 from hirota_ist.errors import BranchPointSingular, MissingDerivatives
 from hirota_ist.lax import PotentialSample, assemble_U, assemble_V, asymptotic_eigenvectors, embed
-from hirota_ist.matrices import SIGMA3, I4, blocks, cmat2, dagger
+from hirota_ist.matrices import SIGMA3, I4, dagger
 from hirota_ist.spectral import Background, uniformize
 
 EYE = np.eye(2, dtype=complex)
@@ -16,7 +16,7 @@ FOC = Background(sigma=-1, k0=1.0, alpha=1.0, beta=0.1, Qplus=EYE, Qminus=EYE)
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
 cnum = st.builds(complex, finite, finite)
-cm2 = st.builds(cmat2, cnum, cnum, cnum, cnum)
+cm2 = st.builds(lambda *v: np.reshape(v, (2, 2)), cnum, cnum, cnum, cnum)
 
 
 def test_embed_zero():
@@ -25,7 +25,7 @@ def test_embed_zero():
 
 def test_embed_identity_focusing():
     M = embed(EYE, -1)
-    ul, ur, dl, dr = blocks(M)
+    ul, ur, dl, dr = M[:2, :2], M[:2, 2:], M[2:, :2], M[2:, 2:]
     np.testing.assert_array_equal(ur, EYE)
     np.testing.assert_array_equal(dl, -EYE)
     assert np.all(ul == 0) and np.all(dr == 0)
@@ -35,7 +35,7 @@ def test_embed_identity_focusing():
 def test_embed_square_block_structure(Q, sigma):
     E = embed(Q, sigma)
     sq = E @ E
-    ul, ur, dl, dr = blocks(sq)
+    ul, ur, dl, dr = sq[:2, :2], sq[:2, 2:], sq[2:, :2], sq[2:, 2:]
     np.testing.assert_allclose(ul, sigma * Q @ dagger(Q), atol=1e-12)
     np.testing.assert_allclose(dr, sigma * dagger(Q) @ Q, atol=1e-12)
     assert np.max(np.abs(ur)) < 1e-12 and np.max(np.abs(dl)) < 1e-12
@@ -66,7 +66,7 @@ def test_U_eigenrelation_on_background():
 
 def test_U_traceless():
     sp = uniformize(1.7 + 0.8j, FOC)
-    U = assemble_U(PotentialSample(cmat2(1, 2j, 2j, -1), physical=False), sp, FOC)
+    U = assemble_U(PotentialSample(np.array([[1, 2j], [2j, -1]], dtype=complex), physical=False), sp, FOC)
     assert abs(np.trace(U)) == 0
 
 
@@ -83,7 +83,8 @@ def test_V_background_reduces_to_2kU():
 def test_V_beta_zero_drops_third_order():
     bg0 = Background(sigma=-1, k0=1.0, alpha=0.7, beta=0.0, Qplus=EYE, Qminus=EYE)
     sp = uniformize(0.4 + 1.6j, bg0)
-    p = PotentialSample(cmat2(0.3, 0.1, 0.1, -0.2), cmat2(1, 0, 0, 1), cmat2(0, 1, 1, 0), physical=False)
+    Q, Qx, Qxx = (np.array(m, dtype=complex) for m in ([[0.3, 0.1], [0.1, -0.2]], [[1, 0], [0, 1]], [[0, 1], [1, 0]]))
+    p = PotentialSample(Q, Qx, Qxx, physical=False)
     V = assemble_V(p, sp, bg0)
     Qe = embed(p.Q, -1)
     T2 = 2 * sp.k * assemble_U(p, sp, bg0) + 1j * SIGMA3 @ (embed(p.Qx, -1) - Qe @ Qe + (-1) * I4)

@@ -1,16 +1,17 @@
 import dataclasses
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import hirota_ist as h
-from hirota_ist.errors import IntegrationFailure, MissingPartner
+from hirota_ist.errors import IntegrationFailure, MissingPartner, NoConvergenceWarning
 from hirota_ist.matrices import dagger
 from hirota_ist.scattering import (
-    _DetACache,
-    _winding,
+    _mesh,
     audit_symmetries,
     det_a,
     find_discrete_spectrum,
@@ -167,18 +168,23 @@ def test_first_symmetry_scales_with_tolerance(fig3a_field, fig3a_bg_measured):
 
 
 def test_find_spectrum_background_empty(background_bg, background_field):
-    found = find_discrete_spectrum(
-        background_field, (-0.8, 0.8, 1.4, 2.6), (1, 1), L, 1e-8, background_bg
-    )
+    found = find_discrete_spectrum(background_field, (-0.8, 0.8, 1.4, 2.6), L, 1e-8, background_bg)
     assert found == []
 
 
 def test_find_spectrum_roundtrip_fig3a(fig3a_field, fig3a_bg_measured):
-    found = find_discrete_spectrum(
-        fig3a_field, (-1.0, 1.0, 1.3, 2.8), (1, 1), L, 1e-8, fig3a_bg_measured
-    )
+    found = find_discrete_spectrum(fig3a_field, (-1.0, 1.0, 1.3, 2.8), L, 1e-8, fig3a_bg_measured)
     assert len(found) == 1
     assert abs(found[0] - 2j) <= 1e-4
+
+
+@pytest.mark.parametrize("box", [(-1.0, 1.0, 2.0, 2.8), (0.0, 1.0, 1.3, 2.8)])
+def test_zero_on_contour_moves_and_warns(fig3a_field, fig3a_bg_measured, box):
+    # an edge of each box passes through the zero 2i
+    with pytest.warns(NoConvergenceWarning):
+        found = find_discrete_spectrum(fig3a_field, box, L, 1e-4, fig3a_bg_measured)
+    assert len(found) == 1
+    assert abs(found[0] - 2j) <= 1e-6
 
 
 def test_winding_counts_double_zero(fig3a_spec):
@@ -188,11 +194,22 @@ def test_winding_counts_double_zero(fig3a_spec):
     field = functools.partial(h.reconstruct_Q, spec=spec)
     Qm = h.reconstruct_Q(-40.0, 0.0, spec)
     bg = dataclasses.replace(spec.bg, Qminus=Qm)
-    cache = _DetACache(field, L, 1e-8, bg, 0.0)
-    w = _winding(cache, [1.7j - 0.3, 1.7j + 0.3, 2.3j + 0.3, 2.3j - 0.3])
+    corners = [1.7j - 0.3, 1.7j + 0.3, 2.3j + 0.3, 2.3j - 0.3, 1.7j - 0.3]
+    zs = np.concatenate([a + (b - a) * np.arange(16) / 16 for a, b in zip(corners, corners[1:])])
+    phase = np.unwrap(np.angle(h.det_a(field, np.append(zs, zs[0]), L, 1e-8, bg)))
+    w = (phase[-1] - phase[0]) / (2.0 * math.pi)
     assert abs(w - 2.0) < 0.2
-    found = find_discrete_spectrum(field, (-0.3, 0.3, 1.7, 2.3), (1, 1), L, 1e-8, bg)
+    found = find_discrete_spectrum(field, (-0.3, 0.3, 1.7, 2.3), L, 1e-8, bg)
     assert len(found) == 1 and abs(found[0] - 2j) <= 1e-3
+
+
+def test_find_spectrum_double_zero_fig6(fig6_spec):
+    # fig6's 1 + 2i is a double zero of det a; the search box is the CLI roundtrip's
+    field = functools.partial(h.reconstruct_Q, spec=fig6_spec)
+    bg = dataclasses.replace(fig6_spec.bg, Qminus=h.reconstruct_Q(-40.0, 0.0, fig6_spec))
+    found = find_discrete_spectrum(field, (-3.07, 3.05, 1.085, 3.21), L, 1e-8, bg)
+    assert len(found) == 1
+    assert abs(found[0] - (1 + 2j)) <= 1e-6
 
 
 def test_two_eigenvalue_recovery(fig3a_spec):
@@ -204,7 +221,7 @@ def test_two_eigenvalue_recovery(fig3a_spec):
     field = functools.partial(h.reconstruct_Q, spec=spec)
     Qm = h.reconstruct_Q(-40.0, 0.0, spec)
     bg = dataclasses.replace(spec.bg, Qminus=Qm)
-    found = find_discrete_spectrum(field, (-3.07, 3.05, 1.085, 3.21), (3, 2), L, 1e-8, bg)
+    found = find_discrete_spectrum(field, (-3.07, 3.05, 1.085, 3.21), L, 1e-8, bg)
     assert len(found) == 2
     for z in (2j, 1 + 2j):
         assert min(abs(f - z) for f in found) <= 1e-3
@@ -259,6 +276,17 @@ def test_batched_z_gives_the_same_bits(fig3a_field, fig3a_bg_measured):
         integrate_jost(fig3a_field, zs, "right", L, 1e-8, bg)[1],
         integrate_jost(fig3a_field, zs[1], "right", L, 1e-8, bg),
     )
+
+
+def test_mesh_is_released_with_its_field(fig3a_spec, fig3a_bg_measured):
+    field = functools.partial(h.reconstruct_Q, spec=fig3a_spec)
+    sigma = fig3a_bg_measured.sigma
+    det_a(field, 2.5j, L, 1e-4, fig3a_bg_measured)
+    cells = weakref.ref(_mesh(field, L, 1e-4, 0.0, sigma)[0])
+    assert _mesh(field, L, 1e-4, 0.0, sigma)[0] is cells()  # one mesh while the field lives
+    del field
+    gc.collect()
+    assert cells() is None
 
 
 def test_non_finite_field_or_propagator_raises(background_bg, background_field):
