@@ -374,6 +374,11 @@ def _moment_zeros(z: np.ndarray, dz: np.ndarray, a: np.ndarray, box: _Box, N: in
     return c + r * roots, mult, sv
 
 
+def _off_dplus(z: np.ndarray, bg: Background) -> complex | None:
+    """The first contour node outside D+, or None."""
+    return next((complex(w) for w in z if classify_region(complex(w), bg) is not Region.D_PLUS), None)
+
+
 def find_discrete_spectrum(
     field: Field, searchbox: _Box, L: float, tol: float, bg: Background, t0: float = 0.0
 ) -> list[complex]:
@@ -389,21 +394,22 @@ def find_discrete_spectrum(
     A zero on or near the contour (a phase step between neighbouring nodes
     above pi/2, |det a| at a node below _DIP times both neighbours, or a
     located zero closer to the boundary than half a panel) moves every edge
-    outward by two panel lengths, at most _MOVES times; each move, a
-    non-integer winding and multiplicities that are not positive integers
-    summing to N are reported via NoConvergenceWarning, not fatally.
+    outward by two panel lengths, at most _MOVES times and only while the
+    box stays in D+; each move, a zero left near the contour, a non-integer
+    winding and multiplicities that are not positive integers summing to N
+    are reported via NoConvergenceWarning, not fatally.
     """
     re0, re1, im0, im1 = searchbox
     if not (re1 > re0 and im1 > im0 and im0 > 0):
         raise ValueError("searchbox must be a rectangle in the upper half plane")
     box = (float(re0), float(re1), float(im0), float(im1))
+    z, dz = _contour(box)
+    off = _off_dplus(z, bg)
+    if off is not None:
+        raise ValueError(f"searchbox touches the complement of D+ at {off}")
     moves: list[_Box] = []
     while True:
         re0, re1, im0, im1 = box
-        z, dz = _contour(box)
-        for zc in (complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1), *z):
-            if classify_region(complex(zc), bg) is not Region.D_PLUS:
-                raise ValueError(f"searchbox {box} touches the complement of D+ at {zc}")
         a = det_a(field, z, L, tol, bg, t0)
         mag = np.abs(a)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -417,15 +423,18 @@ def find_discrete_spectrum(
         if N and mag.all():
             roots, mult, sv = _moment_zeros(z, dz, a, box, N, steps)
             edges = (roots.real - re0, re1 - roots.real, roots.imag - im0, im1 - roots.imag)
-            margin = np.minimum.reduce(edges)
-            near = near or bool(np.any(margin < 0.5 * panel))
+            near = near or bool(np.any(np.minimum.reduce(edges) < 0.5 * panel))
         if not near or len(moves) == _MOVES:
             break
-        box = (re0 - 2.0 * panel, re1 + 2.0 * panel, im0 - 2.0 * panel, im1 + 2.0 * panel)
+        grown = (re0 - 2.0 * panel, re1 + 2.0 * panel, im0 - 2.0 * panel, im1 + 2.0 * panel)
+        gz, gdz = _contour(grown)
+        if _off_dplus(gz, bg) is not None:
+            break
+        box, z, dz = grown, gz, gdz
         moves.append(box)
         warnings.warn(f"zero of det a on or near the contour; box moved to {box}", NoConvergenceWarning)
     if near:
-        warnings.warn(f"zero of det a near the contour of {box} after {_MOVES} moves", NoConvergenceWarning)
+        warnings.warn(f"zero of det a near the contour of {box}, which cannot move on", NoConvergenceWarning)
     if abs(w - N) > 0.25:
         warnings.warn(f"non-integer winding {w:.3f} around {box}", NoConvergenceWarning)
     m = np.rint(mult.real)

@@ -187,6 +187,12 @@ def test_zero_on_contour_moves_and_warns(fig3a_field, fig3a_bg_measured, box):
     assert abs(found[0] - 2j) <= 1e-6
 
 
+def test_zero_on_contour_warns_where_the_box_cannot_grow(fig3a_field, fig3a_bg_measured):
+    # 2i is on the bottom edge, and growing the box by two panels (1.06) would cross |z| = 1
+    with pytest.warns(NoConvergenceWarning, match="cannot move on"):
+        find_discrete_spectrum(fig3a_field, (-4.0, 4.0, 2.0, 3.5), L, 1e-4, fig3a_bg_measured)
+
+
 def test_winding_counts_double_zero(fig3a_spec):
     # rank-2 norming constant at the same eigenvalue: det a has a double zero
     seed = DiscreteEigenpair(2j, np.array([[1, 1], [1, 2]], dtype=complex))
