@@ -339,7 +339,9 @@ def _contour(box: _Box) -> tuple[np.ndarray, np.ndarray]:
     re0, re1, im0, im1 = box
     corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1), complex(re0, im0)]
     perimeter = 2.0 * (re1 - re0 + im1 - im0)
-    x, w = np.polynomial.legendre.leggauss(_NODES)
+    beta = np.arange(1, _NODES) / np.sqrt(4.0 * np.arange(1, _NODES) ** 2 - 1.0)  # Golub-Welsch
+    x, V = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    w = 2.0 * V[0] ** 2
     z, dz = [], []
     for a, b in zip(corners, corners[1:]):
         n = max(1, round(_PANELS * abs(b - a) / perimeter))
@@ -446,9 +448,7 @@ def find_discrete_spectrum(
             kept.append(complex(zr))
         else:
             warnings.warn(f"zero {zr} rejected: too close to the continuous spectrum", NoConvergenceWarning)
-    _log.debug(
-        "find_discrete_spectrum: %d nodes, winding %.4f, Hankel singular values %s, zeros %s, "
-        "multiplicities %s, contour moves %s",
-        len(z), w, sv.tolist(), kept, mult.real.round(3).tolist(), moves,
-    )
+    _log.debug("find_discrete_spectrum: %d nodes, winding %.4f, Hankel singular values %s, zeros %s, "
+               "multiplicities %s, contour moves %s",
+               len(z), w, sv.tolist(), kept, mult.real.round(3).tolist(), moves)
     return kept
