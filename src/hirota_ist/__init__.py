@@ -27,7 +27,7 @@ from .solitons import (
     reconstruct_Q,
 )
 from .spectral import Background, Region, SpectralPoint, classify_region, theta, uniformize
-from .traceform import TraceInput, theta_condition, theta_condition_variants, trace_det_a
+from .traceform import TraceInput, theta_condition_variants, trace_det_a
 from .verification import (
     DecayReport,
     ResidualReport,
@@ -36,11 +36,4 @@ from .verification import (
     periodicity_probe,
     symmetry_residual,
 )
-from .lax import (
-    PotentialSample,
-    assemble_U,
-    assemble_V,
-    asymptotic_eigenvectors,
-    embed,
-    zero_curvature_residual,
-)
+from .lax import assemble_U, assemble_V, asymptotic_eigenvectors, embed, zero_curvature_residual

@@ -101,10 +101,9 @@ def _grid_with_overrides(p: Preset, args) -> GridSpec:
     )
 
 
-def measured_background(spec: SolitonSpec, x_probe: float = -40.0, t: float = 0.0) -> Background:
-    """Background with the left boundary replaced by the measured limit."""
-    Qm = reconstruct_Q(x_probe, t, spec)
-    return dataclasses.replace(spec.bg, Qminus=Qm)
+def measured_background(spec: SolitonSpec) -> Background:
+    """Background with the left boundary replaced by the limit measured at x = -40, t = 0."""
+    return dataclasses.replace(spec.bg, Qminus=reconstruct_Q(-40.0, 0.0, spec))
 
 
 def sigma_sample_points(k0: float, n_real_orbits: int = 2, n_circle_orbits: int = 1) -> list[complex]:

@@ -13,10 +13,6 @@ class ZeroArgument(HirotaError):
     """Spectral-plane map evaluated at (or too close to) z = 0."""
 
 
-class MissingDerivatives(HirotaError):
-    """Potential sample lacks the x-derivatives needed for the time generator."""
-
-
 class BranchPointSingular(HirotaError):
     """Operation requested at (or too close to) a branch point where gamma = 0."""
 

@@ -8,7 +8,6 @@ with 17 significant digits so serialization round-trips bit-exactly.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,71 +66,59 @@ class FieldGrid:
         return int(np.count_nonzero(self.mask))
 
     def component(self, name: str) -> np.ndarray:
-        idx = {"q1": (0, 0), "q0": (0, 1), "qm1": (1, 1)}[name]
-        return self.values[:, :, idx[0], idx[1]]
+        return _stored(self.values)[..., _STORED.index(name)]
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
+_STORED = ("q1", "q0", "qm1")  # Q11, Q12 = Q21, Q22: what the exchange formats keep
+
+
+def _stored(values: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) symmetric stack -> contiguous (..., 3) in the order of _STORED."""
+    return np.ascontiguousarray(values[..., [0, 0, 1], [0, 1, 1]])
+
+
+def _symmetric(q: np.ndarray) -> np.ndarray:
+    """(..., 3) stored entries -> the contiguous (..., 2, 2) symmetric stack."""
+    return np.ascontiguousarray(q[..., [[0, 1], [1, 2]]])
+
+
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER)) + "\r\n"  # CRLF, as csv.writer ends its rows
 
 
 def write_csv(grid: FieldGrid, path) -> None:
+    q = _stored(grid.values)
+    q[grid.mask] = complex(np.nan, np.nan)
+    x, t = np.meshgrid(grid.xs, grid.ts)
+    rows = np.column_stack((x.ravel(), t.ravel(), q.reshape(-1, 3).view(float)))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for it, t in enumerate(grid.ts):
-            for ix, x in enumerate(grid.xs):
-                if grid.mask[it, ix]:
-                    q1 = q0 = qm1 = complex(float("nan"), float("nan"))
-                else:
-                    Q = grid.values[it, ix]
-                    q1, q0, qm1 = Q[0, 0], Q[0, 1], Q[1, 1]
-                w.writerow(
-                    [_fmt(x), _fmt(t)]
-                    + [_fmt(v) for v in (q1.real, q1.imag, q0.real, q0.imag, qm1.real, qm1.imag)]
-                )
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.writelines(_CSV_ROW % tuple(r) for r in rows.tolist())
 
 
 def read_csv(path) -> FieldGrid:
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != CSV_HEADER:
-        raise ValueError("unexpected CSV header")
-    data = [[float(v) for v in r] for r in rows[1:]]
-    xs = sorted({r[0] for r in data})
-    ts = sorted({r[1] for r in data})
-    nx, nt = len(xs), len(ts)
-    if len(data) != nx * nt:
+        if fh.readline().rstrip("\r\n").split(",") != CSV_HEADER:
+            raise ValueError("unexpected CSV header")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(len(CSV_HEADER)))
+    xs, ix = np.unique(data[:, 0], return_inverse=True)
+    ts, it = np.unique(data[:, 1], return_inverse=True)
+    if len(data) != len(xs) * len(ts):
         raise ValueError("row count does not match grid size")
-    xi = {x: i for i, x in enumerate(xs)}
-    ti = {t: i for i, t in enumerate(ts)}
-    values = np.zeros((nt, nx, 2, 2), dtype=complex)
-    mask = np.zeros((nt, nx), dtype=bool)
-    for r in data:
-        it, ix = ti[r[1]], xi[r[0]]
-        q1 = complex(r[2], r[3])
-        q0 = complex(r[4], r[5])
-        qm1 = complex(r[6], r[7])
-        if any(np.isnan(v) for v in r[2:]):
-            mask[it, ix] = True
-        values[it, ix] = [[q1, q0], [q0, qm1]]
-    return FieldGrid(xs=np.array(xs), ts=np.array(ts), values=values, mask=mask)
-
-
-def _complex_pairs(arr: np.ndarray) -> list:
-    return [[v.real, v.imag] for v in arr.ravel()]
+    q = np.ascontiguousarray(data[:, 2:]).view(complex)
+    values = np.zeros((len(ts), len(xs), 2, 2), dtype=complex)
+    mask = np.zeros((len(ts), len(xs)), dtype=bool)
+    values[it, ix] = _symmetric(q)
+    mask[it, ix] = np.isnan(data[:, 2:]).any(axis=1)
+    return FieldGrid(xs=xs, ts=ts, values=values, mask=mask)
 
 
 def write_json(grid: FieldGrid, path) -> None:
+    pairs = _stored(grid.values).view(float)  # re, im of q1, q0, qm1 on the last axis
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "x": list(map(float, grid.xs)),
-        "t": list(map(float, grid.ts)),
-        "values": {
-            "q1": _complex_pairs(grid.component("q1")),
-            "q0": _complex_pairs(grid.component("q0")),
-            "qm1": _complex_pairs(grid.component("qm1")),
-        },
+        "x": grid.xs.tolist(),
+        "t": grid.ts.tolist(),
+        "values": {name: pairs[..., 2 * i:2 * i + 2].reshape(-1, 2).tolist() for i, name in enumerate(_STORED)},
         "mask": grid.mask.ravel().astype(int).tolist(),
         "metadata": grid.metadata,
     }
@@ -144,17 +131,7 @@ def read_json(path) -> FieldGrid:
         raise ValueError("unsupported schema version")
     xs = np.array(doc["x"], dtype=float)
     ts = np.array(doc["t"], dtype=float)
-    nt, nx = len(ts), len(xs)
-
-    def unpack(name):
-        flat = np.array([complex(re, im) for re, im in doc["values"][name]])
-        return flat.reshape(nt, nx)
-
-    q1, q0, qm1 = unpack("q1"), unpack("q0"), unpack("qm1")
-    values = np.zeros((nt, nx, 2, 2), dtype=complex)
-    values[:, :, 0, 0] = q1
-    values[:, :, 0, 1] = q0
-    values[:, :, 1, 0] = q0
-    values[:, :, 1, 1] = qm1
-    mask = np.array(doc["mask"], dtype=bool).reshape(nt, nx)
-    return FieldGrid(xs=xs, ts=ts, values=values, mask=mask, metadata=doc.get("metadata", {}))
+    shape = (len(ts), len(xs))
+    q = np.stack([np.array(doc["values"][name], dtype=float).view(complex).reshape(shape) for name in _STORED], -1)
+    mask = np.array(doc["mask"], dtype=bool).reshape(shape)
+    return FieldGrid(xs=xs, ts=ts, values=_symmetric(q), mask=mask, metadata=doc.get("metadata", {}))

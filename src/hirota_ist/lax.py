@@ -7,36 +7,12 @@ constant-background generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
-from .errors import BranchPointSingular, MissingDerivatives
+from .errors import BranchPointSingular
 from .matrices import SIGMA3, CMat2, CMat4, I4, dagger
 from .spectral import Background, SpectralPoint, uniformize
 from .verification import Field
-
-
-@dataclass(frozen=True)
-class PotentialSample:
-    """Pointwise potential value with optional x-derivatives.
-
-    Physical samples must be symmetric; set physical=False to bypass the
-    check for synthetic test inputs.
-    """
-
-    Q: CMat2
-    Qx: CMat2 | None = None
-    Qxx: CMat2 | None = None
-    physical: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "Q", np.asarray(self.Q, dtype=complex))
-        if self.Qx is not None:
-            object.__setattr__(self, "Qx", np.asarray(self.Qx, dtype=complex))
-        if self.Qxx is not None:
-            object.__setattr__(self, "Qxx", np.asarray(self.Qxx, dtype=complex))
-        if self.physical and np.max(np.abs(self.Q - self.Q.T)) > 1e-10 * max(1.0, np.max(np.abs(self.Q))):
-            raise ValueError("physical potential sample must be symmetric")
 
 
 def embed(Q: np.ndarray, sigma: int) -> np.ndarray:
@@ -51,22 +27,23 @@ def embed(Q: np.ndarray, sigma: int) -> np.ndarray:
     return E
 
 
-def assemble_U(p: PotentialSample, sp: SpectralPoint, bg: Background) -> CMat4:
-    return -1j * sp.k * SIGMA3 + embed(p.Q, bg.sigma)
+def assemble_U(Q: np.ndarray, sp: SpectralPoint, bg: Background) -> np.ndarray:
+    """x-flow generator -i k sigma3 + Qe for a (..., 2, 2) stack of potentials."""
+    return -1j * sp.k * SIGMA3 + embed(Q, bg.sigma)
 
 
-def assemble_V(p: PotentialSample, sp: SpectralPoint, bg: Background) -> CMat4:
-    """Time-flow generator alpha T2 + beta T3.
+def assemble_V(
+    Q: np.ndarray, Qx: np.ndarray, Qxx: np.ndarray, sp: SpectralPoint, bg: Background
+) -> np.ndarray:
+    """Time-flow generator alpha T2 + beta T3 for (..., 2, 2) stacks of Q, Q_x, Q_xx.
 
     T2 = 2kU + i sigma3 (Qe_x - Qe^2 + sigma k0^2 I) and
     T3 = 2k (T2 - i sigma k0^2 sigma3) - [Qe, Qe_x] + 2 Qe^3 - Qe_xx,
     with Qe the embedded potential.
     """
-    if p.Qx is None or p.Qxx is None:
-        raise MissingDerivatives("assemble_V needs Qx and Qxx")
-    Qe = embed(p.Q, bg.sigma)
-    Qex = embed(p.Qx, bg.sigma)
-    Qexx = embed(p.Qxx, bg.sigma)
+    Qe = embed(Q, bg.sigma)
+    Qex = embed(Qx, bg.sigma)
+    Qexx = embed(Qxx, bg.sigma)
     k, k0, sg = sp.k, bg.k0, bg.sigma
     U = -1j * k * SIGMA3 + Qe
     T2 = 2.0 * k * U + 1j * SIGMA3 @ (Qex - Qe @ Qe + sg * k0**2 * I4)
@@ -109,17 +86,11 @@ def zero_curvature_residual(
     m = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, 0.0, 0.0])
     n = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0])
     Q = np.asarray(field(x0 + h * m, t0 + h * n), dtype=complex)
-
-    def U_at(i):
-        return assemble_U(PotentialSample(Q[i], physical=False), sp, bg)
-
-    def V_at(i):
-        Qx = (Q[i + 1] - Q[i - 1]) / (2.0 * h)
-        Qxx = (Q[i + 1] - 2.0 * Q[i] + Q[i - 1]) / h**2
-        return assemble_V(PotentialSample(Q[i], Qx, Qxx, physical=False), sp, bg)
-
-    Ut = (U_at(6) - U_at(5)) / (2.0 * h)
-    Vx = (V_at(3) - V_at(1)) / (2.0 * h)
-    U, V = U_at(2), V_at(2)
-    R = Ut - Vx + U @ V - V @ U
+    U = assemble_U(Q[[2, 5, 6]], sp, bg)  # at (x0, t0), (x0, t0 - h), (x0, t0 + h)
+    Qx = (Q[2:5] - Q[0:3]) / (2.0 * h)  # at x0 - h, x0, x0 + h
+    Qxx = (Q[2:5] - 2.0 * Q[1:4] + Q[0:3]) / h**2
+    V = assemble_V(Q[1:4], Qx, Qxx, sp, bg)
+    Ut = (U[2] - U[1]) / (2.0 * h)
+    Vx = (V[2] - V[0]) / (2.0 * h)
+    R = Ut - Vx + U[0] @ V[1] - V[1] @ U[0]
     return float(np.max(np.abs(R)))

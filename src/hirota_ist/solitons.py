@@ -22,7 +22,7 @@ tests compare `reconstruct_Q` against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -39,7 +39,7 @@ from .errors import (
     SingularSystem,
 )
 from .grids import ARTIFACT_VERSION, FieldGrid, GridSpec
-from .matrices import CMat2, dagger, det2
+from .matrices import CMat2, dagger
 from .spectral import Background, theta, uniformize
 
 COND_LIMIT = 1e12
@@ -51,8 +51,13 @@ class RankFlag(enum.Enum):
 
 
 def rank_of(C: CMat2) -> RankFlag:
-    scale = max(1.0, float(np.max(np.abs(C))) ** 2)
-    return RankFlag.RANK1 if abs(det2(np.asarray(C, dtype=complex))) <= 1e-12 * scale else RankFlag.RANK2
+    """RANK1 when the smaller singular value is at most 1e-12 of the larger.
+
+    The ratio does not change under scaling or unitary factors, the map from a
+    seed's constant to its quartet partner's Q+^dag Cbar Q+^dag / (z*)^2.
+    """
+    s = np.linalg.svd(np.asarray(C, dtype=complex), compute_uv=False)
+    return RankFlag.RANK1 if s[1] <= 1e-12 * s[0] else RankFlag.RANK2
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class DiscreteEigenpair:
 
     zn: complex
     Cn: CMat2
-    rank_flag: RankFlag = None  # type: ignore[assignment]
+    rank_flag: RankFlag = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "zn", complex(self.zn))
@@ -69,8 +74,7 @@ class DiscreteEigenpair:
         scale = max(1.0, float(np.max(np.abs(self.Cn))))
         if np.max(np.abs(self.Cn - self.Cn.T)) > 1e-14 * scale:
             raise ValueError("norming constant must be symmetric")
-        if self.rank_flag is None:
-            object.__setattr__(self, "rank_flag", rank_of(self.Cn))
+        object.__setattr__(self, "rank_flag", rank_of(self.Cn))
 
 
 def quartet_partner(z: complex, k0: float) -> complex:
@@ -80,7 +84,10 @@ def quartet_partner(z: complex, k0: float) -> complex:
 
 @dataclass(frozen=True)
 class SolitonSpec:
-    """Fully quartet-expanded scattering data driving the linear system."""
+    """Fully quartet-expanded scattering data driving the linear system.
+
+    The N seeds come first and their N partners follow in the same order.
+    """
 
     bg: Background
     zetas: tuple[complex, ...]
@@ -141,10 +148,10 @@ def _check_poles(zetas: Sequence[complex]) -> None:
                 raise PoleCollision(f"zeta_{n}* collides with zeta_{j}")
 
 
-def _rank_factor(C: CMat2) -> tuple[np.ndarray, np.ndarray]:
-    """C = A B with A 2 x r and B r x 2, r from `rank_of`, balanced by the SVD."""
+def _rank_factor(C: CMat2, rank: RankFlag) -> tuple[np.ndarray, np.ndarray]:
+    """C = A B with A 2 x r and B r x 2, r = rank.value, balanced by the SVD."""
     U, S, Vh = np.linalg.svd(C)
-    r = 1 if rank_of(C) is RankFlag.RANK1 else 2
+    r = rank.value
     root = np.sqrt(S[:r])
     return U[:, :r] * root, root[:, None] * Vh[:r]
 
@@ -168,7 +175,10 @@ class _ResidueSystem:
 
 def _residue_system(spec: SolitonSpec) -> _ResidueSystem:
     _check_poles(spec.zetas)
-    factors = [_rank_factor(C) for C in spec.Cs]
+    # a partner's constant is fixed by its seed's, so it takes the seed's rank:
+    # a second decision could differ within rounding of the rank threshold
+    n = len(spec.Cs) // 2
+    factors = [_rank_factor(C, rank_of(spec.Cs[j % n])) for j, C in enumerate(spec.Cs)]
     col = np.repeat(np.arange(len(factors)), [a.shape[1] for a, _ in factors])
     A = np.hstack([a for a, _ in factors])
     B = np.vstack([b for _, b in factors])
@@ -372,11 +382,11 @@ def _closed_mp(x: float, t: float, seed: DiscreteEigenpair, bg: Background, dps:
         z1 = _mp_c(seed.zn)
         z1c = mp.conj(z1)
         k0 = bg.k0
-        if rank_of(seed.Cn) is RankFlag.RANK1:
+        if seed.rank_flag is RankFlag.RANK1:
             # the product of the float rank factors is rank 1 at this
             # precision; the rounding-level rank-2 part of a float C1 would
             # grow into a spurious structure in the left far field
-            A, B = _rank_factor(seed.Cn)
+            A, B = _rank_factor(seed.Cn, RankFlag.RANK1)
             C1 = mp.matrix([[_mp_c(A[i, 0]) * _mp_c(B[0, j]) for j in range(2)] for i in range(2)])
         else:
             C1 = _mp_mat(seed.Cn)

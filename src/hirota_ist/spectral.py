@@ -56,19 +56,8 @@ class Background:
             scale = max(1.0, self.k0**2)
             if np.max(np.abs(Q @ dagger(Q) - self.k0**2 * np.eye(2))) > _BG_TOL * scale:
                 raise ValueError(f"{name} violates Q Q^dag = k0^2 I")
-            if np.max(np.abs(dagger(Q) @ Q - self.k0**2 * np.eye(2))) > _BG_TOL * scale:
-                raise ValueError(f"{name} violates Q^dag Q = k0^2 I")
             if np.max(np.abs(Q - Q.T)) > _BG_TOL * scale:
                 raise ValueError(f"{name} must be symmetric")
-            # Entrywise boundary-value constraints (equivalent to the above
-            # for a symmetric matrix; kept as an explicit cross-check).
-            q1, q0, qm1 = Q[0, 0], Q[0, 1], Q[1, 1]
-            if abs(abs(q1) ** 2 - abs(qm1) ** 2) > _BG_TOL * scale:
-                raise ValueError(f"{name}: |q1| != |q-1|")
-            if abs(q1 * np.conj(q0) + q0 * np.conj(qm1)) > _BG_TOL * scale:
-                raise ValueError(f"{name}: off-diagonal balance violated")
-            if abs(abs(q1) ** 2 + abs(q0) ** 2 - self.k0**2) > _BG_TOL * scale:
-                raise ValueError(f"{name}: row norm differs from k0^2")
 
     @property
     def delta_reg(self) -> float:

@@ -5,10 +5,10 @@ reflection contribution enters through a contour integral over the
 continuous spectrum.  The phase condition ties the asymptotic phases of
 det Q+- to the discrete-eigenvalue phases.  Sign conventions for the
 discrete sums differ between published forms, so all variants are
-computed; the default value uses the simple-zero sign that the measured
-boundary phases validate (+4 per simple zero) together with the
-conventional -8 per double zero, and the report carries the alternatives
-(see scripts/phase_condition_probe.py for the measurement).
+computed: the simple-zero sign that the measured boundary phases validate
+(+4 per simple zero) together with the conventional -8 per double zero,
+and the alternatives (see scripts/phase_condition_probe.py for the
+measurement).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -54,22 +53,6 @@ def _pair_factor(z: complex, zn: complex, k0: float) -> complex:
     return num / den
 
 
-def _log_branch_track(vals: Sequence[complex]) -> list[complex]:
-    """log along a sample sequence, unwinding by nearest branch."""
-    out = []
-    prev_im = 0.0
-    for v in vals:
-        w = cmath.log(v)
-        im = w.imag
-        while im - prev_im > math.pi:
-            im -= 2.0 * math.pi
-        while im - prev_im < -math.pi:
-            im += 2.0 * math.pi
-        out.append(complex(w.real, im))
-        prev_im = im
-    return out
-
-
 def _rho_at(samples, z: complex) -> CMat2:
     tol = 1e-9 * max(1.0, abs(z))
     for zz, rho in samples:
@@ -105,7 +88,7 @@ def _quadrature(inp: TraceInput):
         for z, rho in zs_rhos:
             rho_c = _rho_at(samples, complex(np.conj(z)))
             vals.append(complex(det2(I2 + dagger(rho_c) @ rho)))
-        return _log_branch_track(vals)
+        return np.log(np.abs(vals)) + 1j * np.unwrap(np.angle(vals))
 
     if real_pts:
         if bg.sigma == -1:
@@ -169,41 +152,21 @@ def trace_det_a(z: complex, inp: TraceInput) -> complex:
     return out
 
 
-def _phase_sums(inp: TraceInput) -> tuple[float, float]:
-    d_simple = sum(math.atan2(z.imag, z.real) for z in inp.simple_zeros)
-    d_double = sum(math.atan2(z.imag, z.real) for z in inp.double_zeros)
-    return d_simple, d_double
-
-
-def _quad_term(inp: TraceInput) -> float:
-    if not inp.rho_samples:
-        return 0.0
-    s = sum(wl / zz for zz, wl in _quadrature(inp))
-    return float(s.real) / (2.0 * math.pi)
-
-
-def theta_condition(inp: TraceInput) -> float:
-    """Boundary-phase difference theta_+ - theta_-, reduced to [0, 2 pi).
-
-    Returns quadrature + 4 sum(delta_simple) - 8 sum(delta_double); see
-    theta_condition_variants for the alternative sign choices.
-    """
-    q = _quad_term(inp)
-    ds, dd = _phase_sums(inp)
-    return float((q + 4.0 * ds - 8.0 * dd) % (2.0 * math.pi))
-
-
 def theta_condition_variants(inp: TraceInput) -> dict[str, float]:
-    """All sign variants of the discrete phase sums, each mod 2 pi.
+    """Boundary-phase difference theta_+ - theta_- for each sign choice, in [0, 2 pi).
 
-    'simple_plus_double_minus' is the value theta_condition returns;
-    'simple_minus_double_minus' is the alternative simple-zero sign;
-    'simple_plus_double_plus' is the variant consistent with the measured
-    x -> -infinity boundary phase when double zeros (rank-2 norming
-    constants) are present.
+    'simple_plus_double_minus' is quadrature + 4 sum(delta_simple)
+    - 8 sum(delta_double), with delta_n = arg z_n;
+    'simple_minus_double_minus' flips the simple-zero sign;
+    'simple_plus_double_plus' flips the double-zero sign, the variant
+    consistent with the measured x -> -infinity boundary phase when double
+    zeros (rank-2 norming constants) are present.
     """
-    q = _quad_term(inp)
-    ds, dd = _phase_sums(inp)
+    q = 0.0
+    if inp.rho_samples:
+        q = float(sum(wl / zz for zz, wl in _quadrature(inp)).real) / (2.0 * math.pi)
+    ds = sum(math.atan2(z.imag, z.real) for z in inp.simple_zeros)
+    dd = sum(math.atan2(z.imag, z.real) for z in inp.double_zeros)
     tau = 2.0 * math.pi
     return {
         "simple_plus_double_minus": float((q + 4.0 * ds - 8.0 * dd) % tau),

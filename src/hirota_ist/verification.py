@@ -28,9 +28,10 @@ _D2 = np.array([3 / 2, -3 / 20, 1 / 90])
 _D3 = np.array([-61 / 30, 169 / 120, -3 / 10, 7 / 240])
 
 X_FAR = 20.0  # boundary_decay reads Q+ at X_FAR and the left limit at -2 X_FAR
+HALTON_SKIP = 20  # first Halton index used: probes skip the corner (0, 0) and the sparse start
 
 
-def halton_points(n: int, skip: int = 20) -> np.ndarray:
+def halton_points(n: int) -> np.ndarray:
     """Deterministic low-discrepancy points in [0, 1)^2 (bases 2 and 3)."""
     if n < 1:
         raise ValueError("need at least one probe point")
@@ -43,7 +44,8 @@ def halton_points(n: int, skip: int = 20) -> np.ndarray:
             i //= base
         return r
 
-    return np.array([[radical_inverse(i, 2), radical_inverse(i, 3)] for i in range(skip, skip + n)])
+    idx = range(HALTON_SKIP, HALTON_SKIP + n)
+    return np.array([[radical_inverse(i, 2), radical_inverse(i, 3)] for i in idx])
 
 
 @dataclass(frozen=True)

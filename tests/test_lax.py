@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hirota_ist as h
-from hirota_ist.errors import BranchPointSingular, MissingDerivatives
-from hirota_ist.lax import PotentialSample, assemble_U, assemble_V, asymptotic_eigenvectors, embed
+from hirota_ist.errors import BranchPointSingular
+from hirota_ist.lax import assemble_U, assemble_V, asymptotic_eigenvectors, embed
 from hirota_ist.matrices import SIGMA3, I4, dagger
 from hirota_ist.spectral import Background, uniformize
 
@@ -43,7 +43,7 @@ def test_embed_square_block_structure(Q, sigma):
 
 def test_U_nilpotent_at_branch_point():
     sp = uniformize(1j, FOC)  # branch point: lam = 0
-    U = assemble_U(PotentialSample(FOC.Qplus), sp, FOC)
+    U = assemble_U(FOC.Qplus, sp, FOC)
     assert abs(np.linalg.det(U)) < 1e-12
     assert np.max(np.abs(U @ U)) < 1e-12  # eigenvalues +-i*lam collapse to 0
 
@@ -56,7 +56,7 @@ def test_U_eigenrelation_on_background():
         if abs(z) < 0.2 or abs(abs(z) - 1.0) < 0.05 or abs(z.imag) < 0.05:
             continue
         sp = uniformize(z, FOC)
-        U = assemble_U(PotentialSample(FOC.Qplus), sp, FOC)
+        U = assemble_U(FOC.Qplus, sp, FOC)
         X, Xinv = asymptotic_eigenvectors(sp, FOC.Qplus, FOC)
         assert np.max(np.abs(U @ X - (-1j * sp.lam) * X @ SIGMA3)) < 1e-12 * max(1.0, abs(z))
         np.testing.assert_allclose(X @ Xinv, I4, atol=1e-12 * max(1.0, abs(sp.gamma) ** -1))
@@ -66,7 +66,7 @@ def test_U_eigenrelation_on_background():
 
 def test_U_traceless():
     sp = uniformize(1.7 + 0.8j, FOC)
-    U = assemble_U(PotentialSample(np.array([[1, 2j], [2j, -1]], dtype=complex), physical=False), sp, FOC)
+    U = assemble_U(np.array([[1, 2j], [2j, -1]], dtype=complex), sp, FOC)
     assert abs(np.trace(U)) == 0
 
 
@@ -74,9 +74,8 @@ def test_V_background_reduces_to_2kU():
     # At the constant background with beta = 0, V = alpha * 2k U.
     bg = Background(sigma=-1, k0=1.0, alpha=1.0, beta=0.0, Qplus=EYE, Qminus=EYE)
     sp = uniformize(1.3 + 0.9j, bg)
-    p = PotentialSample(EYE, np.zeros((2, 2)), np.zeros((2, 2)))
-    U = assemble_U(p, sp, bg)
-    V = assemble_V(p, sp, bg)
+    U = assemble_U(EYE, sp, bg)
+    V = assemble_V(EYE, np.zeros((2, 2)), np.zeros((2, 2)), sp, bg)
     np.testing.assert_allclose(V, 2.0 * sp.k * U, atol=1e-13)
 
 
@@ -84,10 +83,9 @@ def test_V_beta_zero_drops_third_order():
     bg0 = Background(sigma=-1, k0=1.0, alpha=0.7, beta=0.0, Qplus=EYE, Qminus=EYE)
     sp = uniformize(0.4 + 1.6j, bg0)
     Q, Qx, Qxx = (np.array(m, dtype=complex) for m in ([[0.3, 0.1], [0.1, -0.2]], [[1, 0], [0, 1]], [[0, 1], [1, 0]]))
-    p = PotentialSample(Q, Qx, Qxx, physical=False)
-    V = assemble_V(p, sp, bg0)
-    Qe = embed(p.Q, -1)
-    T2 = 2 * sp.k * assemble_U(p, sp, bg0) + 1j * SIGMA3 @ (embed(p.Qx, -1) - Qe @ Qe + (-1) * I4)
+    V = assemble_V(Q, Qx, Qxx, sp, bg0)
+    Qe = embed(Q, -1)
+    T2 = 2 * sp.k * assemble_U(Q, sp, bg0) + 1j * SIGMA3 @ (embed(Qx, -1) - Qe @ Qe + (-1) * I4)
     np.testing.assert_allclose(V, 0.7 * T2, atol=1e-13)
 
 
@@ -95,14 +93,21 @@ def test_V_beta_zero_drops_third_order():
 @settings(max_examples=40)
 def test_V_traceless(Q, Qx, Qxx):
     sp = uniformize(0.8 + 1.1j, FOC)
-    V = assemble_V(PotentialSample(Q, Qx, Qxx, physical=False), sp, FOC)
+    V = assemble_V(Q, Qx, Qxx, sp, FOC)
     assert abs(np.trace(V)) <= 1e-12 * max(1.0, np.max(np.abs(V)))
 
 
-def test_V_missing_derivatives():
-    sp = uniformize(2j, FOC)
-    with pytest.raises(MissingDerivatives):
-        assemble_V(PotentialSample(EYE), sp, FOC)
+@given(st.lists(st.tuples(cm2, cm2, cm2), min_size=1, max_size=4))
+@settings(max_examples=20)
+def test_generators_act_on_stacks(mats):
+    # a (n, 2, 2) stack gives the n generators of its matrices one by one
+    sp = uniformize(0.8 + 1.1j, FOC)
+    Q, Qx, Qxx = (np.array(m) for m in zip(*mats))
+    U, V = assemble_U(Q, sp, FOC), assemble_V(Q, Qx, Qxx, sp, FOC)
+    assert U.shape == V.shape == (len(mats), 4, 4)
+    for i, (q, qx, qxx) in enumerate(mats):
+        np.testing.assert_allclose(U[i], assemble_U(q, sp, FOC), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(V[i], assemble_V(q, qx, qxx, sp, FOC), rtol=0, atol=1e-12)
 
 
 def test_X_at_infinity():

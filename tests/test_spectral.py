@@ -176,6 +176,12 @@ def test_background_validation():
     asym = np.array([[0, 1], [-1, 0]], dtype=complex)  # unitary but antisymmetric
     with pytest.raises(ValueError):
         Background(sigma=-1, k0=1.0, alpha=1, beta=0, Qplus=asym, Qminus=asym)
+    # symmetric matrices that break |q1| = |q-1|, q1 q0* + q0 q-1* = 0 or
+    # |q1|^2 + |q0|^2 = k0^2 are caught by the Q Q^dag check
+    for bad in ([[1, 0], [0, 1.1]], [[1, 0.1], [0.1, 1]], [[1, 0.1], [0.1, -1]]):
+        bad = np.array(bad, dtype=complex)
+        with pytest.raises(ValueError, match="Q Q\\^dag"):
+            Background(sigma=-1, k0=1.0, alpha=1, beta=0, Qplus=EYE, Qminus=bad)
     # off-diagonal symmetric background is legitimate
     offdiag = np.array([[0, 1], [1, 0]], dtype=complex)
     Background(sigma=-1, k0=1.0, alpha=1, beta=0, Qplus=offdiag, Qminus=offdiag)

@@ -8,7 +8,7 @@ import hirota_ist as h
 from hirota_ist.errors import PoleHit
 from hirota_ist.matrices import dagger
 from hirota_ist.spectral import Background
-from hirota_ist.traceform import TraceInput, _quadrature, theta_condition, theta_condition_variants, trace_det_a
+from hirota_ist.traceform import TraceInput, _quadrature, theta_condition_variants, trace_det_a
 
 EYE = np.eye(2, dtype=complex)
 FOC = Background(sigma=-1, k0=1.0, alpha=1.0, beta=0.1, Qplus=EYE, Qminus=EYE)
@@ -18,7 +18,7 @@ def test_empty_input_is_trivial():
     inp = TraceInput(bg=FOC)
     for z in (3j, 1 + 2j, 0.2 + 1.5j):
         assert trace_det_a(z, inp) == 1.0
-    assert theta_condition(inp) == 0.0
+    assert set(theta_condition_variants(inp).values()) == {0.0}
 
 
 def test_hand_value_single_zero():
@@ -70,7 +70,7 @@ def test_trace_det_a_analytic():
 def test_theta_condition_single_simple_zero():
     # delta = pi/2: 4 delta = 2 pi, reduces to 0
     inp = TraceInput(bg=FOC, simple_zeros=(2j,))
-    assert abs(theta_condition(inp)) < 1e-15
+    assert abs(theta_condition_variants(inp)["simple_plus_double_minus"]) < 1e-15
 
 
 def test_theta_condition_mixed_orders():
@@ -78,7 +78,6 @@ def test_theta_condition_mixed_orders():
     z_double = 2.0 * cmath.exp(1j * math.pi / 3)  # delta = pi/3
     inp = TraceInput(bg=FOC, simple_zeros=(z_simple,), double_zeros=(z_double,))
     # shipped signs: 4*(pi/2) - 8*(pi/3) mod 2 pi = 4 pi/3
-    assert abs(theta_condition(inp) - 4 * math.pi / 3) < 1e-12
     v = theta_condition_variants(inp)
     assert abs(v["simple_plus_double_minus"] - 4 * math.pi / 3) < 1e-12
     assert abs(v["simple_minus_double_minus"] - 4 * math.pi / 3) < 1e-12  # -2pi == +2pi mod 2pi
@@ -93,7 +92,7 @@ def test_theta_condition_consistency_with_measured_boundary_rank1():
     Qm = h.reconstruct_Q(-40.0, 0.2, spec)
     measured = np.angle(np.linalg.det(bg.Qplus @ dagger(Qm))) % (2 * math.pi)
     inp = TraceInput(bg=bg, simple_zeros=(1 + 2j,))
-    shipped = theta_condition(inp)
+    shipped = theta_condition_variants(inp)["simple_plus_double_minus"]
     assert min(abs(shipped - measured), 2 * math.pi - abs(shipped - measured)) <= 1e-3
 
 
