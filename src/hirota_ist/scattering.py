@@ -10,17 +10,26 @@ pencil of the contour moments of d log a (Delves-Lyness, Math. Comp. 21,
 1967; multiple zeros as in Kravanja-Van Barel, LNM 1727, 2000).
 
 Propagation is the 4th-order Magnus exponential integrator (Blanes-Casas-
-Oteo-Ros, Phys. Rep. 470, 2009) on cells of length h = H (tol/1e-8)^(1/4),
-with Q at the two Gauss nodes of every cell from one call of the array field.
+Oteo-Ros, Phys. Rep. 470, 2009) on a graded mesh, with Q at the two Gauss
+nodes of every cell from one call of the array field.  The step is exact
+where Q is constant, and its local error grows like h^5 times the variation
+of Q.  One array call probes Q at the centres of cells of about R h0,
+h0 = H (tol/1e-8)^(1/4); g, the larger of |Q - Q_lim| (the limit taken from
+the outermost probe of that side) and |Delta Q| to the next probe, widened
+by one probe cell, splits each probe cell into equal cells of
+h0 clip((g_max/g)^(1/5), 1, R).  No cell then carries more local error than
+an h0 cell where the field varies most, so tol keeps its meaning on any
+field (errors scale like tol, as on a uniform h0 mesh), and a field that
+sits on its background gets only cells of R h0.
 A cell's Omega = (h/2)(U1 + U2) + (sqrt(3)/12) h^2 [U2, U1] is A0 + k(z) A1,
-A0 and A1 independent of z.  Cell exponentials, times the column shift
-e^{+-i lambda h} that keeps the analytic pair bounded, are multiplied in
-pairs; every z is propagated alone, so it gets the same bits in any batch.
+A0 and A1 independent of z.  Cell exponentials (each scaled and squared as
+its own norm needs), times the column shift e^{+-i lambda h} that keeps the
+analytic pair bounded, are multiplied in pairs; every z is propagated alone,
+so it gets the same bits in any batch.
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 import warnings
@@ -39,7 +48,8 @@ from .verification import Field
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
 _Box = tuple[float, float, float, float]  # (re0, re1, im0, im1)
 
-H = 0.005  # cell length at tol = 1e-8; the error of a crossing scales like h^4
+H = 0.005  # shortest cell length at tol = 1e-8; the error of a crossing scales like h^4
+R = 16  # longest cell over the shortest; probe cells are about R of the shortest long
 _CHUNK = 4096  # cells exponentiated at once
 _THETA = 0.1  # bound on |Omega|_1 for the degree-9 Taylor sum (remainder < 3e-17)
 _TAYLOR = [1.0 / math.factorial(j) for j in range(10)]
@@ -54,28 +64,30 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class _Cells:
-    """One side's A0, A1 as (4, 4, n) in the order of travel, and max 1-norms."""
+    """One side's A0, A1 as (4, 4, n) in the order of travel, cell lengths and 1-norms (n,)."""
 
     A0: np.ndarray
     A1: np.ndarray
-    h: float
-    norm0: float
-    norm1: float
+    h: np.ndarray
+    norm0: np.ndarray
+    norm1: np.ndarray
 
 
-def _cells(Q: np.ndarray, sigma: int, step: float) -> _Cells:
-    """Generators of the cells whose Gauss-node samples are Q (n, 2, 2, 2)."""
-    c = math.sqrt(3.0) / 12.0 * step**2
+def _cells(Q: np.ndarray, sigma: int, steps: np.ndarray) -> _Cells:
+    """Generators of the cells of signed lengths steps whose Gauss-node samples are Q (n, 2, 2, 2)."""
     A0, A1 = (np.empty((4, 4, len(Q)), dtype=complex) for _ in range(2))
     for lo in range(0, len(Q), _CHUNK):  # in chunks, to bound the temporaries
         cut = slice(lo, lo + _CHUNK)
+        h = steps[cut, None, None]
+        c = math.sqrt(3.0) / 12.0 * h**2
         Q1, Q2 = (embed(Q[cut, i], sigma) for i in (0, 1))
-        A0[..., cut] = np.moveaxis(0.5 * step * (Q1 + Q2) + c * (Q2 @ Q1 - Q1 @ Q2), 0, -1)
+        A0[..., cut] = np.moveaxis(0.5 * h * (Q1 + Q2) + c * (Q2 @ Q1 - Q1 @ Q2), 0, -1)
         D = Q1 - Q2
-        A1[..., cut] = np.moveaxis(-1j * c * (SIGMA3 @ D - D @ SIGMA3) - 1j * step * SIGMA3, 0, -1)
-    A0.flags.writeable = A1.flags.writeable = False  # shared through the kept mesh
-    norm = lambda A: float(np.abs(A).sum(axis=0).max())
-    return _Cells(A0, A1, abs(step), norm(A0), norm(A1))
+        A1[..., cut] = np.moveaxis(-1j * c * (SIGMA3 @ D - D @ SIGMA3) - 1j * h * SIGMA3, 0, -1)
+    cells = _Cells(A0, A1, np.abs(steps), *(np.abs(A).sum(axis=0).max(axis=0) for A in (A0, A1)))
+    for a in (A0, A1, cells.h, cells.norm0, cells.norm1):
+        a.flags.writeable = False  # shared through the kept mesh
+    return cells
 
 
 _KEPT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # field -> ((L, tol, t0, sigma), mesh)
@@ -94,23 +106,41 @@ def _mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_C
     return kept[1]
 
 
-def _new_mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_Cells, _Cells]:
-    """(left, right) cells: [-L, 0] travelled upward, [0, L] downward."""
-    if not (L > 0 and tol > 0):
-        raise ValueError("domain truncation L and tolerance must be positive")
-    n = math.ceil(L / (H * (tol / 1e-8) ** 0.25))
-    h = L / n
-    centres = h * (np.arange(n) + 0.5) - L
-    gauss = h / (2.0 * math.sqrt(3.0)) * np.array([-1.0, 1.0])
-    xs = np.concatenate(((centres[:, None] + gauss).ravel(), (-centres[:, None] - gauss).ravel()))
+def _samples(field: Field, xs: np.ndarray, t0: float) -> np.ndarray:
     Q = np.asarray(field(xs, t0), dtype=complex)
     bad = ~np.isfinite(Q).all(axis=(-2, -1))
     if bad.any():
         raise IntegrationFailure(f"non-finite field sample at x = {xs[bad][0]}, t = {t0}")
-    Q = Q.reshape(2, n, 2, 2, 2)
-    sides = _cells(Q[0], sigma, h), _cells(Q[1], sigma, -h)
-    if not all(math.isfinite(c.norm0 + c.norm1) for c in sides):
+    return Q
+
+
+def _new_mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_Cells, _Cells]:
+    """(left, right) cells: [-L, 0] travelled upward, [0, L] downward, graded as the module states."""
+    if not (L > 0 and tol > 0):
+        raise ValueError("domain truncation L and tolerance must be positive")
+    h0 = H * (tol / 1e-8) ** 0.25
+    m = math.ceil(L / (R * h0))  # probe cells a side
+    p = L / m
+    probe = p * (np.arange(2 * m) + 0.5) - L
+    Qp = _samples(field, probe, t0)
+    g = np.abs(Qp - np.where((probe < 0)[:, None, None], Qp[0], Qp[-1])).max(axis=(1, 2))
+    g[:-1] = np.maximum(g[:-1], np.abs(np.diff(Qp, axis=0)).max(axis=(1, 2)))
+    g = np.pad(g, 1)
+    g = np.maximum.reduce([g[:-2], g[1:-1], g[2:]])
+    ratio = np.divide(g.max(), g, out=np.full_like(g, float(R) ** 5), where=g > 0)  # R^5 where g = 0
+    stretch = np.clip(ratio**0.2, 1.0, R)
+    n = np.ceil(p / (h0 * stretch) - 1e-9).astype(int)  # cells a probe cell; p <= R h0 makes one where stretch = R
+    h = np.repeat(p / n, n)
+    x0 = np.cumsum(h) - h - L  # left edges, ascending over [-L, L]
+    gauss = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+    Q = _samples(field, (x0[:, None] + h[:, None] * gauss).ravel(), t0).reshape(-1, 2, 2, 2)
+    left = n[:m].sum()
+    sides = _cells(Q[:left], sigma, h[:left]), _cells(Q[left:][::-1, ::-1], sigma, -h[left:][::-1])
+    if not all(np.isfinite(c.norm0 + c.norm1).all() for c in sides):
         raise IntegrationFailure(f"Magnus generators overflow for the field at t = {t0}")
+    _log.debug("Jost mesh L=%g tol=%g t0=%g: %d probes, cells %d left %d right, length %.3g to %.3g, "
+               "%d field evaluations, at most %d squarings at k = 0", L, tol, t0, 2 * m, left, len(h) - left,
+               h.min(), h.max(), 2 * m + 2 * len(h), max(_squarings(c, 0.0).max() for c in sides))
     return sides
 
 
@@ -119,8 +149,14 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ikn,kjn->ijn", A, B)
 
 
-def _expm1(om: np.ndarray, squarings: int) -> np.ndarray:
-    """exp(Omega) - I by a degree-9 Taylor sum (Paterson-Stockmeyer), then squarings."""
+def _squarings(cells: _Cells, k: complex) -> np.ndarray:
+    """Per cell, the halvings that bring |Omega|_1 <= |A0|_1 + |k| |A1|_1 under _THETA."""
+    b = cells.norm0 + abs(k) * cells.norm1
+    return np.ceil(np.log2(np.maximum(b, _THETA) / _THETA)).astype(int)
+
+
+def _expm1(om: np.ndarray, squarings: np.ndarray) -> np.ndarray:
+    """exp(Omega) - I by a degree-9 Taylor sum (Paterson-Stockmeyer), then each cell's squarings."""
     om2 = _mm(om, om)
     om3 = _mm(om2, om)
 
@@ -130,25 +166,26 @@ def _expm1(om: np.ndarray, squarings: int) -> np.ndarray:
         return B
 
     F = om + _TAYLOR[2] * om2 + _mm(om3, poly(3) + _mm(om3, poly(6) + _TAYLOR[9] * om3))
-    for _ in range(squarings):
-        F = 2.0 * F + _mm(F, F)
+    for j in range(squarings.max(initial=0)):
+        i = np.flatnonzero(squarings > j)
+        F[..., i] = 2.0 * F[..., i] + _mm(F[..., i], F[..., i])
     return F
 
 
 def _transfer(cells: _Cells, k: complex, w: complex) -> CMat4:
-    """e^{n w} exp(Omega_{n-1}) ... exp(Omega_0) over the cells of one side.
+    """e^{w h_{n-1}} exp(Omega_{n-1}) ... e^{w h_0} exp(Omega_0) over the cells of one side.
 
     Factors are carried as I + F, (I + A)(I + B) = I + (A + B + AB), so
     rounding scales with the small |F| = |exp(Omega) - I|, not with 1.
     """
-    b = cells.norm0 + abs(k) * cells.norm1
-    s = max(0, math.ceil(math.log2(max(b, _THETA) / _THETA)))
-    shift, shift1 = cmath.exp(w), 2.0 * cmath.exp(0.5 * w) * cmath.sinh(0.5 * w)  # e^w, e^w - 1
+    s = _squarings(cells, k)
+    wh = w * cells.h
+    shift, shift1 = np.exp(wh), 2.0 * np.exp(0.5 * wh) * np.sinh(0.5 * wh)  # e^{w h}, e^{w h} - 1
     total = None
     for lo in range(0, cells.A0.shape[-1], _CHUNK):
-        om = (cells.A0[..., lo : lo + _CHUNK] + k * cells.A1[..., lo : lo + _CHUNK]) * 0.5**s
-        F = _expm1(om, s) * shift
-        F[_DIAG, _DIAG] += shift1
+        cut = slice(lo, lo + _CHUNK)
+        F = _expm1((cells.A0[..., cut] + k * cells.A1[..., cut]) * 0.5 ** s[cut], s[cut]) * shift[cut]
+        F[_DIAG, _DIAG] += shift1[cut]
         while F.shape[-1] > 1:
             m = F.shape[-1]
             A, B = F[..., 1:m:2], F[..., 0 : m - 1 : 2]
@@ -168,12 +205,12 @@ def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: boo
     cells = mesh[0] if left else mesh[1]
     X0, _ = asymptotic_eigenvectors(sp, bg.Qminus if left else bg.Qplus, bg)  # rejects branch points
     eps = 1.0 if sp.lam.imag >= 0 else -1.0
-    P = _transfer(cells, sp.k, 1j * sp.lam * cells.h * eps)
+    P = _transfer(cells, sp.k, 1j * sp.lam * eps)
     analytic = (1.0 if left else -1.0) * _SGN == eps
     if analytic_only:
         mu = P @ X0[:, analytic]
     else:
-        length = cells.h * cells.A0.shape[-1]
+        length = cells.h.sum()
         mu = P @ (X0 * np.where(analytic, 1.0, np.exp(-2j * sp.lam * length * eps)))
     if not np.all(np.isfinite(mu)):
         raise IntegrationFailure(f"non-finite Jost solution at z = {sp.z} ({side})")

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import logging
 import math
 import weakref
 
@@ -11,6 +12,8 @@ import hirota_ist as h
 from hirota_ist.errors import IntegrationFailure, MissingPartner, NoConvergenceWarning
 from hirota_ist.matrices import dagger
 from hirota_ist.scattering import (
+    H,
+    R,
     _mesh,
     audit_symmetries,
     det_a,
@@ -252,19 +255,56 @@ def _dplus_points(zeta, n=6):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(RK45_DET_A_ERROR))
-def test_det_a_no_worse_than_rk45(name):
-    p = h.preset(name)
-    spec = p.spec()
-    assert min_decay_rate(spec) >= 0.75
+def _det_a_error(seed, bg):
+    """max |det_a - trace_det_a| at tol 1e-8 over _dplus_points (field at t = 0, L = 20, measured Q-)."""
+    spec = expand_quartets([seed], bg)
     bg = dataclasses.replace(spec.bg, Qminus=h.reconstruct_Q(-40.0, 0.0, spec))
-    seed = p.seeds[0]
     rank2 = seed.rank_flag is RankFlag.RANK2
     inp = TraceInput(bg=bg, simple_zeros=() if rank2 else (seed.zn,), double_zeros=(seed.zn,) if rank2 else ())
     zs = _dplus_points(seed.zn)
     got = det_a(functools.partial(h.reconstruct_Q, spec=spec), np.array(zs), L, 1e-8, bg)
-    err = max(abs(g - trace_det_a(z, inp)) for g, z in zip(got, zs))
-    assert err <= RK45_DET_A_ERROR[name]
+    return max(abs(g - trace_det_a(z, inp)) for g, z in zip(got, zs))
+
+
+@pytest.mark.parametrize("name", sorted(RK45_DET_A_ERROR))
+def test_det_a_no_worse_than_rk45(name):
+    p = h.preset(name)
+    assert min_decay_rate(p.spec()) >= 0.75
+    assert _det_a_error(p.seeds[0], p.bg) <= RK45_DET_A_ERROR[name]
+
+
+# seeds off the presets on fig3a's background: zeta, C, and twice the error of
+# _det_a_error on the uniform mesh of cells H that the graded mesh replaced
+# (2.038e-9, 9.560e-10, 1.573e-10 and 1.213e-6; the last is truncation at L = 20)
+_U = np.array([1.0, 0.5j])
+OFF_PRESET_DET_A_ERROR = {
+    "rank2_near_circle": (1.3j, [[1, 0.3], [0.3, 1]], 4.076e-09),
+    "rank1": (0.5 + 1.6j, np.outer(_U, _U), 1.912e-09),
+    "rank2_off_axis": (0.8 + 1.7j, [[1, 0.5], [0.5, 2]], 3.146e-10),
+    "near_rank_deficient": (1.5j, [[1, 1], [1, 1.0001]], 2.426e-06),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_PRESET_DET_A_ERROR))
+def test_det_a_matches_trace_formula_off_the_presets(name, fig3a):
+    zeta, C, bound = OFF_PRESET_DET_A_ERROR[name]
+    seed = DiscreteEigenpair(zeta, np.array(C, dtype=complex))
+    assert (seed.rank_flag is RankFlag.RANK1) == (name == "rank1")
+    assert _det_a_error(seed, fig3a.bg) <= bound
+
+
+def test_background_field_gets_only_the_longest_cells(background_bg, caplog):
+    Qp = background_bg.Qplus
+
+    def field(x, t):  # not background_field, whose mesh may be kept already
+        return np.broadcast_to(Qp, np.broadcast_shapes(np.shape(x), np.shape(t)) + (2, 2))
+
+    with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
+        assert abs(det_a(field, 2.5j, L, 1e-8, background_bg) - 1.0) < 1e-8
+        for cells in _mesh(field, L, 1e-8, 0.0, background_bg.sigma):
+            assert len(cells.h) <= math.ceil(L / (R * H))
+            assert np.all(cells.h == cells.h.max())
+    assert sum("Jost mesh" in r.getMessage() for r in caplog.records) == 1  # one line per mesh built
 
 
 def test_batched_z_gives_the_same_bits(fig3a_field, fig3a_bg_measured):

@@ -18,7 +18,6 @@ from hirota_ist.solitons import (
     DiscreteEigenpair,
     RankFlag,
     _dps_for,
-    _reconstruct_mp,
     expand_quartets,
     rank_of,
     log_scale,
@@ -26,6 +25,7 @@ from hirota_ist.solitons import (
     quartet_partner,
 )
 from hirota_ist.spectral import Background
+from mp_oracle import _reconstruct_mp
 
 EYE = np.eye(2, dtype=complex)
 ONES = np.ones((2, 2), dtype=complex)
