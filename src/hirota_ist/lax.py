@@ -51,18 +51,15 @@ def assemble_V(
     return bg.alpha * T2 + bg.beta * T3
 
 
-def asymptotic_eigenvectors(sp: SpectralPoint, Qpm: CMat2, bg: Background) -> tuple[CMat4, CMat4]:
-    """Background eigenvector matrix X and its closed-form inverse.
+def asymptotic_eigenvectors(sp: SpectralPoint, Qpm: CMat2, bg: Background) -> CMat4:
+    """Background eigenvector matrix X = I - (i/z) sigma3 Qe_pm.
 
-    X = I - (i/z) sigma3 Qe_pm satisfies U_pm X = -i lambda X sigma3 and
-    det X = gamma^2; the inverse exists away from the branch points.
+    X satisfies U_pm X = -i lambda X sigma3 and det X = gamma^2, so it is
+    invertible away from the branch points, which are rejected.
     """
     if abs(sp.gamma) < bg.delta_reg:
         raise BranchPointSingular(f"gamma(z) = {sp.gamma} too small at z = {sp.z}")
-    Qe = embed(Qpm, bg.sigma)
-    X = I4 - (1j / sp.z) * SIGMA3 @ Qe
-    Xinv = (I4 + (1j / sp.z) * SIGMA3 @ Qe) / sp.gamma
-    return X, Xinv
+    return I4 - (1j / sp.z) * SIGMA3 @ embed(Qpm, bg.sigma)
 
 
 def zero_curvature_residual(

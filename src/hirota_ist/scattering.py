@@ -25,7 +25,8 @@ A cell's Omega = (h/2)(U1 + U2) + (sqrt(3)/12) h^2 [U2, U1] is A0 + k(z) A1,
 A0 and A1 independent of z.  Cell exponentials (each scaled and squared as
 its own norm needs), times the column shift e^{+-i lambda h} that keeps the
 analytic pair bounded, are multiplied in pairs; every z is propagated alone,
-so it gets the same bits in any batch.
+so it gets the same bits in any batch.  A call builds one mesh, which all its
+z share: pass the z of one field as one array, not one call per z.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,26 +84,7 @@ def _cells(Q: np.ndarray, sigma: int, steps: np.ndarray) -> _Cells:
         A0[..., cut] = np.moveaxis(0.5 * h * (Q1 + Q2) + c * (Q2 @ Q1 - Q1 @ Q2), 0, -1)
         D = Q1 - Q2
         A1[..., cut] = np.moveaxis(-1j * c * (SIGMA3 @ D - D @ SIGMA3) - 1j * h * SIGMA3, 0, -1)
-    cells = _Cells(A0, A1, np.abs(steps), *(np.abs(A).sum(axis=0).max(axis=0) for A in (A0, A1)))
-    for a in (A0, A1, cells.h, cells.norm0, cells.norm1):
-        a.flags.writeable = False  # shared through the kept mesh
-    return cells
-
-
-_KEPT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # field -> ((L, tol, t0, sigma), mesh)
-
-
-def _mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_Cells, _Cells]:
-    """The mesh of field; the last one is kept while its field lives, and dropped before another is built."""
-    key = (L, tol, t0, sigma)
-    try:
-        kept = _KEPT.get(field)
-    except TypeError:  # a field that takes no weak reference is not kept
-        return _new_mesh(field, *key)
-    if kept is None or kept[0] != key:
-        _KEPT.clear()
-        kept = _KEPT[field] = key, _new_mesh(field, *key)
-    return kept[1]
+    return _Cells(A0, A1, np.abs(steps), *(np.abs(A).sum(axis=0).max(axis=0) for A in (A0, A1)))
 
 
 def _samples(field: Field, xs: np.ndarray, t0: float) -> np.ndarray:
@@ -114,7 +95,7 @@ def _samples(field: Field, xs: np.ndarray, t0: float) -> np.ndarray:
     return Q
 
 
-def _new_mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_Cells, _Cells]:
+def _mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_Cells, _Cells]:
     """(left, right) cells: [-L, 0] travelled upward, [0, L] downward, graded as the module states."""
     if not (L > 0 and tol > 0):
         raise ValueError("domain truncation L and tolerance must be positive")
@@ -139,8 +120,10 @@ def _new_mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tupl
     if not all(np.isfinite(c.norm0 + c.norm1).all() for c in sides):
         raise IntegrationFailure(f"Magnus generators overflow for the field at t = {t0}")
     _log.debug("Jost mesh L=%g tol=%g t0=%g: %d probes, cells %d left %d right, length %.3g to %.3g, "
-               "%d field evaluations, at most %d squarings at k = 0", L, tol, t0, 2 * m, left, len(h) - left,
-               h.min(), h.max(), 2 * m + 2 * len(h), max(_squarings(c, 0.0).max() for c in sides))
+               "%d field evaluations, at most %d squarings at k = 0, outermost probe step %.2g left %.2g right",
+               L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(),
+               2 * m + 2 * len(h), max(_squarings(c, 0.0).max() for c in sides),
+               np.abs(Qp[1] - Qp[0]).max(), np.abs(Qp[-1] - Qp[-2]).max())
     return sides
 
 
@@ -203,7 +186,7 @@ def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: boo
     """
     left = side == "left"
     cells = mesh[0] if left else mesh[1]
-    X0, _ = asymptotic_eigenvectors(sp, bg.Qminus if left else bg.Qplus, bg)  # rejects branch points
+    X0 = asymptotic_eigenvectors(sp, bg.Qminus if left else bg.Qplus, bg)  # rejects branch points
     eps = 1.0 if sp.lam.imag >= 0 else -1.0
     P = _transfer(cells, sp.k, 1j * sp.lam * eps)
     analytic = (1.0 if left else -1.0) * _SGN == eps
@@ -298,15 +281,6 @@ class SymmetryAuditReport:
             self.antipode_identity,
             self.abar_conjugation,
         )
-
-    def flagged(self, threshold: float = 1e-6) -> dict[str, bool]:
-        return {
-            "conjugation_identity": self.conjugation_identity > threshold,
-            "transpose_identity": self.transpose_identity > threshold,
-            "rho_symmetry": self.rho_symmetry > threshold,
-            "antipode_identity": self.antipode_identity > threshold,
-            "abar_conjugation": self.abar_conjugation > threshold,
-        }
 
 
 def _find_partner(samples: Sequence[ScatteringSample], z: complex) -> ScatteringSample:
@@ -423,12 +397,12 @@ def find_discrete_spectrum(
 ) -> list[complex]:
     """Distinct zeros of det a(z) inside a rectangle of D+ (upper half plane).
 
-    det a is evaluated in one batched call at composite Gauss-Legendre
-    nodes on the box boundary (_PANELS panels of _NODES).  The unwrapped
-    phase gives the winding N, the moments of d log a by parts the power
-    sums of the zeros (Delves-Lyness), and the Hankel pencil of the moments
-    the distinct zeros; its numerical rank is their number, so a multiple
-    zero comes back once (Kravanja-Van Barel).
+    det a is evaluated on one mesh, built once for the search, at composite
+    Gauss-Legendre nodes on the box boundary (_PANELS panels of _NODES).
+    The unwrapped phase gives the winding N, the moments of d log a by parts
+    the power sums of the zeros (Delves-Lyness), and the Hankel pencil of
+    the moments the distinct zeros; its numerical rank is their number, so a
+    multiple zero comes back once (Kravanja-Van Barel).
 
     A zero on or near the contour (a phase step between neighbouring nodes
     above pi/2, |det a| at a node below _DIP times both neighbours, or a
@@ -446,10 +420,11 @@ def find_discrete_spectrum(
     off = _off_dplus(z, bg)
     if off is not None:
         raise ValueError(f"searchbox touches the complement of D+ at {off}")
+    mesh = _mesh(field, L, tol, t0, bg.sigma)
     moves: list[_Box] = []
     while True:
         re0, re1, im0, im1 = box
-        a = det_a(field, z, L, tol, bg, t0)
+        a = np.array([_det_a(mesh, complex(w), bg) for w in z])
         mag = np.abs(a)
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.angle(np.roll(a, -1) / a)  # node j to j + 1, the last one closing the contour
