@@ -2,9 +2,9 @@
 """Construct soliton fields, then recover their scattering data numerically.
 
 Runs `hirota-ist roundtrip` for each requested preset: build the field,
-measure its left boundary, locate the zeros of det a in the upper part of
-D+, and report eigenvalue recovery errors plus reflection-coefficient norms
-on spectrum samples.  With --verbose, each Jost mesh and each zero search
+locate the zeros of det a in the upper part of D+ (the Jost mesh measures
+the field's left boundary at x = -2L), and report eigenvalue recovery
+errors plus reflection-coefficient norms on spectrum samples.  With --verbose, each Jost mesh and each zero search
 logs its counters (contour nodes, winding, Hankel singular values, zeros
 and contour moves).
 """

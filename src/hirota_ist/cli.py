@@ -25,7 +25,6 @@ from .scattering import audit_symmetries, find_discrete_spectrum, scattering_mat
 from .solitons import (
     DiscreteEigenpair,
     RankFlag,
-    SolitonSpec,
     eval_field,
     min_decay_rate,
     reconstruct_Q,
@@ -55,14 +54,13 @@ def load_config(path) -> Preset:
     doc = json.loads(Path(path).read_text())
     bgd = doc["background"]
     qplus = _mat(bgd["qplus"])
-    qminus = _mat(bgd["qminus"]) if "qminus" in bgd else qplus
     bg = Background(
         sigma=int(bgd["sigma"]),
         k0=float(bgd["k0"]),
         alpha=float(bgd["alpha"]),
         beta=float(bgd["beta"]),
         Qplus=qplus,
-        Qminus=qminus,
+        Qminus=qplus,
     )
     seeds = tuple(
         DiscreteEigenpair(zn=_c(s["zeta"]), Cn=_mat(s["c"])) for s in doc["seeds"]
@@ -87,23 +85,6 @@ def _resolve_preset(args) -> Preset:
     if getattr(args, "preset", None):
         return preset(args.preset)
     raise HirotaError("either --preset or --config is required")
-
-
-def _grid_with_overrides(p: Preset, args) -> GridSpec:
-    g = p.grid
-    return GridSpec(
-        xmin=args.xmin if args.xmin is not None else g.xmin,
-        xmax=args.xmax if args.xmax is not None else g.xmax,
-        nx=args.nx if args.nx is not None else g.nx,
-        tmin=args.tmin if args.tmin is not None else g.tmin,
-        tmax=args.tmax if args.tmax is not None else g.tmax,
-        nt=args.nt if args.nt is not None else g.nt,
-    )
-
-
-def measured_background(spec: SolitonSpec) -> Background:
-    """Background with the left boundary replaced by the limit measured at x = -40, t = 0."""
-    return dataclasses.replace(spec.bg, Qminus=reconstruct_Q(-40.0, 0.0, spec))
 
 
 def sigma_sample_points(k0: float, n_real_orbits: int = 2, n_circle_orbits: int = 1) -> list[complex]:
@@ -137,7 +118,8 @@ def cmd_presets(args) -> int:
 
 def cmd_solve(args) -> int:
     p = _resolve_preset(args)
-    grid = _grid_with_overrides(p, args)
+    overrides = {f: getattr(args, f) for f in ("xmin", "xmax", "nx", "tmin", "tmax", "nt")}
+    grid = dataclasses.replace(p.grid, **{f: v for f, v in overrides.items() if v is not None})
     fg = eval_field(grid, p.spec(), preset_name=p.name)
     if args.format == "csv":
         write_csv(fg, args.out)
@@ -157,8 +139,7 @@ def cmd_scatter(args) -> int:
     p = _resolve_preset(args)
     spec = p.spec()
     field = functools.partial(reconstruct_Q, spec=spec)
-    bg = measured_background(spec)
-    samples = scattering_matrix(field, _scatter_points(args, bg.k0), args.L, args.tol, bg, t0=args.t0)
+    samples = scattering_matrix(field, _scatter_points(args, spec.bg.k0), args.L, args.tol, spec.bg, t0=args.t0)
     report = {
         "schema_version": SCHEMA_VERSION,
         "preset": p.name,
@@ -179,7 +160,7 @@ def cmd_scatter(args) -> int:
         ],
     }
     try:
-        audit = audit_symmetries(samples, bg)
+        audit = audit_symmetries(samples, spec.bg)
         report["audit"] = {
             "conjugation_identity": audit.conjugation_identity,
             "transpose_identity": audit.transpose_identity,
@@ -198,12 +179,11 @@ def cmd_roundtrip(args) -> int:
     p = _resolve_preset(args)
     spec = p.spec()
     field = functools.partial(reconstruct_Q, spec=spec)
-    bg = measured_background(spec)
-    k0 = bg.k0
+    k0 = spec.bg.k0
     # slightly asymmetric box so its edges avoid common eigenvalue locations
     # (integer/half-integer real parts); a zero near an edge moves the contour
     box = (-3.07 * k0, 3.05 * k0, 1.085 * k0, 3.21 * k0)
-    found = find_discrete_spectrum(field, box, args.L, args.find_tol, bg, t0=0.0)
+    found = find_discrete_spectrum(field, box, args.L, args.find_tol, spec.bg, t0=0.0)
     ok = True
     for seed in p.seeds:
         hits = [z for z in found if abs(z - seed.zn) <= args.tol]
@@ -216,7 +196,7 @@ def cmd_roundtrip(args) -> int:
         ok = False
         print(f"spurious zeros found: {extras}")
     zs = sigma_sample_points(k0, n_real_orbits=3, n_circle_orbits=1)
-    samples = scattering_matrix(field, zs, args.L, 1e-10, bg, t0=0.0)
+    samples = scattering_matrix(field, zs, args.L, 1e-10, spec.bg, t0=0.0)
     rho_max = max(float(np.max(np.abs(s.rho))) for s in samples)
     dets_ok = all(abs(np.linalg.det(s.S) - 1.0) <= 1e-8 for s in samples)
     print(f"max |rho| on spectrum samples: {rho_max:.2e} (tol {args.tol:.1e}); det S ok: {dets_ok}")
@@ -228,12 +208,11 @@ def cmd_roundtrip(args) -> int:
 def cmd_verify(args) -> int:
     p = _resolve_preset(args)
     spec = p.spec()
-    bg = spec.bg
     g = p.grid
     region = (g.xmin, g.xmax, g.tmin, g.tmax)
     checks: dict[str, dict] = {}
 
-    rep = pde_residual(functools.partial(reconstruct_Q, spec=spec), region, args.n_probe, args.h, bg)
+    rep = pde_residual(functools.partial(reconstruct_Q, spec=spec), region, args.n_probe, args.h, spec.bg)
     checks["pde_residual"] = {
         "max_residual": rep.max_residual,
         "argmax": list(rep.argmax),
@@ -248,7 +227,7 @@ def cmd_verify(args) -> int:
 
     rate = min_decay_rate(spec)
     if rate >= 0.75:
-        dec = boundary_decay(functools.partial(reconstruct_Q, spec=spec), t=0.25, bg=bg)
+        dec = boundary_decay(functools.partial(reconstruct_Q, spec=spec), t=0.25, bg=spec.bg)
         expected = rate
         rate_ok = abs(dec.rate - expected) <= 0.1 * expected
         checks["boundary_decay"] = {
@@ -258,11 +237,11 @@ def cmd_verify(args) -> int:
             "pass": dec.right_deviation <= 1e-8 and rate_ok,
         }
         Qm = dec.Qminus_measured
-        measured_phase = float(np.angle(np.linalg.det(bg.Qplus @ dagger(Qm))) % (2 * math.pi))
+        measured_phase = float(np.angle(np.linalg.det(spec.bg.Qplus @ dagger(Qm))) % (2 * math.pi))
         simple = tuple(s.zn for s in p.seeds if s.rank_flag is RankFlag.RANK1)
         double = tuple(s.zn for s in p.seeds if s.rank_flag is RankFlag.RANK2)
         variants = theta_condition_variants(
-            TraceInput(bg=bg, simple_zeros=simple, double_zeros=double)
+            TraceInput(bg=spec.bg, simple_zeros=simple, double_zeros=double)
         )
         diffs = {
             k: min(abs(v - measured_phase), 2 * math.pi - abs(v - measured_phase))

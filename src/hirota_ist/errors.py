@@ -21,6 +21,10 @@ class IntegrationFailure(HirotaError):
     """Jost propagation met a non-finite field sample or propagator."""
 
 
+class NoBackground(HirotaError):
+    """The field's far-left sample fails Q Q^dag = k0^2 I: it does not settle on a background."""
+
+
 class SingularWronskian(HirotaError):
     """Jost matrix at the matching point is numerically singular."""
 

@@ -20,7 +20,9 @@ by one probe cell, splits each probe cell into equal cells of
 h0 clip((g_max/g)^(1/5), 1, R).  No cell then carries more local error than
 an h0 cell where the field varies most, so tol keeps its meaning on any
 field (errors scale like tol, as on a uniform h0 mesh), and a field that
-sits on its background gets only cells of R h0.
+sits on its background gets only cells of R h0.  The left side starts from
+the field's own limit, its sample at (-2L, t0) in the same probe call
+(NoBackground where it fails Q Q^dag = k0^2 I); the right from bg.Qplus.
 A cell's Omega = (h/2)(U1 + U2) + (sqrt(3)/12) h^2 [U2, U1] is A0 + k(z) A1,
 A0 and A1 independent of z.  Cell exponentials (each scaled and squared as
 its own norm needs), times the column shift e^{+-i lambda h} that keeps the
@@ -39,10 +41,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IntegrationFailure, MissingPartner, NoConvergenceWarning, SingularWronskian
+from .errors import IntegrationFailure, MissingPartner, NoBackground, NoConvergenceWarning, SingularWronskian
 from .lax import asymptotic_eigenvectors, embed
 from .matrices import SIGMA2, SIGMA3, CMat2, CMat4, dagger, inv2
-from .spectral import Background, Region, SpectralPoint, classify_region, theta, uniformize
+from .spectral import Background, Region, SpectralPoint, background_defect, classify_region, theta, uniformize
 from .verification import Field
 
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
@@ -64,16 +66,17 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class _Cells:
-    """One side's A0, A1 as (4, 4, n) in the order of travel, cell lengths and 1-norms (n,)."""
+    """One side's A0, A1 as (4, 4, n) in travel order, cell lengths and 1-norms (n,), and its starting Q."""
 
     A0: np.ndarray
     A1: np.ndarray
     h: np.ndarray
     norm0: np.ndarray
     norm1: np.ndarray
+    limit: CMat2
 
 
-def _cells(Q: np.ndarray, sigma: int, steps: np.ndarray) -> _Cells:
+def _cells(Q: np.ndarray, sigma: int, steps: np.ndarray, limit: CMat2) -> _Cells:
     """Generators of the cells of signed lengths steps whose Gauss-node samples are Q (n, 2, 2, 2)."""
     A0, A1 = (np.empty((4, 4, len(Q)), dtype=complex) for _ in range(2))
     for lo in range(0, len(Q), _CHUNK):  # in chunks, to bound the temporaries
@@ -84,7 +87,7 @@ def _cells(Q: np.ndarray, sigma: int, steps: np.ndarray) -> _Cells:
         A0[..., cut] = np.moveaxis(0.5 * h * (Q1 + Q2) + c * (Q2 @ Q1 - Q1 @ Q2), 0, -1)
         D = Q1 - Q2
         A1[..., cut] = np.moveaxis(-1j * c * (SIGMA3 @ D - D @ SIGMA3) - 1j * h * SIGMA3, 0, -1)
-    return _Cells(A0, A1, np.abs(steps), *(np.abs(A).sum(axis=0).max(axis=0) for A in (A0, A1)))
+    return _Cells(A0, A1, np.abs(steps), *(np.abs(A).sum(axis=0).max(axis=0) for A in (A0, A1)), limit)
 
 
 def _samples(field: Field, xs: np.ndarray, t0: float) -> np.ndarray:
@@ -95,7 +98,7 @@ def _samples(field: Field, xs: np.ndarray, t0: float) -> np.ndarray:
     return Q
 
 
-def _mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_Cells, _Cells]:
+def _mesh(field: Field, L: float, tol: float, t0: float, bg: Background) -> tuple[_Cells, _Cells]:
     """(left, right) cells: [-L, 0] travelled upward, [0, L] downward, graded as the module states."""
     if not (L > 0 and tol > 0):
         raise ValueError("domain truncation L and tolerance must be positive")
@@ -103,7 +106,11 @@ def _mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_C
     m = math.ceil(L / (R * h0))  # probe cells a side
     p = L / m
     probe = p * (np.arange(2 * m) + 0.5) - L
-    Qp = _samples(field, probe, t0)
+    Qs = _samples(field, np.concatenate(([-2.0 * L], probe)), t0)
+    Qlim, Qp = Qs[0], Qs[1:]
+    dev, bound = background_defect(Qlim, bg.k0)
+    if dev > bound:
+        raise NoBackground(f"field does not settle: |Q Q^dag - k0^2 I| = {dev:.2g} at x = {-2 * L:g}, t = {t0:g}")
     g = np.abs(Qp - np.where((probe < 0)[:, None, None], Qp[0], Qp[-1])).max(axis=(1, 2))
     g[:-1] = np.maximum(g[:-1], np.abs(np.diff(Qp, axis=0)).max(axis=(1, 2)))
     g = np.pad(g, 1)
@@ -116,14 +123,16 @@ def _mesh(field: Field, L: float, tol: float, t0: float, sigma: int) -> tuple[_C
     gauss = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
     Q = _samples(field, (x0[:, None] + h[:, None] * gauss).ravel(), t0).reshape(-1, 2, 2, 2)
     left = n[:m].sum()
-    sides = _cells(Q[:left], sigma, h[:left]), _cells(Q[left:][::-1, ::-1], sigma, -h[left:][::-1])
+    sides = (_cells(Q[:left], bg.sigma, h[:left], Qlim),
+             _cells(Q[left:][::-1, ::-1], bg.sigma, -h[left:][::-1], bg.Qplus))
     if not all(np.isfinite(c.norm0 + c.norm1).all() for c in sides):
         raise IntegrationFailure(f"Magnus generators overflow for the field at t = {t0}")
     _log.debug("Jost mesh L=%g tol=%g t0=%g: %d probes, cells %d left %d right, length %.3g to %.3g, "
-               "%d field evaluations, at most %d squarings at k = 0, outermost probe step %.2g left %.2g right",
-               L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(),
-               2 * m + 2 * len(h), max(_squarings(c, 0.0).max() for c in sides),
-               np.abs(Qp[1] - Qp[0]).max(), np.abs(Qp[-1] - Qp[-2]).max())
+               "%d field evaluations, at most %d squarings at k = 0, outermost probe step %.2g left %.2g right, "
+               "left limit Q(-2L) %.2g from the outermost probe, |Q Q^dag - k0^2 I| %.2g there",
+               L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), 1 + 2 * m + 2 * len(h),
+               max(_squarings(c, 0.0).max() for c in sides), np.abs(Qp[1] - Qp[0]).max(),
+               np.abs(Qp[-1] - Qp[-2]).max(), np.abs(Qlim - Qp[0]).max(), dev)
     return sides
 
 
@@ -186,7 +195,7 @@ def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: boo
     """
     left = side == "left"
     cells = mesh[0] if left else mesh[1]
-    X0 = asymptotic_eigenvectors(sp, bg.Qminus if left else bg.Qplus, bg)  # rejects branch points
+    X0 = asymptotic_eigenvectors(sp, cells.limit, bg)  # rejects branch points
     eps = 1.0 if sp.lam.imag >= 0 else -1.0
     P = _transfer(cells, sp.k, 1j * sp.lam * eps)
     analytic = (1.0 if left else -1.0) * _SGN == eps
@@ -230,7 +239,7 @@ def integrate_jost(field: Field, z, side: str, L: float, tol: float, bg: Backgro
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    mesh = _mesh(field, L, tol, t0, bg.sigma)
+    mesh = _mesh(field, L, tol, t0, bg)
     out = _over_z(z, lambda w: _jost(mesh, uniformize(w, bg), side, bg))
     return out if np.ndim(z) == 0 else np.array(out).reshape(-1, 4, 4)
 
@@ -258,7 +267,7 @@ def scattering_matrix(field: Field, z, L: float, tol: float, bg: Background, t0:
     what makes S independent of t0.  A scalar z gives one sample, a 1-D
     array of z the list of samples.
     """
-    mesh = _mesh(field, L, tol, t0, bg.sigma)
+    mesh = _mesh(field, L, tol, t0, bg)
     return _over_z(z, lambda w: _sample(mesh, w, t0, bg))
 
 
@@ -323,8 +332,6 @@ def audit_symmetries(samples: Sequence[ScatteringSample], bg: Background) -> Sym
 
 def _det_a(mesh, z: complex, bg: Background) -> complex:
     sp = uniformize(z, bg)
-    if sp.region is not Region.D_PLUS:
-        raise ValueError(f"det_a requires z in D+ (got {sp.region} at z = {z})")
     W = np.hstack([_jost(mesh, sp, side, bg, analytic_only=True) for side in ("left", "right")])
     return complex(np.linalg.det(W) / sp.gamma**2)
 
@@ -336,7 +343,10 @@ def det_a(field: Field, z, L: float, tol: float, bg: Background, t0: float = 0.0
     well defined arbitrarily deep in D+ where the other columns overflow.
     A 1-D array of z gives an array of values.
     """
-    mesh = _mesh(field, L, tol, t0, bg.sigma)
+    off = _off_dplus(np.ravel(z), bg)  # before the mesh is built; _det_a assumes D+
+    if off is not None:
+        raise ValueError(f"det_a requires z in D+ (got {classify_region(off, bg)} at z = {off})")
+    mesh = _mesh(field, L, tol, t0, bg)
     out = _over_z(z, lambda w: _det_a(mesh, w, bg))
     return out if np.ndim(z) == 0 else np.array(out, dtype=complex)
 
@@ -420,7 +430,7 @@ def find_discrete_spectrum(
     off = _off_dplus(z, bg)
     if off is not None:
         raise ValueError(f"searchbox touches the complement of D+ at {off}")
-    mesh = _mesh(field, L, tol, t0, bg.sigma)
+    mesh = _mesh(field, L, tol, t0, bg)
     moves: list[_Box] = []
     while True:
         re0, re1, im0, im1 = box

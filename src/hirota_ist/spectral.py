@@ -26,6 +26,11 @@ class Region(enum.Enum):
 _BG_TOL = 1e-12
 
 
+def background_defect(Q: CMat2, k0: float) -> tuple[float, float]:
+    """max |Q Q^dag - k0^2 I| and the bound 1e-12 max(1, k0^2) that a background Q must meet."""
+    return float(np.max(np.abs(Q @ dagger(Q) - k0**2 * np.eye(2)))), _BG_TOL * max(1.0, k0**2)
+
+
 @dataclass(frozen=True)
 class Background:
     """Problem constants and validated boundary matrices.
@@ -33,6 +38,8 @@ class Background:
     sigma = +1 is defocusing, sigma = -1 focusing; k0 > 0 is the background
     amplitude; alpha and beta are the second- and third-order flow
     coefficients.  Qplus/Qminus must be symmetric with Q Q^dag = k0^2 I.
+    The scattering layer does not read Qminus: it measures the field's left
+    limit itself.
     """
 
     sigma: int
@@ -53,10 +60,10 @@ class Background:
             Q = getattr(self, name)
             if Q.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2")
-            scale = max(1.0, self.k0**2)
-            if np.max(np.abs(Q @ dagger(Q) - self.k0**2 * np.eye(2))) > _BG_TOL * scale:
+            dev, bound = background_defect(Q, self.k0)
+            if dev > bound:
                 raise ValueError(f"{name} violates Q Q^dag = k0^2 I")
-            if np.max(np.abs(Q - Q.T)) > _BG_TOL * scale:
+            if np.max(np.abs(Q - Q.T)) > bound:
                 raise ValueError(f"{name} must be symmetric")
 
     @property

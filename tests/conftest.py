@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 
 import numpy as np
@@ -20,12 +19,6 @@ def fig3a_spec(fig3a):
 @pytest.fixture(scope="session")
 def fig3a_field(fig3a_spec):
     return functools.partial(h.reconstruct_Q, spec=fig3a_spec)
-
-
-@pytest.fixture(scope="session")
-def fig3a_bg_measured(fig3a_spec):
-    Qm = h.reconstruct_Q(-40.0, 0.0, fig3a_spec)
-    return dataclasses.replace(fig3a_spec.bg, Qminus=Qm)
 
 
 @pytest.fixture(scope="session")

@@ -113,11 +113,11 @@ def test_criterion_03_roundtrip():
 
 # -- criterion 4: symmetry audit on 32 spectrum samples ---------------------
 
-def test_criterion_04_symmetry_audit(fig3a_field, fig3a_bg_measured):
+def test_criterion_04_symmetry_audit(fig3a_field, fig3a_spec):
     zs = sigma_sample_points(1.0, n_real_orbits=4, n_circle_orbits=4)
     assert len(zs) == 32
-    samples = scattering_matrix(fig3a_field, zs, 20.0, 1e-10, fig3a_bg_measured)
-    rep = audit_symmetries(samples, fig3a_bg_measured)
+    samples = scattering_matrix(fig3a_field, zs, 20.0, 1e-10, fig3a_spec.bg)
+    rep = audit_symmetries(samples, fig3a_spec.bg)
     devs = {
         "S^dag(z*) J S(z) - J": rep.conjugation_identity,
         "S^T sigma2 S - sigma2": rep.transpose_identity,
@@ -135,18 +135,18 @@ def test_criterion_04_symmetry_audit(fig3a_field, fig3a_bg_measured):
 
 # -- criterion 5: trace-formula consistency ---------------------------------
 
-def test_criterion_05_trace_formula(fig3a_field, fig3a_bg_measured):
-    inp = TraceInput(bg=fig3a_bg_measured, simple_zeros=(2j,))
-    da3 = det_a(fig3a_field, 3j, 20.0, 1e-10, fig3a_bg_measured)
+def test_criterion_05_trace_formula(fig3a_field, fig3a_spec):
+    inp = TraceInput(bg=fig3a_spec.bg, simple_zeros=(2j,))
+    da3 = det_a(fig3a_field, 3j, 20.0, 1e-10, fig3a_spec.bg)
     hand_ok = abs(da3 - 0.28) <= 1e-3
     pts = []
     for u, v in halton_points(60):
         z = complex(-3.0 + 6.0 * u, 0.35 + 2.8 * v)
-        if classify_region(z, fig3a_bg_measured).name == "D_PLUS" and abs(z - 2j) > 0.25:
+        if classify_region(z, fig3a_spec.bg).name == "D_PLUS" and abs(z - 2j) > 0.25:
             pts.append(z)
         if len(pts) == 20:
             break
-    das = det_a(fig3a_field, np.array(pts), 20.0, 1e-8, fig3a_bg_measured)
+    das = det_a(fig3a_field, np.array(pts), 20.0, 1e-8, fig3a_spec.bg)
     worst = max(abs(da - trace_det_a(z, inp)) for z, da in zip(pts, das))
     ok = hand_ok and worst <= 1e-3
     report(

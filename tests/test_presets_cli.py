@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hirota_ist as h
-from hirota_ist.cli import load_config, main, measured_background, sigma_sample_points
+from hirota_ist.cli import load_config, main, sigma_sample_points
 from hirota_ist.errors import UnknownPreset
 from hirota_ist.grids import CSV_HEADER, FieldGrid, read_csv, read_json, write_csv, write_json
 from hirota_ist.presets import preset, preset_names
@@ -238,9 +238,14 @@ def test_cli_verify_exit_2_on_bad_probe_count(n_probe):
     assert main(["verify", "--preset", "fig5", "--n-probe", n_probe]) == 2
 
 
-def test_measured_background_validates(fig3a_spec):
-    bg = measured_background(fig3a_spec)
-    np.testing.assert_allclose(bg.Qminus, np.eye(2), atol=1e-10)
+@pytest.mark.parametrize("command", ["scatter", "roundtrip"])
+@pytest.mark.parametrize("name", ["fig5", "fig11"])
+def test_cli_exit_2_on_a_field_without_background(tmp_path, capsys, command, name):
+    # fig5 and fig11 are periodic in x: |Q Q^dag - k0^2 I| is 0.017 and 0.33 at x = -40
+    extra = ["--out", str(tmp_path / "s.json")] if command == "scatter" else []
+    assert main([command, "--preset", name, *extra]) == 2
+    err = capsys.readouterr().err
+    assert "field does not settle" in err and "x = -40" in err, err
 
 
 def test_cli_import_loads_no_scipy():

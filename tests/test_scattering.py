@@ -52,38 +52,38 @@ def test_integrate_jost_rejects_branch_point(background_bg, background_field):
         integrate_jost(background_field, 1j, "left", L, TOL, background_bg)
 
 
-def test_jost_det_conservation(fig3a_field, fig3a_bg_measured):
+def test_jost_det_conservation(fig3a_field, fig3a_spec):
     z = 0.5
-    sp = uniformize(z, fig3a_bg_measured)
-    mu = integrate_jost(fig3a_field, z, "left", L, TOL, fig3a_bg_measured)
+    sp = uniformize(z, fig3a_spec.bg)
+    mu = integrate_jost(fig3a_field, z, "left", L, TOL, fig3a_spec.bg)
     assert abs(np.linalg.det(mu) - sp.gamma**2) <= 1e-9 * abs(sp.gamma**2)
     assert np.linalg.cond(mu) < 1e6
 
 
-def test_soliton_scattering_reflectionless(fig3a_field, fig3a_bg_measured):
-    s = scattering_matrix(fig3a_field, 0.5, L, TOL, fig3a_bg_measured)
+def test_soliton_scattering_reflectionless(fig3a_field, fig3a_spec):
+    s = scattering_matrix(fig3a_field, 0.5, L, TOL, fig3a_spec.bg)
     assert np.max(np.abs(s.rho)) <= 1e-4
     assert abs(np.linalg.det(s.S) - 1.0) <= 1e-8
 
 
-def test_scattering_time_invariance(fig3a_spec, fig3a_field, fig3a_bg_measured):
+def test_scattering_time_invariance(fig3a_spec, fig3a_field):
     field_t = functools.partial(h.reconstruct_Q, spec=fig3a_spec)
     zs = [0.5, -1.7]
-    at0 = scattering_matrix(fig3a_field, zs, L, TOL, fig3a_bg_measured, t0=0.0)
-    at1 = scattering_matrix(field_t, zs, L, TOL, fig3a_bg_measured, t0=0.5)
+    at0 = scattering_matrix(fig3a_field, zs, L, TOL, fig3a_spec.bg, t0=0.0)
+    at1 = scattering_matrix(field_t, zs, L, TOL, fig3a_spec.bg, t0=0.5)
     for s0, s1 in zip(at0, at1):
         assert np.max(np.abs(s0.S - s1.S)) <= 1e-6
 
 
-def test_det_a_trace_value(fig3a_field, fig3a_bg_measured):
-    da = det_a(fig3a_field, 3j, L, TOL, fig3a_bg_measured)
+def test_det_a_trace_value(fig3a_field, fig3a_spec):
+    da = det_a(fig3a_field, 3j, L, TOL, fig3a_spec.bg)
     assert abs(da - 0.28) <= 1e-3
 
 
-def test_det_a_large_z_normalization(fig3a_field, fig3a_bg_measured):
+def test_det_a_large_z_normalization(fig3a_field, fig3a_spec):
     # det a -> 1 like O(1/z); the 1/z coefficient for this spectrum is
     # |z1* - z1 + k0^2(1/z1 - 1/z1*)| = 5, so expect |det a - 1| ~ 5/|z|
-    da50, da20 = det_a(fig3a_field, np.array([50j, 20j]), L, TOL, fig3a_bg_measured)
+    da50, da20 = det_a(fig3a_field, np.array([50j, 20j]), L, TOL, fig3a_spec.bg)
     assert abs(da50 - 1.0) <= 6.0 / 50.0
     assert abs(da50 - 1.0) < abs(da20 - 1.0)
     # and the value itself agrees with the product form to 1e-3
@@ -92,26 +92,48 @@ def test_det_a_large_z_normalization(fig3a_field, fig3a_bg_measured):
     assert abs(da50 - tr) <= 1e-3
 
 
-def test_det_a_requires_dplus(fig3a_field, fig3a_bg_measured):
+def test_det_a_requires_dplus(fig3a_field, fig3a_spec):
     with pytest.raises(ValueError):
-        det_a(fig3a_field, 0.5, L, TOL, fig3a_bg_measured)
+        det_a(fig3a_field, 0.5, L, TOL, fig3a_spec.bg)
+
+    def unreachable(x, t):
+        raise AssertionError("the mesh was built before the region check")
+
+    with pytest.raises(ValueError):
+        det_a(unreachable, np.array([2.5j, 0.5]), L, TOL, fig3a_spec.bg)
 
 
-def test_det_a_analytic(fig3a_field, fig3a_bg_measured):
+def test_det_a_ignores_the_backgrounds_Qminus(fig3a_field, fig3a_spec):
+    # the left limit is the field's own sample at -2L, whatever Qminus holds
+    zs = np.array([3j, 1.2 + 1.9j])
+    other = dataclasses.replace(fig3a_spec.bg, Qminus=1j * np.eye(2))
+    np.testing.assert_array_equal(
+        det_a(fig3a_field, zs, L, 1e-8, other), det_a(fig3a_field, zs, L, 1e-8, fig3a_spec.bg)
+    )
+
+
+def test_fig6_reflectionless_on_its_own_background(fig6_spec):
+    # fig6's left limit is not Qplus; read from bg.Qminus = Qplus it gave max |rho| = 0.83
+    field = functools.partial(h.reconstruct_Q, spec=fig6_spec)
+    s = scattering_matrix(field, 0.5, L, 1e-8, fig6_spec.bg)
+    assert np.max(np.abs(s.rho)) <= 1e-4
+
+
+def test_det_a_analytic(fig3a_field, fig3a_spec):
     # Cauchy-Riemann: the d/dzbar stencil (d_x + i d_y)/2 vanishes for an
     # analytic function
     z0, hs = 1.2 + 1.9j, 1e-3
-    f = det_a(fig3a_field, z0 + np.array([hs, -hs, 1j * hs, -1j * hs]), L, TOL, fig3a_bg_measured)
+    f = det_a(fig3a_field, z0 + np.array([hs, -hs, 1j * hs, -1j * hs]), L, TOL, fig3a_spec.bg)
     dre = (f[0] - f[1]) / (2 * hs)
     dim = (f[2] - f[3]) / (2 * hs)
     assert abs(dre + 1j * dim) / 2 <= 1e-5
 
 
-def test_wkb_tail_of_modified_eigenfunction(fig3a_field, fig3a_bg_measured):
+def test_wkb_tail_of_modified_eigenfunction(fig3a_field, fig3a_spec):
     z = 8j
-    mu = integrate_jost(fig3a_field, z, "left", L, TOL, fig3a_bg_measured)
+    mu = integrate_jost(fig3a_field, z, "left", L, TOL, fig3a_spec.bg)
     Q0 = fig3a_field(0.0, 0.0)
-    expected_dn = (1j * fig3a_bg_measured.sigma / z) * dagger(Q0)
+    expected_dn = (1j * fig3a_spec.bg.sigma / z) * dagger(Q0)
     assert np.max(np.abs(mu[2:, :2] - expected_dn)) <= 2.0 / abs(z) ** 2
 
 
@@ -121,12 +143,12 @@ def test_audit_background_zero(background_bg, background_field):
     assert rep.max_deviation() < 1e-8
 
 
-def test_audit_soliton_small(fig3a_field, fig3a_bg_measured):
+def test_audit_soliton_small(fig3a_field, fig3a_spec):
     zs = [0.45, -1 / 0.45, -0.45, 1 / 0.45]
     for phi in (math.pi / 4, -math.pi / 4, 3 * math.pi / 4, -3 * math.pi / 4):
         zs.append(np.exp(1j * phi))
-    samples = scattering_matrix(fig3a_field, zs, L, TOL, fig3a_bg_measured)
-    rep = audit_symmetries(samples, fig3a_bg_measured)
+    samples = scattering_matrix(fig3a_field, zs, L, TOL, fig3a_spec.bg)
+    rep = audit_symmetries(samples, fig3a_spec.bg)
     assert rep.max_deviation() <= 1e-6
 
 
@@ -146,20 +168,20 @@ def test_audit_missing_partner(background_bg, background_field):
         audit_symmetries(samples, background_bg)
 
 
-def test_first_symmetry_scales_with_tolerance(fig3a_field, fig3a_bg_measured):
+def test_first_symmetry_scales_with_tolerance(fig3a_field, fig3a_spec):
     # Each cell exponential is exp of an element of the Lie algebra that
     # S^dag J S = J expresses, so the identity holds to rounding at every
     # tolerance; what tol sets is the distance to the exact det a.
     J = np.eye(4)  # diag(1, 1, -sigma, -sigma) in the focusing case
     for tol in (1e-6, 1e-10):
-        s = scattering_matrix(fig3a_field, 0.5, L, tol, fig3a_bg_measured)
+        s = scattering_matrix(fig3a_field, 0.5, L, tol, fig3a_spec.bg)
         assert np.max(np.abs(dagger(s.S) @ J @ s.S - J)) <= 1e-12
 
-    inp = TraceInput(bg=fig3a_bg_measured, simple_zeros=(2j,))
+    inp = TraceInput(bg=fig3a_spec.bg, simple_zeros=(2j,))
     zs = np.array([3j, 1.2 + 1.9j, -0.8 + 2.6j])
 
     def err(tol):
-        return np.max(np.abs(det_a(fig3a_field, zs, L, tol, fig3a_bg_measured) - [trace_det_a(z, inp) for z in zs]))
+        return np.max(np.abs(det_a(fig3a_field, zs, L, tol, fig3a_spec.bg) - [trace_det_a(z, inp) for z in zs]))
 
     assert 10.0 <= err(1e-6) / err(1e-8) <= 1000.0
 
@@ -169,26 +191,26 @@ def test_find_spectrum_background_empty(background_bg, background_field):
     assert found == []
 
 
-def test_find_spectrum_roundtrip_fig3a(fig3a_field, fig3a_bg_measured):
-    found = find_discrete_spectrum(fig3a_field, (-1.0, 1.0, 1.3, 2.8), L, 1e-8, fig3a_bg_measured)
+def test_find_spectrum_roundtrip_fig3a(fig3a_field, fig3a_spec):
+    found = find_discrete_spectrum(fig3a_field, (-1.0, 1.0, 1.3, 2.8), L, 1e-8, fig3a_spec.bg)
     assert len(found) == 1
     assert abs(found[0] - 2j) <= 1e-4
 
 
 @pytest.mark.parametrize("box", [(-1.0, 1.0, 2.0, 2.8), (0.0, 1.0, 1.3, 2.8)])
-def test_zero_on_contour_moves_and_warns(fig3a_field, fig3a_bg_measured, box, caplog):
+def test_zero_on_contour_moves_and_warns(fig3a_field, fig3a_spec, box, caplog):
     # an edge of each box passes through the zero 2i
     with pytest.warns(NoConvergenceWarning), caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
-        found = find_discrete_spectrum(fig3a_field, box, L, 1e-4, fig3a_bg_measured)
+        found = find_discrete_spectrum(fig3a_field, box, L, 1e-4, fig3a_spec.bg)
     assert len(found) == 1
     assert abs(found[0] - 2j) <= 1e-6
     assert sum("Jost mesh" in r.getMessage() for r in caplog.records) == 1  # moved contours share one mesh
 
 
-def test_zero_on_contour_warns_where_the_box_cannot_grow(fig3a_field, fig3a_bg_measured):
+def test_zero_on_contour_warns_where_the_box_cannot_grow(fig3a_field, fig3a_spec):
     # 2i is on the bottom edge, and growing the box by two panels (1.06) would cross |z| = 1
     with pytest.warns(NoConvergenceWarning, match="cannot move on"):
-        find_discrete_spectrum(fig3a_field, (-4.0, 4.0, 2.0, 3.5), L, 1e-4, fig3a_bg_measured)
+        find_discrete_spectrum(fig3a_field, (-4.0, 4.0, 2.0, 3.5), L, 1e-4, fig3a_spec.bg)
 
 
 def test_winding_counts_double_zero(fig3a_spec):
@@ -196,8 +218,7 @@ def test_winding_counts_double_zero(fig3a_spec):
     seed = DiscreteEigenpair(2j, np.array([[1, 1], [1, 2]], dtype=complex))
     spec = expand_quartets([seed], fig3a_spec.bg)
     field = functools.partial(h.reconstruct_Q, spec=spec)
-    Qm = h.reconstruct_Q(-40.0, 0.0, spec)
-    bg = dataclasses.replace(spec.bg, Qminus=Qm)
+    bg = spec.bg
     corners = [1.7j - 0.3, 1.7j + 0.3, 2.3j + 0.3, 2.3j - 0.3, 1.7j - 0.3]
     zs = np.concatenate([a + (b - a) * np.arange(16) / 16 for a, b in zip(corners, corners[1:])])
     phase = np.unwrap(np.angle(h.det_a(field, np.append(zs, zs[0]), L, 1e-8, bg)))
@@ -210,8 +231,7 @@ def test_winding_counts_double_zero(fig3a_spec):
 def test_find_spectrum_double_zero_fig6(fig6_spec):
     # fig6's 1 + 2i is a double zero of det a; the search box is the CLI roundtrip's
     field = functools.partial(h.reconstruct_Q, spec=fig6_spec)
-    bg = dataclasses.replace(fig6_spec.bg, Qminus=h.reconstruct_Q(-40.0, 0.0, fig6_spec))
-    found = find_discrete_spectrum(field, (-3.07, 3.05, 1.085, 3.21), L, 1e-8, bg)
+    found = find_discrete_spectrum(field, (-3.07, 3.05, 1.085, 3.21), L, 1e-8, fig6_spec.bg)
     assert len(found) == 1
     assert abs(found[0] - (1 + 2j)) <= 1e-6
 
@@ -223,8 +243,7 @@ def test_two_eigenvalue_recovery(fig3a_spec):
     ]
     spec = expand_quartets(seeds, fig3a_spec.bg)
     field = functools.partial(h.reconstruct_Q, spec=spec)
-    Qm = h.reconstruct_Q(-40.0, 0.0, spec)
-    bg = dataclasses.replace(spec.bg, Qminus=Qm)
+    bg = spec.bg
     found = find_discrete_spectrum(field, (-3.07, 3.05, 1.085, 3.21), L, 1e-8, bg)
     assert len(found) == 2
     for z in (2j, 1 + 2j):
@@ -233,7 +252,7 @@ def test_two_eigenvalue_recovery(fig3a_spec):
 
 # max |det_a - trace_det_a| at tol 1e-8 over the points of _dplus_points
 # with the RK45 integrator on a cubic-spline field that this propagator
-# replaced (field sampled at t = 0, L = 20, measured Q-)
+# replaced (field sampled at t = 0, L = 20, Q- measured at x = -40)
 RK45_DET_A_ERROR = {
     "fig3a": 2.275e-09, "fig3d": 2.275e-09, "fig4": 4.107e-09, "fig6": 4.610e-09, "fig7": 6.881e-09,
     "fig8": 1.287e-08, "fig9": 2.730e-09, "fig10a": 2.946e-09, "fig10d": 2.946e-09,
@@ -251,9 +270,8 @@ def _dplus_points(zeta, n=6):
 
 
 def _det_a_error(seed, bg):
-    """max |det_a - trace_det_a| at tol 1e-8 over _dplus_points (field at t = 0, L = 20, measured Q-)."""
+    """max |det_a - trace_det_a| at tol 1e-8 over _dplus_points (field at t = 0, L = 20)."""
     spec = expand_quartets([seed], bg)
-    bg = dataclasses.replace(spec.bg, Qminus=h.reconstruct_Q(-40.0, 0.0, spec))
     rank2 = seed.rank_flag is RankFlag.RANK2
     inp = TraceInput(bg=bg, simple_zeros=() if rank2 else (seed.zn,), double_zeros=(seed.zn,) if rank2 else ())
     zs = _dplus_points(seed.zn)
@@ -296,14 +314,14 @@ def test_background_field_gets_only_the_longest_cells(background_bg, caplog):
 
     with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
         assert abs(det_a(field, 2.5j, L, 1e-8, background_bg) - 1.0) < 1e-8
-        for cells in _mesh(field, L, 1e-8, 0.0, background_bg.sigma):
+        for cells in _mesh(field, L, 1e-8, 0.0, background_bg):
             assert len(cells.h) <= math.ceil(L / (R * H))
             assert np.all(cells.h == cells.h.max())
     assert sum("Jost mesh" in r.getMessage() for r in caplog.records) == 2  # one line per mesh built
 
 
-def test_batched_z_gives_the_same_bits(fig3a_field, fig3a_bg_measured):
-    bg = fig3a_bg_measured
+def test_batched_z_gives_the_same_bits(fig3a_field, fig3a_spec):
+    bg = fig3a_spec.bg
     zs = np.array([3j, 1.2 + 1.9j, -0.8 + 2.6j, 3j])
     batch = det_a(fig3a_field, zs, L, 1e-8, bg)
     assert batch.shape == (4,)

@@ -435,16 +435,14 @@ class _NoMpmath:
 
 def test_runtime_never_reaches_mpmath(monkeypatch, fig6_spec):
     from hirota_ist import solitons
-    from hirota_ist.cli import measured_background
 
     monkeypatch.setattr(solitons, "mp", _NoMpmath())
     p = h.preset("fig10d")
     g = p.grid
     fg = h.eval_field(GridSpec(g.xmin, g.xmax, 41, g.tmin, g.tmax, 25), p.spec(), "fig10d")
     assert fg.masked_count == 0
-    bg = measured_background(fig6_spec)  # probes x = -40
-    assert np.all(np.isfinite(bg.Qminus))
-    s = h.scattering_matrix(functools.partial(h.reconstruct_Q, spec=fig6_spec), 0.5, 20.0, 1e-8, bg)
+    field = functools.partial(h.reconstruct_Q, spec=fig6_spec)
+    s = h.scattering_matrix(field, 0.5, 20.0, 1e-8, fig6_spec.bg)  # its mesh probes x = -40
     assert np.all(np.isfinite(s.S))
 
 
