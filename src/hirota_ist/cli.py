@@ -93,6 +93,8 @@ def sigma_sample_points(k0: float, n_real_orbits: int = 2, n_circle_orbits: int 
     Real points come in orbits {a, -k0^2/a, -a, k0^2/a}; circle points in
     orbits {phi, -phi, pi - phi, phi - pi} of |z| = k0.
     """
+    if not (0 <= n_real_orbits <= 8 and 0 <= n_circle_orbits <= 4 and n_real_orbits + n_circle_orbits):
+        raise ValueError("orbit counts must lie in 0..8 (real) and 0..4 (circle), not both 0")
     reals = [0.45, 0.7, 1.35, 2.6, 0.55, 1.9, 0.85, 3.4][:n_real_orbits]
     angles = [math.pi / 4, math.pi / 6, math.pi / 3, 0.4 * math.pi][:n_circle_orbits]
     pts: list[complex] = []
@@ -139,7 +141,7 @@ def cmd_scatter(args) -> int:
     p = _resolve_preset(args)
     spec = p.spec()
     field = functools.partial(reconstruct_Q, spec=spec)
-    samples = scattering_matrix(field, _scatter_points(args, spec.bg.k0), args.L, args.tol, spec.bg, t0=args.t0)
+    samples = scattering_matrix(field, _scatter_points(args, spec.bg.k0), args.tol, spec.bg, t0=args.t0)
     report = {
         "schema_version": SCHEMA_VERSION,
         "preset": p.name,
@@ -161,13 +163,7 @@ def cmd_scatter(args) -> int:
     }
     try:
         audit = audit_symmetries(samples, spec.bg)
-        report["audit"] = {
-            "conjugation_identity": audit.conjugation_identity,
-            "transpose_identity": audit.transpose_identity,
-            "rho_symmetry": audit.rho_symmetry,
-            "antipode_identity": audit.antipode_identity,
-            "abar_conjugation": audit.abar_conjugation,
-        }
+        report["audit"] = {k: v for k, v in dataclasses.asdict(audit).items() if k != "n_samples"}
     except HirotaError as exc:
         report["audit"] = {"skipped": str(exc)}
     Path(args.out).write_text(json.dumps(report, indent=1))
@@ -183,7 +179,7 @@ def cmd_roundtrip(args) -> int:
     # slightly asymmetric box so its edges avoid common eigenvalue locations
     # (integer/half-integer real parts); a zero near an edge moves the contour
     box = (-3.07 * k0, 3.05 * k0, 1.085 * k0, 3.21 * k0)
-    found = find_discrete_spectrum(field, box, args.L, args.find_tol, spec.bg, t0=0.0)
+    found = find_discrete_spectrum(field, box, args.find_tol, spec.bg, t0=0.0)
     ok = True
     for seed in p.seeds:
         hits = [z for z in found if abs(z - seed.zn) <= args.tol]
@@ -196,7 +192,7 @@ def cmd_roundtrip(args) -> int:
         ok = False
         print(f"spurious zeros found: {extras}")
     zs = sigma_sample_points(k0, n_real_orbits=3, n_circle_orbits=1)
-    samples = scattering_matrix(field, zs, args.L, 1e-10, spec.bg, t0=0.0)
+    samples = scattering_matrix(field, zs, 1e-10, spec.bg, t0=0.0)
     rho_max = max(float(np.max(np.abs(s.rho))) for s in samples)
     dets_ok = all(abs(np.linalg.det(s.S) - 1.0) <= 1e-8 for s in samples)
     print(f"max |rho| on spectrum samples: {rho_max:.2e} (tol {args.tol:.1e}); det S ok: {dets_ok}")
@@ -292,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-real-orbits", type=int, default=2)
     sp.add_argument("--n-circle-orbits", type=int, default=1)
     sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--L", type=float, default=20.0)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_scatter)
@@ -301,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--tol", type=float, default=1e-3)
     sp.add_argument("--find-tol", type=float, default=1e-8, help="Jost mesh tolerance for the search")
-    sp.add_argument("--L", type=float, default=20.0)
     sp.set_defaults(fn=cmd_roundtrip)
 
     sp = sub.add_parser("verify", help="PDE residual, decay, symmetry, phase condition")

@@ -66,4 +66,4 @@ class UnknownPreset(HirotaError):
 
 
 class NoConvergenceWarning(UserWarning):
-    """The zero search met a zero near its contour or inconsistent moments; reported, not fatal."""
+    """A zero search or the Jost truncation did not converge cleanly; reported, not fatal."""

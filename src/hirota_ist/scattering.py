@@ -21,8 +21,10 @@ h0 clip((g_max/g)^(1/5), 1, R).  No cell then carries more local error than
 an h0 cell where the field varies most, so tol keeps its meaning on any
 field (errors scale like tol, as on a uniform h0 mesh), and a field that
 sits on its background gets only cells of R h0.  The left side starts from
-the field's own limit, its sample at (-2L, t0) in the same probe call
-(NoBackground where it fails Q Q^dag = k0^2 I); the right from bg.Qplus.
+the field's own limit, its sample at (-2L, t0) in the same probe call; the
+right from bg.Qplus.  L doubles from L0 up to L_MAX while that sample fails
+Q Q^dag = k0^2 I (NoBackground at L_MAX) or Q(-L + p/2) or Q(L - p/2), p the
+probe cell, is farther than tol from its limit (NoConvergenceWarning at L_MAX).
 A cell's Omega = (h/2)(U1 + U2) + (sqrt(3)/12) h^2 [U2, U1] is A0 + k(z) A1,
 A0 and A1 independent of z.  Cell exponentials (each scaled and squared as
 its own norm needs), times the column shift e^{+-i lambda h} that keeps the
@@ -41,10 +43,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IntegrationFailure, MissingPartner, NoBackground, NoConvergenceWarning, SingularWronskian
+from .errors import IntegrationFailure, NoBackground, NoConvergenceWarning, SingularWronskian
 from .lax import asymptotic_eigenvectors, embed
 from .matrices import SIGMA2, SIGMA3, CMat2, CMat4, dagger, inv2
-from .spectral import Background, Region, SpectralPoint, background_defect, classify_region, theta, uniformize
+from .spectral import (Background, Region, SpectralPoint, background_defect, classify_region, find_partner, theta,
+                       uniformize)
 from .verification import Field
 
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
@@ -52,6 +55,7 @@ _Box = tuple[float, float, float, float]  # (re0, re1, im0, im1)
 
 H = 0.005  # shortest cell length at tol = 1e-8; the error of a crossing scales like h^4
 R = 16  # longest cell over the shortest; probe cells are about R of the shortest long
+L0, L_MAX = 20.0, 80.0  # first and largest truncation length; L doubles from L0 while the field has not settled
 _CHUNK = 4096  # cells exponentiated at once
 _THETA = 0.1  # bound on |Omega|_1 for the degree-9 Taylor sum (remainder < 3e-17)
 _TAYLOR = [1.0 / math.factorial(j) for j in range(10)]
@@ -98,19 +102,28 @@ def _samples(field: Field, xs: np.ndarray, t0: float) -> np.ndarray:
     return Q
 
 
-def _mesh(field: Field, L: float, tol: float, t0: float, bg: Background) -> tuple[_Cells, _Cells]:
-    """(left, right) cells: [-L, 0] travelled upward, [0, L] downward, graded as the module states."""
-    if not (L > 0 and tol > 0):
-        raise ValueError("domain truncation L and tolerance must be positive")
+def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, _Cells]:
+    """(left, right) cells: [-L, 0] travelled upward, [0, L] downward, L and grading as the module states."""
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
     h0 = H * (tol / 1e-8) ** 0.25
-    m = math.ceil(L / (R * h0))  # probe cells a side
-    p = L / m
-    probe = p * (np.arange(2 * m) + 0.5) - L
-    Qs = _samples(field, np.concatenate(([-2.0 * L], probe)), t0)
-    Qlim, Qp = Qs[0], Qs[1:]
-    dev, bound = background_defect(Qlim, bg.k0)
+    L, evals = L0, 0
+    while True:
+        m = math.ceil(L / (R * h0))  # probe cells a side
+        p = L / m
+        probe = p * (np.arange(2 * m) + 0.5) - L
+        Qs = _samples(field, np.concatenate(([-2.0 * L], probe)), t0)
+        Qlim, Qp, evals = Qs[0], Qs[1:], evals + len(Qs)
+        dev, bound = background_defect(Qlim, bg.k0)
+        edges = np.abs(Qlim - Qp[0]).max(), np.abs(Qp[-1] - bg.Qplus).max()
+        if L >= L_MAX or (dev <= bound and max(edges) <= tol):
+            break
+        L *= 2.0
     if dev > bound:
         raise NoBackground(f"field does not settle: |Q Q^dag - k0^2 I| = {dev:.2g} at x = {-2 * L:g}, t = {t0:g}")
+    if max(edges) > tol:
+        warnings.warn(f"field not settled at L = {L:g}: its outermost probes are {edges[0]:.2g} (left) and "
+                      f"{edges[1]:.2g} (right) from its limits, above tol {tol:g}, at t = {t0:g}", NoConvergenceWarning)
     g = np.abs(Qp - np.where((probe < 0)[:, None, None], Qp[0], Qp[-1])).max(axis=(1, 2))
     g[:-1] = np.maximum(g[:-1], np.abs(np.diff(Qp, axis=0)).max(axis=(1, 2)))
     g = np.pad(g, 1)
@@ -128,11 +141,10 @@ def _mesh(field: Field, L: float, tol: float, t0: float, bg: Background) -> tupl
     if not all(np.isfinite(c.norm0 + c.norm1).all() for c in sides):
         raise IntegrationFailure(f"Magnus generators overflow for the field at t = {t0}")
     _log.debug("Jost mesh L=%g tol=%g t0=%g: %d probes, cells %d left %d right, length %.3g to %.3g, "
-               "%d field evaluations, at most %d squarings at k = 0, outermost probe step %.2g left %.2g right, "
-               "left limit Q(-2L) %.2g from the outermost probe, |Q Q^dag - k0^2 I| %.2g there",
-               L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), 1 + 2 * m + 2 * len(h),
-               max(_squarings(c, 0.0).max() for c in sides), np.abs(Qp[1] - Qp[0]).max(),
-               np.abs(Qp[-1] - Qp[-2]).max(), np.abs(Qlim - Qp[0]).max(), dev)
+               "%d field evaluations, at most %d squarings at k = 0, edges |Q(-2L) - Q(-L + p/2)| %.2g and "
+               "|Q(L - p/2) - Q+| %.2g, |Q Q^dag - k0^2 I| %.2g at -2L",
+               L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), evals + 2 * len(h),
+               max(_squarings(c, 0.0).max() for c in sides), *edges, dev)
     return sides
 
 
@@ -229,17 +241,18 @@ class ScatteringSample:
     rhobar: CMat2
 
 
-def integrate_jost(field: Field, z, side: str, L: float, tol: float, bg: Background, t0: float = 0.0):
+def integrate_jost(field: Field, z, side: str, tol: float, bg: Background, t0: float = 0.0):
     """Propagate the modified eigenfunction mu_x = U mu + i lambda mu sigma3.
 
     Starts from the background eigenvector matrix at -L (side "left") or +L
-    (side "right") and returns the 4x4 value at x = 0, stacked to (n, 4, 4)
-    for a 1-D array of z.  Off the continuous spectrum the non-analytic
-    column pair grows like e^{2 |Im lambda| L}.
+    (side "right"), L the truncation that the mesh chose from the field, and
+    returns the 4x4 value at x = 0, stacked to (n, 4, 4) for a 1-D array of
+    z.  Off the continuous spectrum the non-analytic column pair grows like
+    e^{2 |Im lambda| L}.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    mesh = _mesh(field, L, tol, t0, bg)
+    mesh = _mesh(field, tol, t0, bg)
     out = _over_z(z, lambda w: _jost(mesh, uniformize(w, bg), side, bg))
     return out if np.ndim(z) == 0 else np.array(out).reshape(-1, 4, 4)
 
@@ -259,7 +272,7 @@ def _sample(mesh, z: complex, t0: float, bg: Background) -> ScatteringSample:
     return ScatteringSample(z=z, t0=t0, S=S, a=a, b=b, abar=abar, bbar=bbar, rho=rho, rhobar=rhobar)
 
 
-def scattering_matrix(field: Field, z, L: float, tol: float, bg: Background, t0: float = 0.0):
+def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
     """Scattering matrix S with Phi = Psi S, blocks, and reflection data.
 
     Phi(0) and Psi(0) are rebuilt from the two modified-eigenfunction halves
@@ -267,7 +280,7 @@ def scattering_matrix(field: Field, z, L: float, tol: float, bg: Background, t0:
     what makes S independent of t0.  A scalar z gives one sample, a 1-D
     array of z the list of samples.
     """
-    mesh = _mesh(field, L, tol, t0, bg)
+    mesh = _mesh(field, tol, t0, bg)
     return _over_z(z, lambda w: _sample(mesh, w, t0, bg))
 
 
@@ -292,14 +305,6 @@ class SymmetryAuditReport:
         )
 
 
-def _find_partner(samples: Sequence[ScatteringSample], z: complex) -> ScatteringSample:
-    tol = 1e-9 * max(1.0, abs(z))
-    for s in samples:
-        if abs(s.z - z) <= tol:
-            return s
-    raise MissingPartner(f"no sample at required partner point {z}")
-
-
 def audit_symmetries(samples: Sequence[ScatteringSample], bg: Background) -> SymmetryAuditReport:
     """Check the three scattering-matrix symmetries on spectrum samples.
 
@@ -310,8 +315,8 @@ def audit_symmetries(samples: Sequence[ScatteringSample], bg: Background) -> Sym
     Qpd = dagger(bg.Qplus)
     dev1 = dev2 = dev3 = dev4 = dev5 = 0.0
     for s in samples:
-        conj_s = _find_partner(samples, complex(np.conj(s.z)))
-        anti_s = _find_partner(samples, bg.sigma * bg.k0**2 / s.z)
+        conj_s = find_partner(samples, complex(np.conj(s.z)), lambda u: u.z)
+        anti_s = find_partner(samples, bg.sigma * bg.k0**2 / s.z, lambda u: u.z)
         dev1 = max(dev1, float(np.max(np.abs(dagger(conj_s.S) @ J @ s.S - J))))
         dev2 = max(dev2, float(np.max(np.abs(s.S.T @ SIGMA2 @ s.S - SIGMA2))))
         dev3 = max(dev3, float(np.max(np.abs(s.rho - s.rho.T))))
@@ -336,7 +341,7 @@ def _det_a(mesh, z: complex, bg: Background) -> complex:
     return complex(np.linalg.det(W) / sp.gamma**2)
 
 
-def det_a(field: Field, z, L: float, tol: float, bg: Background, t0: float = 0.0):
+def det_a(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
     """det a(z) via the Wronskian det(phi, psi)/gamma^2 at x = 0.
 
     Analytic in D+; uses only the two analytic column pairs, so it stays
@@ -346,7 +351,7 @@ def det_a(field: Field, z, L: float, tol: float, bg: Background, t0: float = 0.0
     off = _off_dplus(np.ravel(z), bg)  # before the mesh is built; _det_a assumes D+
     if off is not None:
         raise ValueError(f"det_a requires z in D+ (got {classify_region(off, bg)} at z = {off})")
-    mesh = _mesh(field, L, tol, t0, bg)
+    mesh = _mesh(field, tol, t0, bg)
     out = _over_z(z, lambda w: _det_a(mesh, w, bg))
     return out if np.ndim(z) == 0 else np.array(out, dtype=complex)
 
@@ -403,7 +408,7 @@ def _off_dplus(z: np.ndarray, bg: Background) -> complex | None:
 
 
 def find_discrete_spectrum(
-    field: Field, searchbox: _Box, L: float, tol: float, bg: Background, t0: float = 0.0
+    field: Field, searchbox: _Box, tol: float, bg: Background, t0: float = 0.0
 ) -> list[complex]:
     """Distinct zeros of det a(z) inside a rectangle of D+ (upper half plane).
 
@@ -430,7 +435,7 @@ def find_discrete_spectrum(
     off = _off_dplus(z, bg)
     if off is not None:
         raise ValueError(f"searchbox touches the complement of D+ at {off}")
-    mesh = _mesh(field, L, tol, t0, bg)
+    mesh = _mesh(field, tol, t0, bg)
     moves: list[_Box] = []
     while True:
         re0, re1, im0, im1 = box

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroArgument
+from .errors import MissingPartner, ZeroArgument
 from .matrices import CMat2, dagger
 
 
@@ -83,7 +83,6 @@ class SpectralPoint:
     k: complex
     lam: complex
     gamma: complex
-    region: Region
 
 
 def _check_nonzero(z: complex) -> complex:
@@ -107,13 +106,22 @@ def classify_region(z: complex, bg: Background) -> Region:
 
 
 def uniformize(z: complex, bg: Background) -> SpectralPoint:
-    """Attach k(z), lambda(z), gamma(z) and the region label to z."""
+    """Attach k(z), lambda(z) and gamma(z) to z."""
     z = _check_nonzero(z)
     w = bg.sigma * bg.k0**2 / z
     k = 0.5 * (z + w)
     lam = z - k  # keeps k + lam = z to the last bit
     gamma = 1.0 - bg.sigma * bg.k0**2 / z**2
-    return SpectralPoint(z=z, k=k, lam=lam, gamma=gamma, region=classify_region(z, bg))
+    return SpectralPoint(z=z, k=k, lam=lam, gamma=gamma)
+
+
+def find_partner(items, z: complex, key):
+    """The first of items whose key(item) lies within 1e-9 max(1, |z|) of z; MissingPartner if none."""
+    tol = 1e-9 * max(1.0, abs(z))
+    for item in items:
+        if abs(key(item) - z) <= tol:
+            return item
+    raise MissingPartner(f"no sample at the partner point {z}")
 
 
 def theta(x: float, t: float, z: complex, bg: Background) -> complex:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingPartner, PoleHit
+from .errors import PoleHit
 from .matrices import CMat2, I2, dagger, det2
-from .spectral import Background, Region, classify_region
+from .spectral import Background, Region, classify_region, find_partner
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,6 @@ def _pair_factor(z: complex, zn: complex, k0: float) -> complex:
     return num / den
 
 
-def _rho_at(samples, z: complex) -> CMat2:
-    tol = 1e-9 * max(1.0, abs(z))
-    for zz, rho in samples:
-        if abs(zz - z) <= tol:
-            return rho
-    raise MissingPartner(f"reflection samples lack the conjugate point {z}")
-
-
 def _quadrature(inp: TraceInput):
     """Weighted log det(I + rho^dag(z*) rho(z)) terms along the contour.
 
@@ -86,7 +78,7 @@ def _quadrature(inp: TraceInput):
     def logdet_seq(zs_rhos):
         vals = []
         for z, rho in zs_rhos:
-            rho_c = _rho_at(samples, complex(np.conj(z)))
+            rho_c = find_partner(samples, complex(np.conj(z)), lambda s: s[0])[1]
             vals.append(complex(det2(I2 + dagger(rho_c) @ rho)))
         return np.log(np.abs(vals)) + 1j * np.unwrap(np.angle(vals))
 

@@ -116,7 +116,7 @@ def test_criterion_03_roundtrip():
 def test_criterion_04_symmetry_audit(fig3a_field, fig3a_spec):
     zs = sigma_sample_points(1.0, n_real_orbits=4, n_circle_orbits=4)
     assert len(zs) == 32
-    samples = scattering_matrix(fig3a_field, zs, 20.0, 1e-10, fig3a_spec.bg)
+    samples = scattering_matrix(fig3a_field, zs, 1e-10, fig3a_spec.bg)
     rep = audit_symmetries(samples, fig3a_spec.bg)
     devs = {
         "S^dag(z*) J S(z) - J": rep.conjugation_identity,
@@ -137,7 +137,7 @@ def test_criterion_04_symmetry_audit(fig3a_field, fig3a_spec):
 
 def test_criterion_05_trace_formula(fig3a_field, fig3a_spec):
     inp = TraceInput(bg=fig3a_spec.bg, simple_zeros=(2j,))
-    da3 = det_a(fig3a_field, 3j, 20.0, 1e-10, fig3a_spec.bg)
+    da3 = det_a(fig3a_field, 3j, 1e-10, fig3a_spec.bg)
     hand_ok = abs(da3 - 0.28) <= 1e-3
     pts = []
     for u, v in halton_points(60):
@@ -146,7 +146,7 @@ def test_criterion_05_trace_formula(fig3a_field, fig3a_spec):
             pts.append(z)
         if len(pts) == 20:
             break
-    das = det_a(fig3a_field, np.array(pts), 20.0, 1e-8, fig3a_spec.bg)
+    das = det_a(fig3a_field, np.array(pts), 1e-8, fig3a_spec.bg)
     worst = max(abs(da - trace_det_a(z, inp)) for z, da in zip(pts, das))
     ok = hand_ok and worst <= 1e-3
     report(

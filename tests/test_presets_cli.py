@@ -161,6 +161,29 @@ def test_sigma_sample_points_closed():
     for z in pts:
         assert any(abs(np.conj(z) - w) < 1e-12 for w in pts)
         assert any(abs(-1.0 / z - w) < 1e-12 for w in pts)
+    assert len(sigma_sample_points(1.0, n_real_orbits=8, n_circle_orbits=4)) == 48
+
+
+@pytest.mark.parametrize("real, circle", [("-1", "1"), ("9", "1"), ("20", "1"), ("2", "-2"), ("2", "5"), ("0", "0")])
+def test_cli_scatter_exit_2_on_bad_orbit_counts(tmp_path, real, circle):
+    # slicing the orbit tables once turned -1 real orbits into 7, 20 into 8, -2 circle orbits
+    # into 2, and 0 0 into an empty report whose audit passed with nothing checked
+    out = tmp_path / "s.json"
+    argv = ["scatter", "--preset", "fig3a", "--n-real-orbits", real, "--n-circle-orbits", circle, "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t0", ["4", "12"])
+def test_cli_scatter_fig6_reflectionless_after_its_front_moves(tmp_path, t0):
+    # fig6's front moves left: at L = 20 its left outermost probe is off its limit at t0 = 4
+    # (max |rho| 6.4e-3) and its -2L sample is off the background at t0 = 12 (NoBackground);
+    # the mesh grows L instead.  Circle samples amplify rounding by e^{2 |Im theta(0, t0)|},
+    # so only the real axis is checked.
+    out = tmp_path / "s.json"
+    assert main(["scatter", "--preset", "fig6", "--t0", t0, "--out", str(out)]) == 0
+    samples = json.loads(out.read_text())["samples"]
+    assert max(s["rho_norm"] for s in samples if s["z"][1] == 0.0) <= 1e-10
 
 
 def test_cli_verify_preset(tmp_path):
@@ -241,11 +264,12 @@ def test_cli_verify_exit_2_on_bad_probe_count(n_probe):
 @pytest.mark.parametrize("command", ["scatter", "roundtrip"])
 @pytest.mark.parametrize("name", ["fig5", "fig11"])
 def test_cli_exit_2_on_a_field_without_background(tmp_path, capsys, command, name):
-    # fig5 and fig11 are periodic in x: |Q Q^dag - k0^2 I| is 0.017 and 0.33 at x = -40
+    # fig5 and fig11 are periodic in x: |Q Q^dag - k0^2 I| is 0.017 and 0.33 at x = -40, and
+    # they settle at no truncation up to the largest, whose left limit is sampled at x = -160
     extra = ["--out", str(tmp_path / "s.json")] if command == "scatter" else []
     assert main([command, "--preset", name, *extra]) == 2
     err = capsys.readouterr().err
-    assert "field does not settle" in err and "x = -40" in err, err
+    assert "field does not settle" in err and "x = -160" in err, err
 
 
 def test_cli_import_loads_no_scipy():

@@ -10,6 +10,7 @@ import hirota_ist as h
 from hirota_ist.errors import IntegrationFailure, MissingPartner, NoConvergenceWarning
 from hirota_ist.matrices import dagger
 from hirota_ist.scattering import (
+    L0,
     H,
     R,
     _mesh,
@@ -23,13 +24,13 @@ from hirota_ist.solitons import DiscreteEigenpair, RankFlag, expand_quartets, mi
 from hirota_ist.spectral import uniformize
 from hirota_ist.traceform import TraceInput, trace_det_a
 
-L, TOL = 20.0, 1e-10
+TOL = 1e-10
 
 
 def test_background_jost_equals_X(background_bg, background_field):
     zs = np.array([0.5, 2.0, 0.4 + 1.3j])
-    mus_l = integrate_jost(background_field, zs, "left", L, TOL, background_bg)
-    mus_r = integrate_jost(background_field, zs, "right", L, TOL, background_bg)
+    mus_l = integrate_jost(background_field, zs, "left", TOL, background_bg)
+    mus_r = integrate_jost(background_field, zs, "right", TOL, background_bg)
     for z, mu_l, mu_r in zip(zs, mus_l, mus_r):
         sp = uniformize(complex(z), background_bg)
         X = h.asymptotic_eigenvectors(sp, background_bg.Qplus, background_bg)
@@ -40,28 +41,28 @@ def test_background_jost_equals_X(background_bg, background_field):
 
 
 def test_background_scattering_is_identity(background_bg, background_field):
-    s = scattering_matrix(background_field, 0.7, L, TOL, background_bg)
+    s = scattering_matrix(background_field, 0.7, TOL, background_bg)
     assert np.max(np.abs(s.S - np.eye(4))) < 1e-8
-    assert abs(det_a(background_field, 2.5j, L, TOL, background_bg) - 1.0) < 1e-8
+    assert abs(det_a(background_field, 2.5j, TOL, background_bg) - 1.0) < 1e-8
 
 
 def test_integrate_jost_rejects_branch_point(background_bg, background_field):
     from hirota_ist.errors import BranchPointSingular
 
     with pytest.raises(BranchPointSingular):
-        integrate_jost(background_field, 1j, "left", L, TOL, background_bg)
+        integrate_jost(background_field, 1j, "left", TOL, background_bg)
 
 
 def test_jost_det_conservation(fig3a_field, fig3a_spec):
     z = 0.5
     sp = uniformize(z, fig3a_spec.bg)
-    mu = integrate_jost(fig3a_field, z, "left", L, TOL, fig3a_spec.bg)
+    mu = integrate_jost(fig3a_field, z, "left", TOL, fig3a_spec.bg)
     assert abs(np.linalg.det(mu) - sp.gamma**2) <= 1e-9 * abs(sp.gamma**2)
     assert np.linalg.cond(mu) < 1e6
 
 
 def test_soliton_scattering_reflectionless(fig3a_field, fig3a_spec):
-    s = scattering_matrix(fig3a_field, 0.5, L, TOL, fig3a_spec.bg)
+    s = scattering_matrix(fig3a_field, 0.5, TOL, fig3a_spec.bg)
     assert np.max(np.abs(s.rho)) <= 1e-4
     assert abs(np.linalg.det(s.S) - 1.0) <= 1e-8
 
@@ -69,21 +70,21 @@ def test_soliton_scattering_reflectionless(fig3a_field, fig3a_spec):
 def test_scattering_time_invariance(fig3a_spec, fig3a_field):
     field_t = functools.partial(h.reconstruct_Q, spec=fig3a_spec)
     zs = [0.5, -1.7]
-    at0 = scattering_matrix(fig3a_field, zs, L, TOL, fig3a_spec.bg, t0=0.0)
-    at1 = scattering_matrix(field_t, zs, L, TOL, fig3a_spec.bg, t0=0.5)
+    at0 = scattering_matrix(fig3a_field, zs, TOL, fig3a_spec.bg, t0=0.0)
+    at1 = scattering_matrix(field_t, zs, TOL, fig3a_spec.bg, t0=0.5)
     for s0, s1 in zip(at0, at1):
         assert np.max(np.abs(s0.S - s1.S)) <= 1e-6
 
 
 def test_det_a_trace_value(fig3a_field, fig3a_spec):
-    da = det_a(fig3a_field, 3j, L, TOL, fig3a_spec.bg)
+    da = det_a(fig3a_field, 3j, TOL, fig3a_spec.bg)
     assert abs(da - 0.28) <= 1e-3
 
 
 def test_det_a_large_z_normalization(fig3a_field, fig3a_spec):
     # det a -> 1 like O(1/z); the 1/z coefficient for this spectrum is
     # |z1* - z1 + k0^2(1/z1 - 1/z1*)| = 5, so expect |det a - 1| ~ 5/|z|
-    da50, da20 = det_a(fig3a_field, np.array([50j, 20j]), L, TOL, fig3a_spec.bg)
+    da50, da20 = det_a(fig3a_field, np.array([50j, 20j]), TOL, fig3a_spec.bg)
     assert abs(da50 - 1.0) <= 6.0 / 50.0
     assert abs(da50 - 1.0) < abs(da20 - 1.0)
     # and the value itself agrees with the product form to 1e-3
@@ -94,13 +95,13 @@ def test_det_a_large_z_normalization(fig3a_field, fig3a_spec):
 
 def test_det_a_requires_dplus(fig3a_field, fig3a_spec):
     with pytest.raises(ValueError):
-        det_a(fig3a_field, 0.5, L, TOL, fig3a_spec.bg)
+        det_a(fig3a_field, 0.5, TOL, fig3a_spec.bg)
 
     def unreachable(x, t):
         raise AssertionError("the mesh was built before the region check")
 
     with pytest.raises(ValueError):
-        det_a(unreachable, np.array([2.5j, 0.5]), L, TOL, fig3a_spec.bg)
+        det_a(unreachable, np.array([2.5j, 0.5]), TOL, fig3a_spec.bg)
 
 
 def test_det_a_ignores_the_backgrounds_Qminus(fig3a_field, fig3a_spec):
@@ -108,14 +109,14 @@ def test_det_a_ignores_the_backgrounds_Qminus(fig3a_field, fig3a_spec):
     zs = np.array([3j, 1.2 + 1.9j])
     other = dataclasses.replace(fig3a_spec.bg, Qminus=1j * np.eye(2))
     np.testing.assert_array_equal(
-        det_a(fig3a_field, zs, L, 1e-8, other), det_a(fig3a_field, zs, L, 1e-8, fig3a_spec.bg)
+        det_a(fig3a_field, zs, 1e-8, other), det_a(fig3a_field, zs, 1e-8, fig3a_spec.bg)
     )
 
 
 def test_fig6_reflectionless_on_its_own_background(fig6_spec):
     # fig6's left limit is not Qplus; read from bg.Qminus = Qplus it gave max |rho| = 0.83
     field = functools.partial(h.reconstruct_Q, spec=fig6_spec)
-    s = scattering_matrix(field, 0.5, L, 1e-8, fig6_spec.bg)
+    s = scattering_matrix(field, 0.5, 1e-8, fig6_spec.bg)
     assert np.max(np.abs(s.rho)) <= 1e-4
 
 
@@ -123,7 +124,7 @@ def test_det_a_analytic(fig3a_field, fig3a_spec):
     # Cauchy-Riemann: the d/dzbar stencil (d_x + i d_y)/2 vanishes for an
     # analytic function
     z0, hs = 1.2 + 1.9j, 1e-3
-    f = det_a(fig3a_field, z0 + np.array([hs, -hs, 1j * hs, -1j * hs]), L, TOL, fig3a_spec.bg)
+    f = det_a(fig3a_field, z0 + np.array([hs, -hs, 1j * hs, -1j * hs]), TOL, fig3a_spec.bg)
     dre = (f[0] - f[1]) / (2 * hs)
     dim = (f[2] - f[3]) / (2 * hs)
     assert abs(dre + 1j * dim) / 2 <= 1e-5
@@ -131,14 +132,14 @@ def test_det_a_analytic(fig3a_field, fig3a_spec):
 
 def test_wkb_tail_of_modified_eigenfunction(fig3a_field, fig3a_spec):
     z = 8j
-    mu = integrate_jost(fig3a_field, z, "left", L, TOL, fig3a_spec.bg)
+    mu = integrate_jost(fig3a_field, z, "left", TOL, fig3a_spec.bg)
     Q0 = fig3a_field(0.0, 0.0)
     expected_dn = (1j * fig3a_spec.bg.sigma / z) * dagger(Q0)
     assert np.max(np.abs(mu[2:, :2] - expected_dn)) <= 2.0 / abs(z) ** 2
 
 
 def test_audit_background_zero(background_bg, background_field):
-    samples = scattering_matrix(background_field, [0.5, -2.0, -0.5, 2.0], L, TOL, background_bg)
+    samples = scattering_matrix(background_field, [0.5, -2.0, -0.5, 2.0], TOL, background_bg)
     rep = audit_symmetries(samples, background_bg)
     assert rep.max_deviation() < 1e-8
 
@@ -147,13 +148,13 @@ def test_audit_soliton_small(fig3a_field, fig3a_spec):
     zs = [0.45, -1 / 0.45, -0.45, 1 / 0.45]
     for phi in (math.pi / 4, -math.pi / 4, 3 * math.pi / 4, -3 * math.pi / 4):
         zs.append(np.exp(1j * phi))
-    samples = scattering_matrix(fig3a_field, zs, L, TOL, fig3a_spec.bg)
+    samples = scattering_matrix(fig3a_field, zs, TOL, fig3a_spec.bg)
     rep = audit_symmetries(samples, fig3a_spec.bg)
     assert rep.max_deviation() <= 1e-6
 
 
 def test_audit_flags_corruption(background_bg, background_field):
-    samples = scattering_matrix(background_field, [0.5, -2.0, -0.5, 2.0], L, TOL, background_bg)
+    samples = scattering_matrix(background_field, [0.5, -2.0, -0.5, 2.0], TOL, background_bg)
     s = samples[0]
     bad_b = s.b + 0.1
     samples[0] = dataclasses.replace(s, b=bad_b, rho=bad_b @ np.linalg.inv(s.a))
@@ -163,7 +164,7 @@ def test_audit_flags_corruption(background_bg, background_field):
 
 
 def test_audit_missing_partner(background_bg, background_field):
-    samples = [scattering_matrix(background_field, 0.5, L, TOL, background_bg)]
+    samples = [scattering_matrix(background_field, 0.5, TOL, background_bg)]
     with pytest.raises(MissingPartner):
         audit_symmetries(samples, background_bg)
 
@@ -174,25 +175,25 @@ def test_first_symmetry_scales_with_tolerance(fig3a_field, fig3a_spec):
     # tolerance; what tol sets is the distance to the exact det a.
     J = np.eye(4)  # diag(1, 1, -sigma, -sigma) in the focusing case
     for tol in (1e-6, 1e-10):
-        s = scattering_matrix(fig3a_field, 0.5, L, tol, fig3a_spec.bg)
+        s = scattering_matrix(fig3a_field, 0.5, tol, fig3a_spec.bg)
         assert np.max(np.abs(dagger(s.S) @ J @ s.S - J)) <= 1e-12
 
     inp = TraceInput(bg=fig3a_spec.bg, simple_zeros=(2j,))
     zs = np.array([3j, 1.2 + 1.9j, -0.8 + 2.6j])
 
     def err(tol):
-        return np.max(np.abs(det_a(fig3a_field, zs, L, tol, fig3a_spec.bg) - [trace_det_a(z, inp) for z in zs]))
+        return np.max(np.abs(det_a(fig3a_field, zs, tol, fig3a_spec.bg) - [trace_det_a(z, inp) for z in zs]))
 
     assert 10.0 <= err(1e-6) / err(1e-8) <= 1000.0
 
 
 def test_find_spectrum_background_empty(background_bg, background_field):
-    found = find_discrete_spectrum(background_field, (-0.8, 0.8, 1.4, 2.6), L, 1e-8, background_bg)
+    found = find_discrete_spectrum(background_field, (-0.8, 0.8, 1.4, 2.6), 1e-8, background_bg)
     assert found == []
 
 
 def test_find_spectrum_roundtrip_fig3a(fig3a_field, fig3a_spec):
-    found = find_discrete_spectrum(fig3a_field, (-1.0, 1.0, 1.3, 2.8), L, 1e-8, fig3a_spec.bg)
+    found = find_discrete_spectrum(fig3a_field, (-1.0, 1.0, 1.3, 2.8), 1e-8, fig3a_spec.bg)
     assert len(found) == 1
     assert abs(found[0] - 2j) <= 1e-4
 
@@ -201,7 +202,7 @@ def test_find_spectrum_roundtrip_fig3a(fig3a_field, fig3a_spec):
 def test_zero_on_contour_moves_and_warns(fig3a_field, fig3a_spec, box, caplog):
     # an edge of each box passes through the zero 2i
     with pytest.warns(NoConvergenceWarning), caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
-        found = find_discrete_spectrum(fig3a_field, box, L, 1e-4, fig3a_spec.bg)
+        found = find_discrete_spectrum(fig3a_field, box, 1e-4, fig3a_spec.bg)
     assert len(found) == 1
     assert abs(found[0] - 2j) <= 1e-6
     assert sum("Jost mesh" in r.getMessage() for r in caplog.records) == 1  # moved contours share one mesh
@@ -210,7 +211,7 @@ def test_zero_on_contour_moves_and_warns(fig3a_field, fig3a_spec, box, caplog):
 def test_zero_on_contour_warns_where_the_box_cannot_grow(fig3a_field, fig3a_spec):
     # 2i is on the bottom edge, and growing the box by two panels (1.06) would cross |z| = 1
     with pytest.warns(NoConvergenceWarning, match="cannot move on"):
-        find_discrete_spectrum(fig3a_field, (-4.0, 4.0, 2.0, 3.5), L, 1e-4, fig3a_spec.bg)
+        find_discrete_spectrum(fig3a_field, (-4.0, 4.0, 2.0, 3.5), 1e-4, fig3a_spec.bg)
 
 
 def test_winding_counts_double_zero(fig3a_spec):
@@ -221,17 +222,17 @@ def test_winding_counts_double_zero(fig3a_spec):
     bg = spec.bg
     corners = [1.7j - 0.3, 1.7j + 0.3, 2.3j + 0.3, 2.3j - 0.3, 1.7j - 0.3]
     zs = np.concatenate([a + (b - a) * np.arange(16) / 16 for a, b in zip(corners, corners[1:])])
-    phase = np.unwrap(np.angle(h.det_a(field, np.append(zs, zs[0]), L, 1e-8, bg)))
+    phase = np.unwrap(np.angle(h.det_a(field, np.append(zs, zs[0]), 1e-8, bg)))
     w = (phase[-1] - phase[0]) / (2.0 * math.pi)
     assert abs(w - 2.0) < 0.2
-    found = find_discrete_spectrum(field, (-0.3, 0.3, 1.7, 2.3), L, 1e-8, bg)
+    found = find_discrete_spectrum(field, (-0.3, 0.3, 1.7, 2.3), 1e-8, bg)
     assert len(found) == 1 and abs(found[0] - 2j) <= 1e-3
 
 
 def test_find_spectrum_double_zero_fig6(fig6_spec):
     # fig6's 1 + 2i is a double zero of det a; the search box is the CLI roundtrip's
     field = functools.partial(h.reconstruct_Q, spec=fig6_spec)
-    found = find_discrete_spectrum(field, (-3.07, 3.05, 1.085, 3.21), L, 1e-8, fig6_spec.bg)
+    found = find_discrete_spectrum(field, (-3.07, 3.05, 1.085, 3.21), 1e-8, fig6_spec.bg)
     assert len(found) == 1
     assert abs(found[0] - (1 + 2j)) <= 1e-6
 
@@ -244,7 +245,7 @@ def test_two_eigenvalue_recovery(fig3a_spec):
     spec = expand_quartets(seeds, fig3a_spec.bg)
     field = functools.partial(h.reconstruct_Q, spec=spec)
     bg = spec.bg
-    found = find_discrete_spectrum(field, (-3.07, 3.05, 1.085, 3.21), L, 1e-8, bg)
+    found = find_discrete_spectrum(field, (-3.07, 3.05, 1.085, 3.21), 1e-8, bg)
     assert len(found) == 2
     for z in (2j, 1 + 2j):
         assert min(abs(f - z) for f in found) <= 1e-3
@@ -270,12 +271,12 @@ def _dplus_points(zeta, n=6):
 
 
 def _det_a_error(seed, bg):
-    """max |det_a - trace_det_a| at tol 1e-8 over _dplus_points (field at t = 0, L = 20)."""
+    """max |det_a - trace_det_a| at tol 1e-8 over _dplus_points (field at t = 0)."""
     spec = expand_quartets([seed], bg)
     rank2 = seed.rank_flag is RankFlag.RANK2
     inp = TraceInput(bg=bg, simple_zeros=() if rank2 else (seed.zn,), double_zeros=(seed.zn,) if rank2 else ())
     zs = _dplus_points(seed.zn)
-    got = det_a(functools.partial(h.reconstruct_Q, spec=spec), np.array(zs), L, 1e-8, bg)
+    got = det_a(functools.partial(h.reconstruct_Q, spec=spec), np.array(zs), 1e-8, bg)
     return max(abs(g - trace_det_a(z, inp)) for g, z in zip(got, zs))
 
 
@@ -288,13 +289,15 @@ def test_det_a_no_worse_than_rk45(name):
 
 # seeds off the presets on fig3a's background: zeta, C, and twice the error of
 # _det_a_error on the uniform mesh of cells H that the graded mesh replaced
-# (2.038e-9, 9.560e-10, 1.573e-10 and 1.213e-6; the last is truncation at L = 20)
+# (2.038e-9, 9.560e-10, 1.573e-10 and 1.213e-6 at a fixed truncation L = 20).
+# The first and last are truncation errors; a truncation read from the field
+# brings them to about 2e-12 and 9e-12, so both are bounded by 1e-10.
 _U = np.array([1.0, 0.5j])
 OFF_PRESET_DET_A_ERROR = {
-    "rank2_near_circle": (1.3j, [[1, 0.3], [0.3, 1]], 4.076e-09),
+    "rank2_near_circle": (1.3j, [[1, 0.3], [0.3, 1]], 1e-10),
     "rank1": (0.5 + 1.6j, np.outer(_U, _U), 1.912e-09),
     "rank2_off_axis": (0.8 + 1.7j, [[1, 0.5], [0.5, 2]], 3.146e-10),
-    "near_rank_deficient": (1.5j, [[1, 1], [1, 1.0001]], 2.426e-06),
+    "near_rank_deficient": (1.5j, [[1, 1], [1, 1.0001]], 1e-10),
 }
 
 
@@ -313,27 +316,40 @@ def test_background_field_gets_only_the_longest_cells(background_bg, caplog):
         return np.broadcast_to(Qp, np.broadcast_shapes(np.shape(x), np.shape(t)) + (2, 2))
 
     with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
-        assert abs(det_a(field, 2.5j, L, 1e-8, background_bg) - 1.0) < 1e-8
-        for cells in _mesh(field, L, 1e-8, 0.0, background_bg):
-            assert len(cells.h) <= math.ceil(L / (R * H))
+        assert abs(det_a(field, 2.5j, 1e-8, background_bg) - 1.0) < 1e-8
+        for cells in _mesh(field, 1e-8, 0.0, background_bg):
+            assert len(cells.h) <= math.ceil(L0 / (R * H))
             assert np.all(cells.h == cells.h.max())
     assert sum("Jost mesh" in r.getMessage() for r in caplog.records) == 2  # one line per mesh built
+
+
+def test_truncation_stops_at_its_cap_and_warns(background_bg, caplog):
+    # Q = e^{i 1e-3/(1 + x^2)} Q+ sits on the background everywhere but is 1.6e-7 off Q+ at x = 80
+    Qp = background_bg.Qplus
+
+    def field(x, t):
+        return np.exp(1j * 1e-3 / (1.0 + np.asarray(x) ** 2))[..., None, None] * Qp
+
+    with pytest.warns(NoConvergenceWarning, match="L = 80"), caplog.at_level(logging.DEBUG, "hirota_ist.scattering"):
+        da = det_a(field, 2.5j, 1e-8, background_bg)
+    assert np.isfinite(da)
+    assert [r.getMessage().startswith("Jost mesh L=80 ") for r in caplog.records] == [True]
 
 
 def test_batched_z_gives_the_same_bits(fig3a_field, fig3a_spec):
     bg = fig3a_spec.bg
     zs = np.array([3j, 1.2 + 1.9j, -0.8 + 2.6j, 3j])
-    batch = det_a(fig3a_field, zs, L, 1e-8, bg)
+    batch = det_a(fig3a_field, zs, 1e-8, bg)
     assert batch.shape == (4,)
-    np.testing.assert_array_equal(batch, [det_a(fig3a_field, z, L, 1e-8, bg) for z in zs])
+    np.testing.assert_array_equal(batch, [det_a(fig3a_field, z, 1e-8, bg) for z in zs])
     zs = np.array([0.5, -1.7, np.exp(0.25j * math.pi)])
-    samples = scattering_matrix(fig3a_field, zs, L, 1e-8, bg)
+    samples = scattering_matrix(fig3a_field, zs, 1e-8, bg)
     assert [s.z for s in samples] == list(zs)
     for s, z in zip(samples, zs):
-        np.testing.assert_array_equal(s.S, scattering_matrix(fig3a_field, z, L, 1e-8, bg).S)
+        np.testing.assert_array_equal(s.S, scattering_matrix(fig3a_field, z, 1e-8, bg).S)
     np.testing.assert_array_equal(
-        integrate_jost(fig3a_field, zs, "right", L, 1e-8, bg)[1],
-        integrate_jost(fig3a_field, zs[1], "right", L, 1e-8, bg),
+        integrate_jost(fig3a_field, zs, "right", 1e-8, bg)[1],
+        integrate_jost(fig3a_field, zs[1], "right", 1e-8, bg),
     )
 
 
@@ -344,10 +360,10 @@ def test_non_finite_field_or_propagator_raises(background_bg, background_field):
         return Q
 
     with pytest.raises(IntegrationFailure):
-        det_a(nan_field, 2.5j, L, 1e-8, background_bg)
+        det_a(nan_field, 2.5j, 1e-8, background_bg)
     with pytest.raises(IntegrationFailure):
-        scattering_matrix(nan_field, 0.7, L, 1e-8, background_bg)
+        scattering_matrix(nan_field, 0.7, 1e-8, background_bg)
     # at z = 50i the non-analytic columns grow like e^{2 |Im lambda| L} = e^{1000}
-    assert abs(det_a(background_field, 50j, L, 1e-8, background_bg) - 1.0) < 1e-8
+    assert abs(det_a(background_field, 50j, 1e-8, background_bg) - 1.0) < 1e-8
     with pytest.raises(IntegrationFailure), np.errstate(over="ignore", invalid="ignore"):
-        integrate_jost(background_field, 50j, "left", L, 1e-8, background_bg)
+        integrate_jost(background_field, 50j, "left", 1e-8, background_bg)

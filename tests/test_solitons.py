@@ -442,7 +442,7 @@ def test_runtime_never_reaches_mpmath(monkeypatch, fig6_spec):
     fg = h.eval_field(GridSpec(g.xmin, g.xmax, 41, g.tmin, g.tmax, 25), p.spec(), "fig10d")
     assert fg.masked_count == 0
     field = functools.partial(h.reconstruct_Q, spec=fig6_spec)
-    s = h.scattering_matrix(field, 0.5, 20.0, 1e-8, fig6_spec.bg)  # its mesh probes x = -40
+    s = h.scattering_matrix(field, 0.5, 1e-8, fig6_spec.bg)  # its mesh probes x = -40
     assert np.all(np.isfinite(s.S))
 
 

@@ -24,7 +24,7 @@ DEF = bg_for(1)
 def test_uniformize_branch_point_defocusing():
     sp = uniformize(1.0, DEF)
     assert sp.k == 1.0 and sp.lam == 0.0
-    assert sp.region is Region.BRANCH_POINT
+    assert classify_region(1.0, DEF) is Region.BRANCH_POINT
 
 
 def test_uniformize_hand_value():
