@@ -9,28 +9,30 @@ the boundary of a search box, and the zeros are the eigenvalues of the Hankel
 pencil of the contour moments of d log a (Delves-Lyness, Math. Comp. 21,
 1967; multiple zeros as in Kravanja-Van Barel, LNM 1727, 2000).
 
-Propagation is the 4th-order Magnus exponential integrator (Blanes-Casas-
-Oteo-Ros, Phys. Rep. 470, 2009) on a graded mesh, with Q at the two Gauss
-nodes of every cell from one call of the array field.  The step is exact
-where Q is constant, and its local error grows like h^5 times the variation
-of Q.  One array call probes Q at the centres of cells of about R h0,
-h0 = H (tol/1e-8)^(1/4); g, the larger of |Q - Q_lim| (the limit taken from
-the outermost probe of that side) and |Delta Q| to the next probe, widened
-by one probe cell, splits each probe cell into equal cells of
-h0 clip((g_max/g)^(1/5), 1, R).  No cell then carries more local error than
+Propagation is the 3-node, 6th-order Magnus exponential integrator
+(Blanes-Casas-Ros, BIT 40, 2000; survey: Blanes-Casas-Oteo-Ros, Phys. Rep.
+470, 2009) on a graded mesh, with Q at the Gauss nodes 1/2 and
+1/2 +- sqrt(15)/10 of every cell from one call of the array field.  The step
+is exact where Q is constant, and its local error grows like h^7 times the
+variation of Q.  One array call probes Q at the centres of cells of about
+R h0, h0 = H (tol/1e-8)^(1/6); g, the larger of |Q - Q_lim| (the nearer of
+the outermost probes of the two sides) and |Delta Q| to the next probe,
+widened by one probe cell, splits each probe cell into equal cells of
+h0 clip((g_max/g)^(1/7), 1, R).  No cell then carries more local error than
 an h0 cell where the field varies most, so tol keeps its meaning on any
 field (errors scale like tol, as on a uniform h0 mesh), and a field that
 sits on its background gets only cells of R h0.  The left side starts from
 the field's own limit, its sample at (-2L, t0) in the same probe call; the
 right from bg.Qplus.  L doubles from L0 up to L_MAX while that sample fails
 Q Q^dag = k0^2 I (NoBackground at L_MAX) or Q(-L + p/2) or Q(L - p/2), p the
-probe cell, is farther than tol from its limit (NoConvergenceWarning at L_MAX).
-A cell's Omega = (h/2)(U1 + U2) + (sqrt(3)/12) h^2 [U2, U1] is A0 + k(z) A1,
-A0 and A1 independent of z.  Cell exponentials (each scaled and squared as
-its own norm needs), times the column shift e^{+-i lambda h} that keeps the
-analytic pair bounded, are multiplied in pairs; every z is propagated alone,
-so it gets the same bits in any batch.  A call builds one mesh, which all its
-z share: pass the z of one field as one array, not one call per z.
+probe cell, is farther than tol/10 from its limit (NoConvergenceWarning at
+L_MAX).  U = P(x) + k(z) S, so a cell's Omega is a cubic A0 + k A1 + k^2 A2
++ k^3 A3 whose coefficients do not depend on z.  Cell exponentials (each
+scaled and squared as its own norm needs), times the column shift
+e^{+-i lambda h} that keeps the analytic pair bounded, are multiplied in
+pairs; every z is propagated alone, so it gets the same bits in any batch.
+A call builds one mesh, which all its z share: pass the z of one field as
+one array, not one call per z.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,10 +55,11 @@ from .verification import Field
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
 _Box = tuple[float, float, float, float]  # (re0, re1, im0, im1)
 
-H = 0.005  # shortest cell length at tol = 1e-8; the error of a crossing scales like h^4
+H = 0.03  # shortest cell length at tol = 1e-8; the error of a crossing scales like h^6
 R = 16  # longest cell over the shortest; probe cells are about R of the shortest long
 L0, L_MAX = 20.0, 80.0  # first and largest truncation length; L doubles from L0 while the field has not settled
 _CHUNK = 4096  # cells exponentiated at once
+_GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])  # Gauss-Legendre nodes on a unit cell
 _THETA = 0.1  # bound on |Omega|_1 for the degree-9 Taylor sum (remainder < 3e-17)
 _TAYLOR = [1.0 / math.factorial(j) for j in range(10)]
 _DIAG = np.arange(4)
@@ -70,28 +73,38 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class _Cells:
-    """One side's A0, A1 as (4, 4, n) in travel order, cell lengths and 1-norms (n,), and its starting Q."""
+    """One side's Omega = sum_j k^j A[j] as A (4, 4, 4, n) in travel order, lengths (n,), |A[j]|_1 (4, n), start Q."""
 
-    A0: np.ndarray
-    A1: np.ndarray
+    A: np.ndarray
     h: np.ndarray
-    norm0: np.ndarray
-    norm1: np.ndarray
+    norm: np.ndarray
     limit: CMat2
 
 
+def _comm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return A @ B - B @ A
+
+
 def _cells(Q: np.ndarray, sigma: int, steps: np.ndarray, limit: CMat2) -> _Cells:
-    """Generators of the cells of signed lengths steps whose Gauss-node samples are Q (n, 2, 2, 2)."""
-    A0, A1 = (np.empty((4, 4, len(Q)), dtype=complex) for _ in range(2))
+    """Omega of the cells of signed lengths steps whose Gauss-node samples are Q (n, 3, 2, 2), by powers of k."""
+    A = np.empty((4, 4, 4, len(Q)), dtype=complex)
     for lo in range(0, len(Q), _CHUNK):  # in chunks, to bound the temporaries
         cut = slice(lo, lo + _CHUNK)
         h = steps[cut, None, None]
-        c = math.sqrt(3.0) / 12.0 * h**2
-        Q1, Q2 = (embed(Q[cut, i], sigma) for i in (0, 1))
-        A0[..., cut] = np.moveaxis(0.5 * h * (Q1 + Q2) + c * (Q2 @ Q1 - Q1 @ Q2), 0, -1)
-        D = Q1 - Q2
-        A1[..., cut] = np.moveaxis(-1j * c * (SIGMA3 @ D - D @ SIGMA3) - 1j * h * SIGMA3, 0, -1)
-    return _Cells(A0, A1, np.abs(steps), *(np.abs(A).sum(axis=0).max(axis=0) for A in (A0, A1)), limit)
+        P1, P2, P3 = (embed(Q[cut, i], sigma) for i in range(3))
+        a1, s1 = h * P2, -1j * h * SIGMA3  # alpha_1 = a1 + k s1; alpha_2 and alpha_3 are free of k
+        a2 = math.sqrt(15.0) / 3.0 * h * (P3 - P1)
+        a3 = 10.0 / 3.0 * h * (P3 - 2.0 * P2 + P1)
+        c, cs = _comm(a1, a2), _comm(s1, a2)  # C_1 = c + k cs
+        x, xs = -20.0 * a1 - a3 + c, -20.0 * s1 + cs  # -20 alpha_1 - alpha_3 + C_1 = x + k xs
+        e = 2.0 * a3 + c
+        y = a2 - _comm(a1, e) / 60.0  # alpha_2 + C_2 = y + k y1 + k^2 y2
+        y1 = -(_comm(s1, e) + _comm(a1, cs)) / 60.0
+        y2 = -_comm(s1, cs) / 60.0
+        Om = (a1 + a3 / 12.0 + _comm(x, y) / 240.0, s1 + (_comm(x, y1) + _comm(xs, y)) / 240.0,
+              (_comm(x, y2) + _comm(xs, y1)) / 240.0, _comm(xs, y2) / 240.0)
+        A[..., cut] = np.moveaxis(np.stack(Om), 1, -1)
+    return _Cells(A, np.abs(steps), np.abs(A).sum(axis=1).max(axis=1), limit)
 
 
 def _samples(field: Field, xs: np.ndarray, t0: float) -> np.ndarray:
@@ -106,7 +119,7 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
     """(left, right) cells: [-L, 0] travelled upward, [0, L] downward, L and grading as the module states."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    h0 = H * (tol / 1e-8) ** 0.25
+    h0 = H * (tol / 1e-8) ** (1.0 / 6.0)
     L, evals = L0, 0
     while True:
         m = math.ceil(L / (R * h0))  # probe cells a side
@@ -116,34 +129,33 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
         Qlim, Qp, evals = Qs[0], Qs[1:], evals + len(Qs)
         dev, bound = background_defect(Qlim, bg.k0)
         edges = np.abs(Qlim - Qp[0]).max(), np.abs(Qp[-1] - bg.Qplus).max()
-        if L >= L_MAX or (dev <= bound and max(edges) <= tol):
+        if L >= L_MAX or (dev <= bound and max(edges) <= 0.1 * tol):
             break
         L *= 2.0
     if dev > bound:
         raise NoBackground(f"field does not settle: |Q Q^dag - k0^2 I| = {dev:.2g} at x = {-2 * L:g}, t = {t0:g}")
-    if max(edges) > tol:
+    if max(edges) > 0.1 * tol:
         warnings.warn(f"field not settled at L = {L:g}: its outermost probes are {edges[0]:.2g} (left) and "
-                      f"{edges[1]:.2g} (right) from its limits, above tol {tol:g}, at t = {t0:g}", NoConvergenceWarning)
-    g = np.abs(Qp - np.where((probe < 0)[:, None, None], Qp[0], Qp[-1])).max(axis=(1, 2))
+                      f"{edges[1]:.2g} (right) from its limits, above tol/10, at t = {t0:g}", NoConvergenceWarning)
+    g = np.minimum(*(np.abs(Qp - Qp[i]).max(axis=(1, 2)) for i in (0, -1)))
     g[:-1] = np.maximum(g[:-1], np.abs(np.diff(Qp, axis=0)).max(axis=(1, 2)))
     g = np.pad(g, 1)
     g = np.maximum.reduce([g[:-2], g[1:-1], g[2:]])
-    ratio = np.divide(g.max(), g, out=np.full_like(g, float(R) ** 5), where=g > 0)  # R^5 where g = 0
-    stretch = np.clip(ratio**0.2, 1.0, R)
+    ratio = np.divide(g.max(), g, out=np.full_like(g, float(R) ** 7), where=g > 0)  # R^7 where g = 0
+    stretch = np.clip(ratio ** (1.0 / 7.0), 1.0, R)
     n = np.ceil(p / (h0 * stretch) - 1e-9).astype(int)  # cells a probe cell; p <= R h0 makes one where stretch = R
     h = np.repeat(p / n, n)
     x0 = np.cumsum(h) - h - L  # left edges, ascending over [-L, L]
-    gauss = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
-    Q = _samples(field, (x0[:, None] + h[:, None] * gauss).ravel(), t0).reshape(-1, 2, 2, 2)
+    Q = _samples(field, (x0[:, None] + h[:, None] * _GAUSS).ravel(), t0).reshape(-1, 3, 2, 2)
     left = n[:m].sum()
     sides = (_cells(Q[:left], bg.sigma, h[:left], Qlim),
              _cells(Q[left:][::-1, ::-1], bg.sigma, -h[left:][::-1], bg.Qplus))
-    if not all(np.isfinite(c.norm0 + c.norm1).all() for c in sides):
+    if not all(np.isfinite(c.norm).all() for c in sides):
         raise IntegrationFailure(f"Magnus generators overflow for the field at t = {t0}")
     _log.debug("Jost mesh L=%g tol=%g t0=%g: %d probes, cells %d left %d right, length %.3g to %.3g, "
                "%d field evaluations, at most %d squarings at k = 0, edges |Q(-2L) - Q(-L + p/2)| %.2g and "
                "|Q(L - p/2) - Q+| %.2g, |Q Q^dag - k0^2 I| %.2g at -2L",
-               L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), evals + 2 * len(h),
+               L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), evals + 3 * len(h),
                max(_squarings(c, 0.0).max() for c in sides), *edges, dev)
     return sides
 
@@ -154,8 +166,8 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _squarings(cells: _Cells, k: complex) -> np.ndarray:
-    """Per cell, the halvings that bring |Omega|_1 <= |A0|_1 + |k| |A1|_1 under _THETA."""
-    b = cells.norm0 + abs(k) * cells.norm1
+    """Per cell, the halvings that bring |Omega|_1 <= sum_j |k|^j |A[j]|_1 under _THETA."""
+    b = abs(k) ** np.arange(4) @ cells.norm
     return np.ceil(np.log2(np.maximum(b, _THETA) / _THETA)).astype(int)
 
 
@@ -186,9 +198,12 @@ def _transfer(cells: _Cells, k: complex, w: complex) -> CMat4:
     wh = w * cells.h
     shift, shift1 = np.exp(wh), 2.0 * np.exp(0.5 * wh) * np.sinh(0.5 * wh)  # e^{w h}, e^{w h} - 1
     total = None
-    for lo in range(0, cells.A0.shape[-1], _CHUNK):
+    for lo in range(0, len(cells.h), _CHUNK):
         cut = slice(lo, lo + _CHUNK)
-        F = _expm1((cells.A0[..., cut] + k * cells.A1[..., cut]) * 0.5 ** s[cut], s[cut]) * shift[cut]
+        om = cells.A[3, ..., cut]
+        for j in (2, 1, 0):  # Horner's rule in k
+            om = k * om + cells.A[j, ..., cut]
+        F = _expm1(om * 0.5 ** s[cut], s[cut]) * shift[cut]
         F[_DIAG, _DIAG] += shift1[cut]
         while F.shape[-1] > 1:
             m = F.shape[-1]
@@ -214,8 +229,7 @@ def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: boo
     if analytic_only:
         mu = P @ X0[:, analytic]
     else:
-        length = cells.h.sum()
-        mu = P @ (X0 * np.where(analytic, 1.0, np.exp(-2j * sp.lam * length * eps)))
+        mu = P @ (X0 * np.where(analytic, 1.0, np.exp(-2j * sp.lam * cells.h.sum() * eps)))
     if not np.all(np.isfinite(mu)):
         raise IntegrationFailure(f"non-finite Jost solution at z = {sp.z} ({side})")
     return mu
@@ -296,13 +310,7 @@ class SymmetryAuditReport:
     n_samples: int
 
     def max_deviation(self) -> float:
-        return max(
-            self.conjugation_identity,
-            self.transpose_identity,
-            self.rho_symmetry,
-            self.antipode_identity,
-            self.abar_conjugation,
-        )
+        return max(astuple(self)[:-1])  # every field but n_samples
 
 
 def audit_symmetries(samples: Sequence[ScatteringSample], bg: Background) -> SymmetryAuditReport:
@@ -313,26 +321,18 @@ def audit_symmetries(samples: Sequence[ScatteringSample], bg: Background) -> Sym
     """
     J = np.diag([1.0, 1.0, -bg.sigma, -bg.sigma])
     Qpd = dagger(bg.Qplus)
-    dev1 = dev2 = dev3 = dev4 = dev5 = 0.0
+    devs = [[0.0] * 5]
     for s in samples:
         conj_s = find_partner(samples, complex(np.conj(s.z)), lambda u: u.z)
         anti_s = find_partner(samples, bg.sigma * bg.k0**2 / s.z, lambda u: u.z)
-        dev1 = max(dev1, float(np.max(np.abs(dagger(conj_s.S) @ J @ s.S - J))))
-        dev2 = max(dev2, float(np.max(np.abs(s.S.T @ SIGMA2 @ s.S - SIGMA2))))
-        dev3 = max(dev3, float(np.max(np.abs(s.rho - s.rho.T))))
-        dev4 = max(
-            dev4,
-            float(np.max(np.abs(anti_s.rho + (bg.sigma / bg.k0**2) * Qpd @ s.rhobar @ Qpd))),
-        )
-        dev5 = max(dev5, float(np.max(np.abs(conj_s.abar - np.conj(s.a)))))
-    return SymmetryAuditReport(
-        conjugation_identity=dev1,
-        transpose_identity=dev2,
-        rho_symmetry=dev3,
-        antipode_identity=dev4,
-        abar_conjugation=dev5,
-        n_samples=len(samples),
-    )
+        devs.append([np.abs(D).max() for D in (
+            dagger(conj_s.S) @ J @ s.S - J,
+            s.S.T @ SIGMA2 @ s.S - SIGMA2,
+            s.rho - s.rho.T,
+            anti_s.rho + (bg.sigma / bg.k0**2) * Qpd @ s.rhobar @ Qpd,
+            conj_s.abar - np.conj(s.a),
+        )])
+    return SymmetryAuditReport(*(float(d) for d in np.max(devs, axis=0)), n_samples=len(samples))
 
 
 def _det_a(mesh, z: complex, bg: Background) -> complex:

@@ -10,10 +10,13 @@ import hirota_ist as h
 from hirota_ist.errors import IntegrationFailure, MissingPartner, NoConvergenceWarning
 from hirota_ist.matrices import dagger
 from hirota_ist.scattering import (
+    _GAUSS,
     L0,
     H,
     R,
+    _cells,
     _mesh,
+    _transfer,
     audit_symmetries,
     det_a,
     find_discrete_spectrum,
@@ -287,15 +290,45 @@ def test_det_a_no_worse_than_rk45(name):
     assert _det_a_error(p.seeds[0], p.bg) <= RK45_DET_A_ERROR[name]
 
 
+# _det_a_error on the graded mesh of the 2-node, 4th-order Magnus step that the
+# 6th-order step replaced (h0 = 0.005 (tol/1e-8)^(1/4), L = 20)
+MAGNUS4_DET_A_ERROR = {
+    "fig3a": 2.010e-11, "fig3d": 2.010e-11, "fig4": 3.445e-11, "fig6": 2.105e-10, "fig7": 1.694e-10,
+    "fig8": 1.506e-09, "fig9": 4.894e-11, "fig10a": 2.024e-11, "fig10d": 2.024e-11,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAGNUS4_DET_A_ERROR))
+def test_det_a_no_worse_than_the_4th_order_step(name):
+    p = h.preset(name)
+    assert _det_a_error(p.seeds[0], p.bg) <= MAGNUS4_DET_A_ERROR[name]
+
+
+def test_magnus_step_is_6th_order(fig3a_field, fig3a_spec):
+    # one side's transfer over uniform cells on [-3, 3] against 2048 cells; 4th order would cut 16x a halving
+    bg = fig3a_spec.bg
+
+    def transfer(n):
+        h = 6.0 / n
+        Q = fig3a_field((-3.0 + h * (np.arange(n)[:, None] + _GAUSS)).ravel(), 0.0).reshape(n, 3, 2, 2)
+        return _transfer(_cells(Q, bg.sigma, np.full(n, h), bg.Qplus), 0.7 + 0.3j, 0.2j)
+
+    ref = transfer(2048)
+    err = [np.abs(transfer(n) - ref).max() for n in (32, 64, 128)]
+    assert err[0] / err[1] >= 2**5.5 and err[1] / err[2] >= 2**5.5, err
+
+
 # seeds off the presets on fig3a's background: zeta, C, and twice the error of
-# _det_a_error on the uniform mesh of cells H that the graded mesh replaced
-# (2.038e-9, 9.560e-10, 1.573e-10 and 1.213e-6 at a fixed truncation L = 20).
-# The first and last are truncation errors; a truncation read from the field
-# brings them to about 2e-12 and 9e-12, so both are bounded by 1e-10.
+# _det_a_error on the uniform mesh of 4th-order cells of 0.005 that the graded
+# mesh replaced (2.038e-9, 9.560e-10, 1.573e-10 and 1.213e-6 at a fixed
+# truncation L = 20).  The first, second and last are truncation errors; the
+# 6th-order step with a truncation read from the field (edges within tol/10
+# of the limits) brings them to about 2e-13, 8e-12 and 6e-13, so they are
+# bounded by 1e-10.
 _U = np.array([1.0, 0.5j])
 OFF_PRESET_DET_A_ERROR = {
     "rank2_near_circle": (1.3j, [[1, 0.3], [0.3, 1]], 1e-10),
-    "rank1": (0.5 + 1.6j, np.outer(_U, _U), 1.912e-09),
+    "rank1": (0.5 + 1.6j, np.outer(_U, _U), 1e-10),
     "rank2_off_axis": (0.8 + 1.7j, [[1, 0.5], [0.5, 2]], 3.146e-10),
     "near_rank_deficient": (1.5j, [[1, 1], [1, 1.0001]], 1e-10),
 }
