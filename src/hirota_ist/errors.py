@@ -54,7 +54,7 @@ class PoleCollision(HirotaError):
 
 
 class SingularSystem(HirotaError):
-    """Reflectionless linear system is numerically singular (cond > 1e12)."""
+    """Reflectionless linear system is numerically singular (2-norm condition number above 1e12)."""
 
 
 class PoleHit(HirotaError):

@@ -13,8 +13,8 @@ norming constant factored by rank and every unknown scaled by its
 exponential, so that all entries stay O(1) at every (x, t); it runs in
 double precision only.
 
-mpmath serves the oracles alone: `one_soliton_closed_form` (the
-back-substituted one-quartet algebra at `_dps_for(log_scale)` digits) is an
+mpmath serves the oracles alone: `one_soliton_closed_form` (one coupled
+4x4 solve of the one-quartet algebra at `_dps_for(log_scale)` digits) is an
 independent evaluation that the tests compare `reconstruct_Q` against, as is
 the eliminated system in `tests/mp_oracle.py`.
 """
@@ -42,7 +42,7 @@ from .grids import ARTIFACT_VERSION, FieldGrid, GridSpec
 from .matrices import CMat2, dagger
 from .spectral import Background, theta, uniformize
 
-COND_LIMIT = 1e12
+COND_LIMIT = 1e12  # on the 2-norm condition number, the default of np.linalg.cond
 
 
 class RankFlag(enum.Enum):
@@ -270,41 +270,16 @@ def reconstruct_Q(x, t, spec: SolitonSpec) -> np.ndarray:
 #
 # Independent reference evaluations that the tests compare `reconstruct_Q`
 # against; `reconstruct_Q` never calls them.  Precision grows with the
-# largest log-magnitude of the plane-wave factors (`_dps_for`).  The
-# helpers also serve the eliminated-system oracle of `tests/mp_oracle.py`.
+# largest log-magnitude of the plane-wave factors (`_dps_for`).  `_mp_theta`
+# and `_dps_for` also serve the eliminated-system oracle of `tests/mp_oracle.py`.
 
-def _mp_c(v) -> mp.mpc:
-    v = complex(v)
-    return mp.mpc(v.real, v.imag)
-
-
-def _mp_mat(M) -> mp.matrix:
-    R = mp.matrix(2, 2)
-    for a in range(2):
-        for b in range(2):
-            R[a, b] = _mp_c(M[a, b])
-    return R
-
-
-def _mp_dag(M: mp.matrix) -> mp.matrix:
-    R = mp.matrix(2, 2)
-    for a in range(2):
-        for b in range(2):
-            R[a, b] = mp.conj(M[b, a])
-    return R
-
-
-def _mp_theta(x, t, z, bg: Background):
-    z = _mp_c(z)
-    w = bg.sigma * bg.k0**2 / z
+def _mp_theta(x, t, z: mp.mpc, bg: Background):
+    k0 = mp.mpf(bg.k0)
+    w = bg.sigma * k0**2 / z
     k = (z + w) / 2
     lam = (z - w) / 2
-    disp = bg.beta * (4 * k**2 - 2 * bg.k0**2) + 2 * bg.alpha * k
+    disp = bg.beta * (4 * k**2 - 2 * k0**2) + 2 * bg.alpha * k
     return lam * (-x - disp * t)
-
-
-def _mp_to_np(Q: mp.matrix) -> np.ndarray:
-    return np.array([[complex(Q[a, b]) for b in range(2)] for a in range(2)])
 
 
 def _dps_for(scale: float) -> int:
@@ -315,72 +290,52 @@ def _dps_for(scale: float) -> int:
 
 def _closed_mp(x: float, t: float, seed: DiscreteEigenpair, bg: Background, dps: int) -> CMat2:
     with mp.workdps(dps):
-        z1 = _mp_c(seed.zn)
+        z1 = mp.mpc(seed.zn)
         z1c = mp.conj(z1)
-        k0 = bg.k0
+        k0 = mp.mpf(bg.k0)
         if seed.rank_flag is RankFlag.RANK1:
             # the product of the float rank factors is rank 1 at this
             # precision; the rounding-level rank-2 part of a float C1 would
             # grow into a spurious structure in the left far field
             A, B = _rank_factor(seed.Cn, RankFlag.RANK1)
-            C1 = mp.matrix([[_mp_c(A[i, 0]) * _mp_c(B[0, j]) for j in range(2)] for i in range(2)])
+            C1 = mp.matrix(A.tolist()) * mp.matrix(B.tolist())
         else:
-            C1 = _mp_mat(seed.Cn)
-        Qp = _mp_mat(bg.Qplus)
+            C1 = mp.matrix(seed.Cn.tolist())
+        # the float Q+ meets Q+ Q+^dag = k0^2 I only to rounding, and a rank-1
+        # quartet amplifies that defect like e^s: take k0 (Q+ Q+^dag)^(-1/2) Q+,
+        # k0 times the unitary polar factor (symmetric for a symmetric Q+)
+        Qp = mp.matrix(bg.Qplus.tolist())
+        P, V = mp.eighe(Qp * Qp.H)
+        Qp = V * mp.diag([k0 / mp.sqrt(p) for p in P]) * V.H * Qp
         z2 = -(k0**2) / z1c
-        C2 = -(_mp_dag(Qp) * _mp_dag(C1) * _mp_dag(Qp)) / z1c**2
-        E1 = mp.e ** (-2j * _mp_theta(x, t, z1, bg))
-        E1bar = mp.e ** (2j * _mp_theta(x, t, z1c, bg))
-        E2 = mp.e ** (-2j * _mp_theta(x, t, z2, bg))
-        c1 = C1 * (E1 / (z1c - z1))
-        c2 = C2 * (E2 / (mp.conj(z2) - z2))
-        D1 = mp.eye(2) + (_mp_dag(C1) * _mp_dag(Qp)) * (1j * E1bar / (z1c**2 + k0**2))
-        D2 = _mp_dag(D1)
-        det2_mp = D2[0, 0] * D2[1, 1] - D2[0, 1] * D2[1, 0]
-        scale = max(1.0, float(max(abs(D2[a, b]) for a in range(2) for b in range(2))) ** 2)
-        if abs(det2_mp) < 1e-2 * scale:
-            # coupled solve at the product formula's removable singularities
-            B12 = (Qp * c1) * (1j / z1)
-            B21 = (Qp * c2) * (-1j * z1c / k0**2)
-            M = mp.matrix(4, 4)
-            for a in range(2):
-                for b in range(2):
-                    M[a, b] = D1[b, a]
-                    M[a, 2 + b] = B12[b, a]
-                    M[2 + a, b] = B21[b, a]
-                    M[2 + a, 2 + b] = D2[b, a]
-            rhs = mp.matrix(4, 2)
-            for a in range(2):
-                rhs[a, a] = 1
-                rhs[2 + a, a] = 1
-            try:
-                cols = [mp.lu_solve(M, mp.matrix([rhs[r, b] for r in range(4)])) for b in range(2)]
-            except (ZeroDivisionError, ValueError) as exc:
-                raise SingularSystem(f"closed-form system singular: {exc}") from exc
-            # XT[r, b] = cols[b][r]; X1 = XT[:2]^T, X2 = XT[2:]^T
-            X1 = mp.matrix([[cols[i][j] for j in range(2)] for i in range(2)])
-            X2 = mp.matrix([[cols[i][2 + j] for j in range(2)] for i in range(2)])
-        else:
-            D1i = D1**-1
-            D2i = D2**-1
-            K1 = D1 - (Qp * c2 * D2i * Qp * c1) * (z1c / (z1 * k0**2))
-            K2 = D2 - (Qp * c1 * D1i * Qp * c2) * (z1c / (z1 * k0**2))
-            X1 = (mp.eye(2) - (D2i * Qp * c1) * (1j / z1)) * K1**-1
-            X2 = (mp.eye(2) + (D1i * Qp * c2) * (1j * z1c / k0**2)) * K2**-1
-        Q = Qp - (X1 * _mp_dag(C1)) * (1j * E1bar) + (X2 * Qp * C1 * Qp) * (1j * E1 / z1**2)
-        return _mp_to_np(Q)
+        C2 = -(Qp.H * C1.H * Qp.H) / z1c**2
+        E1 = mp.exp(-2j * _mp_theta(x, t, z1, bg))
+        E1bar = mp.exp(2j * _mp_theta(x, t, z1c, bg))
+        E2 = mp.exp(-2j * _mp_theta(x, t, z2, bg))
+        D1 = mp.eye(2) + (C1.H * Qp.H) * (1j * E1bar / (z1c**2 + k0**2))
+        N = mp.matrix(4, 4)
+        N[:2, :2] = D1
+        N[:2, 2:] = (Qp * C2) * (-1j * z1c * E2 / (k0**2 * (mp.conj(z2) - z2)))
+        N[2:, :2] = (Qp * C1) * (1j * E1 / (z1 * (z1c - z1)))
+        N[2:, 2:] = D1.H
+        try:
+            X = mp.matrix([[1, 0, 1, 0], [0, 1, 0, 1]]) * N**-1  # [X1 X2] N = [I I]
+        except ZeroDivisionError as exc:
+            raise SingularSystem(f"closed-form system singular: {exc}") from exc
+        Q = Qp - (X[:, :2] * C1.H) * (1j * E1bar) + (X[:, 2:] * Qp * C1 * Qp) * (1j * E1 / z1**2)
+        return np.array(Q.tolist(), dtype=complex)
 
 
 def one_soliton_closed_form(x: float, t: float, seed: DiscreteEigenpair, bg: Background) -> CMat2:
     """Closed-form one-quartet solution (independent of the linear solver).
 
-    Evaluates the back-substituted 2x2 algebra in mpmath at
-    `_dps_for(log_scale)` digits: D1, D2 = D1^dag, then X1, X2, then
-    Q = Q+ - i X1 e^{2i theta(zeta1*)} C1^dag
-          + i X2 e^{-2i theta(zeta1)} Q+ C1 Q+ / zeta1^2.
-    A rank-1 C1 enters as the product of its `_rank_factor` factors, as in
-    `reconstruct_Q`.  It serves as the oracle for `reconstruct_Q` in the
-    tests.
+    Solves [X1 X2] N = [I I], N = [[D1, B21], [B12, D1^dag]], once in mpmath
+    at `_dps_for(log_scale)` digits and returns Q = Q+ - i X1 E1* C1^dag
+    + i X2 E1 Q+ C1 Q+ / zeta1^2, E1 = e^{-2i theta(zeta1)}.  Q+ enters as
+    k0 (Q+ Q+^dag)^(-1/2) Q+, k0 times its unitary polar factor (Higham,
+    SIAM J. Sci. Stat. Comput. 7, 1986), and a rank-1 C1 as the product of
+    its `_rank_factor` factors, as in `reconstruct_Q`.  Raises
+    `SingularSystem` where N is singular.  The tests' oracle for `reconstruct_Q`.
     """
     spec = expand_quartets([seed], bg)
     return _closed_mp(x, t, seed, bg, _dps_for(log_scale(x, t, spec)))

@@ -1,10 +1,11 @@
 """mpmath oracle for `reconstruct_Q` that only the tests call."""
 
 import mpmath as mp
+import numpy as np
 
 from hirota_ist.errors import SingularSystem
 from hirota_ist.matrices import CMat2
-from hirota_ist.solitons import SolitonSpec, _mp_c, _mp_dag, _mp_mat, _mp_theta, _mp_to_np
+from hirota_ist.solitons import SolitonSpec, _mp_theta
 
 
 def _reconstruct_mp(x: float, t: float, spec: SolitonSpec, dps: int) -> CMat2:
@@ -22,10 +23,10 @@ def _reconstruct_mp(x: float, t: float, spec: SolitonSpec, dps: int) -> CMat2:
     bg = spec.bg
     n2 = len(spec.zetas)
     with mp.workdps(dps):
-        zs = [_mp_c(z) for z in spec.zetas]
-        Cs = [_mp_mat(C) for C in spec.Cs]
-        Cbars = [_mp_mat(C) for C in spec.Cbars]
-        Qp = _mp_mat(bg.Qplus)
+        zs = [mp.mpc(z) for z in spec.zetas]
+        Cs = [mp.matrix(C.tolist()) for C in spec.Cs]
+        Cbars = [mp.matrix(C.tolist()) for C in spec.Cbars]
+        Qp = mp.matrix(bg.Qplus.tolist())
         E = [mp.e ** (-2j * _mp_theta(x, t, z, bg)) for z in zs]
 
         def c(j, z):
@@ -50,7 +51,7 @@ def _reconstruct_mp(x: float, t: float, spec: SolitonSpec, dps: int) -> CMat2:
                     rhs[2 * n + a, b] = B[n][b, a]
             for l in range(n2):
                 G = mp.matrix(2, 2)
-                cd = [_mp_dag(c(l, mp.conj(zs[j]))) for j in range(n2)]
+                cd = [c(l, mp.conj(zs[j])).H for j in range(n2)]
                 for j in range(n2):
                     G += cd[j] * cj[j]
                 for a in range(2):
@@ -64,9 +65,9 @@ def _reconstruct_mp(x: float, t: float, spec: SolitonSpec, dps: int) -> CMat2:
                     XT[r, b] = col[r]
         except (ZeroDivisionError, ValueError) as exc:
             raise SingularSystem(f"mpmath solve failed: {exc}") from exc
-        Q = _mp_mat(bg.Qplus)
+        Q = Qp
         for n in range(n2):
             Eb = mp.e ** (2j * _mp_theta(x, t, mp.conj(zs[n]), bg))
             Xn = mp.matrix([[XT[2 * n + b, a] for b in range(2)] for a in range(2)])
             Q += (Xn * Cbars[n]) * (1j * Eb)
-        return _mp_to_np(Q)
+        return np.array(Q.tolist(), dtype=complex)

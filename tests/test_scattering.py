@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hirota_ist as h
 from hirota_ist.errors import IntegrationFailure, MissingPartner, NoConvergenceWarning
@@ -26,6 +28,7 @@ from hirota_ist.scattering import (
 from hirota_ist.solitons import DiscreteEigenpair, RankFlag, expand_quartets, min_decay_rate
 from hirota_ist.spectral import uniformize
 from hirota_ist.traceform import TraceInput, trace_det_a
+from test_solitons import random_seeds, rank1_or_2, scaled_backgrounds
 
 TOL = 1e-10
 
@@ -273,12 +276,12 @@ def _dplus_points(zeta, n=6):
     return out
 
 
-def _det_a_error(seed, bg):
-    """max |det_a - trace_det_a| at tol 1e-8 over _dplus_points (field at t = 0)."""
+def _det_a_error(seed, bg, zs=None):
+    """max |det_a - trace_det_a| at tol 1e-8 over zs, by default _dplus_points (field at t = 0)."""
     spec = expand_quartets([seed], bg)
     rank2 = seed.rank_flag is RankFlag.RANK2
     inp = TraceInput(bg=bg, simple_zeros=() if rank2 else (seed.zn,), double_zeros=(seed.zn,) if rank2 else ())
-    zs = _dplus_points(seed.zn)
+    zs = _dplus_points(seed.zn) if zs is None else zs
     got = det_a(functools.partial(h.reconstruct_Q, spec=spec), np.array(zs), 1e-8, bg)
     return max(abs(g - trace_det_a(z, inp)) for g, z in zip(got, zs))
 
@@ -340,6 +343,60 @@ def test_det_a_matches_trace_formula_off_the_presets(name, fig3a):
     seed = DiscreteEigenpair(zeta, np.array(C, dtype=complex))
     assert (seed.rank_flag is RankFlag.RANK1) == (name == "rank1")
     assert _det_a_error(seed, fig3a.bg) <= bound
+
+
+# Hypothesis legs: random seeds off the presets -------------------------------
+
+def _decays(quartet):
+    # slower seeds, such as 1.1 + 0.3i, raise NoBackground at L_MAX by design;
+    # L_MAX is a length, so the rate has a floor: at k0 = 0.5 a rate of 0.4 k0
+    # left the field 1.2e-9 off its limit at x = -80, above tol/10
+    seed, bg = quartet
+    return min_decay_rate(expand_quartets([seed], bg)) >= 0.4 * max(1.0, bg.k0)
+
+
+@st.composite
+def seeds_and_dplus_points(draw):
+    """(seed, bg, zs): four points k0 (u + iv), u in [-2.5, 2.5], v in [0.4, 3],
+    kept off the circle and the seed as in _dplus_points, scaled by k0."""
+    seed, bg = draw(random_seeds(scaled_backgrounds, st.floats(min_value=1.05, max_value=3.0), rank1_or_2)
+                    .filter(_decays))
+    k0, zeta = bg.k0, seed.zn
+    point = st.builds(complex, st.floats(min_value=-2.5, max_value=2.5), st.floats(min_value=0.4, max_value=3.0))
+    point = point.map(lambda w: k0 * w).filter(
+        lambda z: abs(z) >= 1.2 * k0 and abs(z - zeta) >= 0.25 * k0 and abs(z + np.conj(zeta)) >= 0.25 * k0)
+    return seed, bg, [draw(point) for _ in range(4)]
+
+
+@given(seeds_and_dplus_points())
+@settings(deadline=None, max_examples=30)
+@pytest.mark.filterwarnings("error::hirota_ist.errors.NoConvergenceWarning")
+def test_det_a_matches_trace_formula_on_random_seeds(case):
+    seed, bg, zs = case
+    assert _det_a_error(seed, bg, zs) <= 5e-8
+
+
+CLI_BOX = (-3.07, 3.05, 1.085, 3.21)  # the search box of `hirota-ist roundtrip`, in units of k0
+
+
+def _inside_cli_box(quartet):
+    # at least 0.25 k0 inside every edge, farther than half a panel (0.23 k0), so the contour never moves
+    seed, bg = quartet
+    x0, x1, y0, y1 = (bg.k0 * e for e in CLI_BOX)
+    m = 0.25 * bg.k0
+    return x0 + m <= seed.zn.real <= x1 - m and y0 + m <= seed.zn.imag <= y1 - m
+
+
+@given(random_seeds(scaled_backgrounds, st.floats(min_value=1.3, max_value=3.0), rank1_or_2)
+       .filter(_inside_cli_box).filter(_decays))
+@settings(deadline=None, max_examples=6)
+@pytest.mark.filterwarnings("error::hirota_ist.errors.NoConvergenceWarning")
+def test_find_spectrum_recovers_random_seeds(quartet):
+    seed, bg = quartet
+    field = functools.partial(h.reconstruct_Q, spec=expand_quartets([seed], bg))
+    found = find_discrete_spectrum(field, tuple(bg.k0 * e for e in CLI_BOX), 1e-8, bg)
+    assert len(found) == 1
+    assert abs(found[0] - seed.zn) <= 1e-6 * bg.k0
 
 
 def test_background_field_gets_only_the_longest_cells(background_bg, caplog):
