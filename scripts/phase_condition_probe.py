@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Empirical study of the boundary-phase condition sign conventions.
+"""Check of the boundary-phase condition against measured boundary phases.
 
 For a set of seed eigenvalues and norming constants, measure the left
 boundary matrix of the reconstructed field at x = -40 and compare
-arg det(Q+ Qm^dag) against all sign variants of the discrete phase sums.
-Rank-1 seeds correspond to simple zeros of det a, rank-2 seeds to double
-zeros; the match column shows which variant the measurement selects.
+arg det(Q+ Qm^dag) with theta_condition: +4 arg z per simple zero (rank-1
+seed) and +8 arg z per double zero (rank-2 seed).  Prints the measured
+phase, the expected phase and their deviation on the circle for each case,
+and exits 1 if any deviation exceeds 1e-3.
 """
 
 import math
@@ -20,11 +21,12 @@ from hirota_ist import (
     TraceInput,
     expand_quartets,
     reconstruct_Q,
-    theta_condition_variants,
+    theta_condition,
 )
 from hirota_ist.matrices import dagger
 
 EYE = np.eye(2, dtype=complex)
+TOL = 1e-3
 
 CASES = [
     ("rank1, delta=pi/2", 2j, np.ones((2, 2), dtype=complex)),
@@ -37,7 +39,8 @@ CASES = [
 
 def main() -> int:
     bg = Background(sigma=-1, k0=1.0, alpha=1.0, beta=0.05, Qplus=EYE, Qminus=EYE)
-    print(f"{'case':18s} {'measured':>9s}  best-matching variant")
+    print(f"{'case':18s} {'measured':>9s} {'expected':>9s} {'deviation':>9s}")
+    worst = 0.0
     for name, zeta, C in CASES:
         seed = DiscreteEigenpair(zeta, C)
         spec = expand_quartets([seed], bg)
@@ -47,14 +50,14 @@ def main() -> int:
             inp = TraceInput(bg=bg, simple_zeros=(zeta,))
         else:
             inp = TraceInput(bg=bg, double_zeros=(zeta,))
-        variants = theta_condition_variants(inp)
-        diffs = {
-            k: min(abs(v - measured), 2 * math.pi - abs(v - measured))
-            for k, v in variants.items()
-        }
-        best = min(diffs, key=diffs.get)
-        print(f"{name:18s} {measured:9.6f}  {best} (|diff| = {diffs[best]:.2e})")
-    return 0
+        expected = theta_condition(inp)
+        gap = abs(expected - measured)
+        gap = min(gap, 2 * math.pi - gap)
+        worst = max(worst, gap)
+        print(f"{name:18s} {measured:9.6f} {expected:9.6f} {gap:9.2e}")
+    ok = worst <= TOL
+    print(f"worst deviation {worst:.2e} (tol {TOL:.0e}):", "PASS" if ok else "FAIL")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .solitons import (
     reconstruct_Q,
 )
 from .spectral import Background, Region, SpectralPoint, classify_region, theta, uniformize
-from .traceform import TraceInput, theta_condition_variants, trace_det_a
+from .traceform import TraceInput, theta_condition, trace_det_a
 from .verification import (
     DecayReport,
     ResidualReport,

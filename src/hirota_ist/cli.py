@@ -30,7 +30,7 @@ from .solitons import (
     reconstruct_Q,
 )
 from .spectral import Background
-from .traceform import TraceInput, theta_condition_variants
+from .traceform import TraceInput, theta_condition
 from .verification import boundary_decay, pde_residual, symmetry_residual
 
 
@@ -236,17 +236,12 @@ def cmd_verify(args) -> int:
         measured_phase = float(np.angle(np.linalg.det(spec.bg.Qplus @ dagger(Qm))) % (2 * math.pi))
         simple = tuple(s.zn for s in p.seeds if s.rank_flag is RankFlag.RANK1)
         double = tuple(s.zn for s in p.seeds if s.rank_flag is RankFlag.RANK2)
-        variants = theta_condition_variants(
-            TraceInput(bg=spec.bg, simple_zeros=simple, double_zeros=double)
-        )
-        diffs = {
-            k: min(abs(v - measured_phase), 2 * math.pi - abs(v - measured_phase))
-            for k, v in variants.items()
-        }
+        expected_phase = theta_condition(TraceInput(bg=spec.bg, simple_zeros=simple, double_zeros=double))
+        gap = abs(expected_phase - measured_phase)
         checks["theta_condition"] = {
             "measured": measured_phase,
-            "variants": variants,
-            "pass": min(diffs.values()) <= 1e-3,
+            "expected": expected_phase,
+            "pass": min(gap, 2 * math.pi - gap) <= 1e-3,
         }
     else:
         checks["boundary_decay"] = {"skipped": "no spatial decay (rate < 0.75)", "pass": True}

@@ -15,8 +15,9 @@ Propagation is the 3-node, 6th-order Magnus exponential integrator
 1/2 +- sqrt(15)/10 of every cell from one call of the array field.  The step
 is exact where Q is constant, and its local error grows like h^7 times the
 variation of Q.  One array call probes Q at the centres of cells of about
-R h0, h0 = H (tol/1e-8)^(1/6); g, the larger of |Q - Q_lim| (the nearer of
-the outermost probes of the two sides) and |Delta Q| to the next probe,
+R h0, h0 = H (tol/1e-8)^(1/6) / max(1, k0) (the field and k(z) vary on the
+scale 1/k0); g, the larger of |Q - Q_lim| (the nearer of the outermost
+probes of the two sides) and |Delta Q| to the next probe,
 widened by one probe cell, splits each probe cell into equal cells of
 h0 clip((g_max/g)^(1/7), 1, R).  No cell then carries more local error than
 an h0 cell where the field varies most, so tol keeps its meaning on any
@@ -55,7 +56,7 @@ from .verification import Field
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
 _Box = tuple[float, float, float, float]  # (re0, re1, im0, im1)
 
-H = 0.03  # shortest cell length at tol = 1e-8; the error of a crossing scales like h^6
+H = 0.03  # shortest cell at tol = 1e-8 and k0 <= 1 (over k0 above); a crossing's error scales like h^6
 R = 16  # longest cell over the shortest; probe cells are about R of the shortest long
 L0, L_MAX = 20.0, 80.0  # first and largest truncation length; L doubles from L0 while the field has not settled
 _CHUNK = 4096  # cells exponentiated at once
@@ -119,7 +120,7 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
     """(left, right) cells: [-L, 0] travelled upward, [0, L] downward, L and grading as the module states."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    h0 = H * (tol / 1e-8) ** (1.0 / 6.0)
+    h0 = H * (tol / 1e-8) ** (1.0 / 6.0) / max(1.0, bg.k0)
     L, evals = L0, 0
     while True:
         m = math.ceil(L / (R * h0))  # probe cells a side

@@ -63,28 +63,18 @@ def pde_residual(
     n_probe: int,
     h: float,
     bg: Background,
-    cubic_term: str = "lax",
 ) -> ResidualReport:
     """Max-norm residual of the gauge-fixed evolution equation.
 
     Evaluates i Q_t + alpha (Q_xx - 2 sigma (Q Q^dag - k0^2 I) Q)
-    + i beta (Q_xxx - cubic) at quasi-random probe points with 6th-order
-    central differences of step h.
-
-    cubic_term selects the third-order nonlinearity:
-      "lax":     3 sigma (Q Q^dag Q_x + Q_x Q^dag Q), which is what the
-                 zero-curvature condition of the 4x4 linear problem
-                 actually produces (and what every constructed solution
-                 satisfies);
-      "printed": 6 sigma Q Q^dag Q_x, the commonly printed form.  The two
-                 agree exactly whenever Q Q^dag Q_x = Q_x Q^dag Q, which
-                 holds for all spectral data whose norming constants are
-                 normal matrices, but not in general.
+    + i beta (Q_xxx - 3 sigma (Q Q^dag Q_x + Q_x Q^dag Q)) at quasi-random
+    probe points with 6th-order central differences of step h.  The cubic
+    term is the one the zero-curvature condition of the 4x4 linear problem
+    produces; the commonly printed 6 sigma Q Q^dag Q_x differs from it where
+    the norming constants are not normal (on fig11 that form reads > 1e-2).
     """
     if not h > 0:
         raise ValueError("step h must be positive")
-    if cubic_term not in ("lax", "printed"):
-        raise ValueError("cubic_term must be 'lax' or 'printed'")
     xmin, xmax, tmin, tmax = region
     pts = halton_points(n_probe)
     xs = xmin + (xmax - xmin) * pts[:, 0]
@@ -99,10 +89,7 @@ def pde_residual(
     Qxx = sum(_D2[i - 1] * ((xp[4 + i] - Q0) + (xp[4 - i] - Q0)) for i in (1, 2, 3)) / h**2
     Qxxx = sum(_D3[i - 1] * (xp[4 + i] - xp[4 - i]) for i in (1, 2, 3, 4)) / h**3
     QQd = Q0 @ dagger(Q0)
-    if cubic_term == "lax":
-        cubic = 3.0 * sg * (QQd @ Qx + Qx @ dagger(Q0) @ Q0)
-    else:
-        cubic = 6.0 * sg * QQd @ Qx
+    cubic = 3.0 * sg * (QQd @ Qx + Qx @ dagger(Q0) @ Q0)
     R = (
         1j * Qt
         + alpha * (Qxx - 2.0 * sg * (QQd - k0**2 * I2) @ Q0)

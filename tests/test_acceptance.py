@@ -24,7 +24,7 @@ from hirota_ist.matrices import dagger, det2
 from hirota_ist.scattering import audit_symmetries, det_a, scattering_matrix
 from hirota_ist.solitons import DiscreteEigenpair, expand_quartets, quartet_partner
 from hirota_ist.spectral import Background, classify_region, uniformize
-from hirota_ist.traceform import TraceInput, theta_condition_variants, trace_det_a
+from hirota_ist.traceform import TraceInput, theta_condition, trace_det_a
 from hirota_ist.verification import boundary_decay, halton_points, pde_residual, periodicity_probe
 
 ALL_PRESETS = h.preset_names()
@@ -162,14 +162,14 @@ def test_criterion_05_trace_formula(fig3a_field, fig3a_spec):
 def test_criterion_06_theta_condition(fig3a_spec):
     Qm = h.reconstruct_Q(-40.0, 0.0, fig3a_spec)
     measured = float(np.angle(np.linalg.det(fig3a_spec.bg.Qplus @ dagger(Qm))) % (2 * math.pi))
-    variants = theta_condition_variants(TraceInput(bg=fig3a_spec.bg, simple_zeros=(2j,)))
-    diffs = {k: min(abs(v - measured), 2 * math.pi - abs(v - measured)) for k, v in variants.items()}
-    ok = min(diffs.values()) <= 1e-3
+    expected = theta_condition(TraceInput(bg=fig3a_spec.bg, simple_zeros=(2j,)))
+    gap = abs(expected - measured)
+    gap = min(gap, 2 * math.pi - gap)
+    ok = gap <= 1e-3
     report(
         "criterion 6", ok,
-        f"measured arg det(Q+ Qm^dag) = {measured:.6f}; variants = "
-        + ", ".join(f"{k}={v:.6f}" for k, v in variants.items())
-        + f"; best match {min(diffs.values()):.2e} (tol 1e-3)",
+        f"measured arg det(Q+ Qm^dag) = {measured:.6f}; expected {expected:.6f}; "
+        f"deviation {gap:.2e} (tol 1e-3)",
     )
     assert ok
 

@@ -194,6 +194,7 @@ def test_cli_verify_preset(tmp_path):
     assert doc["pass"] is True
     assert doc["checks"]["pde_residual"]["pass"] is True
     assert doc["checks"]["theta_condition"]["pass"] is True
+    assert set(doc["checks"]["theta_condition"]) == {"measured", "expected", "pass"}
 
 
 def _verify_theta_condition(tmp_path, zeta, C, alpha, beta):
@@ -231,7 +232,7 @@ def test_cli_verify_rank1_config_theta_condition(tmp_path):
 
 def test_cli_verify_near_rank1_config_theta_condition(tmp_path):
     # rank 2 with sigma2 / sigma1 = 2.5e-12: its partner once read as rank 1,
-    # and the measured phase (0.360) then matched no variant; the rest of the
+    # and the measured phase (0.360) then missed the phase condition; the rest of the
     # report is not asserted (pde_residual reads 1.04e-5 at h = 1e-2, stencil
     # truncation)
     flag, theta = _verify_theta_condition(tmp_path, 1 + 2j, np.array([[1, 1], [1, 1 + 1e-11]]), 1.0, 0.1)

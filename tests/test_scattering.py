@@ -345,6 +345,16 @@ def test_det_a_matches_trace_formula_off_the_presets(name, fig3a):
     assert _det_a_error(seed, fig3a.bg) <= bound
 
 
+@pytest.mark.parametrize("k0", [1.0, 1.5, 2.0])
+def test_det_a_error_does_not_grow_with_k0(k0):
+    # the mesh scales its cells by 1/k0, as the field and k(z) vary on that
+    # scale; with cells sized in x alone this read 2.0e-12, 2.2e-11 and 1.2e-10
+    Qp = k0 * np.eye(2, dtype=complex)
+    bg = h.Background(sigma=-1, k0=k0, alpha=1.0, beta=0.1, Qplus=Qp, Qminus=Qp)
+    seed = DiscreteEigenpair(2j * k0, np.ones((2, 2), dtype=complex))
+    assert _det_a_error(seed, bg, [k0 * z for z in _dplus_points(2j)]) <= 4e-12
+
+
 # Hypothesis legs: random seeds off the presets -------------------------------
 
 def _decays(quartet):

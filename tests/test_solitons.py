@@ -90,7 +90,7 @@ def test_seed_and_partner_share_a_rank():
     # det C = 1e-11 against a threshold of 1e-12 max|C|^2 made the seed rank 2
     # and its partner, whose det is |z|^-4 = 1/25 of it, rank 1: the mixed
     # system put the field 0.89 off at x = -40, with a boundary phase (0.360)
-    # that matched no variant of the phase condition
+    # that did not match the phase condition
     seed = DiscreteEigenpair(1 + 2j, np.array([[1, 1], [1, 1 + 1e-11]]))
     spec = expand_quartets([seed], FOC)
     assert [rank_of(C) for C in spec.Cs] == [RankFlag.RANK2, RankFlag.RANK2]
@@ -98,8 +98,7 @@ def test_seed_and_partner_share_a_rank():
     Qmp = _reconstruct_mp(-40.0, 0.0, spec, _dps_for(log_scale(-40.0, 0.0, spec)))
     assert np.max(np.abs(Q - Qmp)) <= 1e-14
     measured = np.angle(np.linalg.det(FOC.Qplus @ dagger(Q))) % (2 * np.pi)
-    double = h.theta_condition_variants(h.TraceInput(bg=FOC, double_zeros=(seed.zn,)))
-    assert abs(measured - double["simple_plus_double_plus"]) <= 1e-12
+    assert abs(measured - h.theta_condition(h.TraceInput(bg=FOC, double_zeros=(seed.zn,)))) <= 1e-12
 
 
 upper = st.builds(

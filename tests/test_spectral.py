@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 from hirota_ist.errors import ZeroArgument
 from hirota_ist.spectral import Background, Region, classify_region, theta, uniformize
-from hirota_ist.traceform import TraceInput, _quadrature
 
 EYE = np.eye(2, dtype=complex)
 
@@ -117,53 +114,6 @@ def test_region_parity_defocusing():
         z = complex(rng.uniform(-4, 4), rng.uniform(0.05, 4))
         if classify_region(z, DEF) is Region.D_PLUS:
             assert classify_region(np.conj(z), DEF) is Region.D_MINUS
-
-
-def _real_midpoints(n, L):
-    """Cell midpoints of [-L, L]; never 0 or +-k0 = +-1 for the sizes used."""
-    return -L + (np.arange(n) + 0.5) * (2.0 * L / n)
-
-
-def test_contour_circle_weights_cancel():
-    # constant rho: each circle term is weight * logdet, and the closed
-    # trapezoid loop weights i z dphi sum to zero
-    rho = np.array([[0.3 + 0.1j, 0.2], [0.2, -0.4j]])
-    phis = (np.arange(512) + 0.5) * (2.0 * math.pi / 512)
-    nodes = [complex(x) for x in _real_midpoints(32, 5.0)] + [complex(np.exp(1j * p)) for p in phis]
-    terms = _quadrature(TraceInput(bg=FOC, rho_samples=tuple((z, rho) for z in nodes)))
-    logdet = np.log(np.linalg.det(EYE + rho.conj().T @ rho))
-    circle = [wl for z, wl in terms if z.imag != 0]
-    assert len(circle) == 512
-    assert abs(sum(circle) / logdet) < 1e-8
-
-
-def test_contour_quadrature_integrates_moments():
-    # rho = diag(sqrt(exp(x^2) - 1), 0) makes log det(I + rho^dag rho) = x^2,
-    # so the real terms are the oriented trapezoid rule for the moment z^2:
-    # outer segments rightward, inner segments (-1, 0) and (0, 1) reversed.
-    # On a uniform grid the trapezoid rule for x^2 over [a, b] is exactly
-    # (b^3 - a^3)/3 + (b - a) h^2 / 6.
-    n, L = 400, 3.0
-    hstep = 2.0 * L / n
-    xs = _real_midpoints(n, L)
-    samples = tuple((complex(x), np.diag([math.sqrt(math.expm1(x * x)), 0.0]).astype(complex)) for x in xs)
-    val = sum(wl for _, wl in _quadrature(TraceInput(bg=FOC, rho_samples=samples)))
-    expected = 0.0
-    for pred, orient in [
-        (lambda x: x <= -1, 1.0),
-        (lambda x: -1 < x < 0, -1.0),
-        (lambda x: 0 < x < 1, -1.0),
-        (lambda x: x >= 1, 1.0),
-    ]:
-        seg = [x for x in xs if pred(x)]
-        a, b = min(seg), max(seg)
-        expected += orient * ((b**3 - a**3) / 3.0 + (b - a) * hstep**2 / 6.0)
-    assert abs(val - expected) < 1e-8
-    # int z^2 over [-3,-1]+[1,3] minus over [-1,1]; the node spans stop short
-    # of each of the 8 segment ends by at most one cell where z^2 <= L^2
-    outer = 2.0 * (27 - 1) / 3.0
-    inner = 2.0 / 3.0
-    assert abs(val - (outer - inner)) <= 8 * hstep * L**2
 
 
 def test_background_validation():

@@ -1,24 +1,36 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hirota_ist as h
 from hirota_ist.errors import PoleHit
 from hirota_ist.matrices import dagger
+from hirota_ist.solitons import RankFlag, min_decay_rate
 from hirota_ist.spectral import Background
-from hirota_ist.traceform import TraceInput, _quadrature, theta_condition_variants, trace_det_a
+from hirota_ist.traceform import TraceInput, theta_condition, trace_det_a
+from hirota_ist.verification import boundary_decay
+from test_solitons import random_seeds, rank1_or_2, scaled_backgrounds
 
 EYE = np.eye(2, dtype=complex)
 FOC = Background(sigma=-1, k0=1.0, alpha=1.0, beta=0.1, Qplus=EYE, Qminus=EYE)
+
+
+def _gap(a, b):
+    """Distance of two phases on the circle."""
+    d = abs(a - b) % (2 * math.pi)
+    return min(d, 2 * math.pi - d)
 
 
 def test_empty_input_is_trivial():
     inp = TraceInput(bg=FOC)
     for z in (3j, 1 + 2j, 0.2 + 1.5j):
         assert trace_det_a(z, inp) == 1.0
-    assert set(theta_condition_variants(inp).values()) == {0.0}
+    assert theta_condition(inp) == 0.0
 
 
 def test_hand_value_single_zero():
@@ -70,18 +82,15 @@ def test_trace_det_a_analytic():
 def test_theta_condition_single_simple_zero():
     # delta = pi/2: 4 delta = 2 pi, reduces to 0
     inp = TraceInput(bg=FOC, simple_zeros=(2j,))
-    assert abs(theta_condition_variants(inp)["simple_plus_double_minus"]) < 1e-15
+    assert abs(theta_condition(inp)) < 1e-15
 
 
 def test_theta_condition_mixed_orders():
     z_simple = 2j  # delta = pi/2
     z_double = 2.0 * cmath.exp(1j * math.pi / 3)  # delta = pi/3
     inp = TraceInput(bg=FOC, simple_zeros=(z_simple,), double_zeros=(z_double,))
-    # shipped signs: 4*(pi/2) - 8*(pi/3) mod 2 pi = 4 pi/3
-    v = theta_condition_variants(inp)
-    assert abs(v["simple_plus_double_minus"] - 4 * math.pi / 3) < 1e-12
-    assert abs(v["simple_minus_double_minus"] - 4 * math.pi / 3) < 1e-12  # -2pi == +2pi mod 2pi
-    assert abs(v["simple_plus_double_plus"] - 2 * math.pi / 3) < 1e-12
+    # 4 (pi/2) + 8 (pi/3) mod 2 pi = 2 pi/3
+    assert abs(theta_condition(inp) - 2 * math.pi / 3) < 1e-12
 
 
 def test_theta_condition_consistency_with_measured_boundary_rank1():
@@ -91,65 +100,30 @@ def test_theta_condition_consistency_with_measured_boundary_rank1():
     spec = h.expand_quartets([seed], bg)
     Qm = h.reconstruct_Q(-40.0, 0.2, spec)
     measured = np.angle(np.linalg.det(bg.Qplus @ dagger(Qm))) % (2 * math.pi)
-    inp = TraceInput(bg=bg, simple_zeros=(1 + 2j,))
-    shipped = theta_condition_variants(inp)["simple_plus_double_minus"]
-    assert min(abs(shipped - measured), 2 * math.pi - abs(shipped - measured)) <= 1e-3
+    assert _gap(theta_condition(TraceInput(bg=bg, simple_zeros=(1 + 2j,))), measured) <= 1e-3
 
 
 def test_theta_condition_consistency_with_measured_boundary_rank2(fig6, fig6_spec):
-    # rank-2 norming constant: double zero; the measured phase picks out
-    # the +8 variant among the reported values
+    # rank-2 norming constant: double zero, measured phase = +8 delta
     Qm = h.reconstruct_Q(-40.0, 0.0, fig6_spec)
     measured = np.angle(np.linalg.det(fig6.bg.Qplus @ dagger(Qm))) % (2 * math.pi)
-    inp = TraceInput(bg=fig6.bg, double_zeros=(fig6.seeds[0].zn,))
-    v = theta_condition_variants(inp)
-    diffs = {
-        k: min(abs(val - measured), 2 * math.pi - abs(val - measured)) for k, val in v.items()
-    }
-    assert diffs["simple_plus_double_plus"] <= 1e-3
-    assert min(diffs.values()) == diffs["simple_plus_double_plus"]
+    assert _gap(theta_condition(TraceInput(bg=fig6.bg, double_zeros=(fig6.seeds[0].zn,))), measured) <= 1e-3
 
 
-def _contour_nodes(n_real, n_circle, L):
-    """Cell midpoints of [-L, L] (never 0 or +-k0 = +-1 for the sizes used)
-    and the unit circle at half-step angles, closed under conjugation."""
-    xs = -L + (np.arange(n_real) + 0.5) * (2.0 * L / n_real)
-    phis = (np.arange(n_circle) + 0.5) * (2.0 * math.pi / n_circle)
-    return [complex(x) for x in xs] + [complex(np.exp(1j * p)) for p in phis]
+def _decays(quartet):
+    # verify's own gate for its decay and phase checks
+    seed, bg = quartet
+    return min_decay_rate(h.expand_quartets([seed], bg)) >= 0.75
 
 
-def _constant_rho_samples(scale):
-    rho = scale * np.array([[1.0, 0.2], [0.2, 1.0]], dtype=complex)
-    return tuple((z, rho) for z in _contour_nodes(768, 512, 30.0))
-
-
-def test_quadrature_orientation_focusing():
-    # constant rho: every term is weight * logdet, and the trapezoid weights
-    # of a sorted segment sum to its node span, so the real terms sum to
-    # logdet (outer spans - inner spans) and the closed circle loop to 0
-    rho = np.array([[0.3 + 0.1j, 0.2], [0.2, -0.4j]])
-    inp = TraceInput(bg=FOC, rho_samples=tuple((z, rho) for z in _contour_nodes(64, 16, 5.0)))
-    logdet = cmath.log(np.linalg.det(np.eye(2) + dagger(rho) @ rho))
-    terms = _quadrature(inp)
-    real = [(z.real, wl) for z, wl in terms if z.imag == 0]
-    circle = [wl for z, wl in terms if z.imag != 0]
-    assert len(real) == 64 and len(circle) == 16
-
-    def span(pred):
-        xs = [x for x, _ in real if pred(x)]
-        return max(xs) - min(xs)
-
-    outer = span(lambda x: x <= -1) + span(lambda x: x >= 1)
-    inner = span(lambda x: -1 < x < 0) + span(lambda x: 0 < x < 1)
-    assert abs(sum(wl for _, wl in real) - logdet * (outer - inner)) <= 1e-12
-    assert abs(sum(circle)) <= 1e-12
-
-
-def test_quadrature_term_scales_quadratically():
-    inp1 = TraceInput(bg=FOC, rho_samples=_constant_rho_samples(1e-3))
-    inp2 = TraceInput(bg=FOC, rho_samples=_constant_rho_samples(2e-3))
-    v1 = trace_det_a(3j, inp1)
-    v2 = trace_det_a(3j, inp2)
-    # log det(I + rho^dag rho) ~ |rho|^2, so deviations from 1 scale by 4
-    r = abs(v2 - 1.0) / max(abs(v1 - 1.0), 1e-300)
-    assert 3.5 <= r <= 4.5
+@given(random_seeds(scaled_backgrounds, st.floats(min_value=1.05, max_value=3.0), rank1_or_2).filter(_decays))
+@settings(deadline=None, max_examples=50)
+def test_theta_condition_matches_measured_boundary_on_random_seeds(quartet):
+    # the left limit as verify measures it, on random k0, Q+ and ranks
+    seed, bg = quartet
+    spec = h.expand_quartets([seed], bg)
+    Qm = boundary_decay(functools.partial(h.reconstruct_Q, spec=spec), t=0.25, bg=bg).Qminus_measured
+    measured = np.angle(np.linalg.det(bg.Qplus @ dagger(Qm))) % (2 * math.pi)
+    rank2 = seed.rank_flag is RankFlag.RANK2
+    inp = TraceInput(bg=bg, simple_zeros=() if rank2 else (seed.zn,), double_zeros=(seed.zn,) if rank2 else ())
+    assert _gap(theta_condition(inp), measured) <= 1e-9

@@ -30,30 +30,6 @@ def test_residual_soliton(fig3a_spec):
     assert rep2.max_residual <= 1e-5
 
 
-def test_cubic_term_forms_agree_for_commuting_data(fig3a_spec):
-    # fig3a's norming constant is normal, so Q Q^dag Q_x = Q_x Q^dag Q and
-    # the two nonlinearity forms coincide
-    field = functools.partial(h.reconstruct_Q, spec=fig3a_spec)
-
-    r_lax = pde_residual(field, (-2, 2, -1, 1), 10, 1e-2, fig3a_spec.bg, cubic_term="lax")
-    r_pr = pde_residual(field, (-2, 2, -1, 1), 10, 1e-2, fig3a_spec.bg, cubic_term="printed")
-    assert abs(r_lax.max_residual - r_pr.max_residual) <= 1e-10
-
-
-def test_cubic_term_forms_differ_for_noncommuting_data():
-    # fig11's norming constant is rank 1 with a genuinely complex direction
-    # (non-normal): only the zero-curvature form of the equation is solved
-    p = h.preset("fig11")
-    spec = p.spec()
-
-    field = functools.partial(h.reconstruct_Q, spec=spec)
-
-    r_lax = pde_residual(field, (-2, 2, -1, 1), 10, 1e-2, p.bg, cubic_term="lax")
-    r_pr = pde_residual(field, (-2, 2, -1, 1), 10, 1e-2, p.bg, cubic_term="printed")
-    assert r_lax.max_residual <= 1e-5
-    assert r_pr.max_residual > 1e-2
-
-
 def test_residual_flags_fault_injection(background_bg):
     def bad_field(x, t):
         bump = 1e-3 * np.exp(-(np.asarray(x) ** 2) - np.asarray(t) ** 2)
