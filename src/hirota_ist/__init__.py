@@ -36,4 +36,4 @@ from .verification import (
     periodicity_probe,
     symmetry_residual,
 )
-from .lax import assemble_U, assemble_V, asymptotic_eigenvectors, embed, zero_curvature_residual
+from .lax import asymptotic_eigenvectors, embed

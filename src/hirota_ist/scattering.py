@@ -31,9 +31,13 @@ L_MAX).  U = P(x) + k(z) S, so a cell's Omega is a cubic A0 + k A1 + k^2 A2
 + k^3 A3 whose coefficients do not depend on z.  Cell exponentials (each
 scaled and squared as its own norm needs), times the column shift
 e^{+-i lambda h} that keeps the analytic pair bounded, are multiplied in
-pairs; every z is propagated alone, so it gets the same bits in any batch.
-A call builds one mesh, which all its z share: pass the z of one field as
-one array, not one call per z.
+pairs along the cells of each z.  A call builds one mesh, which all its z
+share, and exponentiates the cells of _BLOCK // n of its z (n cells a
+side, at least one z) as one block, z-major, small enough to stay in
+cache; a z of more than _CHUNK cells goes _CHUNK cells at a time.  Each
+step is elementwise or a product along one z's cells, so a z gets the
+same bits in any batch: pass the z of one field as one array, not one
+call per z.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ _Box = tuple[float, float, float, float]  # (re0, re1, im0, im1)
 H = 0.03  # shortest cell at tol = 1e-8 and k0 <= 1 (over k0 above); a crossing's error scales like h^6
 R = 16  # longest cell over the shortest; probe cells are about R of the shortest long
 L0, L_MAX = 20.0, 80.0  # first and largest truncation length; L doubles from L0 while the field has not settled
-_CHUNK = 4096  # cells exponentiated at once
+_CHUNK = 4096  # cells of one z exponentiated at once
+_BLOCK = 512  # cells x z exponentiated at once where a z has fewer cells: a 4x4 stack of 128 KB stays in cache
 _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])  # Gauss-Legendre nodes on a unit cell
 _THETA = 0.1  # bound on |Omega|_1 for the degree-9 Taylor sum (remainder < 3e-17)
 _TAYLOR = [1.0 / math.factorial(j) for j in range(10)]
@@ -162,8 +167,8 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
 
 
 def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Cellwise 4x4 products of (4, 4, n) stacks."""
-    return np.einsum("ikn,kjn->ijn", A, B)
+    """Cellwise 4x4 products of (4, 4, ...) stacks."""
+    return np.einsum("ik...,kj...->ij...", A, B)
 
 
 def _squarings(cells: _Cells, k: complex) -> np.ndarray:
@@ -189,58 +194,80 @@ def _expm1(om: np.ndarray, squarings: np.ndarray) -> np.ndarray:
     return F
 
 
-def _transfer(cells: _Cells, k: complex, w: complex) -> CMat4:
-    """e^{w h_{n-1}} exp(Omega_{n-1}) ... e^{w h_0} exp(Omega_0) over the cells of one side.
+def _z_per_block(n: int) -> int:
+    """z that share one block of _transfer over n cells."""
+    return max(1, _BLOCK // n)
 
-    Factors are carried as I + F, (I + A)(I + B) = I + (A + B + AB), so
-    rounding scales with the small |F| = |exp(Omega) - I|, not with 1.
+
+def _blocks(n: int, nz: int) -> int:
+    """Blocks that _transfer exponentiates for nz z over n cells."""
+    return math.ceil(nz / _z_per_block(n)) * math.ceil(n / _CHUNK)
+
+
+def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """e^{w h_{n-1}} exp(Omega_{n-1}) ... e^{w h_0} exp(Omega_0) over the cells of one side, (len(k), 4, 4).
+
+    One product for each pair (k, w) of the 1-D arrays k and w.  Factors
+    are carried as I + F, (I + A)(I + B) = I + (A + B + AB), so rounding
+    scales with the small |F| = |exp(Omega) - I|, not with 1.  The cells of
+    _z_per_block(n) z are exponentiated at once, z-major; the products run
+    along the cells of each z, _CHUNK cells at a time.
     """
-    s = _squarings(cells, k)
-    wh = w * cells.h
-    shift, shift1 = np.exp(wh), 2.0 * np.exp(0.5 * wh) * np.sinh(0.5 * wh)  # e^{w h}, e^{w h} - 1
-    total = None
-    for lo in range(0, len(cells.h), _CHUNK):
-        cut = slice(lo, lo + _CHUNK)
-        om = cells.A[3, ..., cut]
-        for j in (2, 1, 0):  # Horner's rule in k
-            om = k * om + cells.A[j, ..., cut]
-        F = _expm1(om * 0.5 ** s[cut], s[cut]) * shift[cut]
-        F[_DIAG, _DIAG] += shift1[cut]
-        while F.shape[-1] > 1:
-            m = F.shape[-1]
-            A, B = F[..., 1:m:2], F[..., 0 : m - 1 : 2]
-            P = A + B + _mm(A, B)
-            F = np.concatenate((P, F[..., m - 1 :]), axis=-1) if m % 2 else P
-        total = F if total is None else F + total + _mm(F, total)
-    return np.eye(4) + total[..., 0]
+    n = len(cells.h)
+    per = _z_per_block(n)
+    out = np.empty((len(k), 4, 4), dtype=complex)
+    for z0 in range(0, len(k), per):
+        zs = slice(z0, z0 + per)
+        s = np.array([_squarings(cells, kz) for kz in k[zs]])  # (z, n)
+        wh = w[zs, None] * cells.h
+        shift, shift1 = np.exp(wh), 2.0 * np.exp(0.5 * wh) * np.sinh(0.5 * wh)  # e^{w h}, e^{w h} - 1
+        total = None
+        for lo in range(0, n, _CHUNK):
+            cut = slice(lo, lo + _CHUNK)
+            om = cells.A[3, ..., None, cut]
+            for j in (2, 1, 0):  # Horner's rule in k
+                om = k[zs, None] * om + cells.A[j, ..., None, cut]
+            F = _expm1((om * 0.5 ** s[:, cut]).reshape(4, 4, -1), s[:, cut].ravel()).reshape(om.shape)
+            F *= shift[:, cut]
+            F[_DIAG, _DIAG] += shift1[:, cut]
+            while F.shape[-1] > 1:  # (4, 4, z, cells): pairs along the cells
+                m = F.shape[-1]
+                A, B = F[..., 1:m:2], F[..., 0 : m - 1 : 2]
+                P = A + B + _mm(A, B)
+                F = np.concatenate((P, F[..., m - 1 :]), axis=-1) if m % 2 else P
+            total = F if total is None else F + total + _mm(F, total)
+        out[zs] = np.moveaxis(np.eye(4)[..., None] + total[..., 0], -1, 0)
+    return out
 
 
-def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: bool = False) -> np.ndarray:
-    """mu(0) of one side: all four columns, or only the bounded pair.
+def _jost(mesh, sps: Sequence[SpectralPoint], side: str, bg: Background, analytic_only: bool = False) -> np.ndarray:
+    """mu(0) of one side at each spectral point: all four columns, (n, 4, 4), or only the bounded pair, (n, 4, 2).
 
     The bounded (analytic) pair is M / N in D+, the barred pair in D-; the
     other pair grows like e^{2 |Im lambda| L} off the continuous spectrum.
     """
     left = side == "left"
     cells = mesh[0] if left else mesh[1]
-    X0 = asymptotic_eigenvectors(sp, cells.limit, bg)  # rejects branch points
-    eps = 1.0 if sp.lam.imag >= 0 else -1.0
-    P = _transfer(cells, sp.k, 1j * sp.lam * eps)
-    analytic = (1.0 if left else -1.0) * _SGN == eps
-    if analytic_only:
-        mu = P @ X0[:, analytic]
-    else:
-        mu = P @ (X0 * np.where(analytic, 1.0, np.exp(-2j * sp.lam * cells.h.sum() * eps)))
-    if not np.all(np.isfinite(mu)):
-        raise IntegrationFailure(f"non-finite Jost solution at z = {sp.z} ({side})")
+    X0 = [asymptotic_eigenvectors(sp, cells.limit, bg) for sp in sps]  # rejects branch points
+    eps = [1.0 if sp.lam.imag >= 0 else -1.0 for sp in sps]
+    P = _transfer(cells, np.array([sp.k for sp in sps]), np.array([1j * sp.lam * e for sp, e in zip(sps, eps)]))
+    mu = np.empty((len(sps), 4, 2 if analytic_only else 4), dtype=complex)
+    for i, (sp, X, e) in enumerate(zip(sps, X0, eps)):
+        analytic = (1.0 if left else -1.0) * _SGN == e
+        if analytic_only:
+            mu[i] = P[i] @ X[:, analytic]
+        else:
+            mu[i] = P[i] @ (X * np.where(analytic, 1.0, np.exp(-2j * sp.lam * cells.h.sum() * e)))
+        if not np.all(np.isfinite(mu[i])):
+            raise IntegrationFailure(f"non-finite Jost solution at z = {sp.z} ({side})")
     return mu
 
 
-def _over_z(z, fn):
-    """fn at a scalar z, or the list of fn over a 1-D array of z."""
+def _points(z, bg: Background) -> list[SpectralPoint]:
+    """The spectral points of a scalar or a 1-D array of z."""
     if np.ndim(z) > 1:
         raise ValueError("z must be a scalar or a 1-D array")
-    return fn(complex(z)) if np.ndim(z) == 0 else [fn(complex(w)) for w in np.asarray(z)]
+    return [uniformize(complex(w), bg) for w in np.ravel(z)]
 
 
 @dataclass(frozen=True)
@@ -268,15 +295,14 @@ def integrate_jost(field: Field, z, side: str, tol: float, bg: Background, t0: f
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     mesh = _mesh(field, tol, t0, bg)
-    out = _over_z(z, lambda w: _jost(mesh, uniformize(w, bg), side, bg))
-    return out if np.ndim(z) == 0 else np.array(out).reshape(-1, 4, 4)
+    mu = _jost(mesh, _points(z, bg), side, bg)
+    return mu[0] if np.ndim(z) == 0 else mu
 
 
-def _sample(mesh, z: complex, t0: float, bg: Background) -> ScatteringSample:
-    sp = uniformize(z, bg)
+def _sample(z: complex, Phi: CMat4, Psi: CMat4, t0: float, bg: Background) -> ScatteringSample:
     ph = np.exp(1j * theta(0.0, t0, z, bg) * _SGN)
-    Phi = _jost(mesh, sp, "left", bg) * ph[None, :]
-    Psi = _jost(mesh, sp, "right", bg) * ph[None, :]
+    Phi = Phi * ph[None, :]
+    Psi = Psi * ph[None, :]
     d = np.linalg.det(Psi)
     if abs(d) < 1e-12:
         raise SingularWronskian(f"det Psi(0) = {d} at z = {z}")
@@ -296,7 +322,10 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
     array of z the list of samples.
     """
     mesh = _mesh(field, tol, t0, bg)
-    return _over_z(z, lambda w: _sample(mesh, w, t0, bg))
+    sps = _points(z, bg)
+    Phi, Psi = (_jost(mesh, sps, side, bg) for side in ("left", "right"))
+    out = [_sample(sp.z, phi, psi, t0, bg) for sp, phi, psi in zip(sps, Phi, Psi)]
+    return out[0] if np.ndim(z) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -336,10 +365,9 @@ def audit_symmetries(samples: Sequence[ScatteringSample], bg: Background) -> Sym
     return SymmetryAuditReport(*(float(d) for d in np.max(devs, axis=0)), n_samples=len(samples))
 
 
-def _det_a(mesh, z: complex, bg: Background) -> complex:
-    sp = uniformize(z, bg)
-    W = np.hstack([_jost(mesh, sp, side, bg, analytic_only=True) for side in ("left", "right")])
-    return complex(np.linalg.det(W) / sp.gamma**2)
+def _det_a(mesh, sps: Sequence[SpectralPoint], bg: Background) -> np.ndarray:
+    W = np.concatenate([_jost(mesh, sps, side, bg, analytic_only=True) for side in ("left", "right")], axis=-1)
+    return np.array([complex(d / sp.gamma**2) for d, sp in zip(np.linalg.det(W), sps)], dtype=complex)
 
 
 def det_a(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
@@ -353,8 +381,8 @@ def det_a(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
     if off is not None:
         raise ValueError(f"det_a requires z in D+ (got {classify_region(off, bg)} at z = {off})")
     mesh = _mesh(field, tol, t0, bg)
-    out = _over_z(z, lambda w: _det_a(mesh, w, bg))
-    return out if np.ndim(z) == 0 else np.array(out, dtype=complex)
+    a = _det_a(mesh, _points(z, bg), bg)
+    return complex(a[0]) if np.ndim(z) == 0 else a
 
 
 def _contour(box: _Box) -> tuple[np.ndarray, np.ndarray]:
@@ -438,9 +466,11 @@ def find_discrete_spectrum(
         raise ValueError(f"searchbox touches the complement of D+ at {off}")
     mesh = _mesh(field, tol, t0, bg)
     moves: list[_Box] = []
+    nz = blocks = 0
     while True:
         re0, re1, im0, im1 = box
-        a = np.array([_det_a(mesh, complex(w), bg) for w in z])
+        a = _det_a(mesh, _points(z, bg), bg)
+        nz, blocks = nz + len(z), blocks + sum(_blocks(len(c.h), len(z)) for c in mesh)
         mag = np.abs(a)
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.angle(np.roll(a, -1) / a)  # node j to j + 1, the last one closing the contour
@@ -476,7 +506,8 @@ def find_discrete_spectrum(
             kept.append(complex(zr))
         else:
             warnings.warn(f"zero {zr} rejected: too close to the continuous spectrum", NoConvergenceWarning)
-    _log.debug("find_discrete_spectrum: %d nodes, winding %.4f, Hankel singular values %s, zeros %s, "
-               "multiplicities %s, contour moves %s",
-               len(z), w, sv.tolist(), kept, mult.real.round(3).tolist(), moves)
+    _log.debug("find_discrete_spectrum: %d nodes, cells %d left %d right x %d z propagated in %d blocks, "
+               "winding %.4f, Hankel singular values %s, zeros %s, multiplicities %s, contour moves %s",
+               len(z), len(mesh[0].h), len(mesh[1].h), nz, blocks, w, sv.tolist(), kept,
+               mult.real.round(3).tolist(), moves)
     return kept

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import mpmath as mp
@@ -288,6 +288,21 @@ def _dps_for(scale: float) -> int:
 
 # Closed-form one-quartet oracle --------------------------------------------
 
+@lru_cache(maxsize=16)
+def _mp_polar(qplus: bytes, k0: float, dps: int) -> mp.matrix:
+    """k0 (Q+ Q+^dag)^(-1/2) Q+ at dps digits, Q+ the bytes of a complex 2x2 array; callers must not modify it.
+
+    The float Q+ meets Q+ Q+^dag = k0^2 I only to rounding, and a rank-1
+    quartet amplifies that defect like e^s; k0 times the unitary polar
+    factor (symmetric for a symmetric Q+) meets it at dps digits.  Every
+    point of a background at one precision shares it.
+    """
+    with mp.workdps(dps):
+        Qp = mp.matrix(np.frombuffer(qplus, dtype=complex).reshape(2, 2).tolist())
+        P, V = mp.eighe(Qp * Qp.H)
+        return V * mp.diag([mp.mpf(k0) / mp.sqrt(p) for p in P]) * V.H * Qp
+
+
 def _closed_mp(x: float, t: float, seed: DiscreteEigenpair, bg: Background, dps: int) -> CMat2:
     with mp.workdps(dps):
         z1 = mp.mpc(seed.zn)
@@ -301,12 +316,7 @@ def _closed_mp(x: float, t: float, seed: DiscreteEigenpair, bg: Background, dps:
             C1 = mp.matrix(A.tolist()) * mp.matrix(B.tolist())
         else:
             C1 = mp.matrix(seed.Cn.tolist())
-        # the float Q+ meets Q+ Q+^dag = k0^2 I only to rounding, and a rank-1
-        # quartet amplifies that defect like e^s: take k0 (Q+ Q+^dag)^(-1/2) Q+,
-        # k0 times the unitary polar factor (symmetric for a symmetric Q+)
-        Qp = mp.matrix(bg.Qplus.tolist())
-        P, V = mp.eighe(Qp * Qp.H)
-        Qp = V * mp.diag([k0 / mp.sqrt(p) for p in P]) * V.H * Qp
+        Qp = _mp_polar(bg.Qplus.tobytes(), bg.k0, dps)
         z2 = -(k0**2) / z1c
         C2 = -(Qp.H * C1.H * Qp.H) / z1c**2
         E1 = mp.exp(-2j * _mp_theta(x, t, z1, bg))

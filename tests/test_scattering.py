@@ -17,8 +17,10 @@ from hirota_ist.scattering import (
     H,
     R,
     _cells,
+    _contour,
     _mesh,
     _transfer,
+    _z_per_block,
     audit_symmetries,
     det_a,
     find_discrete_spectrum,
@@ -314,7 +316,7 @@ def test_magnus_step_is_6th_order(fig3a_field, fig3a_spec):
     def transfer(n):
         h = 6.0 / n
         Q = fig3a_field((-3.0 + h * (np.arange(n)[:, None] + _GAUSS)).ravel(), 0.0).reshape(n, 3, 2, 2)
-        return _transfer(_cells(Q, bg.sigma, np.full(n, h), bg.Qplus), 0.7 + 0.3j, 0.2j)
+        return _transfer(_cells(Q, bg.sigma, np.full(n, h), bg.Qplus), np.array([0.7 + 0.3j]), np.array([0.2j]))[0]
 
     ref = transfer(2048)
     err = [np.abs(transfer(n) - ref).max() for n in (32, 64, 128)]
@@ -451,6 +453,36 @@ def test_batched_z_gives_the_same_bits(fig3a_field, fig3a_spec):
         integrate_jost(fig3a_field, zs, "right", 1e-8, bg)[1],
         integrate_jost(fig3a_field, zs[1], "right", 1e-8, bg),
     )
+
+
+# find_discrete_spectrum on fig3a's CLI box at tol 1e-4 while every z was propagated alone
+FIG3A_ZERO_AT_1E_4 = complex(-6.8122590901609215e-15, 1.999999994585451)
+
+
+def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog):
+    # at tol 1e-4 each side has 59-75 cells, so several z share a block; the CLI box's 288 nodes and
+    # the first again (289 z) span many blocks and end in a partial one
+    bg, tol = fig3a_spec.bg, 1e-4
+    nodes = _contour(CLI_BOX)[0]
+    zs = np.append(nodes, nodes[0])
+    cells = [len(c.h) for c in _mesh(fig3a_field, tol, 0.0, bg)]
+    per = [_z_per_block(n) for n in cells]
+    assert min(per) > 1 and all(len(zs) % p for p in per)
+    some = np.r_[0:len(zs):7, len(zs) - 1]  # every position in a block of 6 or 8, and the partial block
+    batch = det_a(fig3a_field, zs, tol, bg)
+    np.testing.assert_array_equal(batch[some], [det_a(fig3a_field, z, tol, bg) for z in zs[some]])
+    assert batch[-1] == batch[0]
+    few = np.r_[0:len(zs):29, len(zs) - 1]
+    mu = integrate_jost(fig3a_field, zs, "left", tol, bg)
+    np.testing.assert_array_equal(mu[few], [integrate_jost(fig3a_field, z, "left", tol, bg) for z in zs[few]])
+    samples = scattering_matrix(fig3a_field, zs, tol, bg)
+    for i in few:
+        np.testing.assert_array_equal(samples[i].S, scattering_matrix(fig3a_field, zs[i], tol, bg).S)
+    with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
+        assert find_discrete_spectrum(fig3a_field, CLI_BOX, tol, bg) == [FIG3A_ZERO_AT_1E_4]
+    blocks = sum(math.ceil(len(nodes) / p) for p in per)
+    assert (f"cells {cells[0]} left {cells[1]} right x {len(nodes)} z propagated in {blocks} blocks"
+            in caplog.records[-1].getMessage())
 
 
 def test_non_finite_field_or_propagator_raises(background_bg, background_field):
