@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BranchPointSingular
-from .matrices import SIGMA3, CMat2, CMat4, I4, dagger
+from .matrices import SIGMA3, CMat2, I4, dagger
 from .spectral import Background, SpectralPoint
 
 
@@ -26,13 +26,16 @@ def embed(Q: np.ndarray, sigma: int) -> np.ndarray:
     return E
 
 
-def asymptotic_eigenvectors(sp: SpectralPoint, Qpm: CMat2, bg: Background) -> CMat4:
+def asymptotic_eigenvectors(sp: SpectralPoint, Qpm: CMat2, bg: Background) -> np.ndarray:
     """Background eigenvector matrix X = I - (i/z) sigma3 Qe_pm.
 
     X satisfies U_pm X = -i lambda X sigma3 and det X = gamma^2, so it is
-    invertible away from the branch points, which are rejected.
+    invertible away from the branch points, which are rejected.  A point of
+    one z gives a 4x4, a point of n z (n, 4, 4).
     """
-    if abs(sp.gamma) < bg.delta_reg:
-        raise BranchPointSingular(f"gamma(z) = {sp.gamma} too small at z = {sp.z}")
-    return I4 - (1j / sp.z) * SIGMA3 @ embed(Qpm, bg.sigma)
+    gamma = np.ravel(sp.gamma)
+    bad = np.abs(gamma) < bg.delta_reg
+    if bad.any():
+        raise BranchPointSingular(f"gamma(z) = {gamma[bad][0]} too small at z = {np.ravel(sp.z)[bad][0]}")
+    return I4 - np.multiply.outer(1j / sp.z, SIGMA3) @ embed(Qpm, bg.sigma)
 

@@ -1,8 +1,8 @@
 """Small complex-matrix helpers: 2x2 closed forms and 4x4 block layout.
 
-The 2x2 determinant and inverse are closed forms; 4x4 determinants and
-solves go through numpy.linalg.  SIGMA3 and SIGMA2 are the block Pauli
-matrices of the 4x4 linear problem.
+The 2x2 determinant and inverse are closed forms, on one matrix or a
+(..., 2, 2) stack; 4x4 determinants and solves go through numpy.linalg.
+SIGMA3 and SIGMA2 are the block Pauli matrices of the 4x4 linear problem.
 """
 
 from __future__ import annotations
@@ -18,21 +18,20 @@ I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
 
 
-def _singularity_threshold(M: np.ndarray) -> float:
-    # Scale-covariant: the adjugate formula degrades only at true rank loss.
-    m = float(np.max(np.abs(M))) if M.size else 0.0
-    return 1e-300 * max(1.0, m * m)
+def det2(M: np.ndarray):
+    """Determinant of a 2x2 matrix (a complex) or of each matrix of a (..., 2, 2) stack (an array)."""
+    d = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return complex(d) if np.ndim(d) == 0 else d
 
 
-def det2(M: CMat2) -> complex:
-    return complex(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-
-
-def inv2(M: CMat2) -> CMat2:
-    d = det2(M)
-    if abs(d) <= _singularity_threshold(M):
-        raise SingularMatrix(f"2x2 determinant {d} below threshold")
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=complex) / d
+def inv2(M: np.ndarray) -> np.ndarray:
+    """Inverse of a 2x2 matrix or of each matrix of a (..., 2, 2) stack; SingularMatrix if any is singular."""
+    d, m = np.asarray(det2(M)), np.abs(M).max(axis=(-2, -1))
+    bad = np.abs(d) <= 1e-300 * np.maximum(1.0, m * m)  # scale-covariant: the adjugate degrades only at rank loss
+    if bad.any():
+        raise SingularMatrix(f"2x2 determinant {d[bad].flat[0]} below threshold")
+    adj = np.stack([M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0]], axis=-1).reshape(M.shape)
+    return adj / d[..., None, None]
 
 
 def dagger(M: np.ndarray) -> np.ndarray:

@@ -31,13 +31,13 @@ L_MAX).  U = P(x) + k(z) S, so a cell's Omega is a cubic A0 + k A1 + k^2 A2
 + k^3 A3 whose coefficients do not depend on z.  Cell exponentials (each
 scaled and squared as its own norm needs), times the column shift
 e^{+-i lambda h} that keeps the analytic pair bounded, are multiplied in
-pairs along the cells of each z.  A call builds one mesh, which all its z
-share, and exponentiates the cells of _BLOCK // n of its z (n cells a
-side, at least one z) as one block, z-major, small enough to stay in
-cache; a z of more than _CHUNK cells goes _CHUNK cells at a time.  Each
-step is elementwise or a product along one z's cells, so a z gets the
-same bits in any batch: pass the z of one field as one array, not one
-call per z.
+pairs along the cells of each z.  The z travel as arrays: one spectral
+point of arrays, then (n, 4, 4) stacks.  A call builds one mesh, which all
+its z share, and exponentiates the cells of _BLOCK // n of its z (n cells
+a side) as one block, z-major, small enough to stay in cache; a side of
+more than _BLOCK cells goes _BLOCK cells of one z at a time.  Each step is
+elementwise, along one z's cells or on one z's matrix, so a z gets the
+same bits in any batch.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ _Box = tuple[float, float, float, float]  # (re0, re1, im0, im1)
 H = 0.03  # shortest cell at tol = 1e-8 and k0 <= 1 (over k0 above); a crossing's error scales like h^6
 R = 16  # longest cell over the shortest; probe cells are about R of the shortest long
 L0, L_MAX = 20.0, 80.0  # first and largest truncation length; L doubles from L0 while the field has not settled
-_CHUNK = 4096  # cells of one z exponentiated at once
-_BLOCK = 512  # cells x z exponentiated at once where a z has fewer cells: a 4x4 stack of 128 KB stays in cache
+_BLOCK = 512  # cells x z exponentiated at once (and cells built at once): a 4x4 stack of 128 KB stays in cache
 _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])  # Gauss-Legendre nodes on a unit cell
 _THETA = 0.1  # bound on |Omega|_1 for the degree-9 Taylor sum (remainder < 3e-17)
 _TAYLOR = [1.0 / math.factorial(j) for j in range(10)]
@@ -94,8 +93,8 @@ def _comm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _cells(Q: np.ndarray, sigma: int, steps: np.ndarray, limit: CMat2) -> _Cells:
     """Omega of the cells of signed lengths steps whose Gauss-node samples are Q (n, 3, 2, 2), by powers of k."""
     A = np.empty((4, 4, 4, len(Q)), dtype=complex)
-    for lo in range(0, len(Q), _CHUNK):  # in chunks, to bound the temporaries
-        cut = slice(lo, lo + _CHUNK)
+    for lo in range(0, len(Q), _BLOCK):  # in blocks, to bound the temporaries
+        cut = slice(lo, lo + _BLOCK)
         h = steps[cut, None, None]
         P1, P2, P3 = (embed(Q[cut, i], sigma) for i in range(3))
         a1, s1 = h * P2, -1j * h * SIGMA3  # alpha_1 = a1 + k s1; alpha_2 and alpha_3 are free of k
@@ -113,7 +112,7 @@ def _cells(Q: np.ndarray, sigma: int, steps: np.ndarray, limit: CMat2) -> _Cells
     return _Cells(A, np.abs(steps), np.abs(A).sum(axis=1).max(axis=1), limit)
 
 
-def _samples(field: Field, xs: np.ndarray, t0: float) -> np.ndarray:
+def _field_at(field: Field, xs: np.ndarray, t0: float) -> np.ndarray:
     Q = np.asarray(field(xs, t0), dtype=complex)
     bad = ~np.isfinite(Q).all(axis=(-2, -1))
     if bad.any():
@@ -131,7 +130,7 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
         m = math.ceil(L / (R * h0))  # probe cells a side
         p = L / m
         probe = p * (np.arange(2 * m) + 0.5) - L
-        Qs = _samples(field, np.concatenate(([-2.0 * L], probe)), t0)
+        Qs = _field_at(field, np.concatenate(([-2.0 * L], probe)), t0)
         Qlim, Qp, evals = Qs[0], Qs[1:], evals + len(Qs)
         dev, bound = background_defect(Qlim, bg.k0)
         edges = np.abs(Qlim - Qp[0]).max(), np.abs(Qp[-1] - bg.Qplus).max()
@@ -152,7 +151,7 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
     n = np.ceil(p / (h0 * stretch) - 1e-9).astype(int)  # cells a probe cell; p <= R h0 makes one where stretch = R
     h = np.repeat(p / n, n)
     x0 = np.cumsum(h) - h - L  # left edges, ascending over [-L, L]
-    Q = _samples(field, (x0[:, None] + h[:, None] * _GAUSS).ravel(), t0).reshape(-1, 3, 2, 2)
+    Q = _field_at(field, (x0[:, None] + h[:, None] * _GAUSS).ravel(), t0).reshape(-1, 3, 2, 2)
     left = n[:m].sum()
     sides = (_cells(Q[:left], bg.sigma, h[:left], Qlim),
              _cells(Q[left:][::-1, ::-1], bg.sigma, -h[left:][::-1], bg.Qplus))
@@ -162,7 +161,7 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
                "%d field evaluations, at most %d squarings at k = 0, edges |Q(-2L) - Q(-L + p/2)| %.2g and "
                "|Q(L - p/2) - Q+| %.2g, |Q Q^dag - k0^2 I| %.2g at -2L",
                L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), evals + 3 * len(h),
-               max(_squarings(c, 0.0).max() for c in sides), *edges, dev)
+               max(_squarings(c, np.zeros(1)).max() for c in sides), *edges, dev)
     return sides
 
 
@@ -171,9 +170,9 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ik...,kj...->ij...", A, B)
 
 
-def _squarings(cells: _Cells, k: complex) -> np.ndarray:
-    """Per cell, the halvings that bring |Omega|_1 <= sum_j |k|^j |A[j]|_1 under _THETA."""
-    b = abs(k) ** np.arange(4) @ cells.norm
+def _squarings(cells: _Cells, k: np.ndarray) -> np.ndarray:
+    """Per z and cell, (len(k), n), the halvings that bring |Omega|_1 <= sum_j |k|^j |A[j]|_1 under _THETA."""
+    b = np.abs(k)[:, None] ** np.arange(4) @ cells.norm
     return np.ceil(np.log2(np.maximum(b, _THETA) / _THETA)).astype(int)
 
 
@@ -201,7 +200,7 @@ def _z_per_block(n: int) -> int:
 
 def _blocks(n: int, nz: int) -> int:
     """Blocks that _transfer exponentiates for nz z over n cells."""
-    return math.ceil(nz / _z_per_block(n)) * math.ceil(n / _CHUNK)
+    return math.ceil(nz / _z_per_block(n)) * math.ceil(n / _BLOCK)
 
 
 def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -211,19 +210,19 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     are carried as I + F, (I + A)(I + B) = I + (A + B + AB), so rounding
     scales with the small |F| = |exp(Omega) - I|, not with 1.  The cells of
     _z_per_block(n) z are exponentiated at once, z-major; the products run
-    along the cells of each z, _CHUNK cells at a time.
+    along the cells of each z, _BLOCK cells at a time.
     """
     n = len(cells.h)
     per = _z_per_block(n)
     out = np.empty((len(k), 4, 4), dtype=complex)
     for z0 in range(0, len(k), per):
         zs = slice(z0, z0 + per)
-        s = np.array([_squarings(cells, kz) for kz in k[zs]])  # (z, n)
+        s = _squarings(cells, k[zs])
         wh = w[zs, None] * cells.h
         shift, shift1 = np.exp(wh), 2.0 * np.exp(0.5 * wh) * np.sinh(0.5 * wh)  # e^{w h}, e^{w h} - 1
         total = None
-        for lo in range(0, n, _CHUNK):
-            cut = slice(lo, lo + _CHUNK)
+        for lo in range(0, n, _BLOCK):
+            cut = slice(lo, lo + _BLOCK)
             om = cells.A[3, ..., None, cut]
             for j in (2, 1, 0):  # Horner's rule in k
                 om = k[zs, None] * om + cells.A[j, ..., None, cut]
@@ -240,34 +239,34 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jost(mesh, sps: Sequence[SpectralPoint], side: str, bg: Background, analytic_only: bool = False) -> np.ndarray:
-    """mu(0) of one side at each spectral point: all four columns, (n, 4, 4), or only the bounded pair, (n, 4, 2).
+def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: bool = False) -> np.ndarray:
+    """mu(0) of one side at each z of sp: all four columns, (n, 4, 4), or only the bounded pair, (n, 4, 2).
 
     The bounded (analytic) pair is M / N in D+, the barred pair in D-; the
     other pair grows like e^{2 |Im lambda| L} off the continuous spectrum.
     """
     left = side == "left"
     cells = mesh[0] if left else mesh[1]
-    X0 = [asymptotic_eigenvectors(sp, cells.limit, bg) for sp in sps]  # rejects branch points
-    eps = [1.0 if sp.lam.imag >= 0 else -1.0 for sp in sps]
-    P = _transfer(cells, np.array([sp.k for sp in sps]), np.array([1j * sp.lam * e for sp, e in zip(sps, eps)]))
-    mu = np.empty((len(sps), 4, 2 if analytic_only else 4), dtype=complex)
-    for i, (sp, X, e) in enumerate(zip(sps, X0, eps)):
-        analytic = (1.0 if left else -1.0) * _SGN == e
-        if analytic_only:
-            mu[i] = P[i] @ X[:, analytic]
-        else:
-            mu[i] = P[i] @ (X * np.where(analytic, 1.0, np.exp(-2j * sp.lam * cells.h.sum() * e)))
-        if not np.all(np.isfinite(mu[i])):
-            raise IntegrationFailure(f"non-finite Jost solution at z = {sp.z} ({side})")
+    X = asymptotic_eigenvectors(sp, cells.limit, bg)  # rejects branch points
+    eps = np.where(sp.lam.imag >= 0, 1.0, -1.0)
+    P = _transfer(cells, sp.k, 1j * sp.lam * eps)
+    analytic = (1.0 if left else -1.0) * _SGN == eps[:, None]  # (n, 4), two columns a row
+    if analytic_only:
+        cols = np.where(analytic[:, :1], [0, 1], [2, 3])
+        mu = P @ np.take_along_axis(X, cols[:, None, :], axis=2)
+    else:
+        mu = P @ (X * np.where(analytic, 1.0, np.exp(-2j * sp.lam * cells.h.sum() * eps)[:, None])[:, None, :])
+    bad = np.flatnonzero(~np.isfinite(mu).all(axis=(1, 2)))
+    if bad.size:
+        raise IntegrationFailure(f"non-finite Jost solution at z = {sp.z[bad[0]]} ({side})")
     return mu
 
 
-def _points(z, bg: Background) -> list[SpectralPoint]:
-    """The spectral points of a scalar or a 1-D array of z."""
+def _points(z, bg: Background) -> SpectralPoint:
+    """The spectral point of a scalar or a 1-D array of z, with fields of shape (n,)."""
     if np.ndim(z) > 1:
         raise ValueError("z must be a scalar or a 1-D array")
-    return [uniformize(complex(w), bg) for w in np.ravel(z)]
+    return uniformize(np.ravel(z), bg)
 
 
 @dataclass(frozen=True)
@@ -299,20 +298,6 @@ def integrate_jost(field: Field, z, side: str, tol: float, bg: Background, t0: f
     return mu[0] if np.ndim(z) == 0 else mu
 
 
-def _sample(z: complex, Phi: CMat4, Psi: CMat4, t0: float, bg: Background) -> ScatteringSample:
-    ph = np.exp(1j * theta(0.0, t0, z, bg) * _SGN)
-    Phi = Phi * ph[None, :]
-    Psi = Psi * ph[None, :]
-    d = np.linalg.det(Psi)
-    if abs(d) < 1e-12:
-        raise SingularWronskian(f"det Psi(0) = {d} at z = {z}")
-    S = np.linalg.solve(Psi, Phi)
-    a, bbar, b, abar = S[:2, :2], S[:2, 2:], S[2:, :2], S[2:, 2:]
-    rho = b @ inv2(a)
-    rhobar = bbar @ inv2(abar)
-    return ScatteringSample(z=z, t0=t0, S=S, a=a, b=b, abar=abar, bbar=bbar, rho=rho, rhobar=rhobar)
-
-
 def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
     """Scattering matrix S with Phi = Psi S, blocks, and reflection data.
 
@@ -322,9 +307,17 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
     array of z the list of samples.
     """
     mesh = _mesh(field, tol, t0, bg)
-    sps = _points(z, bg)
-    Phi, Psi = (_jost(mesh, sps, side, bg) for side in ("left", "right"))
-    out = [_sample(sp.z, phi, psi, t0, bg) for sp, phi, psi in zip(sps, Phi, Psi)]
+    sp = _points(z, bg)
+    ph = np.exp(1j * theta(0.0, t0, sp.z, bg)[:, None, None] * _SGN)  # scales the columns
+    Phi, Psi = (_jost(mesh, sp, side, bg) * ph for side in ("left", "right"))
+    d = np.linalg.det(Psi)
+    bad = np.flatnonzero(np.abs(d) < 1e-12)
+    if bad.size:
+        raise SingularWronskian(f"det Psi(0) = {d[bad[0]]} at z = {sp.z[bad[0]]}")
+    S = np.linalg.solve(Psi, Phi)
+    a, bbar, b, abar = S[:, :2, :2], S[:, :2, 2:], S[:, 2:, :2], S[:, 2:, 2:]
+    rho, rhobar = b @ inv2(a), bbar @ inv2(abar)
+    out = [ScatteringSample(complex(w), t0, *m) for w, *m in zip(sp.z, S, a, b, abar, bbar, rho, rhobar)]
     return out[0] if np.ndim(z) == 0 else out
 
 
@@ -365,9 +358,9 @@ def audit_symmetries(samples: Sequence[ScatteringSample], bg: Background) -> Sym
     return SymmetryAuditReport(*(float(d) for d in np.max(devs, axis=0)), n_samples=len(samples))
 
 
-def _det_a(mesh, sps: Sequence[SpectralPoint], bg: Background) -> np.ndarray:
-    W = np.concatenate([_jost(mesh, sps, side, bg, analytic_only=True) for side in ("left", "right")], axis=-1)
-    return np.array([complex(d / sp.gamma**2) for d, sp in zip(np.linalg.det(W), sps)], dtype=complex)
+def _det_a(mesh, sp: SpectralPoint, bg: Background) -> np.ndarray:
+    W = np.concatenate([_jost(mesh, sp, side, bg, analytic_only=True) for side in ("left", "right")], axis=-1)
+    return np.linalg.det(W) / sp.gamma**2
 
 
 def det_a(field: Field, z, tol: float, bg: Background, t0: float = 0.0):

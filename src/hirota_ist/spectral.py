@@ -79,15 +79,17 @@ class Background:
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    z: complex
-    k: complex
-    lam: complex
-    gamma: complex
+    """z with k(z), lambda(z) and gamma(z): complex numbers for a scalar z, arrays of z's shape for an array."""
+
+    z: complex | np.ndarray
+    k: complex | np.ndarray
+    lam: complex | np.ndarray
+    gamma: complex | np.ndarray
 
 
-def _check_nonzero(z: complex) -> complex:
-    z = complex(z)
-    if z == 0 or abs(z) < 1e-150:
+def _check_nonzero(z):
+    z = z.astype(complex) if isinstance(z, np.ndarray) and z.ndim else complex(z)  # a scalar stays in Python
+    if (np.abs(z).min(initial=np.inf) if isinstance(z, np.ndarray) else abs(z)) < 1e-150:
         raise ZeroArgument("spectral maps are singular at z = 0")
     return z
 
@@ -105,8 +107,8 @@ def classify_region(z: complex, bg: Background) -> Region:
     return Region.SIGMA
 
 
-def uniformize(z: complex, bg: Background) -> SpectralPoint:
-    """Attach k(z), lambda(z) and gamma(z) to z."""
+def uniformize(z, bg: Background) -> SpectralPoint:
+    """Attach k(z), lambda(z) and gamma(z) to a scalar z (in Python arithmetic) or an array of z (in numpy's)."""
     z = _check_nonzero(z)
     w = bg.sigma * bg.k0**2 / z
     k = 0.5 * (z + w)
@@ -124,8 +126,8 @@ def find_partner(items, z: complex, key):
     raise MissingPartner(f"no sample at the partner point {z}")
 
 
-def theta(x: float, t: float, z: complex, bg: Background) -> complex:
-    """Phase of the plane-wave factors, theta = lambda(z) (-x - w(z) t).
+def theta(x: float, t: float, z, bg: Background):
+    """Phase of the plane-wave factors, theta = lambda(z) (-x - w(z) t), for a scalar z or an array of z.
 
     w(z) = beta (4 k^2 - 2 k0^2) + 2 alpha k is the dispersion of the
     combined second/third-order flow.

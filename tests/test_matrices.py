@@ -39,6 +39,25 @@ def test_inv2_singular_raises():
         inv2(np.array([[1, 1], [1, 1]], dtype=complex))
 
 
+def test_det2_and_inv2_on_a_stack_equal_per_matrix_calls():
+    rng = np.random.default_rng(5)
+    M = rng.normal(size=(4, 3, 2, 2)) + 1j * rng.normal(size=(4, 3, 2, 2))
+    M[0, 0] *= 1e-100  # the threshold is per matrix: 1e100 I elsewhere would flag this one under a shared one
+    M[0, 1] = 1e100 * np.eye(2)
+    d, inv = det2(M), inv2(M)
+    assert d.shape == (4, 3) and inv.shape == M.shape
+    for i in np.ndindex(4, 3):
+        assert d[i] == det2(M[i])
+        np.testing.assert_array_equal(inv[i], inv2(M[i]))
+
+
+def test_inv2_stack_with_one_singular_matrix_raises():
+    M = np.stack([np.eye(2), [[1, 1], [1, 1]], 2 * np.eye(2)]).astype(complex)
+    np.testing.assert_array_equal(det2(M), [1, 0, 4])
+    with pytest.raises(SingularMatrix):
+        inv2(M)
+
+
 def test_dagger_real_symmetric_fixed():
     M = np.array([[1, 2], [2, 3]], dtype=complex)
     np.testing.assert_array_equal(dagger(M), M)

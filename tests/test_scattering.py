@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hirota_ist as h
+from hirota_ist.cli import sigma_sample_points
 from hirota_ist.errors import IntegrationFailure, MissingPartner, NoConvergenceWarning
 from hirota_ist.matrices import dagger
 from hirota_ist.scattering import (
@@ -28,7 +29,7 @@ from hirota_ist.scattering import (
     scattering_matrix,
 )
 from hirota_ist.solitons import DiscreteEigenpair, RankFlag, expand_quartets, min_decay_rate
-from hirota_ist.spectral import uniformize
+from hirota_ist.spectral import classify_region, uniformize
 from hirota_ist.traceform import TraceInput, trace_det_a
 from test_solitons import random_seeds, rank1_or_2, scaled_backgrounds
 
@@ -388,6 +389,17 @@ def test_det_a_matches_trace_formula_on_random_seeds(case):
     assert _det_a_error(seed, bg, zs) <= 5e-8
 
 
+@given(random_seeds(scaled_backgrounds, st.floats(min_value=1.05, max_value=3.0), rank1_or_2).filter(_decays))
+@settings(deadline=None, max_examples=10)
+@pytest.mark.filterwarnings("error::hirota_ist.errors.NoConvergenceWarning")
+def test_symmetry_audit_holds_on_random_seeds(quartet):
+    # over 300 examples at t0 = 0 the audit read at most 1.2e-13 (median 1.9e-14); the bound leaves 8x
+    seed, bg = quartet
+    field = functools.partial(h.reconstruct_Q, spec=expand_quartets([seed], bg))
+    samples = scattering_matrix(field, sigma_sample_points(bg.k0, 2, 1), 1e-10, bg)
+    assert audit_symmetries(samples, bg).max_deviation() <= 1e-12
+
+
 CLI_BOX = (-3.07, 3.05, 1.085, 3.21)  # the search box of `hirota-ist roundtrip`, in units of k0
 
 
@@ -448,15 +460,29 @@ def test_batched_z_gives_the_same_bits(fig3a_field, fig3a_spec):
     samples = scattering_matrix(fig3a_field, zs, 1e-8, bg)
     assert [s.z for s in samples] == list(zs)
     for s, z in zip(samples, zs):
-        np.testing.assert_array_equal(s.S, scattering_matrix(fig3a_field, z, 1e-8, bg).S)
+        one = scattering_matrix(fig3a_field, z, 1e-8, bg)
+        for name in ("S", "a", "b", "abar", "bbar", "rho", "rhobar"):
+            np.testing.assert_array_equal(getattr(s, name), getattr(one, name), err_msg=name)
     np.testing.assert_array_equal(
         integrate_jost(fig3a_field, zs, "right", 1e-8, bg)[1],
         integrate_jost(fig3a_field, zs[1], "right", 1e-8, bg),
     )
 
 
-# find_discrete_spectrum on fig3a's CLI box at tol 1e-4 while every z was propagated alone
-FIG3A_ZERO_AT_1E_4 = complex(-6.8122590901609215e-15, 1.999999994585451)
+def test_mixed_region_batch_gives_the_same_bits(fig3a_field, fig3a_spec):
+    # each z picks its own analytic pair and shift sign, so one array may mix the regions
+    bg = fig3a_spec.bg
+    zs = np.array([1.5 + 1j, 1.5 - 1j, 0.5, -0.3 + 0.6j, 2.5j])
+    assert [classify_region(z, bg).value for z in zs] == ["D+", "D-", "Sigma", "D-", "D+"]
+    for side in ("left", "right"):
+        np.testing.assert_array_equal(integrate_jost(fig3a_field, zs, side, 1e-8, bg),
+                                      [integrate_jost(fig3a_field, z, side, 1e-8, bg) for z in zs], err_msg=side)
+
+
+# find_discrete_spectrum on fig3a's CLI box at tol 1e-4, the same with every z propagated alone; with
+# k, lambda, 1/z and gamma^2 in Python's complex arithmetic instead of numpy's it read
+# -6.8122590901609215e-15 + 1.999999994585451i
+FIG3A_ZERO_AT_1E_4 = complex(-7.53043460921532e-15, 1.9999999945854505)
 
 
 def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog):

@@ -1,5 +1,6 @@
 """Each script under scripts/ runs in-process on a small input and exits 0."""
 
+import logging
 import pathlib
 import runpy
 import sys
@@ -22,3 +23,18 @@ def test_script_runs(tmp_path, monkeypatch, script, args):
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert exc.value.code == 0
+
+
+def test_roundtrip_report_verbose_logs_each_mesh_and_search(monkeypatch, caplog):
+    logger = logging.getLogger("hirota_ist.scattering")
+    level = logger.level
+    monkeypatch.setattr(sys, "argv", ["roundtrip_report.py", "--presets", "fig3a", "--verbose"])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(SCRIPTS / "roundtrip_report.py"), run_name="__main__")
+    finally:
+        logger.setLevel(level)  # the script sets DEBUG for the rest of its process
+    assert exc.value.code == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == logger.name]
+    assert sum(m.startswith("Jost mesh ") for m in messages) == 2  # the search's mesh and the samples' mesh
+    assert sum(m.startswith("find_discrete_spectrum: 288 nodes") for m in messages) == 1
