@@ -4,10 +4,11 @@ Modified Jost eigenfunctions mu (mu_x = U mu + i lambda mu sigma3; bounded in
 the decaying directions, unlike the plane-wave-dressed solutions) are
 propagated across a truncated line, matched at x = 0 into the scattering
 matrix, and probed for the symmetry identities.  Discrete eigenvalues are
-zeros of det a(z): det a is evaluated in one batch at Gauss-Legendre nodes on
-the boundary of a search box, and the zeros are the eigenvalues of the Hankel
-pencil of the contour moments of d log a (Delves-Lyness, Math. Comp. 21,
-1967; multiple zeros as in Kravanja-Van Barel, LNM 1727, 2000).
+zeros of det a(z): det a is evaluated on the boundary of a search box at the
+nodes of nested Clenshaw-Curtis panels, in rounds that double only the panels
+whose a-posteriori estimate asks for it, and the zeros are the eigenvalues of
+the Hankel pencil of the contour moments of d log a (Delves-Lyness, Math.
+Comp. 21, 1967; multiple zeros as in Kravanja-Van Barel, LNM 1727, 2000).
 
 Propagation is the 3-node, 6th-order Magnus exponential integrator
 (Blanes-Casas-Ros, BIT 40, 2000; survey: Blanes-Casas-Oteo-Ros, Phys. Rep.
@@ -42,6 +43,7 @@ same bits in any batch.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
@@ -68,7 +70,9 @@ _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])  # Gauss-Lege
 _THETA = 0.1  # bound on |Omega|_1 for the degree-9 Taylor sum (remainder < 3e-17)
 _TAYLOR = [1.0 / math.factorial(j) for j in range(10)]
 _DIAG = np.arange(4)
-_PANELS, _NODES = 36, 8  # Gauss-Legendre panels on the search contour, nodes per panel
+_BASE, _DEGREE = 12, 8  # Clenshaw-Curtis panels on the search contour, and the intervals of each at first
+_MAX_DEGREE = 128  # intervals past which a panel's doubling stops
+_NEAR = 1.0 / 72.0  # a located zero closer to an edge than this share of the perimeter is near the contour
 _RANK = 1e-8  # Hankel singular values below this fraction of the largest are noise
 _DIP = 0.25  # |det a| at a node below this fraction of both neighbours: zero on the contour
 _MOVES = 2  # contour moves before a zero near the boundary is reported, not avoided
@@ -378,50 +382,99 @@ def det_a(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
     return complex(a[0]) if np.ndim(z) == 0 else a
 
 
-def _contour(box: _Box) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes z and weights dz on the boundary of box.
+@functools.cache
+def _cc(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clenshaw-Curtis nodes (1 - cos(pi j/n))/2, j = 0..n, on [0, 1] and their weights (n even)."""
+    theta = math.pi * np.arange(n + 1) / n
+    k = np.arange(1, n // 2)
+    w = (1.0 - 2.0 * (np.cos(2.0 * np.outer(theta, k)) / (4.0 * k**2 - 1.0)).sum(axis=1)
+         - np.cos(n * theta) / (n * n - 1.0)) / n
+    w[[0, -1]] = 0.5 / (n * n - 1.0)
+    t = 0.5 * (1.0 - np.cos(theta))
+    t.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return t, w
+
+
+def _panels(box: _Box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starts, extents (end - start) and intervals (_DEGREE) of the _BASE panels on the boundary of box.
 
     Counterclockwise from the corner re0 + i im0; each edge gets a share of
-    the _PANELS panels in proportion to its length, at least one.
+    the panels in proportion to its length, at least one.
     """
     re0, re1, im0, im1 = box
     corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1), complex(re0, im0)]
     perimeter = 2.0 * (re1 - re0 + im1 - im0)
-    beta = np.arange(1, _NODES) / np.sqrt(4.0 * np.arange(1, _NODES) ** 2 - 1.0)  # Golub-Welsch
-    x, V = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
-    w = 2.0 * V[0] ** 2
-    z, dz = [], []
+    start, extent = [], []
     for a, b in zip(corners, corners[1:]):
-        n = max(1, round(_PANELS * abs(b - a) / perimeter))
-        half = 0.5 * (b - a) / n
-        z.append((a + half * (2 * np.arange(n) + 1)[:, None] + half * x).ravel())
-        dz.append(np.tile(half * w, n))
-    return np.concatenate(z), np.concatenate(dz)
+        n = max(1, round(_BASE * abs(b - a) / perimeter))
+        start.append(a + (b - a) * np.arange(n) / n)
+        extent.append(np.full(n, (b - a) / n))
+    return np.concatenate(start), np.concatenate(extent), np.full(sum(map(len, start)), _DEGREE)
 
 
-def _moment_zeros(z: np.ndarray, dz: np.ndarray, a: np.ndarray, box: _Box, N: int, steps: np.ndarray):
-    """Distinct zeros, their multiplicities and the Hankel singular values.
+def _contour(start: np.ndarray, extent: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The distinct nodes of panels of n[q] Clenshaw-Curtis intervals, in contour order.
 
-    With u = (z - c)/r (c the centre, r the half diagonal of box) and log a
-    unwrapped from the corner u0, s_p = u0^p N - (p/2 pi i) oint u^(p-1) log a du;
-    the zeros are the eigenvalues of the pencil ([s_(i+j+1)], [s_(i+j)])
-    projected on the singular vectors of [s_(i+j)] above _RANK.
+    Each panel gives its nodes but its end, which is the next panel's
+    start; the first node is the corner re0 + i im0.  A panel's nodes at n
+    intervals are the even ones at 2n, so doubling n keeps every node.
+    """
+    return np.concatenate([s + e * _cc(m)[0][:-1] for s, e, m in zip(start, extent, n)])
+
+
+def _frame(box: _Box) -> tuple[complex, float]:
+    """The centre c and the half diagonal r of box."""
+    re0, re1, im0, im1 = box
+    return complex(0.5 * (re0 + re1), 0.5 * (im0 + im1)), 0.5 * math.hypot(re1 - re0, im1 - im0)
+
+
+def _moments(z: np.ndarray, a: np.ndarray, steps: np.ndarray, box: _Box, N: int, extent: np.ndarray,
+             n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Power sums s_p, p < 2N, of the zeros in u = (z - c)/r, and each panel's error estimate.
+
+    c is the centre and r the half diagonal of box.  With log a unwrapped
+    from the corner u0 by the phase steps, s_p = u0^p N - (p/2 pi i) oint
+    u^(p-1) log a du; the contour closes at u0 on the branch log a(u0) +
+    2 pi i N, so the corner carries both of its values.  A panel's estimate
+    is the largest change of its share of the s_p from its embedded rule of
+    half as many intervals to its own.
+    """
+    c, r = _frame(box)
+    u = (np.append(z, z[0]) - c) / r
+    log_a = np.log(np.abs(a)) + 1j * (np.angle(a[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1]))))
+    log_a = np.append(log_a, log_a[0] + 2j * math.pi * N)
+    p = np.arange(2 * N)
+    f = u[None, :] ** np.maximum(p - 1, 0)[:, None] * log_a * (p / (2j * math.pi))[:, None]
+    ends = np.concatenate(([0], np.cumsum(n)))
+    full, half = (np.array([f[:, i : i + m + 1 : d] @ _cc(m // d)[1] * (e / r)
+                            for i, m, e in zip(ends, n, extent)]) for d in (1, 2))
+    return u[0] ** p * N - full.sum(axis=0), np.abs(full - half).max(axis=1, initial=0.0)
+
+
+def _moment_zeros(s: np.ndarray, box: _Box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct zeros in box, their multiplicities and the Hankel singular values, from the power sums s.
+
+    The zeros are the eigenvalues of the pencil ([s_(i+j+1)], [s_(i+j)])
+    projected on the singular vectors of [s_(i+j)] above _RANK.  An
+    eigenvalue outside box, or whose multiplicity rounds below 1, is noise
+    that passed the rank cut: it is dropped with a NoConvergenceWarning.
     """
     re0, re1, im0, im1 = box
-    c = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-    r = 0.5 * abs(complex(re1 - re0, im1 - im0))
-    u, du, u0 = (z - c) / r, dz / r, (complex(re0, im0) - c) / r
-    log_a = np.log(np.abs(a)) + 1j * (np.angle(a[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1]))))
-    p = np.arange(2 * N)
-    upow = u[None, :] ** np.maximum(p - 1, 0)[:, None]
-    s = u0**p * N - p / (2j * math.pi) * (upow @ (log_a * du))
+    c, r = _frame(box)
+    N = len(s) // 2
     H0, H1 = (s[np.add.outer(np.arange(N), np.arange(N)) + k] for k in (0, 1))
     U, sv, Vh = np.linalg.svd(H0)
     m = int(np.sum(sv > _RANK * sv[0]))
     Um, Vm = U[:, :m], Vh[:m].conj().T
-    roots = np.linalg.eigvals((Um.conj().T @ H1 @ Vm) / sv[:m, None])
-    mult = np.linalg.lstsq(roots[None, :] ** p[:N, None], s[:N], rcond=None)[0]
-    return c + r * roots, mult, sv
+    u = np.linalg.eigvals((Um.conj().T @ H1 @ Vm) / sv[:m, None])
+    mult = np.linalg.lstsq(u[None, :] ** np.arange(N)[:, None], s[:N], rcond=None)[0]
+    roots = c + r * u
+    keep = (re0 <= roots.real) & (roots.real <= re1) & (im0 <= roots.imag) & (roots.imag <= im1)
+    keep &= np.rint(mult.real) >= 1
+    if not keep.all():
+        warnings.warn(f"Hankel eigenvalues {roots[~keep]} with multiplicities {mult[~keep].real.round(3)} "
+                      f"dropped as noise: outside {box} or of multiplicity below 1", NoConvergenceWarning)
+    return roots[keep], mult[keep], sv
 
 
 def _off_dplus(z: np.ndarray, bg: Background) -> complex | None:
@@ -434,57 +487,97 @@ def find_discrete_spectrum(
 ) -> list[complex]:
     """Distinct zeros of det a(z) inside a rectangle of D+ (upper half plane).
 
-    det a is evaluated on one mesh, built once for the search, at composite
-    Gauss-Legendre nodes on the box boundary (_PANELS panels of _NODES).
-    The unwrapped phase gives the winding N, the moments of d log a by parts
-    the power sums of the zeros (Delves-Lyness), and the Hankel pencil of
-    the moments the distinct zeros; its numerical rank is their number, so a
-    multiple zero comes back once (Kravanja-Van Barel).
+    det a is evaluated on one mesh, built once for the search, at the nodes
+    of composite Clenshaw-Curtis panels on the box boundary (_BASE panels of
+    _DEGREE intervals at first).  The unwrapped phase gives the winding N,
+    the moments of d log a by parts the power sums of the zeros
+    (Delves-Lyness), and the Hankel pencil of the power sums the distinct
+    zeros; its numerical rank is their number, so a multiple zero comes
+    back once (Kravanja-Van Barel).  The search refines in rounds: every
+    panel whose error estimate (see _moments) exceeds tol times its
+    share of the perimeter doubles its intervals, and det a is evaluated
+    only at the new nodes, so no value is thrown away (Austin, Kravanja &
+    Trefethen, SIAM J. Numer. Anal. 52, 2014).  A panel past _MAX_DEGREE
+    intervals stops the refinement with a NoConvergenceWarning.
 
     A zero on or near the contour (a phase step between neighbouring nodes
     above pi/2, |det a| at a node below _DIP times both neighbours, or a
-    located zero closer to the boundary than half a panel) moves every edge
-    outward by two panel lengths, at most _MOVES times and only while the
-    box stays in D+; each move, a zero left near the contour, a non-integer
-    winding and multiplicities that are not positive integers summing to N
-    are reported via NoConvergenceWarning, not fatally.
+    located zero closer to an edge than _NEAR times the perimeter) moves
+    every edge outward by four times that distance and refines anew, at
+    most _MOVES times and only while the box stays in D+; each move, a zero
+    left near the contour, a non-integer winding and multiplicities that are
+    not positive integers summing to N are reported via
+    NoConvergenceWarning, not fatally.
     """
     re0, re1, im0, im1 = searchbox
     if not (re1 > re0 and im1 > im0 and im0 > 0):
         raise ValueError("searchbox must be a rectangle in the upper half plane")
     box = (float(re0), float(re1), float(im0), float(im1))
-    z, dz = _contour(box)
+    start, extent, n = _panels(box)
+    z = _contour(start, extent, n)
     off = _off_dplus(z, bg)
     if off is not None:
         raise ValueError(f"searchbox touches the complement of D+ at {off}")
     mesh = _mesh(field, tol, t0, bg)
     moves: list[_Box] = []
+    rounds: list[str] = []
     nz = blocks = 0
+
+    def evaluate(z: np.ndarray) -> np.ndarray:
+        nonlocal nz, blocks
+        nz, blocks = nz + len(z), blocks + sum(_blocks(len(c.h), len(z)) for c in mesh)
+        return _det_a(mesh, _points(z, bg), bg)
+
     while True:
         re0, re1, im0, im1 = box
-        a = _det_a(mesh, _points(z, bg), bg)
-        nz, blocks = nz + len(z), blocks + sum(_blocks(len(c.h), len(z)) for c in mesh)
-        mag = np.abs(a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.angle(np.roll(a, -1) / a)  # node j to j + 1, the last one closing the contour
-        dip = mag < _DIP * np.minimum(np.roll(mag, 1), np.roll(mag, -1))
-        near = not mag.all() or bool(np.abs(steps).max() > 0.5 * math.pi or dip.any())
-        w = float(np.nansum(steps)) / (2.0 * math.pi)
-        N = max(0, round(w))
-        panel = 2.0 * (re1 - re0 + im1 - im0) / _PANELS
+        perimeter = 2.0 * (re1 - re0 + im1 - im0)
+        a, new = evaluate(z), len(z)
+        while True:  # refinement rounds on this box
+            mag = np.abs(a)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps = np.angle(np.roll(a, -1) / a)  # node j to j + 1, the last one closing the contour
+            dip = mag < _DIP * np.minimum(np.roll(mag, 1), np.roll(mag, -1))
+            near = not mag.all() or bool(np.abs(steps).max() > 0.5 * math.pi or dip.any())
+            w = float(np.nansum(steps)) / (2.0 * math.pi)
+            N = max(0, round(w))
+            rounds.append(f"{len(z)} nodes ({new} new z)")
+            if not N or not mag.all():
+                break
+            s, est = _moments(z, a, steps, box, N, extent, n)
+            target = tol * np.abs(extent) / perimeter
+            grow, worst = est > target, int(np.argmax(est / target))
+            rounds[-1] += (f", largest estimate {est[worst]:.2g} against {target[worst]:.2g}, "
+                           f"{grow.sum()} of {len(n)} panels refined")
+            if not grow.any():
+                break
+            if n[grow].max() >= _MAX_DEGREE:
+                warnings.warn(f"a contour panel of {box} at {_MAX_DEGREE} intervals estimates {est[worst]:.2g} "
+                              f"against {target[worst]:.2g}", NoConvergenceWarning)
+                break
+            fresh = np.concatenate([np.arange(2 * m) % 2 == 1 if g else np.zeros(m, bool) for m, g in zip(n, grow)])
+            n = np.where(grow, 2 * n, n)
+            z, old = _contour(start, extent, n), a
+            off = _off_dplus(z[fresh], bg)
+            if off is not None:
+                raise ValueError(f"search contour touches the complement of D+ at {off}")
+            a = np.empty(len(z), dtype=complex)
+            a[~fresh], a[fresh], new = old, evaluate(z[fresh]), fresh.sum()
         roots, mult, sv = np.empty(0, complex), np.empty(0), np.empty(0)
         if N and mag.all():
-            roots, mult, sv = _moment_zeros(z, dz, a, box, N, steps)
+            roots, mult, sv = _moment_zeros(s, box)
             edges = (roots.real - re0, re1 - roots.real, roots.imag - im0, im1 - roots.imag)
-            near = near or bool(np.any(np.minimum.reduce(edges) < 0.5 * panel))
+            near = near or bool(np.any(np.minimum.reduce(edges) < _NEAR * perimeter))
         if not near or len(moves) == _MOVES:
             break
-        grown = (re0 - 2.0 * panel, re1 + 2.0 * panel, im0 - 2.0 * panel, im1 + 2.0 * panel)
-        gz, gdz = _contour(grown)
-        if _off_dplus(gz, bg) is not None:
+        d = 4.0 * _NEAR * perimeter
+        grown = (re0 - d, re1 + d, im0 - d, im1 + d)
+        panels = _panels(grown)
+        grown_z = _contour(*panels)
+        if _off_dplus(grown_z, bg) is not None:
             break
-        box, z, dz = grown, gz, gdz
+        box, (start, extent, n), z = grown, panels, grown_z
         moves.append(box)
+        rounds.append("contour moved")
         warnings.warn(f"zero of det a on or near the contour; box moved to {box}", NoConvergenceWarning)
     if near:
         warnings.warn(f"zero of det a near the contour of {box}, which cannot move on", NoConvergenceWarning)
@@ -499,8 +592,8 @@ def find_discrete_spectrum(
             kept.append(complex(zr))
         else:
             warnings.warn(f"zero {zr} rejected: too close to the continuous spectrum", NoConvergenceWarning)
-    _log.debug("find_discrete_spectrum: %d nodes, cells %d left %d right x %d z propagated in %d blocks, "
-               "winding %.4f, Hankel singular values %s, zeros %s, multiplicities %s, contour moves %s",
-               len(z), len(mesh[0].h), len(mesh[1].h), nz, blocks, w, sv.tolist(), kept,
+    _log.debug("find_discrete_spectrum: %d nodes, rounds [%s], cells %d left %d right x %d z propagated in %d "
+               "blocks, winding %.4f, Hankel singular values %s, zeros %s, multiplicities %s, contour moves %s",
+               len(z), "; ".join(rounds), len(mesh[0].h), len(mesh[1].h), nz, blocks, w, sv.tolist(), kept,
                mult.real.round(3).tolist(), moves)
     return kept

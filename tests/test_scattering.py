@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,17 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hirota_ist as h
+import hirota_ist.scattering as scattering
 from hirota_ist.cli import sigma_sample_points
 from hirota_ist.errors import IntegrationFailure, MissingPartner, NoConvergenceWarning
 from hirota_ist.matrices import dagger
 from hirota_ist.scattering import (
+    _BLOCK,
     _GAUSS,
+    _RANK,
     L0,
     H,
     R,
     _cells,
     _contour,
     _mesh,
+    _moment_zeros,
+    _moments,
+    _panels,
     _transfer,
     _z_per_block,
     audit_symmetries,
@@ -479,21 +486,33 @@ def test_mixed_region_batch_gives_the_same_bits(fig3a_field, fig3a_spec):
                                       [integrate_jost(fig3a_field, z, side, 1e-8, bg) for z in zs], err_msg=side)
 
 
-# find_discrete_spectrum on fig3a's CLI box at tol 1e-4, the same with every z propagated alone; with
-# k, lambda, 1/z and gamma^2 in Python's complex arithmetic instead of numpy's it read
-# -6.8122590901609215e-15 + 1.999999994585451i
-FIG3A_ZERO_AT_1E_4 = complex(-7.53043460921532e-15, 1.9999999945854505)
+def _search(field, box, tol, bg, monkeypatch, caplog):
+    """The zeros found, every z passed to _det_a in the search, and the search's DEBUG record."""
+    evaluated, det_a_of_mesh = [], scattering._det_a
+
+    def recording(mesh, sp, bg):
+        evaluated.append(sp.z)
+        return det_a_of_mesh(mesh, sp, bg)
+
+    monkeypatch.setattr(scattering, "_det_a", recording)
+    with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
+        found = find_discrete_spectrum(field, box, tol, bg)
+    monkeypatch.setattr(scattering, "_det_a", det_a_of_mesh)
+    record = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_discrete_spectrum: ")]
+    caplog.clear()
+    return found, np.concatenate(evaluated), record[-1]
 
 
-def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog):
-    # at tol 1e-4 each side has 59-75 cells, so several z share a block; the CLI box's 288 nodes and
-    # the first again (289 z) span many blocks and end in a partial one
+def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog, monkeypatch):
+    # at tol 1e-4 each side has 59-75 cells, so several z share a block; 12 panels of 24 intervals give
+    # 288 nodes, and the first again (289 z) span many blocks and end in a partial one
     bg, tol = fig3a_spec.bg, 1e-4
-    nodes = _contour(CLI_BOX)[0]
+    start, extent, n = _panels(CLI_BOX)
+    nodes = _contour(start, extent, 3 * n)
     zs = np.append(nodes, nodes[0])
     cells = [len(c.h) for c in _mesh(fig3a_field, tol, 0.0, bg)]
     per = [_z_per_block(n) for n in cells]
-    assert min(per) > 1 and all(len(zs) % p for p in per)
+    assert len(zs) >= 289 and min(per) > 1 and all(len(zs) % p for p in per)
     some = np.r_[0:len(zs):7, len(zs) - 1]  # every position in a block of 6 or 8, and the partial block
     batch = det_a(fig3a_field, zs, tol, bg)
     np.testing.assert_array_equal(batch[some], [det_a(fig3a_field, z, tol, bg) for z in zs[some]])
@@ -504,11 +523,50 @@ def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog):
     samples = scattering_matrix(fig3a_field, zs, tol, bg)
     for i in few:
         np.testing.assert_array_equal(samples[i].S, scattering_matrix(fig3a_field, zs[i], tol, bg).S)
-    with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
-        assert find_discrete_spectrum(fig3a_field, CLI_BOX, tol, bg) == [FIG3A_ZERO_AT_1E_4]
-    blocks = sum(math.ceil(len(nodes) / p) for p in per)
-    assert (f"cells {cells[0]} left {cells[1]} right x {len(nodes)} z propagated in {blocks} blocks"
-            in caplog.records[-1].getMessage())
+    # the search's rounds share blocks too, and its zeros have the same bits with every z propagated alone
+    found, _, record = _search(fig3a_field, CLI_BOX, tol, bg, monkeypatch, caplog)
+    new = [int(k) for k in re.findall(r"\((\d+) new z\)", record)]
+    blocks = sum(math.ceil(k / p) for k in new for p in per)
+    assert f"cells {cells[0]} left {cells[1]} right x {sum(new)} z propagated in {blocks} blocks" in record
+    monkeypatch.setattr(scattering, "_z_per_block", lambda n: 1)
+    alone, _, record = _search(fig3a_field, CLI_BOX, tol, bg, monkeypatch, caplog)
+    assert f"x {sum(new)} z propagated in {2 * sum(new)} blocks" in record and max(cells) <= _BLOCK
+    assert len(found) == 1 and found == alone
+
+
+# located-zero error on the CLI box at find-tol 1e-4 and 1e-8 with the composite Gauss-Legendre
+# contour of 288 nodes that the refined Clenshaw-Curtis contour replaced; det a's own error limits both
+GAUSS_LEGENDRE_ZERO_ERROR = {
+    "fig3a": (5.4e-9, 5.6e-13), "fig6": (2.1e-6, 1.0e-10), "fig8": (7.2e-6, 7.0e-10), "fig10d": (5.4e-9, 5.4e-13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUSS_LEGENDRE_ZERO_ERROR))
+def test_refined_contour_is_as_accurate_and_evaluates_each_node_once(name, monkeypatch, caplog):
+    p = h.preset(name)
+    spec = p.spec()
+    field = functools.partial(h.reconstruct_Q, spec=spec)
+    box = tuple(spec.bg.k0 * e for e in CLI_BOX)
+    for tol, bound, most in zip((1e-4, 1e-8), GAUSS_LEGENDRE_ZERO_ERROR[name], (160 if name == "fig3a" else 288, 288)):
+        found, zs, record = _search(field, box, tol, spec.bg, monkeypatch, caplog)
+        assert len(found) == 1
+        assert abs(found[0] - p.seeds[0].zn) <= 2.0 * bound, tol
+        nodes = int(re.match(r"find_discrete_spectrum: (\d+) nodes, rounds \[", record).group(1))
+        assert len(np.unique(zs)) == len(zs) == nodes <= most, tol  # every final node, each once
+
+
+def test_noise_eigenvalues_of_the_pencil_are_dropped():
+    # a double zero at 2i with 1e-7 relative noise: the Hankel matrix's second singular value passes the
+    # rank cut, and the pencil's second eigenvalue is noise outside the box, of multiplicity 0
+    start, extent, n = _panels(CLI_BOX)
+    z = _contour(start, extent, n)
+    rng = np.random.default_rng(0)
+    a = (z - 2j) ** 2 * (1.0 + 1e-7 * (rng.standard_normal(len(z)) + 1j * rng.standard_normal(len(z))))
+    s, _ = _moments(z, a, np.angle(np.roll(a, -1) / a), CLI_BOX, 2, extent, n)
+    with pytest.warns(NoConvergenceWarning, match="dropped as noise"):
+        roots, mult, sv = _moment_zeros(s, CLI_BOX)
+    assert sv[1] > _RANK * sv[0]
+    assert len(roots) == 1 and abs(roots[0] - 2j) <= 1e-6 and round(mult[0].real) == 2
 
 
 def test_non_finite_field_or_propagator_raises(background_bg, background_field):

@@ -16,6 +16,7 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
         ("phase_condition_probe.py", []),
         ("make_figure_grids.py", ["--presets", "fig4", "--outdir", "{tmp}"]),
         ("roundtrip_report.py", ["--presets", "fig3a"]),
+        ("roundtrip_report.py", ["--presets", "fig6", "--find-tol", "1e-4"]),
     ],
 )
 def test_script_runs(tmp_path, monkeypatch, script, args):
@@ -37,4 +38,6 @@ def test_roundtrip_report_verbose_logs_each_mesh_and_search(monkeypatch, caplog)
     assert exc.value.code == 0
     messages = [r.getMessage() for r in caplog.records if r.name == logger.name]
     assert sum(m.startswith("Jost mesh ") for m in messages) == 2  # the search's mesh and the samples' mesh
-    assert sum(m.startswith("find_discrete_spectrum: 288 nodes") for m in messages) == 1
+    # the search starts from the CLI box's 12 panels of 8 intervals and states each refinement round
+    assert sum(m.startswith("find_discrete_spectrum: ") and "rounds [96 nodes (96 new z), largest estimate" in m
+               for m in messages) == 1
