@@ -1,4 +1,5 @@
 import functools
+import logging
 
 import numpy as np
 import pytest
@@ -419,7 +420,8 @@ def test_eval_field_masks_exactly_the_singular_points(monkeypatch, fig3a_spec):
     from hirota_ist import solitons
     from hirota_ist.errors import SingularSystem
 
-    # condition numbers on this grid lie between 1 and 3
+    # kappa_inf on this grid lies between 1.00003 and 4.97 (kappa_2 between 1 and 2.78),
+    # so a limit of 1.5 masks 143 of the 231 points
     monkeypatch.setattr(solitons, "COND_LIMIT", 1.5)
     fg = h.eval_field(GridSpec(-5, 5, 21, -3, 3, 11), fig3a_spec)
     assert 0 < fg.masked_count < fg.mask.size
@@ -435,6 +437,118 @@ def test_eval_field_masks_exactly_the_singular_points(monkeypatch, fig3a_spec):
                 np.testing.assert_array_equal(fg.values[it, ix], Q)
     with pytest.raises(SingularSystem):
         h.reconstruct_Q(fg.xs[None, :], fg.ts[:, None], fig3a_spec)
+
+
+def _takagi(s1, s2, rng):
+    """A complex symmetric norming constant with singular values s1 >= s2."""
+    U, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return U @ np.diag([s1, s2]) @ U.T
+
+
+def _off_preset(name):
+    rng = np.random.default_rng(3)
+    bg = Background(sigma=-1, k0=2.0, alpha=0.5, beta=0.02, Qplus=2.0 * EYE, Qminus=2.0 * EYE)
+    near_circle = 2.1 * np.exp(1j * np.radians(70))  # |z| = 1.05 k0
+    seeds = {
+        "near-rank-deficient": [DiscreteEigenpair(3.6j, _takagi(1.0, 1e-9, rng))],
+        "rank1-near-circle": [DiscreteEigenpair(near_circle, _takagi(1.0, 0.0, rng))],
+        "rank2-near-circle": [DiscreteEigenpair(near_circle, _takagi(1.0, 0.5, rng))],
+        "two-seeds": [DiscreteEigenpair(near_circle, _takagi(1.0, 1e-9, rng)),
+                      DiscreteEigenpair(3.2j, _takagi(1.0, 0.0, rng))],
+    }[name]
+    return expand_quartets(seeds, bg), GridSpec(-40.0, 40.0, 81, -3.0, 3.0, 25)
+
+
+_OFF_PRESET = ["near-rank-deficient", "rank1-near-circle", "rank2-near-circle", "two-seeds"]
+
+
+@pytest.mark.parametrize("name", h.preset_names() + _OFF_PRESET)
+def test_kappa_inf_lies_within_2R_of_the_svd_condition_number(name):
+    from hirota_ist import solitons
+
+    if name in _OFF_PRESET:
+        spec, grid = _off_preset(name)
+    else:
+        p = h.preset(name)
+        spec, g = p.spec(), p.grid
+        grid = GridSpec(g.xmin, g.xmax, 41, g.tmin, g.tmax, 25)
+    x, t = (a.ravel() for a in np.broadcast_arrays(grid.x_axis()[None, :], grid.t_axis()[:, None]))
+    _, kappa = solitons._field(x, t, spec)
+    M, _ = solitons._system(x, t, spec)
+    kappa2, n = np.linalg.cond(M), M.shape[-1]  # the SVD oracle
+    assert n == 2 * len(spec._residues.col)
+    assert np.all(kappa2 / n <= kappa) and np.all(kappa <= n * kappa2)
+    inf_norm = functools.partial(np.linalg.norm, ord=np.inf, axis=(-2, -1))
+    np.testing.assert_allclose(kappa, inf_norm(M) * inf_norm(np.linalg.inv(M)), rtol=1e-6)
+    if name in ("near-rank-deficient", "two-seeds"):
+        assert kappa.max() > 1e6  # far beyond the presets' 1 to 20
+    elif name not in _OFF_PRESET:
+        np.testing.assert_array_equal(kappa <= solitons.COND_LIMIT, kappa2 <= solitons.COND_LIMIT)
+
+
+def test_field_masks_nonfinite_and_ill_conditioned_points_across_blocks(monkeypatch):
+    from hirota_ist import solitons
+    from hirota_ist.errors import SingularSystem
+
+    spec, _ = _seed_spec(2)
+    B = solitons._BLOCK
+    n = 2 * B + 37
+    x, t = np.linspace(-40.0, 40.0, n), np.linspace(-3.0, 3.0, n)[::-1].copy()
+    bad = [B - 1, B, B + 1, 2 * B + 5]
+    singular = x[B + 1]
+    x[[B - 1, B, 2 * B + 5]] = np.nan, np.inf, -np.inf
+    system = solitons._system
+
+    def with_a_singular_point(x, t, spec):  # an M whose LU meets a zero pivot
+        M, rhs = system(x, t, spec)
+        M[x == singular] = 0.0
+        return M, rhs
+
+    monkeypatch.setattr(solitons, "_system", with_a_singular_point)
+    with np.errstate(all="ignore"):
+        _, kappa = solitons._field(x, t, spec)
+    assert np.all(np.isinf(kappa[bad]))
+    finite = np.isfinite(kappa)
+    assert finite.sum() == n - len(bad)
+    worst = np.argmax(np.where(finite, kappa, 0.0))
+    monkeypatch.setattr(solitons, "COND_LIMIT", (kappa[worst] + np.sort(kappa[finite])[-2]) / 2)
+    with np.errstate(all="ignore"):
+        Q, _ = solitons._field(x, t, spec)
+        with pytest.raises(SingularSystem, match=rf"at 5 of {n} points, largest inf, first at \(x, t\) = \(nan, "):
+            h.reconstruct_Q(x, t, spec)
+    masked = sorted(bad + [worst])
+    assert np.all(Q[masked] == 0)
+    keep = np.setdiff1d(np.arange(n), masked)
+    points = np.array([h.reconstruct_Q(float(x[i]), float(t[i]), spec) for i in keep])
+    assert np.array_equal(points.view(np.uint64), Q[keep].view(np.uint64))
+
+
+def test_eval_field_logs_its_condition_numbers(monkeypatch, caplog, fig3a_spec):
+    from hirota_ist import solitons
+
+    grid = GridSpec(-5, 5, 21, -3, 3, 11)
+    with caplog.at_level(logging.INFO, logger="hirota_ist.solitons"):
+        h.eval_field(grid, fig3a_spec, "fig3a")
+    assert not caplog.records
+    monkeypatch.setattr(solitons, "COND_LIMIT", 1.5)  # as in test_eval_field_masks_exactly_the_singular_points
+    with caplog.at_level(logging.DEBUG, logger="hirota_ist.solitons"):
+        h.eval_field(grid, fig3a_spec, "fig3a")
+    (record,) = caplog.records
+    assert record.getMessage() == "eval_field fig3a: 231 points, 143 masked, kappa_inf max 4.97 p99 4.91"
+
+
+def test_field_never_reaches_the_svd(monkeypatch, fig6_spec):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the residue solve reached an SVD")
+
+    spec = h.preset("fig10d").spec()
+    for s in (spec, fig6_spec):
+        s._residues  # the rank factors take their SVDs once, when the residues are built
+    monkeypatch.setattr(np.linalg, "svd", unreachable)
+    monkeypatch.setattr(np.linalg, "cond", unreachable)
+    fg = h.eval_field(GridSpec(-5, 5, 41, -3, 3, 25), spec, "fig10d")
+    assert fg.masked_count == 0
+    assert np.all(np.isfinite(h.reconstruct_Q(np.linspace(-40, 40, 9), 0.5, fig6_spec)))
 
 
 class _NoMpmath:
