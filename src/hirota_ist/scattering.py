@@ -38,7 +38,15 @@ its z share, and exponentiates the cells of _BLOCK // n of its z (n cells
 a side) as one block, z-major, small enough to stay in cache; a side of
 more than _BLOCK cells goes _BLOCK cells of one z at a time.  Each step is
 elementwise, along one z's cells or on one z's matrix, so a z gets the
-same bits in any batch.
+same bits in any batch.  A call allocates one workspace of six 4x4 stacks
+of a block, and every block writes into it with out=: the Horner sum in
+k, the Taylor terms, the shift and the pairwise products.  A block sorts
+its cells by their squarings, most first, gathers those with any once,
+squares in round j the prefix of cells with more than j, in place, and
+scatters them back once.  The 4x4 products are np.einsum's, whose complex
+products use no FMA, and every ufunc keeps the operand order of the plain
+expression (k Omega, (A + B) + AB, 2F + F F): numpy's AVX-512 loops round
+k * x, x * k and x *= k differently, so the order is part of the bits.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ _TAYLOR = [1.0 / math.factorial(j) for j in range(10)]
 _DIAG = np.arange(4)
 _BASE, _DEGREE = 12, 8  # Clenshaw-Curtis panels on the search contour, and the intervals of each at first
 _MAX_DEGREE = 128  # intervals past which a panel's doubling stops
-_NEAR = 1.0 / 72.0  # a located zero closer to an edge than this share of the perimeter is near the contour
+_NEAR = 1.0 / 72.0  # a located zero this share of the perimeter from an unresolved panel is near the contour
 _RANK = 1e-8  # Hankel singular values below this fraction of the largest are noise
 _DIP = 0.25  # |det a| at a node below this fraction of both neighbours: zero on the contour
 _MOVES = 2  # contour moves before a zero near the boundary is reported, not avoided
@@ -169,9 +177,9 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
     return sides
 
 
-def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _mm(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Cellwise 4x4 products of (4, 4, ...) stacks."""
-    return np.einsum("ik...,kj...->ij...", A, B)
+    return np.einsum("ik...,kj...->ij...", A, B, out=out)
 
 
 def _squarings(cells: _Cells, k: np.ndarray) -> np.ndarray:
@@ -180,20 +188,44 @@ def _squarings(cells: _Cells, k: np.ndarray) -> np.ndarray:
     return np.ceil(np.log2(np.maximum(b, _THETA) / _THETA)).astype(int)
 
 
-def _expm1(om: np.ndarray, squarings: np.ndarray) -> np.ndarray:
-    """exp(Omega) - I by a degree-9 Taylor sum (Paterson-Stockmeyer), then each cell's squarings."""
-    om2 = _mm(om, om)
-    om3 = _mm(om2, om)
+def _stack(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The head of a workspace row as a contiguous (4, 4, *shape) stack."""
+    return buf[: 16 * math.prod(shape)].reshape(4, 4, *shape)
 
-    def poly(j):  # c_j I + c_{j+1} Omega + c_{j+2} Omega^2
-        B = _TAYLOR[j + 1] * om + _TAYLOR[j + 2] * om2
-        B[_DIAG, _DIAG] += _TAYLOR[j]
-        return B
 
-    F = om + _TAYLOR[2] * om2 + _mm(om3, poly(3) + _mm(om3, poly(6) + _TAYLOR[9] * om3))
-    for j in range(squarings.max(initial=0)):
-        i = np.flatnonzero(squarings > j)
-        F[..., i] = 2.0 * F[..., i] + _mm(F[..., i], F[..., i])
+def _expm1(ws: np.ndarray, squarings: np.ndarray) -> np.ndarray:
+    """exp(Omega) - I by a degree-9 Taylor sum (Paterson-Stockmeyer), then each cell's squarings.
+
+    Omega is the (4, 4, m) stack at the head of ws[0], m = len(squarings); the result is written to
+    ws[3] and returned, and the other rows are scratch.  The cells are sorted by their squarings,
+    most first, so that round j squares the prefix of cells with more than j, in place.
+    """
+    m = len(squarings)
+    om, om2, om3, F, T, U = (_stack(b, m) for b in ws)
+    _mm(om, om, om2)
+    _mm(om2, om, om3)
+
+    def poly(j):  # c_j I + c_{j+1} Omega + c_{j+2} Omega^2, in F
+        np.multiply(_TAYLOR[j + 1], om, out=F)
+        np.add(F, np.multiply(_TAYLOR[j + 2], om2, out=U), out=F)
+        F[_DIAG, _DIAG] += _TAYLOR[j]
+
+    poly(6)
+    np.add(F, np.multiply(_TAYLOR[9], om3, out=U), out=F)
+    _mm(om3, F, T)
+    poly(3)
+    _mm(om3, np.add(F, T, out=F), T)
+    np.add(np.add(om, np.multiply(_TAYLOR[2], om2, out=F), out=F), T, out=F)
+    order = np.argsort(-squarings, kind="stable")
+    s = squarings[order]
+    i = order[: np.count_nonzero(s)]
+    if i.size:
+        G = np.take(F, i, axis=-1, out=_stack(ws[0], i.size), mode="clip")
+        for j in range(s[0]):
+            p = np.count_nonzero(s > j)
+            Gp, P = G[..., :p], _mm(G[..., :p], G[..., :p], _stack(ws[1], p))
+            np.add(np.multiply(2.0, Gp, out=Gp), P, out=Gp)
+        F[..., i] = G
     return F
 
 
@@ -214,31 +246,43 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     are carried as I + F, (I + A)(I + B) = I + (A + B + AB), so rounding
     scales with the small |F| = |exp(Omega) - I|, not with 1.  The cells of
     _z_per_block(n) z are exponentiated at once, z-major; the products run
-    along the cells of each z, _BLOCK cells at a time.
+    along the cells of each z, _BLOCK cells at a time.  Every block works in
+    one workspace of six 4x4 stacks of a block, allocated once per call.
     """
     n = len(cells.h)
     per = _z_per_block(n)
+    ws = np.empty((6, 16 * min(per, len(k)) * min(n, _BLOCK)), dtype=complex)
     out = np.empty((len(k), 4, 4), dtype=complex)
     for z0 in range(0, len(k), per):
         zs = slice(z0, z0 + per)
         s = _squarings(cells, k[zs])
-        wh = w[zs, None] * cells.h
-        shift, shift1 = np.exp(wh), 2.0 * np.exp(0.5 * wh) * np.sinh(0.5 * wh)  # e^{w h}, e^{w h} - 1
         total = None
         for lo in range(0, n, _BLOCK):
             cut = slice(lo, lo + _BLOCK)
-            om = cells.A[3, ..., None, cut]
+            shape = s[:, cut].shape
+            om = _stack(ws[0], *shape)
+            np.copyto(om, cells.A[3, ..., None, cut])
             for j in (2, 1, 0):  # Horner's rule in k
-                om = k[zs, None] * om + cells.A[j, ..., None, cut]
-            F = _expm1((om * 0.5 ** s[:, cut]).reshape(4, 4, -1), s[:, cut].ravel()).reshape(om.shape)
-            F *= shift[:, cut]
-            F[_DIAG, _DIAG] += shift1[:, cut]
-            while F.shape[-1] > 1:  # (4, 4, z, cells): pairs along the cells
+                np.add(np.multiply(k[zs, None], om, out=om), cells.A[j, ..., None, cut], out=om)
+            np.multiply(om, 0.5 ** s[:, cut], out=om)
+            F = _expm1(ws, s[:, cut].ravel()).reshape(om.shape)
+            wh, half, sh = (b[: math.prod(shape)].reshape(shape) for b in ws[:3])  # rows free after _expm1
+            np.multiply(w[zs, None], cells.h[cut], out=wh)
+            np.sinh(np.multiply(0.5, wh, out=half), out=sh)
+            np.multiply(F, np.exp(wh, out=wh), out=F)  # times e^{w h}
+            np.multiply(np.multiply(2.0, np.exp(half, out=half), out=half), sh, out=sh)  # e^{w h} - 1
+            F[_DIAG, _DIAG] += sh
+            here, spare = ws[3], ws[0]
+            while F.shape[-1] > 1:  # (4, 4, z, cells): pairs along the cells, from one row to the other
                 m = F.shape[-1]
                 A, B = F[..., 1:m:2], F[..., 0 : m - 1 : 2]
-                P = A + B + _mm(A, B)
-                F = np.concatenate((P, F[..., m - 1 :]), axis=-1) if m % 2 else P
-            total = F if total is None else F + total + _mm(F, total)
+                P = _stack(spare, shape[0], (m + 1) // 2)
+                AB = _mm(A, B, _stack(ws[1], shape[0], m // 2))
+                np.add(np.add(A, B, out=P[..., : m // 2]), AB, out=P[..., : m // 2])
+                if m % 2:
+                    P[..., -1] = F[..., -1]
+                F, here, spare = P, spare, here
+            total = F.copy() if total is None else F + total + _mm(F, total)  # F is in the workspace
         out[zs] = np.moveaxis(np.eye(4)[..., None] + total[..., 0], -1, 0)
     return out
 
@@ -502,7 +546,8 @@ def find_discrete_spectrum(
 
     A zero on or near the contour (a phase step between neighbouring nodes
     above pi/2, |det a| at a node below _DIP times both neighbours, or a
-    located zero closer to an edge than _NEAR times the perimeter) moves
+    located zero closer than _NEAR times the perimeter to a panel whose
+    estimate still misses its target) moves
     every edge outward by four times that distance and refines anew, at
     most _MOVES times and only while the box stays in D+; each move, a zero
     left near the contour, a non-integer winding and multiplicities that are
@@ -521,12 +566,15 @@ def find_discrete_spectrum(
     mesh = _mesh(field, tol, t0, bg)
     moves: list[_Box] = []
     rounds: list[str] = []
-    nz = blocks = 0
+    nz = blocks = squarings = most = 0
 
     def evaluate(z: np.ndarray) -> np.ndarray:
-        nonlocal nz, blocks
+        nonlocal nz, blocks, squarings, most
+        sp = _points(z, bg)
+        s = [_squarings(c, sp.k) for c in mesh]
         nz, blocks = nz + len(z), blocks + sum(_blocks(len(c.h), len(z)) for c in mesh)
-        return _det_a(mesh, _points(z, bg), bg)
+        squarings, most = squarings + sum(map(np.sum, s)), max(most, *map(np.max, s))
+        return _det_a(mesh, sp, bg)
 
     while True:
         re0, re1, im0, im1 = box
@@ -565,8 +613,9 @@ def find_discrete_spectrum(
         roots, mult, sv = np.empty(0, complex), np.empty(0), np.empty(0)
         if N and mag.all():
             roots, mult, sv = _moment_zeros(s, box)
-            edges = (roots.real - re0, re1 - roots.real, roots.imag - im0, im1 - roots.imag)
-            near = near or bool(np.any(np.minimum.reduce(edges) < _NEAR * perimeter))
+            r = roots[:, None]  # the distance of each zero to the nearest point of each panel
+            gap = np.abs(r - start - extent * np.clip(((r - start) / extent).real, 0.0, 1.0))
+            near = near or bool(np.any((gap < _NEAR * perimeter) & grow))
         if not near or len(moves) == _MOVES:
             break
         d = 4.0 * _NEAR * perimeter
@@ -593,7 +642,7 @@ def find_discrete_spectrum(
         else:
             warnings.warn(f"zero {zr} rejected: too close to the continuous spectrum", NoConvergenceWarning)
     _log.debug("find_discrete_spectrum: %d nodes, rounds [%s], cells %d left %d right x %d z propagated in %d "
-               "blocks, winding %.4f, Hankel singular values %s, zeros %s, multiplicities %s, contour moves %s",
-               len(z), "; ".join(rounds), len(mesh[0].h), len(mesh[1].h), nz, blocks, w, sv.tolist(), kept,
-               mult.real.round(3).tolist(), moves)
+               "blocks with %d squarings, at most %d a cell, winding %.4f, Hankel singular values %s, zeros %s, "
+               "multiplicities %s, contour moves %s", len(z), "; ".join(rounds), len(mesh[0].h), len(mesh[1].h), nz,
+               blocks, squarings, most, w, sv.tolist(), kept, mult.real.round(3).tolist(), moves)
     return kept

@@ -225,10 +225,11 @@ def _system(x, t, spec: SolitonSpec) -> tuple[np.ndarray, np.ndarray]:
 def _field(x, t, spec: SolitonSpec) -> tuple[np.ndarray, np.ndarray]:
     """`reconstruct_Q` with (Q, kappa_inf) in place of `SingularSystem`; Q is 0 where kappa_inf > `COND_LIMIT`.
 
-    slogdet, whose LU flags a zero pivot instead of raising, screens out singular and non-finite M
-    (kappa_inf = inf there).  The solve of M^T [Z^T | M^-T] = [rhs^T | I] then gives Z and
-    kappa_inf = ||M||_inf ||M^-T||_1 from one factorisation, with no SVD (Higham 2002, ch. 15).
-    Each point's solve is independent, so a point alone and in any batch gives the same bits.
+    The solve of M^T [Z^T | M^-T] = [rhs^T | I] gives Z and kappa_inf = ||M||_inf ||M^-T||_1 from one
+    factorisation, with no SVD (Higham 2002, ch. 15); a non-finite kappa_inf reads inf.  Only a block
+    whose solve raises on a zero pivot is screened by slogdet, whose LU flags the pivot instead of
+    raising, and solved again with its singular M replaced (kappa_inf = inf there).  Each point's
+    solve is independent, so a point alone and in any batch gives the same bits.
     """
     x, t = np.broadcast_arrays(x, t)
     rs = spec._residues
@@ -238,12 +239,16 @@ def _field(x, t, spec: SolitonSpec) -> tuple[np.ndarray, np.ndarray]:
         blk = slice(lo, lo + _BLOCK)
         M, rhs = _system(x.flat[blk], t.flat[blk], spec)
         MT = M.transpose(0, 2, 1)
-        sign, logdet = np.linalg.slogdet(MT)
-        s = (sign != 0) & np.isfinite(logdet)
-        M[~s] = np.eye(n)  # a stand-in that the solve cannot fail on; such points stay masked
-        W = np.linalg.solve(MT, np.concatenate((rhs.transpose(0, 2, 1), np.broadcast_to(np.eye(n), M.shape)), -1))
+        B = np.concatenate((rhs.transpose(0, 2, 1), np.broadcast_to(np.eye(n), M.shape)), -1)
+        try:
+            W, singular = np.linalg.solve(MT, B), False
+        except np.linalg.LinAlgError:
+            sign, logdet = np.linalg.slogdet(MT)
+            singular = (sign == 0) | ~np.isfinite(logdet)
+            M[singular] = np.eye(n)  # a stand-in that the solve cannot fail on; such points stay masked
+            W = np.linalg.solve(MT, B)
         k = np.abs(M).sum(-1).max(-1) * np.abs(W[..., 2:]).sum(-2).max(-1)  # ||M||_inf ||M^-T||_1
-        kappa[blk] = np.where(s, k, np.inf)
+        kappa[blk] = np.where(singular | ~np.isfinite(k), np.inf, k)
         ok = kappa[blk] <= COND_LIMIT
         Q[blk][ok] = spec.bg.Qplus - 1j * np.swapaxes(W[ok, :n // 2, :2], -1, -2) @ dagger(rs.A)
     return Q.reshape(x.shape + (2, 2)), kappa.reshape(x.shape)

@@ -27,6 +27,7 @@ from hirota_ist.scattering import (
     _moment_zeros,
     _moments,
     _panels,
+    _squarings,
     _transfer,
     _z_per_block,
     audit_symmetries,
@@ -38,6 +39,7 @@ from hirota_ist.scattering import (
 from hirota_ist.solitons import DiscreteEigenpair, RankFlag, expand_quartets, min_decay_rate
 from hirota_ist.spectral import classify_region, uniformize
 from hirota_ist.traceform import TraceInput, trace_det_a
+import reference_transfer
 from test_solitons import random_seeds, rank1_or_2, scaled_backgrounds
 
 TOL = 1e-10
@@ -430,6 +432,16 @@ def test_find_spectrum_recovers_random_seeds(quartet):
     assert abs(found[0] - seed.zn) <= 1e-6 * bg.k0
 
 
+
+@pytest.mark.filterwarnings("error::hirota_ist.errors.NoConvergenceWarning")
+def test_zero_beside_resolved_panels_is_not_near_the_contour(fig3a_spec):
+    # 0.046 above the CLI box's bottom edge, which cannot move down without leaving D+; the panels beside
+    # the zero meet their target, so the zero is resolved where it is, with no warning
+    seed = DiscreteEigenpair(0.3 + 1.131j, np.ones((2, 2), dtype=complex))
+    field = functools.partial(h.reconstruct_Q, spec=expand_quartets([seed], fig3a_spec.bg))
+    found = find_discrete_spectrum(field, CLI_BOX, 1e-4, fig3a_spec.bg)
+    assert len(found) == 1 and abs(found[0] - seed.zn) <= 1e-9
+
 def test_background_field_gets_only_the_longest_cells(background_bg, caplog):
     Qp = background_bg.Qplus
 
@@ -486,6 +498,32 @@ def test_mixed_region_batch_gives_the_same_bits(fig3a_field, fig3a_spec):
                                       [integrate_jost(fig3a_field, z, side, 1e-8, bg) for z in zs], err_msg=side)
 
 
+
+@pytest.mark.parametrize("name, tol, t0", [("fig3a", 1e-4, 0.0), ("fig6", 1e-10, 0.0), ("fig6", 1e-10, 12.0)])
+def test_transfer_matches_the_reference_bit_for_bit(name, tol, t0):
+    # fig3a: the CLI box's nodes over 59-75 cells a side (up to 7 squarings, a partial last block of z);
+    # fig6: the 48 samples of `scatter --n-real-orbits 8 --n-circle-orbits 4`, and at t0 = 12 a left side
+    # of more than _BLOCK cells, which goes _BLOCK cells of one z at a time
+    spec = h.preset(name).spec()
+    bg = spec.bg
+    if name == "fig3a":
+        start, extent, n = _panels(CLI_BOX)
+        nodes = _contour(start, extent, 3 * n)
+        zs = np.append(nodes, nodes[0])
+    else:
+        zs = np.array(sigma_sample_points(bg.k0, 8, 4))
+    sp = uniformize(zs, bg)
+    w = 1j * sp.lam * np.where(sp.lam.imag >= 0, 1.0, -1.0)
+    mesh = _mesh(functools.partial(h.reconstruct_Q, spec=spec), tol, t0, bg)
+    for cells in mesh:
+        P = _transfer(cells, sp.k, w)
+        assert np.array_equal(P.view(np.uint64), reference_transfer.transfer(cells, sp.k, w).view(np.uint64))
+    squarings = np.concatenate([_squarings(c, sp.k).ravel() for c in mesh])
+    if name == "fig3a":
+        assert squarings.max() == 7 and all(len(zs) % _z_per_block(len(c.h)) for c in mesh)
+    else:
+        assert (max(len(c.h) for c in mesh) > _BLOCK) == (t0 > 0) and squarings.max() >= 3
+
 def _search(field, box, tol, bg, monkeypatch, caplog):
     """The zeros found, every z passed to _det_a in the search, and the search's DEBUG record."""
     evaluated, det_a_of_mesh = [], scattering._det_a
@@ -510,7 +548,8 @@ def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog, mon
     start, extent, n = _panels(CLI_BOX)
     nodes = _contour(start, extent, 3 * n)
     zs = np.append(nodes, nodes[0])
-    cells = [len(c.h) for c in _mesh(fig3a_field, tol, 0.0, bg)]
+    mesh = _mesh(fig3a_field, tol, 0.0, bg)
+    cells = [len(c.h) for c in mesh]
     per = [_z_per_block(n) for n in cells]
     assert len(zs) >= 289 and min(per) > 1 and all(len(zs) % p for p in per)
     some = np.r_[0:len(zs):7, len(zs) - 1]  # every position in a block of 6 or 8, and the partial block
@@ -524,10 +563,12 @@ def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog, mon
     for i in few:
         np.testing.assert_array_equal(samples[i].S, scattering_matrix(fig3a_field, zs[i], tol, bg).S)
     # the search's rounds share blocks too, and its zeros have the same bits with every z propagated alone
-    found, _, record = _search(fig3a_field, CLI_BOX, tol, bg, monkeypatch, caplog)
+    found, evaluated, record = _search(fig3a_field, CLI_BOX, tol, bg, monkeypatch, caplog)
     new = [int(k) for k in re.findall(r"\((\d+) new z\)", record)]
     blocks = sum(math.ceil(k / p) for k in new for p in per)
-    assert f"cells {cells[0]} left {cells[1]} right x {sum(new)} z propagated in {blocks} blocks" in record
+    squarings = [_squarings(c, uniformize(evaluated, bg).k) for c in mesh]
+    assert (f"cells {cells[0]} left {cells[1]} right x {sum(new)} z propagated in {blocks} blocks with "
+            f"{sum(map(np.sum, squarings))} squarings, at most {max(map(np.max, squarings))} a cell") in record
     monkeypatch.setattr(scattering, "_z_per_block", lambda n: 1)
     alone, _, record = _search(fig3a_field, CLI_BOX, tol, bg, monkeypatch, caplog)
     assert f"x {sum(new)} z propagated in {2 * sum(new)} blocks" in record and max(cells) <= _BLOCK
