@@ -29,24 +29,18 @@ right from bg.Qplus.  L doubles from L0 up to L_MAX while that sample fails
 Q Q^dag = k0^2 I (NoBackground at L_MAX) or Q(-L + p/2) or Q(L - p/2), p the
 probe cell, is farther than tol/10 from its limit (NoConvergenceWarning at
 L_MAX).  U = P(x) + k(z) S, so a cell's Omega is a cubic A0 + k A1 + k^2 A2
-+ k^3 A3 whose coefficients do not depend on z.  Cell exponentials (each
-scaled and squared as its own norm needs), times the column shift
-e^{+-i lambda h} that keeps the analytic pair bounded, are multiplied in
-pairs along the cells of each z.  The z travel as arrays: one spectral
-point of arrays, then (n, 4, 4) stacks.  A call builds one mesh, which all
-its z share, and exponentiates the cells of _BLOCK // n of its z (n cells
-a side) as one block, z-major, small enough to stay in cache; a side of
-more than _BLOCK cells goes _BLOCK cells of one z at a time.  Each step is
-elementwise, along one z's cells or on one z's matrix, so a z gets the
-same bits in any batch.  A call allocates one workspace of six 4x4 stacks
-of a block, and every block writes into it with out=: the Horner sum in
-k, the Taylor terms, the shift and the pairwise products.  A block sorts
-its cells by their squarings, most first, gathers those with any once,
-squares in round j the prefix of cells with more than j, in place, and
-scatters them back once.  The 4x4 products are np.einsum's, whose complex
-products use no FMA, and every ufunc keeps the operand order of the plain
-expression (k Omega, (A + B) + AB, 2F + F F): numpy's AVX-512 loops round
-k * x, x * k and x *= k differently, so the order is part of the bits.
++ k^3 A3 whose coefficients do not depend on z, and S^T sigma2 S = sigma2
+makes it Hamiltonian, with eigenvalues +-a, +-b, so exp(Omega) is a closed
+form in Omega and Omega^2 (see _expm1): two 4x4 products a cell.  Cell
+exponentials, times the column shift e^{+-i lambda h} that keeps the
+analytic pair bounded, are multiplied in pairs along the cells of each z.
+The z travel as arrays: one spectral point of arrays, then (n, 4, 4) stacks.
+A call builds one mesh, which all its z share, and exponentiates the cells of
+_BLOCK // n of its z (n cells a side) as one block, z-major, small enough to
+stay in cache; a side of more than _BLOCK cells goes _BLOCK cells of one z at
+a time.  Each step is elementwise, along one z's cells or on one z's matrix,
+so a z gets the same bits in any batch.  A call allocates one workspace of
+six 4x4 stacks of a block, into which every block writes with out=.
 """
 
 from __future__ import annotations
@@ -75,8 +69,9 @@ R = 16  # longest cell over the shortest; probe cells are about R of the shortes
 L0, L_MAX = 20.0, 80.0  # first and largest truncation length; L doubles from L0 while the field has not settled
 _BLOCK = 512  # cells x z exponentiated at once (and cells built at once): a 4x4 stack of 128 KB stays in cache
 _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])  # Gauss-Legendre nodes on a unit cell
-_THETA = 0.1  # bound on |Omega|_1 for the degree-9 Taylor sum (remainder < 3e-17)
-_TAYLOR = [1.0 / math.factorial(j) for j in range(10)]
+# Taylor coefficients of C(x) = cosh sqrt(x) - 1 and S(x) = sinh sqrt(x) / sqrt(x), x^9 first, as (10, 2);
+# where |a^2|, |b^2| <= 1 the first term left out moves c0, c1 by under 4.2e-18 and s0, s1 by under 2.1e-19
+_SERIES = np.array([[(n > 0) / math.factorial(2 * n), 1 / math.factorial(2 * n + 1)] for n in range(9, -1, -1)])
 _DIAG = np.arange(4)
 _BASE, _DEGREE = 12, 8  # Clenshaw-Curtis panels on the search contour, and the intervals of each at first
 _MAX_DEGREE = 128  # intervals past which a panel's doubling stops
@@ -90,11 +85,10 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class _Cells:
-    """One side's Omega = sum_j k^j A[j] as A (4, 4, 4, n) in travel order, lengths (n,), |A[j]|_1 (4, n), start Q."""
+    """One side's Omega = sum_j k^j A[j] as A (4, 4, 4, n) in travel order, lengths (n,), start Q."""
 
     A: np.ndarray
     h: np.ndarray
-    norm: np.ndarray
     limit: CMat2
 
 
@@ -110,18 +104,19 @@ def _cells(Q: np.ndarray, sigma: int, steps: np.ndarray, limit: CMat2) -> _Cells
         h = steps[cut, None, None]
         P1, P2, P3 = (embed(Q[cut, i], sigma) for i in range(3))
         a1, s1 = h * P2, -1j * h * SIGMA3  # alpha_1 = a1 + k s1; alpha_2 and alpha_3 are free of k
+        d = -1j * h * (_SGN[:, None] - _SGN)  # [s1, X] = d X, elementwise
         a2 = math.sqrt(15.0) / 3.0 * h * (P3 - P1)
         a3 = 10.0 / 3.0 * h * (P3 - 2.0 * P2 + P1)
-        c, cs = _comm(a1, a2), _comm(s1, a2)  # C_1 = c + k cs
+        c, cs = _comm(a1, a2), d * a2  # C_1 = c + k cs
         x, xs = -20.0 * a1 - a3 + c, -20.0 * s1 + cs  # -20 alpha_1 - alpha_3 + C_1 = x + k xs
         e = 2.0 * a3 + c
         y = a2 - _comm(a1, e) / 60.0  # alpha_2 + C_2 = y + k y1 + k^2 y2
-        y1 = -(_comm(s1, e) + _comm(a1, cs)) / 60.0
-        y2 = -_comm(s1, cs) / 60.0
+        y1 = -(d * e + _comm(a1, cs)) / 60.0
+        y2 = -(d * cs) / 60.0
         Om = (a1 + a3 / 12.0 + _comm(x, y) / 240.0, s1 + (_comm(x, y1) + _comm(xs, y)) / 240.0,
               (_comm(x, y2) + _comm(xs, y1)) / 240.0, _comm(xs, y2) / 240.0)
         A[..., cut] = np.moveaxis(np.stack(Om), 1, -1)
-    return _Cells(A, np.abs(steps), np.abs(A).sum(axis=1).max(axis=1), limit)
+    return _Cells(A, np.abs(steps), limit)
 
 
 def _field_at(field: Field, xs: np.ndarray, t0: float) -> np.ndarray:
@@ -167,13 +162,14 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
     left = n[:m].sum()
     sides = (_cells(Q[:left], bg.sigma, h[:left], Qlim),
              _cells(Q[left:][::-1, ::-1], bg.sigma, -h[left:][::-1], bg.Qplus))
-    if not all(np.isfinite(c.norm).all() for c in sides):
+    if not all(np.isfinite(c.A).all() for c in sides):
         raise IntegrationFailure(f"Magnus generators overflow for the field at t = {t0}")
-    _log.debug("Jost mesh L=%g tol=%g t0=%g: %d probes, cells %d left %d right, length %.3g to %.3g, "
-               "%d field evaluations, at most %d squarings at k = 0, edges |Q(-2L) - Q(-L + p/2)| %.2g and "
-               "|Q(L - p/2) - Q+| %.2g, |Q Q^dag - k0^2 I| %.2g at -2L",
-               L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), evals + 3 * len(h),
-               max(_squarings(c, np.zeros(1)).max() for c in sides), *edges, dev)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("Jost mesh L=%g tol=%g t0=%g: %d probes, cells %d left %d right, length %.3g to %.3g, "
+                   "%d field evaluations, at k = 0 %s, edges |Q(-2L) - Q(-L + p/2)| %.2g and "
+                   "|Q(L - p/2) - Q+| %.2g, |Q Q^dag - k0^2 I| %.2g at -2L",
+                   L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), evals + 3 * len(h),
+                   _branches(sides, np.zeros(1)), *edges, dev)
     return sides
 
 
@@ -182,51 +178,84 @@ def _mm(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return np.einsum("ik...,kj...->ij...", A, B, out=out)
 
 
-def _squarings(cells: _Cells, k: np.ndarray) -> np.ndarray:
-    """Per z and cell, (len(k), n), the halvings that bring |Omega|_1 <= sum_j |k|^j |A[j]|_1 under _THETA."""
-    b = np.abs(k)[:, None] ** np.arange(4) @ cells.norm
-    return np.ceil(np.log2(np.maximum(b, _THETA) / _THETA)).astype(int)
-
-
 def _stack(buf: np.ndarray, *shape: int) -> np.ndarray:
     """The head of a workspace row as a contiguous (4, 4, *shape) stack."""
     return buf[: 16 * math.prod(shape)].reshape(4, 4, *shape)
 
 
-def _expm1(ws: np.ndarray, squarings: np.ndarray) -> np.ndarray:
-    """exp(Omega) - I by a degree-9 Taylor sum (Paterson-Stockmeyer), then each cell's squarings.
+def _invariants(om2: np.ndarray, tmp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p = a^2 + b^2, r = a^2 b^2 and tr Omega^4 of a (4, 4, ...) stack of Omega^2, in one order at any length."""
+    p = 0.5 * (om2[0, 0] + om2[1, 1] + om2[2, 2] + om2[3, 3])
+    t4 = functools.reduce(np.add, np.multiply(om2, om2.swapaxes(0, 1), out=tmp).reshape(16, *om2.shape[2:]))
+    return p, 0.5 * (p * p - 0.5 * t4), t4
 
-    Omega is the (4, 4, m) stack at the head of ws[0], m = len(squarings); the result is written to
-    ws[3] and returned, and the other rows are scratch.  The cells are sorted by their squarings,
-    most first, so that round j squares the prefix of cells with more than j, in place.
+
+def _shc(x: np.ndarray) -> np.ndarray:  # sinh(x) / x, which rounds to 1 where |x| <= 1e-8
+    return np.divide(np.sinh(x), x, out=np.ones_like(x), where=np.abs(x) > 1e-8)
+
+
+def _interpolated(p: np.ndarray, r: np.ndarray, t4: np.ndarray) -> np.ndarray:
+    """((c1, s1), (c0, s0)), (2, 2, m), of C and S interpolated on a^2 and b^2, for cells with |p| + |r| > 1.
+
+    u, v = (a +- b)/2, and S[a^2, b^2] = (cosh u shc v - shc u cosh v) / 2ab where a^2 and b^2 coalesce
+    (Moler & Van Loan, SIAM Rev. 45, 2003, on that hazard), as a plain quotient of differences elsewhere.
     """
-    m = len(squarings)
-    om, om2, om3, F, T, U = (_stack(b, m) for b in ws)
+    s = np.sqrt(t4 - p * p)  # +-(a^2 - b^2)
+    al = 0.5 * (p + np.where((p.conj() * s).real < 0, -s, s))  # |a^2| >= |b^2|, so a^2 != 0
+    be = r / al
+    a, b = np.sqrt(al), np.sqrt(be)
+    b = np.where((a.conj() * b).real < 0, -b, b)  # |u| >= |v|, so u != 0
+    u, v = 0.5 * (a + b), 0.5 * (a - b)
+    chu, chv, shu, hv = np.cosh(u), np.cosh(v), np.sinh(u), _shc(v)
+    hu = shu / u
+    sa = (shu * chv + chu * v * hv) / a  # S(a^2) = sinh(u + v) / a
+    c1 = 0.5 * hu * hv  # C[a^2, b^2] = (cosh a - cosh b) / (a^2 - b^2)
+    with np.errstate(all="ignore"):  # where evaluates both forms of S[a^2, b^2]
+        s1 = np.where(np.abs(v) <= 0.5 * np.abs(u), (chu * hv - hu * chv) / (2.0 * a * b), (sa - _shc(b)) / (al - be))
+    return np.array([[c1, s1], [2.0 * np.sinh(0.5 * a) ** 2 - al * c1, sa - al * s1]])
+
+
+def _expm1(ws: np.ndarray, m: int, wh: np.ndarray) -> np.ndarray:
+    """exp(Omega + wh I) - I, into ws[3], of the (4, 4, m) Omega at the head of ws[0] and the (m,) wh.
+
+    (x - a^2)(x - b^2) = x^2 - p x + r annihilates Omega^2, so exp(Omega) - I = C(Omega^2) + Omega S(Omega^2),
+    C(x) = cosh sqrt(x) - 1 and S(x) = sinh sqrt(x) / sqrt(x), is c0 I + c1 Omega^2 + Omega (s0 I + s1 Omega^2).
+    Where |p| + |r| <= 1, so |a^2|, |b^2| <= 1, the coefficients are the series of C and S modulo x^2 - p x + r:
+    no square root, exact through a = b (every background cell) and at the branch points' Jordan blocks.  The
+    other rows are scratch; wh may sit in ws[5] past 2 m.
+    """
+    om, om2, G, F = (_stack(b, m) for b in ws[:4])
     _mm(om, om, om2)
-    _mm(om2, om, om3)
-
-    def poly(j):  # c_j I + c_{j+1} Omega + c_{j+2} Omega^2, in F
-        np.multiply(_TAYLOR[j + 1], om, out=F)
-        np.add(F, np.multiply(_TAYLOR[j + 2], om2, out=U), out=F)
-        F[_DIAG, _DIAG] += _TAYLOR[j]
-
-    poly(6)
-    np.add(F, np.multiply(_TAYLOR[9], om3, out=U), out=F)
-    _mm(om3, F, T)
-    poly(3)
-    _mm(om3, np.add(F, T, out=F), T)
-    np.add(np.add(om, np.multiply(_TAYLOR[2], om2, out=F), out=F), T, out=F)
-    order = np.argsort(-squarings, kind="stable")
-    s = squarings[order]
-    i = order[: np.count_nonzero(s)]
-    if i.size:
-        G = np.take(F, i, axis=-1, out=_stack(ws[0], i.size), mode="clip")
-        for j in range(s[0]):
-            p = np.count_nonzero(s > j)
-            Gp, P = G[..., :p], _mm(G[..., :p], G[..., :p], _stack(ws[1], p))
-            np.add(np.multiply(2.0, Gp, out=Gp), P, out=Gp)
-        F[..., i] = G
+    p, r, t4 = _invariants(om2, G)
+    cs = ws[4, : 4 * m].reshape(2, 2, m)
+    (U, V), T = cs, ws[5, : 2 * m].reshape(2, m)
+    cs[...] = _SERIES[:2, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # cells past the series' range are overwritten below
+        for f in _SERIES[2:, :, None]:  # Horner modulo x^2 - p x + r: (U x + V) x + f = (p U + V) x + f - r U
+            np.multiply(U, r, out=T)
+            np.add(np.multiply(U, p, out=U), V, out=U)
+            np.subtract(f, T, out=V)
+    big = np.flatnonzero(np.abs(p) + np.abs(r) > 1.0)
+    if big.size:
+        cs[..., big] = _interpolated(p[big], r[big], t4[big])
+    cs *= np.exp(wh)  # e^{wh} (I + F) = I + (e^{wh} F + (e^{wh} - 1) I)
+    cs[1, 0] += np.expm1(wh)
+    (c1, s1), (c0, s0) = cs
+    np.multiply(s1, om2, out=G)
+    G[_DIAG, _DIAG] += s0
+    _mm(om, G, F)
+    np.add(F, np.multiply(c1, om2, out=G), out=F)
+    F[_DIAG, _DIAG] += c0
     return F
+
+
+def _branches(sides: Sequence[_Cells], k: np.ndarray) -> str:
+    """For the DEBUG records: the cells x z of both sides that _expm1 interpolates, and the largest |a| and |b|."""
+    oms = (np.concatenate([np.einsum("j,jabn->abn", kz ** np.arange(4), c.A) for c in sides], axis=-1) for kz in k)
+    p, r, t4 = (np.concatenate(v) for v in zip(*(_invariants(_mm(om, om)) for om in oms)))  # one z at a time
+    ab = np.sqrt(np.abs(p + np.multiply.outer([1, -1], np.sqrt(t4 - p * p))) / 2.0)  # |a|, |b| in some order
+    return (f"{np.count_nonzero(np.abs(p) + np.abs(r) > 1.0)} of {p.size} cells x z interpolated, "
+            f"largest |a| {ab.max():.4g} and |b| {ab.min(axis=0).max():.4g}")
 
 
 def _z_per_block(n: int) -> int:
@@ -234,20 +263,12 @@ def _z_per_block(n: int) -> int:
     return max(1, _BLOCK // n)
 
 
-def _blocks(n: int, nz: int) -> int:
-    """Blocks that _transfer exponentiates for nz z over n cells."""
-    return math.ceil(nz / _z_per_block(n)) * math.ceil(n / _BLOCK)
-
-
 def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     """e^{w h_{n-1}} exp(Omega_{n-1}) ... e^{w h_0} exp(Omega_0) over the cells of one side, (len(k), 4, 4).
 
     One product for each pair (k, w) of the 1-D arrays k and w.  Factors
     are carried as I + F, (I + A)(I + B) = I + (A + B + AB), so rounding
-    scales with the small |F| = |exp(Omega) - I|, not with 1.  The cells of
-    _z_per_block(n) z are exponentiated at once, z-major; the products run
-    along the cells of each z, _BLOCK cells at a time.  Every block works in
-    one workspace of six 4x4 stacks of a block, allocated once per call.
+    scales with the small |F| = |exp(Omega) - I|, not with 1.
     """
     n = len(cells.h)
     per = _z_per_block(n)
@@ -255,23 +276,17 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     out = np.empty((len(k), 4, 4), dtype=complex)
     for z0 in range(0, len(k), per):
         zs = slice(z0, z0 + per)
-        s = _squarings(cells, k[zs])
         total = None
         for lo in range(0, n, _BLOCK):
             cut = slice(lo, lo + _BLOCK)
-            shape = s[:, cut].shape
+            shape = len(k[zs]), len(cells.h[cut])
             om = _stack(ws[0], *shape)
             np.copyto(om, cells.A[3, ..., None, cut])
             for j in (2, 1, 0):  # Horner's rule in k
                 np.add(np.multiply(k[zs, None], om, out=om), cells.A[j, ..., None, cut], out=om)
-            np.multiply(om, 0.5 ** s[:, cut], out=om)
-            F = _expm1(ws, s[:, cut].ravel()).reshape(om.shape)
-            wh, half, sh = (b[: math.prod(shape)].reshape(shape) for b in ws[:3])  # rows free after _expm1
-            np.multiply(w[zs, None], cells.h[cut], out=wh)
-            np.sinh(np.multiply(0.5, wh, out=half), out=sh)
-            np.multiply(F, np.exp(wh, out=wh), out=F)  # times e^{w h}
-            np.multiply(np.multiply(2.0, np.exp(half, out=half), out=half), sh, out=sh)  # e^{w h} - 1
-            F[_DIAG, _DIAG] += sh
+            size = math.prod(shape)
+            wh = np.multiply(w[zs, None], cells.h[cut], out=ws[5, 2 * size : 3 * size].reshape(shape))
+            F = _expm1(ws, size, wh.ravel()).reshape(om.shape)  # times the shift e^{w h}
             here, spare = ws[3], ws[0]
             while F.shape[-1] > 1:  # (4, 4, z, cells): pairs along the cells, from one row to the other
                 m = F.shape[-1]
@@ -566,15 +581,11 @@ def find_discrete_spectrum(
     mesh = _mesh(field, tol, t0, bg)
     moves: list[_Box] = []
     rounds: list[str] = []
-    nz = blocks = squarings = most = 0
+    evaluated: list[np.ndarray] = []
 
     def evaluate(z: np.ndarray) -> np.ndarray:
-        nonlocal nz, blocks, squarings, most
-        sp = _points(z, bg)
-        s = [_squarings(c, sp.k) for c in mesh]
-        nz, blocks = nz + len(z), blocks + sum(_blocks(len(c.h), len(z)) for c in mesh)
-        squarings, most = squarings + sum(map(np.sum, s)), max(most, *map(np.max, s))
-        return _det_a(mesh, sp, bg)
+        evaluated.append(z)
+        return _det_a(mesh, _points(z, bg), bg)
 
     while True:
         re0, re1, im0, im1 = box
@@ -641,8 +652,11 @@ def find_discrete_spectrum(
             kept.append(complex(zr))
         else:
             warnings.warn(f"zero {zr} rejected: too close to the continuous spectrum", NoConvergenceWarning)
-    _log.debug("find_discrete_spectrum: %d nodes, rounds [%s], cells %d left %d right x %d z propagated in %d "
-               "blocks with %d squarings, at most %d a cell, winding %.4f, Hankel singular values %s, zeros %s, "
-               "multiplicities %s, contour moves %s", len(z), "; ".join(rounds), len(mesh[0].h), len(mesh[1].h), nz,
-               blocks, squarings, most, w, sv.tolist(), kept, mult.real.round(3).tolist(), moves)
+    if _log.isEnabledFor(logging.DEBUG):
+        zs, ns = np.concatenate(evaluated), [len(c.h) for c in mesh]
+        blocks = sum(math.ceil(len(e) / _z_per_block(n)) * math.ceil(n / _BLOCK) for n in ns for e in evaluated)
+        _log.debug("find_discrete_spectrum: %d nodes, rounds [%s], cells %d left %d right x %d z propagated in %d "
+                   "blocks, %s, winding %.4f, Hankel singular values %s, zeros %s, multiplicities %s, contour moves %s",
+                   len(z), "; ".join(rounds), *ns, len(zs), blocks, _branches(mesh, _points(zs, bg).k), w, sv.tolist(),
+                   kept, mult.real.round(3).tolist(), moves)
     return kept

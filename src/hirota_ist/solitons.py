@@ -357,9 +357,10 @@ def _closed_mp(x: float, t: float, seed: DiscreteEigenpair, bg: Background, dps:
         N[2:, :2] = (Qp * C1) * (1j * E1 / (z1 * (z1c - z1)))
         N[2:, 2:] = D1.H
         try:
-            X = mp.matrix([[1, 0, 1, 0], [0, 1, 0, 1]]) * N**-1  # [X1 X2] N = [I I]
+            LU, perm = mp.mp.LU_decomp(N.T)  # [X1 X2] N = [I I]: N^T x_r = e_r + e_(r+2) for row r of X
         except ZeroDivisionError as exc:
             raise SingularSystem(f"closed-form system singular: {exc}") from exc
+        X = mp.matrix([list(mp.mp.U_solve(LU, mp.mp.L_solve(LU, mp.matrix([1 - r, r] * 2), perm))) for r in (0, 1)])
         Q = Qp - (X[:, :2] * C1.H) * (1j * E1bar) + (X[:, 2:] * Qp * C1 * Qp) * (1j * E1 / z1**2)
         return np.array(Q.tolist(), dtype=complex)
 

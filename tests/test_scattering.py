@@ -3,17 +3,19 @@ import functools
 import logging
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hirota_ist as h
 import hirota_ist.scattering as scattering
 from hirota_ist.cli import sigma_sample_points
 from hirota_ist.errors import IntegrationFailure, MissingPartner, NoConvergenceWarning
-from hirota_ist.matrices import dagger
+from hirota_ist.matrices import SIGMA2, SIGMA3, dagger
 from hirota_ist.scattering import (
     _BLOCK,
     _GAUSS,
@@ -23,11 +25,12 @@ from hirota_ist.scattering import (
     R,
     _cells,
     _contour,
+    _expm1,
     _mesh,
     _moment_zeros,
     _moments,
     _panels,
-    _squarings,
+    _stack,
     _transfer,
     _z_per_block,
     audit_symmetries,
@@ -500,10 +503,13 @@ def test_mixed_region_batch_gives_the_same_bits(fig3a_field, fig3a_spec):
 
 
 @pytest.mark.parametrize("name, tol, t0", [("fig3a", 1e-4, 0.0), ("fig6", 1e-10, 0.0), ("fig6", 1e-10, 12.0)])
-def test_transfer_matches_the_reference_bit_for_bit(name, tol, t0):
-    # fig3a: the CLI box's nodes over 59-75 cells a side (up to 7 squarings, a partial last block of z);
-    # fig6: the 48 samples of `scatter --n-real-orbits 8 --n-circle-orbits 4`, and at t0 = 12 a left side
-    # of more than _BLOCK cells, which goes _BLOCK cells of one z at a time
+def test_transfer_matches_the_taylor_reference(name, tol, t0):
+    # reference_transfer exponentiates each cell by a Taylor sum with scaling and squaring, over the same
+    # product tree; the closed form read at most 4.8e-14 from it relative to each z's largest entry (fig6 at
+    # t0 = 12, where at the two worst z a 30-digit mpmath product put it at 1.3e-14 and the reference at 2.0e-14).
+    # fig3a: the CLI box's nodes over 59-75 cells a side (up to 7 squarings in the reference, a partial last
+    # block of z); fig6: the 48 samples of `scatter --n-real-orbits 8 --n-circle-orbits 4`, and at t0 = 12
+    # a left side of more than _BLOCK cells, which goes _BLOCK cells of one z at a time
     spec = h.preset(name).spec()
     bg = spec.bg
     if name == "fig3a":
@@ -515,14 +521,73 @@ def test_transfer_matches_the_reference_bit_for_bit(name, tol, t0):
     sp = uniformize(zs, bg)
     w = 1j * sp.lam * np.where(sp.lam.imag >= 0, 1.0, -1.0)
     mesh = _mesh(functools.partial(h.reconstruct_Q, spec=spec), tol, t0, bg)
+    squarings = []
     for cells in mesh:
-        P = _transfer(cells, sp.k, w)
-        assert np.array_equal(P.view(np.uint64), reference_transfer.transfer(cells, sp.k, w).view(np.uint64))
-    squarings = np.concatenate([_squarings(c, sp.k).ravel() for c in mesh])
+        taylor = SimpleNamespace(A=cells.A, h=cells.h, norm=np.abs(cells.A).sum(axis=1).max(axis=1))  # |A[j]|_1
+        P, ref = _transfer(cells, sp.k, w), reference_transfer.transfer(taylor, sp.k, w)
+        assert np.max(np.abs(P - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))) <= 1e-13
+        squarings.append(reference_transfer._squarings(taylor, sp.k).ravel())
+    squarings = np.concatenate(squarings)
     if name == "fig3a":
         assert squarings.max() == 7 and all(len(zs) % _z_per_block(len(c.h)) for c in mesh)
     else:
         assert (max(len(c.h) for c in mesh) > _BLOCK) == (t0 > 0) and squarings.max() >= 3
+
+
+def _cell_expm1(om):
+    """_expm1 of a (m, 4, 4) stack, as (m, 4, 4)."""
+    ws = np.empty((6, 16 * len(om)), dtype=complex)
+    np.copyto(_stack(ws[0], len(om)), np.moveaxis(om, 0, -1))
+    return np.moveaxis(_expm1(ws, len(om), np.zeros(len(om), dtype=complex)), -1, 0).copy()
+
+
+def _phi1_expm1(om):
+    """exp(Omega) - I = Omega phi1(Omega) by scipy's expm, phi1 from the 8x8 [[Omega, I], [0, 0]]; no I to cancel."""
+    aug = np.zeros((8, 8), dtype=complex)
+    aug[:4, :4], aug[:4, 4:] = om, np.eye(4)
+    return om @ scipy.linalg.expm(aug)[:4, 4:]
+
+
+_ENTRY = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def hamiltonian_cells(draw):
+    """Omega with Omega^T sigma2 + sigma2 Omega = 0, of |Omega|_1 up to 8 (the CLI box's meshes reach 7.2 at
+    find-tol 1e-4): sigma2 M for M complex symmetric; M of rank 3 (b = 0); a background cell h (Qe - i k sigma3),
+    where a = b; and one at k = k_b (1 + delta) next to a branch point k_b^2 = sigma k0^2, the nilpotent limit."""
+    kind = draw(st.sampled_from(["symmetric", "b = 0", "background", "branch point"]))
+    if kind in ("symmetric", "b = 0"):
+        L = np.array(draw(st.lists(_ENTRY, min_size=16, max_size=16))).reshape(4, 4)
+        if kind == "b = 0":
+            L[:, 3] = 0.0  # M = L L^T of rank 3, so det Omega = a^2 b^2 = 0
+        om = SIGMA2 @ (L @ L.T if kind == "b = 0" else L + L.T)
+    else:
+        bg = draw(scaled_backgrounds)
+        kb = bg.k0 * (1.0 if bg.sigma > 0 else 1j)
+        if kind == "branch point":
+            k = kb * (1.0 + draw(st.sampled_from([1e-12, 1e-8, 1e-4, -1e-6j])))
+        else:
+            k = 4.0 * bg.k0 * draw(_ENTRY)
+        om = h.embed(bg.Qplus, bg.sigma) - 1j * k * SIGMA3
+    assume(np.abs(om).max() > 0)
+    om = om * draw(st.floats(1e-3, 8.0)) / np.abs(om).sum(axis=0).max()
+    assert np.abs(om.T @ SIGMA2 + SIGMA2 @ om).max() <= 1e-14 * np.abs(om).max()
+    return om
+
+
+@given(st.lists(hamiltonian_cells(), min_size=1, max_size=8))
+@settings(deadline=None, max_examples=100)
+def test_cell_exponential_matches_scipy_expm(oms):
+    # errors are relative to the larger of |exp(Omega) - I| and |Omega|: where exp(Omega) is close to I at large
+    # |Omega| (a = b near 2 pi i), both sides carry rounding of order eps |Omega|.  Over 2000 random cells of
+    # each kind the largest read 7.1e-15 (background cells); the bound leaves 14x
+    F = _cell_expm1(np.array(oms))
+    for om, f in zip(oms, F):
+        ref = _phi1_expm1(om)
+        assert np.abs(f - ref).max() <= 1e-13 * max(np.abs(ref).max(), np.abs(om).max()), om
+    np.testing.assert_array_equal(F[-1], _cell_expm1(np.array(oms[-1:]))[0])  # elementwise: the same bits alone
+
 
 def _search(field, box, tol, bg, monkeypatch, caplog):
     """The zeros found, every z passed to _det_a in the search, and the search's DEBUG record."""
@@ -566,9 +631,16 @@ def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog, mon
     found, evaluated, record = _search(fig3a_field, CLI_BOX, tol, bg, monkeypatch, caplog)
     new = [int(k) for k in re.findall(r"\((\d+) new z\)", record)]
     blocks = sum(math.ceil(k / p) for k in new for p in per)
-    squarings = [_squarings(c, uniformize(evaluated, bg).k) for c in mesh]
-    assert (f"cells {cells[0]} left {cells[1]} right x {sum(new)} z propagated in {blocks} blocks with "
-            f"{sum(map(np.sum, squarings))} squarings, at most {max(map(np.max, squarings))} a cell") in record
+    assert f"cells {cells[0]} left {cells[1]} right x {sum(new)} z propagated in {blocks} blocks, " in record
+    # the branch count and the largest |a| >= |b| again from numpy's eigenvalues of each cell's Omega:
+    # p = a^2 + b^2 = sum lambda^2 / 2 and r = a^2 b^2 = det Omega
+    k = uniformize(evaluated, bg).k
+    lam = np.concatenate([np.linalg.eigvals(np.einsum("zj,jabn->znab", k[:, None] ** np.arange(4), c.A))
+                          for c in mesh], axis=1)
+    p, r, mod = 0.5 * (lam**2).sum(axis=-1), lam.prod(axis=-1), np.abs(lam)
+    got = re.search(r"(\d+) of (\d+) cells x z interpolated, largest \|a\| (\S+) and \|b\| (\S+),", record).groups()
+    assert [int(got[0]), int(got[1])] == [np.count_nonzero(np.abs(p) + np.abs(r) > 1.0), p.size]
+    np.testing.assert_allclose([float(got[2]), float(got[3])], [mod.max(), mod.min(axis=-1).max()], rtol=1e-3)
     monkeypatch.setattr(scattering, "_z_per_block", lambda n: 1)
     alone, _, record = _search(fig3a_field, CLI_BOX, tol, bg, monkeypatch, caplog)
     assert f"x {sum(new)} z propagated in {2 * sum(new)} blocks" in record and max(cells) <= _BLOCK
