@@ -34,13 +34,16 @@ makes it Hamiltonian, with eigenvalues +-a, +-b, so exp(Omega) is a closed
 form in Omega and Omega^2 (see _expm1): two 4x4 products a cell.  Cell
 exponentials, times the column shift e^{+-i lambda h} that keeps the
 analytic pair bounded, are multiplied in pairs along the cells of each z.
-The z travel as arrays: one spectral point of arrays, then (n, 4, 4) stacks.
-A call builds one mesh, which all its z share, and exponentiates the cells of
-_BLOCK // n of its z (n cells a side) as one block, z-major, small enough to
-stay in cache; a side of more than _BLOCK cells goes _BLOCK cells of one z at
-a time.  Each step is elementwise, along one z's cells or on one z's matrix,
-so a z gets the same bits in any batch.  A call allocates one workspace of
-six 4x4 stacks of a block, into which every block writes with out=.
+The z travel as arrays: one spectral point of arrays, then (4, 4, ...)
+stacks, the layout of every 4x4 product here, the cells' generators included
+(np.einsum, whose complex products use no FMA).  A call builds one mesh,
+which all its z share, and exponentiates the cells of _BLOCK // n of its z
+(n cells a side) as one block, z-major, large enough that a block's fixed
+cost of about 140 numpy calls stays small; a side of more than _BLOCK cells
+goes _BLOCK cells of one z at a time.  Each step is elementwise, along one
+z's cells or on one z's matrix, so a z gets the same bits in any batch.  A
+call allocates one workspace, four 4x4 stacks of a block and rows of 4 and 3
+entries a cell x z, into which every block writes with out=.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationFailure, NoBackground, NoConvergenceWarning, SingularWronskian
-from .lax import asymptotic_eigenvectors, embed
+from .lax import asymptotic_eigenvectors
 from .matrices import SIGMA2, SIGMA3, CMat2, CMat4, dagger, inv2
 from .spectral import (Background, Region, SpectralPoint, background_defect, classify_region, find_partner, theta,
                        uniformize)
@@ -67,7 +70,8 @@ _Box = tuple[float, float, float, float]  # (re0, re1, im0, im1)
 H = 0.03  # shortest cell at tol = 1e-8 and k0 <= 1 (over k0 above); a crossing's error scales like h^6
 R = 16  # longest cell over the shortest; probe cells are about R of the shortest long
 L0, L_MAX = 20.0, 80.0  # first and largest truncation length; L doubles from L0 while the field has not settled
-_BLOCK = 512  # cells x z exponentiated at once (and cells built at once): a 4x4 stack of 128 KB stays in cache
+_BLOCK = 2048  # cells x z exponentiated at once: a block's fixed cost of ~140 numpy calls is spread over more cells
+_CELL_BLOCK = 512  # cells built at once, which bounds _cells' ~25 live (4, 4, n) temporaries to about 3 MB
 _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])  # Gauss-Legendre nodes on a unit cell
 # Taylor coefficients of C(x) = cosh sqrt(x) - 1 and S(x) = sinh sqrt(x) / sqrt(x), x^9 first, as (10, 2);
 # where |a^2|, |b^2| <= 1 the first term left out moves c0, c1 by under 4.2e-18 and s0, s1 by under 2.1e-19
@@ -93,18 +97,21 @@ class _Cells:
 
 
 def _comm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return A @ B - B @ A
+    return _mm(A, B) - _mm(B, A)
 
 
 def _cells(Q: np.ndarray, sigma: int, steps: np.ndarray, limit: CMat2) -> _Cells:
     """Omega of the cells of signed lengths steps whose Gauss-node samples are Q (n, 3, 2, 2), by powers of k."""
     A = np.empty((4, 4, 4, len(Q)), dtype=complex)
-    for lo in range(0, len(Q), _BLOCK):  # in blocks, to bound the temporaries
-        cut = slice(lo, lo + _BLOCK)
-        h = steps[cut, None, None]
-        P1, P2, P3 = (embed(Q[cut, i], sigma) for i in range(3))
-        a1, s1 = h * P2, -1j * h * SIGMA3  # alpha_1 = a1 + k s1; alpha_2 and alpha_3 are free of k
-        d = -1j * h * (_SGN[:, None] - _SGN)  # [s1, X] = d X, elementwise
+    for lo in range(0, len(Q), _CELL_BLOCK):  # in blocks, to bound the temporaries
+        cut = slice(lo, lo + _CELL_BLOCK)
+        h = steps[cut]
+        P = np.zeros((3, 4, 4, len(h)), dtype=complex)  # the samples embedded, (4, 4, n) a node
+        P[:, :2, 2:] = Q[cut].transpose(1, 2, 3, 0)
+        P[:, 2:, :2] = sigma * Q[cut].conj().transpose(1, 3, 2, 0)
+        P1, P2, P3 = P
+        a1, s1 = h * P2, -1j * h * SIGMA3[..., None]  # alpha_1 = a1 + k s1; alpha_2 and alpha_3 are free of k
+        d = -1j * h * (_SGN[:, None] - _SGN)[..., None]  # [s1, X] = d X, elementwise
         a2 = math.sqrt(15.0) / 3.0 * h * (P3 - P1)
         a3 = 10.0 / 3.0 * h * (P3 - 2.0 * P2 + P1)
         c, cs = _comm(a1, a2), d * a2  # C_1 = c + k cs
@@ -113,9 +120,10 @@ def _cells(Q: np.ndarray, sigma: int, steps: np.ndarray, limit: CMat2) -> _Cells
         y = a2 - _comm(a1, e) / 60.0  # alpha_2 + C_2 = y + k y1 + k^2 y2
         y1 = -(d * e + _comm(a1, cs)) / 60.0
         y2 = -(d * cs) / 60.0
-        Om = (a1 + a3 / 12.0 + _comm(x, y) / 240.0, s1 + (_comm(x, y1) + _comm(xs, y)) / 240.0,
-              (_comm(x, y2) + _comm(xs, y1)) / 240.0, _comm(xs, y2) / 240.0)
-        A[..., cut] = np.moveaxis(np.stack(Om), 1, -1)
+        np.add(a1 + a3 / 12.0, _comm(x, y) / 240.0, out=A[0, ..., cut])
+        np.add(s1, (_comm(x, y1) + _comm(xs, y)) / 240.0, out=A[1, ..., cut])
+        np.divide(_comm(x, y2) + _comm(xs, y1), 240.0, out=A[2, ..., cut])
+        np.divide(_comm(xs, y2), 240.0, out=A[3, ..., cut])
     return _Cells(A, np.abs(steps), limit)
 
 
@@ -215,20 +223,20 @@ def _interpolated(p: np.ndarray, r: np.ndarray, t4: np.ndarray) -> np.ndarray:
     return np.array([[c1, s1], [2.0 * np.sinh(0.5 * a) ** 2 - al * c1, sa - al * s1]])
 
 
-def _expm1(ws: np.ndarray, m: int, wh: np.ndarray) -> np.ndarray:
+def _expm1(ws: Sequence[np.ndarray], m: int, wh: np.ndarray) -> np.ndarray:
     """exp(Omega + wh I) - I, into ws[3], of the (4, 4, m) Omega at the head of ws[0] and the (m,) wh.
 
     (x - a^2)(x - b^2) = x^2 - p x + r annihilates Omega^2, so exp(Omega) - I = C(Omega^2) + Omega S(Omega^2),
     C(x) = cosh sqrt(x) - 1 and S(x) = sinh sqrt(x) / sqrt(x), is c0 I + c1 Omega^2 + Omega (s0 I + s1 Omega^2).
     Where |p| + |r| <= 1, so |a^2|, |b^2| <= 1, the coefficients are the series of C and S modulo x^2 - p x + r:
     no square root, exact through a = b (every background cell) and at the branch points' Jordan blocks.  The
-    other rows are scratch; wh may sit in ws[5] past 2 m.
+    other rows are scratch: ws[4] holds the 4 m coefficients, ws[5] 2 m of the series', and wh may sit past them.
     """
     om, om2, G, F = (_stack(b, m) for b in ws[:4])
     _mm(om, om, om2)
     p, r, t4 = _invariants(om2, G)
-    cs = ws[4, : 4 * m].reshape(2, 2, m)
-    (U, V), T = cs, ws[5, : 2 * m].reshape(2, m)
+    cs = ws[4][: 4 * m].reshape(2, 2, m)
+    (U, V), T = cs, ws[5][: 2 * m].reshape(2, m)
     cs[...] = _SERIES[:2, :, None]
     with np.errstate(over="ignore", invalid="ignore"):  # cells past the series' range are overwritten below
         for f in _SERIES[2:, :, None]:  # Horner modulo x^2 - p x + r: (U x + V) x + f = (p U + V) x + f - r U
@@ -272,7 +280,8 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     n = len(cells.h)
     per = _z_per_block(n)
-    ws = np.empty((6, 16 * min(per, len(k)) * min(n, _BLOCK)), dtype=complex)
+    cap = min(per, len(k)) * min(n, _BLOCK)  # rows: four 4x4 stacks, then 4 and 3 entries a cell x z (see _expm1)
+    ws = np.split(np.empty(71 * cap, dtype=complex), np.cumsum([16 * cap] * 4 + [4 * cap]))
     out = np.empty((len(k), 4, 4), dtype=complex)
     for z0 in range(0, len(k), per):
         zs = slice(z0, z0 + per)
@@ -285,7 +294,7 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
             for j in (2, 1, 0):  # Horner's rule in k
                 np.add(np.multiply(k[zs, None], om, out=om), cells.A[j, ..., None, cut], out=om)
             size = math.prod(shape)
-            wh = np.multiply(w[zs, None], cells.h[cut], out=ws[5, 2 * size : 3 * size].reshape(shape))
+            wh = np.multiply(w[zs, None], cells.h[cut], out=ws[5][2 * size : 3 * size].reshape(shape))
             F = _expm1(ws, size, wh.ravel()).reshape(om.shape)  # times the shift e^{w h}
             here, spare = ws[3], ws[0]
             while F.shape[-1] > 1:  # (4, 4, z, cells): pairs along the cells, from one row to the other

@@ -80,11 +80,11 @@ def pde_residual(
     xs = xmin + (xmax - xmin) * pts[:, 0]
     ts = tmin + (tmax - tmin) * pts[:, 1]
     sg, k0, alpha, beta = bg.sigma, bg.k0, bg.alpha, bg.beta
-    # xp[4 + i] = Q(x + i h, t) for i in -4..4, tp[3 + i] = Q(x, t + i h) for i in -3..3
+    # xp[4 + i] = Q(x + i h, t) for i in -4..4, tp[3 -+ i] = Q(x, t -+ i h) for i in 1..3 (Q(x, t) is xp[4])
     xp = field(xs + h * np.arange(-4, 5)[:, None], ts)
-    tp = field(xs, ts + h * np.arange(-3, 4)[:, None])
+    tp = field(xs, ts + h * np.array([-3, -2, -1, 1, 2, 3])[:, None])
     Q0 = xp[4]
-    Qt = sum(_D1[i - 1] * (tp[3 + i] - tp[3 - i]) for i in (1, 2, 3)) / h
+    Qt = sum(_D1[i - 1] * (tp[2 + i] - tp[3 - i]) for i in (1, 2, 3)) / h
     Qx = sum(_D1[i - 1] * (xp[4 + i] - xp[4 - i]) for i in (1, 2, 3)) / h
     Qxx = sum(_D2[i - 1] * ((xp[4 + i] - Q0) + (xp[4 - i] - Q0)) for i in (1, 2, 3)) / h**2
     Qxxx = sum(_D3[i - 1] * (xp[4 + i] - xp[4 - i]) for i in (1, 2, 3, 4)) / h**3

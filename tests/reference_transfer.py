@@ -1,9 +1,16 @@
-"""The Jost transfer as it stood before its workspace rework: the bit-for-bit oracle of `scattering._transfer`.
+"""Independent oracles of the Jost layer in `scattering`: the Magnus generators and the transfer.
 
-Each block of cells x z allocates its own 4x4 stacks, every squaring round
-gathers the cells that still need it with `flatnonzero` and scatters them
-back, and the pairwise tree concatenates.  The reworked transfer must give
-the same bits on any mesh and any z.
+`cells` forms each cell's Omega = sum_j k^j A[j] on (n, 4, 4) stacks with
+`@`, the layout `scattering._cells` had before it moved to (4, 4, n) stacks
+and `np.einsum`; the two agree to rounding, not bit for bit.
+
+`transfer` exponentiates each cell by a Taylor sum of degree 9 with scaling
+and squaring (squarings from a 1-norm bound, `_squarings`, which reads a
+`norm` of the cells' |A[j]|_1), where `scattering._expm1` uses a closed form
+in Omega and Omega^2, over the same pairwise product tree.  Each block of
+cells x z allocates its own stacks, and every squaring round gathers the
+cells that still need it.  The two transfers agree to 1e-13 of each z's
+largest entry.
 """
 
 from __future__ import annotations
@@ -12,10 +19,43 @@ import math
 
 import numpy as np
 
+from hirota_ist.lax import embed
+from hirota_ist.matrices import SIGMA3
+
 _BLOCK = 512
 _THETA = 0.1
 _TAYLOR = [1.0 / math.factorial(j) for j in range(10)]
 _DIAG = np.arange(4)
+
+
+_SGN = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _comm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return A @ B - B @ A
+
+
+def cells(Q: np.ndarray, sigma: int, steps: np.ndarray) -> np.ndarray:
+    """A (4, 4, 4, n) of the cells of signed lengths steps whose Gauss-node samples are Q (n, 3, 2, 2)."""
+    A = np.empty((4, 4, 4, len(Q)), dtype=complex)
+    for lo in range(0, len(Q), _BLOCK):
+        cut = slice(lo, lo + _BLOCK)
+        h = steps[cut, None, None]
+        P1, P2, P3 = (embed(Q[cut, i], sigma) for i in range(3))
+        a1, s1 = h * P2, -1j * h * SIGMA3
+        d = -1j * h * (_SGN[:, None] - _SGN)
+        a2 = math.sqrt(15.0) / 3.0 * h * (P3 - P1)
+        a3 = 10.0 / 3.0 * h * (P3 - 2.0 * P2 + P1)
+        c, cs = _comm(a1, a2), d * a2
+        x, xs = -20.0 * a1 - a3 + c, -20.0 * s1 + cs
+        e = 2.0 * a3 + c
+        y = a2 - _comm(a1, e) / 60.0
+        y1 = -(d * e + _comm(a1, cs)) / 60.0
+        y2 = -(d * cs) / 60.0
+        Om = (a1 + a3 / 12.0 + _comm(x, y) / 240.0, s1 + (_comm(x, y1) + _comm(xs, y)) / 240.0,
+              (_comm(x, y2) + _comm(xs, y1)) / 240.0, _comm(xs, y2) / 240.0)
+        A[..., cut] = np.moveaxis(np.stack(Om), 1, -1)
+    return A
 
 
 def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:

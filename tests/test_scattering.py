@@ -503,13 +503,17 @@ def test_mixed_region_batch_gives_the_same_bits(fig3a_field, fig3a_spec):
 
 
 @pytest.mark.parametrize("name, tol, t0", [("fig3a", 1e-4, 0.0), ("fig6", 1e-10, 0.0), ("fig6", 1e-10, 12.0)])
-def test_transfer_matches_the_taylor_reference(name, tol, t0):
+def test_transfer_matches_the_taylor_reference(name, tol, t0, monkeypatch):
     # reference_transfer exponentiates each cell by a Taylor sum with scaling and squaring, over the same
     # product tree; the closed form read at most 4.8e-14 from it relative to each z's largest entry (fig6 at
     # t0 = 12, where at the two worst z a 30-digit mpmath product put it at 1.3e-14 and the reference at 2.0e-14).
     # fig3a: the CLI box's nodes over 59-75 cells a side (up to 7 squarings in the reference, a partial last
-    # block of z); fig6: the 48 samples of `scatter --n-real-orbits 8 --n-circle-orbits 4`, and at t0 = 12
-    # a left side of more than _BLOCK cells, which goes _BLOCK cells of one z at a time
+    # block of z); fig6: the 48 samples of `scatter --n-real-orbits 8 --n-circle-orbits 4`, and at t0 = 12 a
+    # left side of 984 cells against a block cut to 512 cells, so that it goes 512 cells of one z at a time.
+    # No side outgrows the full block where this bound has room: at tol 1e-12 the left side has 2074 cells,
+    # but the right side already reads 9.3e-14 and the reference needs only 2 squarings
+    if t0 > 0:
+        monkeypatch.setattr(scattering, "_BLOCK", 512)
     spec = h.preset(name).spec()
     bg = spec.bg
     if name == "fig3a":
@@ -531,7 +535,45 @@ def test_transfer_matches_the_taylor_reference(name, tol, t0):
     if name == "fig3a":
         assert squarings.max() == 7 and all(len(zs) % _z_per_block(len(c.h)) for c in mesh)
     else:
-        assert (max(len(c.h) for c in mesh) > _BLOCK) == (t0 > 0) and squarings.max() >= 3
+        assert (max(len(c.h) for c in mesh) > scattering._BLOCK) == (t0 > 0) and squarings.max() >= 3
+
+
+def _assert_cells_match_the_reference(Q, sigma, steps):
+    # the (4, 4, n) einsum layout against the (n, 4, 4) matmul oracle; on the meshes below A[2] differs most,
+    # by up to 3.3e-16 of its largest entry, and the other stacks by under 1e-17
+    A, ref = _cells(Q, sigma, steps, None).A, reference_transfer.cells(Q, sigma, steps)
+    off = np.abs(A - ref).max(axis=(1, 2, 3)) > 1e-14 * np.abs(ref).max(axis=(1, 2, 3))
+    assert not off.any(), f"stacks {np.flatnonzero(off)} off"
+
+
+@pytest.mark.parametrize("name, tol, t0", [(name, tol, 0.0) for name in ("fig3a", "fig6", "fig8")
+                                           for tol in (1e-4, 1e-10)] + [("fig6", 1e-10, 12.0)])
+def test_cells_match_the_matmul_reference(name, tol, t0, monkeypatch):
+    # each side's samples and steps as _mesh passes them; fig6 at t0 = 12 has a left side of 984 cells,
+    # more than one block of _cells
+    spec, sides = h.preset(name).spec(), []
+
+    def recording(Q, sigma, steps, limit):
+        sides.append((Q, sigma, steps))
+        return _cells(Q, sigma, steps, limit)
+
+    monkeypatch.setattr(scattering, "_cells", recording)
+    _mesh(functools.partial(h.reconstruct_Q, spec=spec), tol, t0, spec.bg)
+    assert len(sides) == 2 and (max(len(s[2]) for s in sides) > scattering._CELL_BLOCK) == (t0 > 0)
+    for side in sides:
+        _assert_cells_match_the_reference(*side)
+
+
+@given(st.integers(1, 12), st.sampled_from([1, -1]), st.floats(0.1, 4.0), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_cells_of_random_samples_match_the_matmul_reference(n, sigma, scale, seed):
+    # |Q| up to 4 and steps of either sign up to 0.5 cover both sides' travel directions and k0 > 1; the samples
+    # come from a seed: with 12 n drawn entries and the arrays in the message, a failure took minutes in
+    # hypothesis' explain phase, against 17 s now
+    rng = np.random.default_rng(seed)
+    Q = scale * (rng.uniform(-1.0, 1.0, (n, 3, 2, 2)) + 1j * rng.uniform(-1.0, 1.0, (n, 3, 2, 2)))
+    steps = rng.choice([-1.0, 1.0], n) * rng.uniform(1e-3, 0.5, n)
+    _assert_cells_match_the_reference(Q, sigma, steps)
 
 
 def _cell_expm1(om):
