@@ -30,8 +30,9 @@ Q Q^dag = k0^2 I (NoBackground at L_MAX) or Q(-L + p/2) or Q(L - p/2), p the
 probe cell, is farther than tol/10 from its limit (NoConvergenceWarning at
 L_MAX).  U = P(x) + k(z) S, so a cell's Omega is a cubic A0 + k A1 + k^2 A2
 + k^3 A3 whose coefficients do not depend on z, and S^T sigma2 S = sigma2
-makes it Hamiltonian, with eigenvalues +-a, +-b, so exp(Omega) is a closed
-form in Omega and Omega^2 (see _expm1): two 4x4 products a cell.  Cell
+makes it Hamiltonian, with eigenvalues +-a, +-b, so exp(Omega) - I is
+c0 I + c1 Omega^2 + Omega (s0 I + s1 Omega^2), by a series on Omega 2^-s
+squared s times (see _expm1): two 4x4 products a cell.  Cell
 exponentials, times the column shift e^{+-i lambda h} that keeps the
 analytic pair bounded, are multiplied in pairs along the cells of each z.
 The z travel as arrays: one spectral point of arrays, then (4, 4, ...)
@@ -177,7 +178,7 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
                    "%d field evaluations, at k = 0 %s, edges |Q(-2L) - Q(-L + p/2)| %.2g and "
                    "|Q(L - p/2) - Q+| %.2g, |Q Q^dag - k0^2 I| %.2g at -2L",
                    L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), evals + 3 * len(h),
-                   _branches(sides, np.zeros(1)), *edges, dev)
+                   _scalings(sides, np.zeros(1)), *edges, dev)
     return sides
 
 
@@ -191,36 +192,17 @@ def _stack(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[: 16 * math.prod(shape)].reshape(4, 4, *shape)
 
 
-def _invariants(om2: np.ndarray, tmp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p = a^2 + b^2, r = a^2 b^2 and tr Omega^4 of a (4, 4, ...) stack of Omega^2, in one order at any length."""
+def _invariants(om2: np.ndarray, tmp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """p = a^2 + b^2 and r = a^2 b^2 of a (4, 4, ...) stack of Omega^2, in one order at any length."""
     p = 0.5 * (om2[0, 0] + om2[1, 1] + om2[2, 2] + om2[3, 3])
     t4 = functools.reduce(np.add, np.multiply(om2, om2.swapaxes(0, 1), out=tmp).reshape(16, *om2.shape[2:]))
-    return p, 0.5 * (p * p - 0.5 * t4), t4
+    return p, 0.5 * (p * p - 0.5 * t4)
 
 
-def _shc(x: np.ndarray) -> np.ndarray:  # sinh(x) / x, which rounds to 1 where |x| <= 1e-8
-    return np.divide(np.sinh(x), x, out=np.ones_like(x), where=np.abs(x) > 1e-8)
-
-
-def _interpolated(p: np.ndarray, r: np.ndarray, t4: np.ndarray) -> np.ndarray:
-    """((c1, s1), (c0, s0)), (2, 2, m), of C and S interpolated on a^2 and b^2, for cells with |p| + |r| > 1.
-
-    u, v = (a +- b)/2, and S[a^2, b^2] = (cosh u shc v - shc u cosh v) / 2ab where a^2 and b^2 coalesce
-    (Moler & Van Loan, SIAM Rev. 45, 2003, on that hazard), as a plain quotient of differences elsewhere.
-    """
-    s = np.sqrt(t4 - p * p)  # +-(a^2 - b^2)
-    al = 0.5 * (p + np.where((p.conj() * s).real < 0, -s, s))  # |a^2| >= |b^2|, so a^2 != 0
-    be = r / al
-    a, b = np.sqrt(al), np.sqrt(be)
-    b = np.where((a.conj() * b).real < 0, -b, b)  # |u| >= |v|, so u != 0
-    u, v = 0.5 * (a + b), 0.5 * (a - b)
-    chu, chv, shu, hv = np.cosh(u), np.cosh(v), np.sinh(u), _shc(v)
-    hu = shu / u
-    sa = (shu * chv + chu * v * hv) / a  # S(a^2) = sinh(u + v) / a
-    c1 = 0.5 * hu * hv  # C[a^2, b^2] = (cosh a - cosh b) / (a^2 - b^2)
-    with np.errstate(all="ignore"):  # where evaluates both forms of S[a^2, b^2]
-        s1 = np.where(np.abs(v) <= 0.5 * np.abs(u), (chu * hv - hu * chv) / (2.0 * a * b), (sa - _shc(b)) / (al - be))
-    return np.array([[c1, s1], [2.0 * np.sinh(0.5 * a) ** 2 - al * c1, sa - al * s1]])
+def _squarings(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The least s >= 0 with (|p| + |r|) 4^-s <= 1; 0 where |p| + |r| is not finite, whose exponent frexp reads 0."""
+    mant, e = np.frexp(np.abs(p) + np.abs(r))
+    return np.maximum(e + (mant > 0.5), 0) // 2
 
 
 def _expm1(ws: Sequence[np.ndarray], m: int, wh: np.ndarray) -> np.ndarray:
@@ -228,24 +210,38 @@ def _expm1(ws: Sequence[np.ndarray], m: int, wh: np.ndarray) -> np.ndarray:
 
     (x - a^2)(x - b^2) = x^2 - p x + r annihilates Omega^2, so exp(Omega) - I = C(Omega^2) + Omega S(Omega^2),
     C(x) = cosh sqrt(x) - 1 and S(x) = sinh sqrt(x) / sqrt(x), is c0 I + c1 Omega^2 + Omega (s0 I + s1 Omega^2).
-    Where |p| + |r| <= 1, so |a^2|, |b^2| <= 1, the coefficients are the series of C and S modulo x^2 - p x + r:
-    no square root, exact through a = b (every background cell) and at the branch points' Jordan blocks.  The
-    other rows are scratch: ws[4] holds the 4 m coefficients, ws[5] 2 m of the series', and wh may sit past them.
+    The coefficients are the series of C and S modulo x^2 - p x + r of Omega 2^-s, s from _squarings (0 for
+    most cells): no square root, exact through a = b (every background cell) and at the branch points' Jordan
+    blocks.  Each squaring, 2F + F^2, is arithmetic on the four coefficients with y = Omega^2, y^2 = p y - r.
+    The other rows are scratch: ws[4] holds the 4 m coefficients, ws[5] 2 m of the series', wh may sit past them.
     """
     om, om2, G, F = (_stack(b, m) for b in ws[:4])
     _mm(om, om, om2)
-    p, r, t4 = _invariants(om2, G)
+    p, r = _invariants(om2, G)
+    sq = _squarings(p, r)
+    big = np.flatnonzero(sq)
+    big = big[np.argsort(-sq[big])]  # most squarings first, so that round j squares a prefix
+    sq = sq[big]
+    scale = np.ldexp(1.0, -2 * sq)  # Omega 2^-s has p 4^-s and r 16^-s, exactly
+    pb, rb = p[big] * scale, r[big] * scale * scale
+    p[big], r[big] = pb, rb
     cs = ws[4][: 4 * m].reshape(2, 2, m)
     (U, V), T = cs, ws[5][: 2 * m].reshape(2, m)
     cs[...] = _SERIES[:2, :, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # cells past the series' range are overwritten below
-        for f in _SERIES[2:, :, None]:  # Horner modulo x^2 - p x + r: (U x + V) x + f = (p U + V) x + f - r U
-            np.multiply(U, r, out=T)
-            np.add(np.multiply(U, p, out=U), V, out=U)
-            np.subtract(f, T, out=V)
-    big = np.flatnonzero(np.abs(p) + np.abs(r) > 1.0)
-    if big.size:
-        cs[..., big] = _interpolated(p[big], r[big], t4[big])
+    for f in _SERIES[2:, :, None]:  # Horner modulo x^2 - p x + r: (U x + V) x + f = (p U + V) x + f - r U
+        np.multiply(U, r, out=T)
+        np.add(np.multiply(U, p, out=U), V, out=U)
+        np.subtract(f, T, out=V)
+    C = cs[..., big]
+    for n in np.count_nonzero(sq > np.arange(sq.max(initial=0))[:, None], axis=1):  # round j: cells of more than j
+        ((c1, s1), (c0, s0)), pn, rn = C[..., :n], pb[:n], rb[:n]
+        e0, e1 = s0 * s0 - rn * s1 * s1, (2.0 * s0 + pn * s1) * s1  # S^2 = e0 + e1 y
+        a, pc = 1.0 + c0, pn * c1
+        C[0, 0, :n], C[0, 1, :n], C[1, 0, :n], C[1, 1, :n] = (  # 2C + C^2 + y S^2 and 2S + 2CS, then Omega -> 2 Omega
+            (c1 * (2.0 * a + pc) + e0 + pn * e1) / 4.0, (s1 * (a + pc) + c1 * s0) / 4.0,
+            c0 * (1.0 + a) - rn * (c1 * c1 + e1), s0 * a - rn * c1 * s1)  # all four formed before C is written
+        pb[:n], rb[:n] = 4.0 * pn, 16.0 * rn
+    cs[..., big] = C
     cs *= np.exp(wh)  # e^{wh} (I + F) = I + (e^{wh} F + (e^{wh} - 1) I)
     cs[1, 0] += np.expm1(wh)
     (c1, s1), (c0, s0) = cs
@@ -257,13 +253,11 @@ def _expm1(ws: Sequence[np.ndarray], m: int, wh: np.ndarray) -> np.ndarray:
     return F
 
 
-def _branches(sides: Sequence[_Cells], k: np.ndarray) -> str:
-    """For the DEBUG records: the cells x z of both sides that _expm1 interpolates, and the largest |a| and |b|."""
+def _scalings(sides: Sequence[_Cells], k: np.ndarray) -> str:
+    """For the DEBUG records: how many cells x z of both sides _expm1 scales, and the most squarings of one."""
     oms = (np.concatenate([np.einsum("j,jabn->abn", kz ** np.arange(4), c.A) for c in sides], axis=-1) for kz in k)
-    p, r, t4 = (np.concatenate(v) for v in zip(*(_invariants(_mm(om, om)) for om in oms)))  # one z at a time
-    ab = np.sqrt(np.abs(p + np.multiply.outer([1, -1], np.sqrt(t4 - p * p))) / 2.0)  # |a|, |b| in some order
-    return (f"{np.count_nonzero(np.abs(p) + np.abs(r) > 1.0)} of {p.size} cells x z interpolated, "
-            f"largest |a| {ab.max():.4g} and |b| {ab.min(axis=0).max():.4g}")
+    s = np.concatenate([_squarings(*_invariants(_mm(om, om))) for om in oms])  # one z at a time
+    return f"{np.count_nonzero(s)} of {s.size} cells x z scaled, at most {s.max()} squarings"
 
 
 def _z_per_block(n: int) -> int:
@@ -666,6 +660,6 @@ def find_discrete_spectrum(
         blocks = sum(math.ceil(len(e) / _z_per_block(n)) * math.ceil(n / _BLOCK) for n in ns for e in evaluated)
         _log.debug("find_discrete_spectrum: %d nodes, rounds [%s], cells %d left %d right x %d z propagated in %d "
                    "blocks, %s, winding %.4f, Hankel singular values %s, zeros %s, multiplicities %s, contour moves %s",
-                   len(z), "; ".join(rounds), *ns, len(zs), blocks, _branches(mesh, _points(zs, bg).k), w, sv.tolist(),
+                   len(z), "; ".join(rounds), *ns, len(zs), blocks, _scalings(mesh, _points(zs, bg).k), w, sv.tolist(),
                    kept, mult.real.round(3).tolist(), moves)
     return kept
