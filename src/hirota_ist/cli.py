@@ -311,10 +311,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except HirotaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (HirotaError, OSError, ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

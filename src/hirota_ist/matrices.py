@@ -19,9 +19,8 @@ I4 = np.eye(4, dtype=complex)
 
 
 def det2(M: np.ndarray):
-    """Determinant of a 2x2 matrix (a complex) or of each matrix of a (..., 2, 2) stack (an array)."""
-    d = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    return complex(d) if np.ndim(d) == 0 else d
+    """Determinant of a 2x2 matrix (an np.complex128, which is a complex) or of each matrix of a (..., 2, 2) stack."""
+    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
 def inv2(M: np.ndarray) -> np.ndarray:

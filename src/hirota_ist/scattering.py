@@ -436,11 +436,9 @@ def det_a(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
     well defined arbitrarily deep in D+ where the other columns overflow.
     A 1-D array of z gives an array of values.
     """
-    off = _off_dplus(np.ravel(z), bg)  # before the mesh is built; _det_a assumes D+
-    if off is not None:
+    if (off := _off_dplus(np.ravel(z), bg)) is not None:  # before the mesh is built; _det_a assumes D+
         raise ValueError(f"det_a requires z in D+ (got {classify_region(off, bg)} at z = {off})")
-    mesh = _mesh(field, tol, t0, bg)
-    a = _det_a(mesh, _points(z, bg), bg)
+    a = _det_a(_mesh(field, tol, t0, bg), _points(z, bg), bg)
     return complex(a[0]) if np.ndim(z) == 0 else a
 
 
@@ -540,8 +538,10 @@ def _moment_zeros(s: np.ndarray, box: _Box) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _off_dplus(z: np.ndarray, bg: Background) -> complex | None:
-    """The first contour node outside D+, or None."""
-    return next((complex(w) for w in z if classify_region(complex(w), bg) is not Region.D_PLUS), None)
+    """The first of z outside D+, or None: classify_region's test over all of z at once."""
+    near = np.abs(z[:, None] - np.array(bg.branch_points())).min(axis=1, initial=np.inf) <= bg.delta_reg
+    off = near | ~((np.abs(z) ** 2 + bg.sigma * bg.k0**2) * z.imag > bg.delta_reg)
+    return complex(z[off.argmax()]) if off.any() else None
 
 
 def find_discrete_spectrum(
@@ -565,21 +565,27 @@ def find_discrete_spectrum(
     A zero on or near the contour (a phase step between neighbouring nodes
     above pi/2, |det a| at a node below _DIP times both neighbours, or a
     located zero closer than _NEAR times the perimeter to a panel whose
-    estimate still misses its target) moves
-    every edge outward by four times that distance and refines anew, at
-    most _MOVES times and only while the box stays in D+; each move, a zero
-    left near the contour, a non-integer winding and multiplicities that are
-    not positive integers summing to N are reported via
-    NoConvergenceWarning, not fatally.
+    estimate still misses its target) moves every edge outward by four
+    times that distance and refines anew, at most _MOVES times and only
+    while the box stays in D+; each move, a zero left near the contour, a
+    non-integer winding and multiplicities that are not positive integers
+    summing to N are reported via NoConvergenceWarning, not fatally.
+
+    D+ is decided once per box, at its point nearest 0: where Im z > 0 and
+    s = (|z|^2 + sigma k0^2) Im z > 0, s grows with |z| and Im z, both least
+    there.  A searchbox off D+ raises ValueError before any det a; a grown
+    box off D+, or reaching down to the real axis, ends the moves.
     """
     re0, re1, im0, im1 = searchbox
     if not (re1 > re0 and im1 > im0 and im0 > 0):
         raise ValueError("searchbox must be a rectangle in the upper half plane")
     box = (float(re0), float(re1), float(im0), float(im1))
-    start, extent, n = _panels(box)
-    z = _contour(start, extent, n)
-    off = _off_dplus(z, bg)
-    if off is not None:
+
+    def box_off_dplus(box: _Box) -> complex | None:  # the box's point nearest 0 if the box leaves D+, else None
+        low = complex(min(max(0.0, box[0]), box[1]), box[2])
+        return None if box[2] > 0 and classify_region(low, bg) is Region.D_PLUS else low
+
+    if (off := box_off_dplus(box)) is not None:
         raise ValueError(f"searchbox touches the complement of D+ at {off}")
     mesh = _mesh(field, tol, t0, bg)
     moves: list[_Box] = []
@@ -593,6 +599,8 @@ def find_discrete_spectrum(
     while True:
         re0, re1, im0, im1 = box
         perimeter = 2.0 * (re1 - re0 + im1 - im0)
+        start, extent, n = _panels(box)
+        z = _contour(start, extent, n)
         a, new = evaluate(z), len(z)
         while True:  # refinement rounds on this box
             mag = np.abs(a)
@@ -619,9 +627,6 @@ def find_discrete_spectrum(
             fresh = np.concatenate([np.arange(2 * m) % 2 == 1 if g else np.zeros(m, bool) for m, g in zip(n, grow)])
             n = np.where(grow, 2 * n, n)
             z, old = _contour(start, extent, n), a
-            off = _off_dplus(z[fresh], bg)
-            if off is not None:
-                raise ValueError(f"search contour touches the complement of D+ at {off}")
             a = np.empty(len(z), dtype=complex)
             a[~fresh], a[fresh], new = old, evaluate(z[fresh]), fresh.sum()
         roots, mult, sv = np.empty(0, complex), np.empty(0), np.empty(0)
@@ -634,11 +639,9 @@ def find_discrete_spectrum(
             break
         d = 4.0 * _NEAR * perimeter
         grown = (re0 - d, re1 + d, im0 - d, im1 + d)
-        panels = _panels(grown)
-        grown_z = _contour(*panels)
-        if _off_dplus(grown_z, bg) is not None:
+        if box_off_dplus(grown) is not None:
             break
-        box, (start, extent, n), z = grown, panels, grown_z
+        box = grown
         moves.append(box)
         rounds.append("contour moved")
         warnings.warn(f"zero of det a on or near the contour; box moved to {box}", NoConvergenceWarning)

@@ -197,7 +197,7 @@ def _residue_system(spec: SolitonSpec) -> _ResidueSystem:
 
 def _log_factors(x, t, spec: SolitonSpec) -> np.ndarray:
     """log E_j = -2i theta(x, t; zeta_j), eigenvalues on the last axis."""
-    return np.stack([-2j * theta(x, t, z, spec.bg) for z in spec.zetas], axis=-1)
+    return -2j * theta(np.asarray(x)[..., None], np.asarray(t)[..., None], np.array(spec.zetas), spec.bg)
 
 
 def log_scale(x: float, t: float, spec: SolitonSpec) -> float:
@@ -409,4 +409,4 @@ def eval_field(grid: GridSpec, spec: SolitonSpec, preset_name: str = "") -> Fiel
 
 def min_decay_rate(spec: SolitonSpec) -> float:
     """2 min_n Im lambda(zeta_n), the slowest spatial decay rate."""
-    return 2.0 * min(uniformize(z, spec.bg).lam.imag for z in spec.zetas)
+    return 2.0 * float(uniformize(np.array(spec.zetas), spec.bg).lam.imag.min())

@@ -79,36 +79,32 @@ class Background:
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """z with k(z), lambda(z) and gamma(z): complex numbers for a scalar z, arrays of z's shape for an array."""
+    """z with k(z), lambda(z) and gamma(z), each of z's shape: 0-d for a scalar z."""
 
-    z: complex | np.ndarray
-    k: complex | np.ndarray
-    lam: complex | np.ndarray
-    gamma: complex | np.ndarray
+    z: np.ndarray
+    k: np.ndarray
+    lam: np.ndarray
+    gamma: np.ndarray
 
 
-def _check_nonzero(z):
-    z = z.astype(complex) if isinstance(z, np.ndarray) and z.ndim else complex(z)  # a scalar stays in Python
-    if (np.abs(z).min(initial=np.inf) if isinstance(z, np.ndarray) else abs(z)) < 1e-150:
+def _check_nonzero(z) -> np.ndarray:
+    """z as a complex array of its own shape (0-d for a scalar); ZeroArgument if any |z| < 1e-150."""
+    z = np.asarray(z, dtype=complex)
+    if np.count_nonzero(np.abs(z) < 1e-150):
         raise ZeroArgument("spectral maps are singular at z = 0")
     return z
 
 
 def classify_region(z: complex, bg: Background) -> Region:
-    z = _check_nonzero(z)
-    tol = bg.delta_reg
+    z, tol = _check_nonzero(z)[()], bg.delta_reg  # z a numpy scalar: a 0-d array costs ~1 us an operation
     if min(abs(z - b) for b in bg.branch_points()) <= tol:
         return Region.BRANCH_POINT
     s = (abs(z) ** 2 + bg.sigma * bg.k0**2) * z.imag
-    if s > tol:
-        return Region.D_PLUS
-    if s < -tol:
-        return Region.D_MINUS
-    return Region.SIGMA
+    return Region.D_PLUS if s > tol else Region.D_MINUS if s < -tol else Region.SIGMA
 
 
 def uniformize(z, bg: Background) -> SpectralPoint:
-    """Attach k(z), lambda(z) and gamma(z) to a scalar z (in Python arithmetic) or an array of z (in numpy's)."""
+    """Attach k(z), lambda(z) and gamma(z) to z, in numpy arithmetic for a scalar and an array alike."""
     z = _check_nonzero(z)
     w = bg.sigma * bg.k0**2 / z
     k = 0.5 * (z + w)
@@ -127,7 +123,7 @@ def find_partner(items, z: complex, key):
 
 
 def theta(x: float, t: float, z, bg: Background):
-    """Phase of the plane-wave factors, theta = lambda(z) (-x - w(z) t), for a scalar z or an array of z.
+    """Phase of the plane-wave factors, theta = lambda(z) (-x - w(z) t), broadcast over x, t and z.
 
     w(z) = beta (4 k^2 - 2 k0^2) + 2 alpha k is the dispersion of the
     combined second/third-order flow.

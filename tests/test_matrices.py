@@ -26,6 +26,10 @@ def test_det2_hand_value():
     assert det2(np.array([[2j, 0], [0, 3]], dtype=complex)) == 6j
 
 
+def test_det2_of_one_matrix_is_a_complex():
+    assert isinstance(det2(np.array([[1 + 2j, 3], [0.5j, -1]])), complex)
+
+
 def test_inv2_identity():
     np.testing.assert_array_equal(inv2(np.eye(2, dtype=complex)), np.eye(2))
 

@@ -40,10 +40,11 @@ from hirota_ist.scattering import (
     scattering_matrix,
 )
 from hirota_ist.solitons import DiscreteEigenpair, RankFlag, expand_quartets, min_decay_rate
-from hirota_ist.spectral import classify_region, uniformize
+from hirota_ist.spectral import Region, classify_region, uniformize
 from hirota_ist.traceform import TraceInput, trace_det_a
 import reference_transfer
 from test_solitons import random_seeds, rank1_or_2, scaled_backgrounds
+from test_spectral import bg_for
 
 TOL = 1e-10
 
@@ -233,6 +234,44 @@ def test_zero_on_contour_warns_where_the_box_cannot_grow(fig3a_field, fig3a_spec
     # 2i is on the bottom edge, and growing the box by two panels (1.06) would cross |z| = 1
     with pytest.warns(NoConvergenceWarning, match="cannot move on"):
         find_discrete_spectrum(fig3a_field, (-4.0, 4.0, 2.0, 3.5), 1e-4, fig3a_spec.bg)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+def test_box_dipping_inside_the_circle_between_nodes_is_refused(fig3a_field, fig3a_spec, tol, monkeypatch):
+    # the bottom edge passes 0.999i, inside |z| = 1, between contour nodes; D+ is decided at the point nearest 0
+    calls = []
+    monkeypatch.setattr(scattering, "_det_a", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=re.escape("complement of D+ at 0.999j")):
+        find_discrete_spectrum(fig3a_field, (-1.5, 0.8, 0.999, 2.5), tol, fig3a_spec.bg)
+    assert calls == []
+
+
+def test_box_near_the_real_axis_does_not_grow_across_it(fig3a_field, fig3a_spec, monkeypatch):
+    # a zero 1e-4 above the bottom edge (Im z = 0.05); growing the box by 0.76 would take it below the real
+    # axis, where the grown box's point nearest 0 (0.34 - 0.71i, inside |z| = 1) has s > 0
+    calls = []
+    monkeypatch.setattr(scattering, "_det_a", lambda mesh, sp, bg: calls.append(sp.z) or sp.z - (3.0 + 0.0501j))
+    with pytest.warns(NoConvergenceWarning, match="cannot move on") as record:
+        find_discrete_spectrum(fig3a_field, (1.1, 5.0, 0.05, 3.0), 1e-4, fig3a_spec.bg)
+    assert not any("box moved" in str(w.message) for w in record)
+    assert min(np.concatenate(calls).imag) == 0.05
+
+
+@pytest.mark.parametrize("sigma", [-1, 1])
+def test_off_dplus_agrees_with_classify_region(sigma):
+    # det_a's entry check tests all z at once; point by point it must read as classify_region does, also
+    # within a few delta_reg of the branch points, of the circle |z| = k0 and of the real axis
+    bg = bg_for(sigma, k0=1.7)
+    rng = np.random.default_rng(7)
+    jitter = 3.0 * bg.delta_reg * (rng.uniform(-1, 1, 600) + 1j * rng.uniform(-1, 1, 600))
+    phi = rng.uniform(0.0, math.pi, 600)
+    zs = np.concatenate([np.repeat(bg.branch_points(), 300) + jitter, (bg.k0 + jitter.real) * np.exp(1j * phi),
+                         rng.uniform(-3, 3, 600) + jitter.imag, rng.normal(size=600) + 1j * rng.normal(size=600)])
+    got = [scattering._off_dplus(np.array([z]), bg) is None for z in zs]
+    assert got == [classify_region(z, bg) is Region.D_PLUS for z in zs]
+    assert 0 < sum(got) < len(zs)
+    off = ~np.array(got)
+    assert scattering._off_dplus(zs, bg) == zs[off][0]
 
 
 def test_winding_counts_double_zero(fig3a_spec):

@@ -108,6 +108,17 @@ def test_im_lambda_positive_in_dplus():
             count += 1
 
 
+def test_uniformize_gives_a_scalar_the_bits_of_an_array(fig3a_spec):
+    # one arithmetic for every z: a scalar is a 0-d array, so it takes numpy's loops, not Python's complex ones
+    rng = np.random.default_rng(24)
+    zs = rng.normal(scale=2.0, size=2000) + 1j * rng.normal(scale=2.0, size=2000)
+    for b in (FOC, DEF, bg_for(1, k0=1.7, alpha=0.3, beta=-0.4), fig3a_spec.bg):
+        sp, one = uniformize(zs, b), [uniformize(complex(z), b) for z in zs]
+        for name in ("k", "lam", "gamma"):
+            np.testing.assert_array_equal([getattr(o, name) for o in one], getattr(sp, name), err_msg=name)
+    assert uniformize(2j, FOC).z.shape == ()
+
+
 def test_region_parity_defocusing():
     rng = np.random.default_rng(5)
     for _ in range(300):
