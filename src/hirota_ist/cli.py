@@ -29,9 +29,9 @@ from .solitons import (
     min_decay_rate,
     reconstruct_Q,
 )
-from .spectral import Background
+from .spectral import Background, uniformize
 from .traceform import TraceInput, theta_condition
-from .verification import boundary_decay, pde_residual, symmetry_residual
+from .verification import boundary_decay, pde_residual, periodicity_probe, symmetry_residual
 
 
 def _c(pair) -> complex:
@@ -246,6 +246,16 @@ def cmd_verify(args) -> int:
     else:
         checks["boundary_decay"] = {"skipped": "no spatial decay (rate < 0.75)", "pass": True}
         checks["theta_condition"] = {"skipped": "no spatial decay (rate < 0.75)", "pass": True}
+
+    # seeds with Im lambda = 0 (on |z| = k0) that share one |Re lambda| make the field x-periodic
+    lam = uniformize(np.array([s.zn for s in p.seeds], dtype=complex), spec.bg).lam
+    if lam.size and np.all(np.abs(lam.imag) <= 1e-12 * np.abs(lam)) and np.ptp(np.abs(lam.real)) <= 1e-12 * abs(lam[0]):
+        period = float(math.pi / abs(lam[0].real))  # 2 pi / (2 Re lambda)
+        dev = periodicity_probe(functools.partial(reconstruct_Q, spec=spec), "x", period, args.n_probe, region)
+        checks["periodicity"] = {"axis": "x", "period": period, "max_deviation": dev, "pass": dev <= 1e-3}
+    else:
+        checks["periodicity"] = {"skipped": "no x-period (a seed with Im lambda != 0, or two values of |Re lambda|)",
+                                 "pass": True}
 
     ok = all(c.get("pass", False) for c in checks.values())
     report = {"schema_version": SCHEMA_VERSION, "preset": p.name, "checks": checks, "pass": ok}

@@ -31,20 +31,21 @@ probe cell, is farther than tol/10 from its limit (NoConvergenceWarning at
 L_MAX).  U = P(x) + k(z) S, so a cell's Omega is a cubic A0 + k A1 + k^2 A2
 + k^3 A3 whose coefficients do not depend on z, and S^T sigma2 S = sigma2
 makes it Hamiltonian, with eigenvalues +-a, +-b, so exp(Omega) - I is
-c0 I + c1 Omega^2 + Omega (s0 I + s1 Omega^2), by a series on Omega 2^-s
+c0 I + Omega (s0 I + c1 Omega + s1 Omega^2), by a series on Omega 2^-s
 squared s times (see _expm1): two 4x4 products a cell.  Cell
 exponentials, times the column shift e^{+-i lambda h} that keeps the
 analytic pair bounded, are multiplied in pairs along the cells of each z.
 The z travel as arrays: one spectral point of arrays, then (4, 4, ...)
 stacks, the layout of every 4x4 product here, the cells' generators included
-(np.einsum, whose complex products use no FMA).  A call builds one mesh,
+(_mm: broadcast ufuncs over the whole stack).  A call builds one mesh,
 which all its z share, and exponentiates the cells of _BLOCK // n of its z
 (n cells a side) as one block, z-major, large enough that a block's fixed
 cost of about 140 numpy calls stays small; a side of more than _BLOCK cells
 goes _BLOCK cells of one z at a time.  Each step is elementwise, along one
 z's cells or on one z's matrix, so a z gets the same bits in any batch.  A
 call allocates one workspace, four 4x4 stacks of a block and rows of 4 and 3
-entries a cell x z, into which every block writes with out=.
+entries a cell x z, into which every block writes with out=, the products'
+temporaries included.
 """
 
 from __future__ import annotations
@@ -182,9 +183,24 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
     return sides
 
 
-def _mm(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Cellwise 4x4 products of (4, 4, ...) stacks."""
-    return np.einsum("ik...,kj...->ij...", A, B, out=out)
+def _mm(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Cellwise 4x4 products of (4, 4, ...) stacks, sum_k A[:, k] B[k] as broadcast ufuncs: 7 numpy calls.
+
+    tmp, of out's shape, holds each term; both are allocated where not given.
+    numpy's complex loops may fuse a multiply and an add, but each entry of
+    out comes from the same operations on its own cell's entries, so a cell
+    gets the same bits alone, inside any stack and from a strided view.  out
+    is written before A and B are read for the last time, so out and tmp
+    must share no memory with A, B or each other.  Nothing here checks that,
+    because the check costs about as much as a small product (a test does).
+    """
+    if out is None:
+        out = np.empty((4, 4, *np.broadcast_shapes(A.shape[2:], B.shape[2:])), dtype=complex)
+    tmp = np.empty_like(out) if tmp is None else tmp
+    np.multiply(A[:, 0, None], B[None, 0], out=out)
+    for j in (1, 2, 3):
+        np.add(out, np.multiply(A[:, j, None], B[None, j], out=tmp), out=out)
+    return out
 
 
 def _stack(buf: np.ndarray, *shape: int) -> np.ndarray:
@@ -209,14 +225,15 @@ def _expm1(ws: Sequence[np.ndarray], m: int, wh: np.ndarray) -> np.ndarray:
     """exp(Omega + wh I) - I, into ws[3], of the (4, 4, m) Omega at the head of ws[0] and the (m,) wh.
 
     (x - a^2)(x - b^2) = x^2 - p x + r annihilates Omega^2, so exp(Omega) - I = C(Omega^2) + Omega S(Omega^2),
-    C(x) = cosh sqrt(x) - 1 and S(x) = sinh sqrt(x) / sqrt(x), is c0 I + c1 Omega^2 + Omega (s0 I + s1 Omega^2).
+    C(x) = cosh sqrt(x) - 1 and S(x) = sinh sqrt(x) / sqrt(x), is c0 I + Omega (s0 I + c1 Omega + s1 Omega^2),
+    whose product takes its temporary in Omega^2's row.
     The coefficients are the series of C and S modulo x^2 - p x + r of Omega 2^-s, s from _squarings (0 for
     most cells): no square root, exact through a = b (every background cell) and at the branch points' Jordan
     blocks.  Each squaring, 2F + F^2, is arithmetic on the four coefficients with y = Omega^2, y^2 = p y - r.
     The other rows are scratch: ws[4] holds the 4 m coefficients, ws[5] 2 m of the series', wh may sit past them.
     """
     om, om2, G, F = (_stack(b, m) for b in ws[:4])
-    _mm(om, om, om2)
+    _mm(om, om, om2, G)
     p, r = _invariants(om2, G)
     sq = _squarings(p, r)
     big = np.flatnonzero(sq)
@@ -245,10 +262,9 @@ def _expm1(ws: Sequence[np.ndarray], m: int, wh: np.ndarray) -> np.ndarray:
     cs *= np.exp(wh)  # e^{wh} (I + F) = I + (e^{wh} F + (e^{wh} - 1) I)
     cs[1, 0] += np.expm1(wh)
     (c1, s1), (c0, s0) = cs
-    np.multiply(s1, om2, out=G)
+    np.add(np.multiply(s1, om2, out=G), np.multiply(c1, om, out=F), out=G)
     G[_DIAG, _DIAG] += s0
-    _mm(om, G, F)
-    np.add(F, np.multiply(c1, om2, out=G), out=F)
+    _mm(om, G, F, om2)
     F[_DIAG, _DIAG] += c0
     return F
 
@@ -279,7 +295,7 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     out = np.empty((len(k), 4, 4), dtype=complex)
     for z0 in range(0, len(k), per):
         zs = slice(z0, z0 + per)
-        total = None
+        total = np.moveaxis(out[zs], 0, -1)  # (4, 4, z), a view of out that carries F over the blocks so far
         for lo in range(0, n, _BLOCK):
             cut = slice(lo, lo + _BLOCK)
             shape = len(k[zs]), len(cells.h[cut])
@@ -295,13 +311,18 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
                 m = F.shape[-1]
                 A, B = F[..., 1:m:2], F[..., 0 : m - 1 : 2]
                 P = _stack(spare, shape[0], (m + 1) // 2)
-                AB = _mm(A, B, _stack(ws[1], shape[0], m // 2))
+                AB = _mm(A, B, _stack(ws[1], shape[0], m // 2), _stack(ws[2], shape[0], m // 2))
                 np.add(np.add(A, B, out=P[..., : m // 2]), AB, out=P[..., : m // 2])
                 if m % 2:
                     P[..., -1] = F[..., -1]
                 F, here, spare = P, spare, here
-            total = F.copy() if total is None else F + total + _mm(F, total)  # F is in the workspace
-        out[zs] = np.moveaxis(np.eye(4)[..., None] + total[..., 0], -1, 0)
+            F = F[..., 0]  # in rows 0 or 3, which the next block overwrites
+            if lo:
+                FT = _mm(F, total, _stack(ws[1], shape[0]), _stack(ws[2], shape[0]))
+                np.add(np.add(F, total, out=total), FT, out=total)
+            else:
+                np.copyto(total, F)
+        out[zs, _DIAG, _DIAG] += 1.0
     return out
 
 

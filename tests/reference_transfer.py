@@ -1,8 +1,8 @@
 """Independent oracles of the Jost layer in `scattering`: the Magnus generators and the transfer.
 
 `cells` forms each cell's Omega = sum_j k^j A[j] on (n, 4, 4) stacks with
-`@`, the layout `scattering._cells` had before it moved to (4, 4, n) stacks
-and `np.einsum`; the two agree to rounding, not bit for bit.
+`@`, the layout `scattering._cells` had before it moved to (4, 4, n) stacks;
+the two agree to rounding, not bit for bit.
 
 `transfer` exponentiates each cell by a Taylor sum of degree 9 with scaling
 and squaring (squarings from a 1-norm bound, `_squarings`, which reads a
@@ -11,6 +11,10 @@ in Omega and Omega^2, over the same pairwise product tree.  Each block of
 cells x z allocates its own stacks, and every squaring round gathers the
 cells that still need it.  The two transfers agree to 1e-13 of each z's
 largest entry.
+
+`transfer` multiplies with `np.einsum` and `cells` with `@`, and neither is
+`scattering._mm`, which sums broadcast ufunc products: the oracles share no
+product kernel with the code they check.
 """
 
 from __future__ import annotations

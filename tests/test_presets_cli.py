@@ -249,6 +249,20 @@ def test_cli_verify_skips_decay_checks_without_decay(tmp_path):
     assert "skipped" in doc["checks"]["boundary_decay"]
 
 
+@pytest.mark.parametrize("name", ["fig11", "fig5"])
+def test_cli_verify_checks_periodicity_only_with_im_lambda_zero(tmp_path, name):
+    # fig11's seed lies on |z| = k0, where Im lambda = 0, so the field repeats along x with period
+    # 2 pi / (2 Re lambda) = 2 pi; fig5's seed has Im lambda = -0.049 and its field does not repeat
+    out = tmp_path / f"verify_{name}.json"
+    assert main(["verify", "--preset", name, "--n-probe", "12", "--out", str(out)]) == 0
+    check = json.loads(out.read_text())["checks"]["periodicity"]
+    if name == "fig11":
+        assert check["period"] == pytest.approx(2 * math.pi) and check["max_deviation"] <= 1e-3
+        assert check["pass"] is True
+    else:
+        assert "skipped" in check and check["pass"] is True
+
+
 def test_cli_verify_exit_1_on_residual_failure(tmp_path):
     # fig3d's genuine stencil truncation at h = 1e-2 exceeds the default
     # 1e-5 tolerance (see ledger); the command reports it as failure

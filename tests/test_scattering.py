@@ -27,6 +27,7 @@ from hirota_ist.scattering import (
     _contour,
     _expm1,
     _mesh,
+    _mm,
     _moment_zeros,
     _moments,
     _panels,
@@ -581,8 +582,8 @@ def test_transfer_matches_the_taylor_reference(name, tol, t0, monkeypatch):
 
 
 def _assert_cells_match_the_reference(Q, sigma, steps):
-    # the (4, 4, n) einsum layout against the (n, 4, 4) matmul oracle; on the meshes below A[2] differs most,
-    # by up to 3.3e-16 of its largest entry, and the other stacks by under 1e-17
+    # the (4, 4, n) layout of _mm's broadcast products against the (n, 4, 4) matmul oracle; on the meshes below
+    # A[2] differs most, by up to 3.7e-16 of its largest entry, and the other stacks by under 1e-17
     A, ref = _cells(Q, sigma, steps, None).A, reference_transfer.cells(Q, sigma, steps)
     off = np.abs(A - ref).max(axis=(1, 2, 3)) > 1e-14 * np.abs(ref).max(axis=(1, 2, 3))
     assert not off.any(), f"stacks {np.flatnonzero(off)} off"
@@ -616,6 +617,51 @@ def test_cells_of_random_samples_match_the_matmul_reference(n, sigma, scale, see
     Q = scale * (rng.uniform(-1.0, 1.0, (n, 3, 2, 2)) + 1j * rng.uniform(-1.0, 1.0, (n, 3, 2, 2)))
     steps = rng.choice([-1.0, 1.0], n) * rng.uniform(1e-3, 0.5, n)
     _assert_cells_match_the_reference(Q, sigma, steps)
+
+
+def _random_stack(rng, *shape):
+    return rng.standard_normal((4, 4, *shape)) + 1j * rng.standard_normal((4, 4, *shape))
+
+
+def test_cellwise_product_matches_matmul_and_keeps_each_cells_bits():
+    rng = np.random.default_rng(7)
+    A, B = _random_stack(rng, 3, 301), _random_stack(rng, 3, 301)
+    P = _mm(A, B)
+    # against matmul on the (n, 4, 4) layout: each side's 4-term complex dot product carries under
+    # (sqrt(5) / 2 + 3 / 2) eps of sum_k |A_ik| |B_kj|, so the two differ by under 6 eps of it (at most 2.3
+    # eps over 3.3M random entries)
+    An, Bn = (np.moveaxis(M, (0, 1), (-2, -1)) for M in (A, B))
+    bound = 6.0 * np.finfo(float).eps * (np.abs(An) @ np.abs(Bn))
+    assert np.all(np.abs(np.moveaxis(P, (0, 1), (-2, -1)) - An @ Bn) <= bound)
+    # position-independent bits, which the batch bit tests rest on: a cell alone, inside a (4, 4, z, cells)
+    # stack, and from the stride-2 views of _transfer's product tree against their contiguous copies
+    for z, c in [(0, 0), (1, 150), (2, 300)]:
+        np.testing.assert_array_equal(_mm(A[..., z, c : c + 1], B[..., z, c : c + 1])[..., 0], P[..., z, c])
+        np.testing.assert_array_equal(_mm(A[..., z, c], B[..., z, c]), P[..., z, c])
+    odd, even = A[..., 1::2], A[..., 0:-1:2]
+    np.testing.assert_array_equal(_mm(odd, even), _mm(odd.copy(), even.copy()))
+    out, tmp = np.empty_like(P), np.empty_like(P)
+    assert _mm(A, B, out, tmp) is out
+    np.testing.assert_array_equal(out, P)
+
+
+def test_jost_products_keep_out_and_tmp_apart_from_their_factors(fig3a_field, fig3a_spec, monkeypatch):
+    # _mm writes out before it has read A and B for the last time and does not check for overlap, so every
+    # caller must keep them apart: _cells' commutators, _expm1's two products, the pairwise tree and, with a
+    # block cut to 64 cells below fig3a's 75 a side, the running total over the blocks
+    overlaps = []
+
+    def checked(A, B, out=None, tmp=None):
+        given = [x for x in (out, tmp) if x is not None]
+        overlaps.extend(np.may_share_memory(x, y) for x in given for y in (A, B, *given) if x is not y)
+        return _mm(A, B, out, tmp)
+
+    monkeypatch.setattr(scattering, "_mm", checked)
+    monkeypatch.setattr(scattering, "_BLOCK", 64)
+    zs = np.array([3j, 1.2 + 1.9j, 0.5])
+    mu = integrate_jost(fig3a_field, zs, "left", 1e-4, fig3a_spec.bg)
+    np.testing.assert_array_equal(mu[1], integrate_jost(fig3a_field, zs[1], "left", 1e-4, fig3a_spec.bg))
+    assert len(overlaps) > 100 and not any(overlaps)
 
 
 def _cell_expm1(om):
