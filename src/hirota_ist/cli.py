@@ -207,8 +207,9 @@ def cmd_verify(args) -> int:
     g = p.grid
     region = (g.xmin, g.xmax, g.tmin, g.tmax)
     checks: dict[str, dict] = {}
+    field = functools.partial(reconstruct_Q, spec=spec)
 
-    rep = pde_residual(functools.partial(reconstruct_Q, spec=spec), region, args.n_probe, args.h, spec.bg)
+    rep = pde_residual(field, region, args.n_probe, args.h, spec.bg)
     checks["pde_residual"] = {
         "max_residual": rep.max_residual,
         "argmax": list(rep.argmax),
@@ -223,7 +224,7 @@ def cmd_verify(args) -> int:
 
     rate = min_decay_rate(spec)
     if rate >= 0.75:
-        dec = boundary_decay(functools.partial(reconstruct_Q, spec=spec), t=0.25, bg=spec.bg)
+        dec = boundary_decay(field, t=0.25, bg=spec.bg)
         expected = rate
         rate_ok = abs(dec.rate - expected) <= 0.1 * expected
         checks["boundary_decay"] = {
@@ -251,7 +252,7 @@ def cmd_verify(args) -> int:
     lam = uniformize(np.array([s.zn for s in p.seeds], dtype=complex), spec.bg).lam
     if lam.size and np.all(np.abs(lam.imag) <= 1e-12 * np.abs(lam)) and np.ptp(np.abs(lam.real)) <= 1e-12 * abs(lam[0]):
         period = float(math.pi / abs(lam[0].real))  # 2 pi / (2 Re lambda)
-        dev = periodicity_probe(functools.partial(reconstruct_Q, spec=spec), "x", period, args.n_probe, region)
+        dev = periodicity_probe(field, "x", period, args.n_probe, region)
         checks["periodicity"] = {"axis": "x", "period": period, "max_deviation": dev, "pass": dev <= 1e-3}
     else:
         checks["periodicity"] = {"skipped": "no x-period (a seed with Im lambda != 0, or two values of |Re lambda|)",

@@ -38,14 +38,14 @@ analytic pair bounded, are multiplied in pairs along the cells of each z.
 The z travel as arrays: one spectral point of arrays, then (4, 4, ...)
 stacks, the layout of every 4x4 product here, the cells' generators included
 (_mm: broadcast ufuncs over the whole stack).  A call builds one mesh,
-which all its z share, and exponentiates the cells of _BLOCK // n of its z
-(n cells a side) as one block, z-major, large enough that a block's fixed
-cost of about 140 numpy calls stays small; a side of more than _BLOCK cells
-goes _BLOCK cells of one z at a time.  Each step is elementwise, along one
-z's cells or on one z's matrix, so a z gets the same bits in any batch.  A
-call allocates one workspace, four 4x4 stacks of a block and rows of 4 and 3
-entries a cell x z, into which every block writes with out=, the products'
-temporaries included.
+which all its z share, and takes a side's z in blocks of whole sides:
+the n cells of _BLOCK // n z, or of one z where n > _BLOCK, z-major, so
+that a block's fixed cost of about 140 numpy calls stays small.  A block
+exponentiates its cells and multiplies each z's in one pairwise tree.  Each
+step is elementwise, along one z's cells or on one z's matrix, so a z gets
+the same bits in any batch.  A call allocates one workspace, four 4x4 stacks
+of a block and rows of 4 and 3 entries a cell x z, into which every block
+writes with out=, the products' temporaries included.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ _Box = tuple[float, float, float, float]  # (re0, re1, im0, im1)
 H = 0.03  # shortest cell at tol = 1e-8 and k0 <= 1 (over k0 above); a crossing's error scales like h^6
 R = 16  # longest cell over the shortest; probe cells are about R of the shortest long
 L0, L_MAX = 20.0, 80.0  # first and largest truncation length; L doubles from L0 while the field has not settled
-_BLOCK = 2048  # cells x z exponentiated at once: a block's fixed cost of ~140 numpy calls is spread over more cells
+_BLOCK = 2048  # cells x z a block takes, in whole sides (one z at least): it spreads ~140 numpy calls over them
 _CELL_BLOCK = 512  # cells built at once, which bounds _cells' ~25 live (4, 4, n) temporaries to about 3 MB
 _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])  # Gauss-Legendre nodes on a unit cell
 # Taylor coefficients of C(x) = cosh sqrt(x) - 1 and S(x) = sinh sqrt(x) / sqrt(x), x^9 first, as (10, 2);
@@ -290,38 +290,30 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     n = len(cells.h)
     per = _z_per_block(n)
-    cap = min(per, len(k)) * min(n, _BLOCK)  # rows: four 4x4 stacks, then 4 and 3 entries a cell x z (see _expm1)
+    cap = min(per, len(k)) * n  # rows: four 4x4 stacks, then 4 and 3 entries a cell x z (see _expm1)
     ws = np.split(np.empty(71 * cap, dtype=complex), np.cumsum([16 * cap] * 4 + [4 * cap]))
     out = np.empty((len(k), 4, 4), dtype=complex)
     for z0 in range(0, len(k), per):
         zs = slice(z0, z0 + per)
-        total = np.moveaxis(out[zs], 0, -1)  # (4, 4, z), a view of out that carries F over the blocks so far
-        for lo in range(0, n, _BLOCK):
-            cut = slice(lo, lo + _BLOCK)
-            shape = len(k[zs]), len(cells.h[cut])
-            om = _stack(ws[0], *shape)
-            np.copyto(om, cells.A[3, ..., None, cut])
-            for j in (2, 1, 0):  # Horner's rule in k
-                np.add(np.multiply(k[zs, None], om, out=om), cells.A[j, ..., None, cut], out=om)
-            size = math.prod(shape)
-            wh = np.multiply(w[zs, None], cells.h[cut], out=ws[5][2 * size : 3 * size].reshape(shape))
-            F = _expm1(ws, size, wh.ravel()).reshape(om.shape)  # times the shift e^{w h}
-            here, spare = ws[3], ws[0]
-            while F.shape[-1] > 1:  # (4, 4, z, cells): pairs along the cells, from one row to the other
-                m = F.shape[-1]
-                A, B = F[..., 1:m:2], F[..., 0 : m - 1 : 2]
-                P = _stack(spare, shape[0], (m + 1) // 2)
-                AB = _mm(A, B, _stack(ws[1], shape[0], m // 2), _stack(ws[2], shape[0], m // 2))
-                np.add(np.add(A, B, out=P[..., : m // 2]), AB, out=P[..., : m // 2])
-                if m % 2:
-                    P[..., -1] = F[..., -1]
-                F, here, spare = P, spare, here
-            F = F[..., 0]  # in rows 0 or 3, which the next block overwrites
-            if lo:
-                FT = _mm(F, total, _stack(ws[1], shape[0]), _stack(ws[2], shape[0]))
-                np.add(np.add(F, total, out=total), FT, out=total)
-            else:
-                np.copyto(total, F)
+        shape = len(k[zs]), n
+        om = _stack(ws[0], *shape)
+        np.copyto(om, cells.A[3, ..., None, :])
+        for j in (2, 1, 0):  # Horner's rule in k
+            np.add(np.multiply(k[zs, None], om, out=om), cells.A[j, ..., None, :], out=om)
+        size = math.prod(shape)
+        wh = np.multiply(w[zs, None], cells.h, out=ws[5][2 * size : 3 * size].reshape(shape))
+        F = _expm1(ws, size, wh.ravel()).reshape(om.shape)  # times the shift e^{w h}
+        here, spare = ws[3], ws[0]
+        while F.shape[-1] > 1:  # (4, 4, z, cells): pairs along the cells, from one row to the other
+            m = F.shape[-1]
+            A, B = F[..., 1:m:2], F[..., 0 : m - 1 : 2]
+            P = _stack(spare, shape[0], (m + 1) // 2)
+            AB = _mm(A, B, _stack(ws[1], shape[0], m // 2), _stack(ws[2], shape[0], m // 2))
+            np.add(np.add(A, B, out=P[..., : m // 2]), AB, out=P[..., : m // 2])
+            if m % 2:
+                P[..., -1] = F[..., -1]
+            F, here, spare = P, spare, here
+        out[zs] = np.moveaxis(F[..., 0], -1, 0)
         out[zs, _DIAG, _DIAG] += 1.0
     return out
 
@@ -457,8 +449,9 @@ def det_a(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
     well defined arbitrarily deep in D+ where the other columns overflow.
     A 1-D array of z gives an array of values.
     """
-    if (off := _off_dplus(np.ravel(z), bg)) is not None:  # before the mesh is built; _det_a assumes D+
-        raise ValueError(f"det_a requires z in D+ (got {classify_region(off, bg)} at z = {off})")
+    zs = np.ravel(z)
+    if (off := zs[classify_region(zs, bg) != Region.D_PLUS]).size:  # before the mesh is built; _det_a assumes D+
+        raise ValueError(f"det_a requires z in D+ (got {classify_region(off[0], bg)} at z = {complex(off[0])})")
     a = _det_a(_mesh(field, tol, t0, bg), _points(z, bg), bg)
     return complex(a[0]) if np.ndim(z) == 0 else a
 
@@ -556,13 +549,6 @@ def _moment_zeros(s: np.ndarray, box: _Box) -> tuple[np.ndarray, np.ndarray, np.
         warnings.warn(f"Hankel eigenvalues {roots[~keep]} with multiplicities {mult[~keep].real.round(3)} "
                       f"dropped as noise: outside {box} or of multiplicity below 1", NoConvergenceWarning)
     return roots[keep], mult[keep], sv
-
-
-def _off_dplus(z: np.ndarray, bg: Background) -> complex | None:
-    """The first of z outside D+, or None: classify_region's test over all of z at once."""
-    near = np.abs(z[:, None] - np.array(bg.branch_points())).min(axis=1, initial=np.inf) <= bg.delta_reg
-    off = near | ~((np.abs(z) ** 2 + bg.sigma * bg.k0**2) * z.imag > bg.delta_reg)
-    return complex(z[off.argmax()]) if off.any() else None
 
 
 def find_discrete_spectrum(
@@ -681,7 +667,7 @@ def find_discrete_spectrum(
             warnings.warn(f"zero {zr} rejected: too close to the continuous spectrum", NoConvergenceWarning)
     if _log.isEnabledFor(logging.DEBUG):
         zs, ns = np.concatenate(evaluated), [len(c.h) for c in mesh]
-        blocks = sum(math.ceil(len(e) / _z_per_block(n)) * math.ceil(n / _BLOCK) for n in ns for e in evaluated)
+        blocks = sum(math.ceil(len(e) / _z_per_block(n)) for n in ns for e in evaluated)
         _log.debug("find_discrete_spectrum: %d nodes, rounds [%s], cells %d left %d right x %d z propagated in %d "
                    "blocks, %s, winding %.4f, Hankel singular values %s, zeros %s, multiplicities %s, contour moves %s",
                    len(z), "; ".join(rounds), *ns, len(zs), blocks, _scalings(mesh, _points(zs, bg).k), w, sv.tolist(),

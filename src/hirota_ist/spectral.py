@@ -95,12 +95,12 @@ def _check_nonzero(z) -> np.ndarray:
     return z
 
 
-def classify_region(z: complex, bg: Background) -> Region:
-    z, tol = _check_nonzero(z)[()], bg.delta_reg  # z a numpy scalar: a 0-d array costs ~1 us an operation
-    if min(abs(z - b) for b in bg.branch_points()) <= tol:
-        return Region.BRANCH_POINT
-    s = (abs(z) ** 2 + bg.sigma * bg.k0**2) * z.imag
-    return Region.D_PLUS if s > tol else Region.D_MINUS if s < -tol else Region.SIGMA
+def classify_region(z, bg: Background) -> Region | np.ndarray:
+    """The Region of a scalar z, or an object array of them of z's shape: the first of the tests that holds."""
+    z, tol = _check_nonzero(z), bg.delta_reg
+    near = np.min([np.abs(z - b) for b in bg.branch_points()], axis=0) <= tol
+    s = (np.abs(z) ** 2 + bg.sigma * bg.k0**2) * z.imag
+    return np.select([near, s > tol, s < -tol], [Region.BRANCH_POINT, Region.D_PLUS, Region.D_MINUS], Region.SIGMA)[()]
 
 
 def uniformize(z, bg: Background) -> SpectralPoint:

@@ -260,7 +260,7 @@ def test_box_near_the_real_axis_does_not_grow_across_it(fig3a_field, fig3a_spec,
 
 @pytest.mark.parametrize("sigma", [-1, 1])
 def test_off_dplus_agrees_with_classify_region(sigma):
-    # det_a's entry check tests all z at once; point by point it must read as classify_region does, also
+    # det_a's entry check classifies all z in one array call; it must read as the scalar calls do, also
     # within a few delta_reg of the branch points, of the circle |z| = k0 and of the real axis
     bg = bg_for(sigma, k0=1.7)
     rng = np.random.default_rng(7)
@@ -268,11 +268,14 @@ def test_off_dplus_agrees_with_classify_region(sigma):
     phi = rng.uniform(0.0, math.pi, 600)
     zs = np.concatenate([np.repeat(bg.branch_points(), 300) + jitter, (bg.k0 + jitter.real) * np.exp(1j * phi),
                          rng.uniform(-3, 3, 600) + jitter.imag, rng.normal(size=600) + 1j * rng.normal(size=600)])
-    got = [scattering._off_dplus(np.array([z]), bg) is None for z in zs]
-    assert got == [classify_region(z, bg) is Region.D_PLUS for z in zs]
-    assert 0 < sum(got) < len(zs)
-    off = ~np.array(got)
-    assert scattering._off_dplus(zs, bg) == zs[off][0]
+    regions = classify_region(zs, bg)
+    assert regions.shape == zs.shape and list(regions) == [classify_region(z, bg) for z in zs]
+    inside = regions == Region.D_PLUS
+    assert 0 < inside.sum() < len(zs)
+    calls = []
+    with pytest.raises(ValueError, match=re.escape(f"at z = {complex(zs[~inside][0])})")):
+        det_a(lambda x, t: calls.append(x), zs, 1e-4, bg)
+    assert calls == []
 
 
 def test_winding_counts_double_zero(fig3a_spec):
@@ -542,8 +545,10 @@ def test_mixed_region_batch_gives_the_same_bits(fig3a_field, fig3a_spec):
 
 
 
-@pytest.mark.parametrize("name, tol, t0", [("fig3a", 1e-4, 0.0), ("fig6", 1e-10, 0.0), ("fig6", 1e-10, 12.0)])
-def test_transfer_matches_the_taylor_reference(name, tol, t0, monkeypatch):
+@pytest.mark.parametrize("name, tol, t0, block", [("fig3a", 1e-4, 0.0, _BLOCK), ("fig6", 1e-10, 0.0, _BLOCK),
+                                                  ("fig6", 1e-10, 12.0, 512), ("fig3a", 1e-4, 0.0, 16)],
+                         ids=["fig3a-0.0001-0.0", "fig6-1e-10-0.0", "fig6-1e-10-12.0", "fig3a-0.0001-0.0-block16"])
+def test_transfer_matches_the_taylor_reference(name, tol, t0, block, monkeypatch):
     # reference_transfer exponentiates each cell by a Taylor sum with scaling and squaring, over the same
     # product tree; the closed form read at most 4.8e-14 from it relative to each z's largest entry (fig6's
     # right side at t0 = 12).  Neither side drifts alone: against a 40-digit mpmath product of the same double
@@ -552,11 +557,12 @@ def test_transfer_matches_the_taylor_reference(name, tol, t0, monkeypatch):
     # that their distance, up to the sum, reaches 1.45e-13 at 1e-13.
     # fig3a: the CLI box's nodes over 59-75 cells a side (up to 7 squarings in the reference, a partial last
     # block of z); fig6: the 48 samples of `scatter --n-real-orbits 8 --n-circle-orbits 4`, and at t0 = 12 a
-    # left side of 984 cells against a block cut to 512 cells, so that it goes 512 cells of one z at a time.
+    # left side of 984 cells against a block cut to 512 cells, so that each z takes a block of its own.
+    # With the block cut to 16 cells, fig3a's 75-cell side is longer than 3 blocks, where one tree over a
+    # side's cells groups them otherwise than a product of 16-cell pieces would.
     # No side outgrows the full block where this bound has room: at tol 1e-12 the left side has 2074 cells,
     # but the right side already reads 9.3e-14 and the reference needs only 2 squarings
-    if t0 > 0:
-        monkeypatch.setattr(scattering, "_BLOCK", 512)
+    monkeypatch.setattr(scattering, "_BLOCK", block)
     spec = h.preset(name).spec()
     bg = spec.bg
     if name == "fig3a":
@@ -568,14 +574,20 @@ def test_transfer_matches_the_taylor_reference(name, tol, t0, monkeypatch):
     sp = uniformize(zs, bg)
     w = 1j * sp.lam * np.where(sp.lam.imag >= 0, 1.0, -1.0)
     mesh = _mesh(functools.partial(h.reconstruct_Q, spec=spec), tol, t0, bg)
-    squarings = []
+    squarings, transfers = [], []
     for cells in mesh:
         taylor = SimpleNamespace(A=cells.A, h=cells.h, norm=np.abs(cells.A).sum(axis=1).max(axis=1))  # |A[j]|_1
         P, ref = _transfer(cells, sp.k, w), reference_transfer.transfer(taylor, sp.k, w)
         assert np.max(np.abs(P - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))) <= 1e-13
         squarings.append(reference_transfer._squarings(taylor, sp.k).ravel())
+        transfers.append(P)
     squarings = np.concatenate(squarings)
-    if name == "fig3a":
+    if block < _BLOCK and name == "fig3a":
+        assert min(len(c.h) for c in mesh) > 3 * block and _z_per_block(len(mesh[0].h)) == 1
+        monkeypatch.setattr(scattering, "_BLOCK", _BLOCK)  # z share blocks again; each z keeps its bits
+        for cells, P in zip(mesh, transfers):
+            np.testing.assert_array_equal(_transfer(cells, sp.k, w), P)
+    elif name == "fig3a":
         assert squarings.max() == 7 and all(len(zs) % _z_per_block(len(c.h)) for c in mesh)
     else:
         assert (max(len(c.h) for c in mesh) > scattering._BLOCK) == (t0 > 0) and squarings.max() >= 3
@@ -647,8 +659,8 @@ def test_cellwise_product_matches_matmul_and_keeps_each_cells_bits():
 
 def test_jost_products_keep_out_and_tmp_apart_from_their_factors(fig3a_field, fig3a_spec, monkeypatch):
     # _mm writes out before it has read A and B for the last time and does not check for overlap, so every
-    # caller must keep them apart: _cells' commutators, _expm1's two products, the pairwise tree and, with a
-    # block cut to 64 cells below fig3a's 75 a side, the running total over the blocks
+    # caller must keep them apart: _cells' commutators, _expm1's two products and the pairwise tree, here with
+    # a block cut to 64 cells below fig3a's 75 a side, so that each z takes a block of its own
     overlaps = []
 
     def checked(A, B, out=None, tmp=None):
