@@ -7,9 +7,10 @@ truncation L from the field and its left boundary from the sample at
 x = -2L), and report eigenvalue recovery errors plus reflection-coefficient
 norms on spectrum samples.  --find-tol sets the Jost mesh tolerance of the
 zero search (the benchmark's roundtrip runs at 1e-4).  With --verbose, each
-Jost mesh logs its L and counters, and each zero search its refinement
-rounds, contour nodes, winding, Hankel singular values, zeros and contour
-moves.
+Jost mesh logs its L, cells and edge distances, and each zero search its
+refinement rounds, contour nodes, the cells x z, blocks and squarings that
+its transfers ran, winding, Hankel singular values, zeros and contour
+moves; the search runs the same arithmetic as without --verbose.
 """
 
 import argparse

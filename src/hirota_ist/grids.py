@@ -9,6 +9,7 @@ with 17 significant digits so serialization round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +32,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.nt < 2:
             raise ValueError("grid needs at least 2 samples per axis")
+        if not all(map(math.isfinite, (self.xmin, self.xmax, self.tmin, self.tmax))):
+            raise ValueError("grid bounds must be finite")
         if not (self.xmax > self.xmin and self.tmax > self.tmin):
             raise ValueError("grid ranges must be increasing")
 

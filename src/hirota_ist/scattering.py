@@ -45,7 +45,9 @@ exponentiates its cells and multiplies each z's in one pairwise tree.  Each
 step is elementwise, along one z's cells or on one z's matrix, so a z gets
 the same bits in any batch.  A call allocates one workspace, four 4x4 stacks
 of a block and rows of 4 and 3 entries a cell x z, into which every block
-writes with out=, the products' temporaries included.
+writes with out=, the products' temporaries included.  Each block adds its
+z, the cells x z it scaled and their most squarings to its side's tally,
+which the zero search's DEBUG record reads.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ import functools
 import logging
 import math
 import warnings
-from dataclasses import astuple, dataclass
+from collections import Counter
+from dataclasses import astuple, dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
@@ -91,11 +94,15 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class _Cells:
-    """One side's Omega = sum_j k^j A[j] as A (4, 4, 4, n) in travel order, lengths (n,), start Q."""
+    """One side's Omega = sum_j k^j A[j] as A (4, 4, 4, n) in travel order, lengths (n,), start Q.
+
+    tally counts what _transfer ran over these cells: z, blocks, scaled cells x z and the most squarings.
+    """
 
     A: np.ndarray
     h: np.ndarray
     limit: CMat2
+    tally: Counter = dc_field(default_factory=Counter, compare=False)
 
 
 def _comm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -139,8 +146,8 @@ def _field_at(field: Field, xs: np.ndarray, t0: float) -> np.ndarray:
 
 def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, _Cells]:
     """(left, right) cells: [-L, 0] travelled upward, [0, L] downward, L and grading as the module states."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, not {tol}")
     h0 = H * (tol / 1e-8) ** (1.0 / 6.0) / max(1.0, bg.k0)
     L, evals = L0, 0
     while True:
@@ -176,10 +183,9 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
         raise IntegrationFailure(f"Magnus generators overflow for the field at t = {t0}")
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("Jost mesh L=%g tol=%g t0=%g: %d probes, cells %d left %d right, length %.3g to %.3g, "
-                   "%d field evaluations, at k = 0 %s, edges |Q(-2L) - Q(-L + p/2)| %.2g and "
+                   "%d field evaluations, edges |Q(-2L) - Q(-L + p/2)| %.2g and "
                    "|Q(L - p/2) - Q+| %.2g, |Q Q^dag - k0^2 I| %.2g at -2L",
-                   L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), evals + 3 * len(h),
-                   _scalings(sides, np.zeros(1)), *edges, dev)
+                   L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), evals + 3 * len(h), *edges, dev)
     return sides
 
 
@@ -208,7 +214,7 @@ def _stack(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[: 16 * math.prod(shape)].reshape(4, 4, *shape)
 
 
-def _invariants(om2: np.ndarray, tmp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _invariants(om2: np.ndarray, tmp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p = a^2 + b^2 and r = a^2 b^2 of a (4, 4, ...) stack of Omega^2, in one order at any length."""
     p = 0.5 * (om2[0, 0] + om2[1, 1] + om2[2, 2] + om2[3, 3])
     t4 = functools.reduce(np.add, np.multiply(om2, om2.swapaxes(0, 1), out=tmp).reshape(16, *om2.shape[2:]))
@@ -221,8 +227,9 @@ def _squarings(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.maximum(e + (mant > 0.5), 0) // 2
 
 
-def _expm1(ws: Sequence[np.ndarray], m: int, wh: np.ndarray) -> np.ndarray:
-    """exp(Omega + wh I) - I, into ws[3], of the (4, 4, m) Omega at the head of ws[0] and the (m,) wh.
+def _expm1(ws: Sequence[np.ndarray], m: int, wh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(Omega + wh I) - I, into ws[3], of the (4, 4, m) Omega at the head of ws[0] and the (m,) wh, and the
+    squarings of the cells that take any, most first.
 
     (x - a^2)(x - b^2) = x^2 - p x + r annihilates Omega^2, so exp(Omega) - I = C(Omega^2) + Omega S(Omega^2),
     C(x) = cosh sqrt(x) - 1 and S(x) = sinh sqrt(x) / sqrt(x), is c0 I + Omega (s0 I + c1 Omega + s1 Omega^2),
@@ -266,19 +273,7 @@ def _expm1(ws: Sequence[np.ndarray], m: int, wh: np.ndarray) -> np.ndarray:
     G[_DIAG, _DIAG] += s0
     _mm(om, G, F, om2)
     F[_DIAG, _DIAG] += c0
-    return F
-
-
-def _scalings(sides: Sequence[_Cells], k: np.ndarray) -> str:
-    """For the DEBUG records: how many cells x z of both sides _expm1 scales, and the most squarings of one."""
-    oms = (np.concatenate([np.einsum("j,jabn->abn", kz ** np.arange(4), c.A) for c in sides], axis=-1) for kz in k)
-    s = np.concatenate([_squarings(*_invariants(_mm(om, om))) for om in oms])  # one z at a time
-    return f"{np.count_nonzero(s)} of {s.size} cells x z scaled, at most {s.max()} squarings"
-
-
-def _z_per_block(n: int) -> int:
-    """z that share one block of _transfer over n cells."""
-    return max(1, _BLOCK // n)
+    return F, sq
 
 
 def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -286,10 +281,10 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     One product for each pair (k, w) of the 1-D arrays k and w.  Factors
     are carried as I + F, (I + A)(I + B) = I + (A + B + AB), so rounding
-    scales with the small |F| = |exp(Omega) - I|, not with 1.
+    scales with the small |F| = |exp(Omega) - I|, not with 1.  Each block adds to cells.tally.
     """
     n = len(cells.h)
-    per = _z_per_block(n)
+    per = max(1, _BLOCK // n)  # z a block
     cap = min(per, len(k)) * n  # rows: four 4x4 stacks, then 4 and 3 entries a cell x z (see _expm1)
     ws = np.split(np.empty(71 * cap, dtype=complex), np.cumsum([16 * cap] * 4 + [4 * cap]))
     out = np.empty((len(k), 4, 4), dtype=complex)
@@ -302,7 +297,10 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
             np.add(np.multiply(k[zs, None], om, out=om), cells.A[j, ..., None, :], out=om)
         size = math.prod(shape)
         wh = np.multiply(w[zs, None], cells.h, out=ws[5][2 * size : 3 * size].reshape(shape))
-        F = _expm1(ws, size, wh.ravel()).reshape(om.shape)  # times the shift e^{w h}
+        F, sq = _expm1(ws, size, wh.ravel())  # times the shift e^{w h}
+        F = F.reshape(om.shape)
+        cells.tally.update(z=shape[0], blocks=1, scaled=sq.size)
+        cells.tally["squarings"] = max(cells.tally["squarings"], sq.max(initial=0))
         here, spare = ws[3], ws[0]
         while F.shape[-1] > 1:  # (4, 4, z, cells): pairs along the cells, from one row to the other
             m = F.shape[-1]
@@ -597,18 +595,12 @@ def find_discrete_spectrum(
     mesh = _mesh(field, tol, t0, bg)
     moves: list[_Box] = []
     rounds: list[str] = []
-    evaluated: list[np.ndarray] = []
-
-    def evaluate(z: np.ndarray) -> np.ndarray:
-        evaluated.append(z)
-        return _det_a(mesh, _points(z, bg), bg)
-
     while True:
         re0, re1, im0, im1 = box
         perimeter = 2.0 * (re1 - re0 + im1 - im0)
         start, extent, n = _panels(box)
         z = _contour(start, extent, n)
-        a, new = evaluate(z), len(z)
+        a, new = _det_a(mesh, _points(z, bg), bg), len(z)
         while True:  # refinement rounds on this box
             mag = np.abs(a)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -635,7 +627,7 @@ def find_discrete_spectrum(
             n = np.where(grow, 2 * n, n)
             z, old = _contour(start, extent, n), a
             a = np.empty(len(z), dtype=complex)
-            a[~fresh], a[fresh], new = old, evaluate(z[fresh]), fresh.sum()
+            a[~fresh], a[fresh], new = old, _det_a(mesh, _points(z[fresh], bg), bg), fresh.sum()
         roots, mult, sv = np.empty(0, complex), np.empty(0), np.empty(0)
         if N and mag.all():
             roots, mult, sv = _moment_zeros(s, box)
@@ -666,10 +658,10 @@ def find_discrete_spectrum(
         else:
             warnings.warn(f"zero {zr} rejected: too close to the continuous spectrum", NoConvergenceWarning)
     if _log.isEnabledFor(logging.DEBUG):
-        zs, ns = np.concatenate(evaluated), [len(c.h) for c in mesh]
-        blocks = sum(math.ceil(len(e) / _z_per_block(n)) for n in ns for e in evaluated)
+        ns, (tl, tr) = [len(c.h) for c in mesh], (c.tally for c in mesh)
         _log.debug("find_discrete_spectrum: %d nodes, rounds [%s], cells %d left %d right x %d z propagated in %d "
-                   "blocks, %s, winding %.4f, Hankel singular values %s, zeros %s, multiplicities %s, contour moves %s",
-                   len(z), "; ".join(rounds), *ns, len(zs), blocks, _scalings(mesh, _points(zs, bg).k), w, sv.tolist(),
-                   kept, mult.real.round(3).tolist(), moves)
+                   "blocks, %d of %d cells x z scaled, at most %d squarings, winding %.4f, Hankel singular values "
+                   "%s, zeros %s, multiplicities %s, contour moves %s", len(z), "; ".join(rounds), *ns, tl["z"],
+                   tl["blocks"] + tr["blocks"], tl["scaled"] + tr["scaled"], (ns[0] + ns[1]) * tl["z"],
+                   max(tl["squarings"], tr["squarings"]), w, sv.tolist(), kept, mult.real.round(3).tolist(), moves)
     return kept

@@ -8,6 +8,7 @@ and t of one broadcast shape S to Q of shape S + (2, 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +28,10 @@ _D1 = np.array([3 / 4, -3 / 20, 1 / 60])
 _D2 = np.array([3 / 2, -3 / 20, 1 / 90])
 _D3 = np.array([-61 / 30, 169 / 120, -3 / 10, 7 / 240])
 
-X_FAR = 20.0  # boundary_decay reads Q+ at X_FAR and the left limit at -2 X_FAR
+X_FAR = 20.0  # boundary_decay reads Q+ at X_FAR
+# boundary_decay's readings of the left limit, -40 to -5120: a soliton with |z| = 6 and
+# beta = 1 has drifted about 25 to the left by t = 0.25
+_LEFT_LADDER = -2.0 * X_FAR * 2.0 ** np.arange(8)
 HALTON_SKIP = 20  # first Halton index used: probes skip the corner (0, 0) and the sparse start
 
 
@@ -73,8 +77,8 @@ def pde_residual(
     produces; the commonly printed 6 sigma Q Q^dag Q_x differs from it where
     the norming constants are not normal (on fig11 that form reads > 1e-2).
     """
-    if not h > 0:
-        raise ValueError("step h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be positive and finite, not {h}")
     xmin, xmax, tmin, tmax = region
     pts = halton_points(n_probe)
     xs = xmin + (xmax - xmin) * pts[:, 0]
@@ -112,19 +116,24 @@ class DecayReport:
 def boundary_decay(field: Field, t: float, bg: Background) -> DecayReport:
     """Deviation from the boundary matrices and the fitted decay rate.
 
-    The left limit is measured at -2 x_far (not assumed); the rate comes
-    from a log-linear fit of ||Q(x) - Q+|| over [x_far/2, x_far], where
-    x_far = X_FAR.
+    The left limit is measured (not assumed) on the ladder x = -2 x_far,
+    -4 x_far, ...: it is the first reading whose difference to the next is
+    the least on the ladder, so a front that has drifted past -2 x_far by
+    time t is not read as the limit.  The rate comes from a log-linear fit
+    of ||Q(x) - Q+|| over [x_far/2, x_far], where x_far = X_FAR.
     """
     fit_xs = np.linspace(X_FAR / 2.0, X_FAR, 9)
-    Q = field(np.concatenate(([X_FAR, -2.0 * X_FAR, -X_FAR], fit_xs)), t)
-    devs = np.maximum(np.max(np.abs(Q[3:] - bg.Qplus), axis=(-2, -1)), 1e-300)
+    Q = field(np.concatenate(([X_FAR, -X_FAR], fit_xs, _LEFT_LADDER)), t)
+    fit, left = Q[2:2 + len(fit_xs)], Q[2 + len(fit_xs):]
+    steps = np.max(np.abs(np.diff(left, axis=0)), axis=(-2, -1))
+    Qminus = left[np.argmin(np.where(np.isfinite(steps), steps, np.inf))]
+    devs = np.maximum(np.max(np.abs(fit - bg.Qplus), axis=(-2, -1)), 1e-300)
     slope = np.polyfit(fit_xs, np.log(devs), 1)[0]
     return DecayReport(
         right_deviation=float(np.max(np.abs(Q[0] - bg.Qplus))),
-        left_deviation=float(np.max(np.abs(Q[2] - Q[1]))),
+        left_deviation=float(np.max(np.abs(Q[1] - Qminus))),
         rate=float(-slope),
-        Qminus_measured=Q[1],
+        Qminus_measured=Qminus,
     )
 
 
@@ -147,8 +156,8 @@ def periodicity_probe(
     Entrywise moduli are compared because overall phases drift between
     periods; deterministic probe points make reports reproducible.
     """
-    if not period > 0:
-        raise ValueError("period must be positive")
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be positive and finite, not {period}")
     if axis not in ("x", "t"):
         raise ValueError("axis must be 'x' or 't'")
     xmin, xmax, tmin, tmax = region

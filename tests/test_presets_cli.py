@@ -287,6 +287,37 @@ def test_cli_exit_2_on_a_field_without_background(tmp_path, capsys, command, nam
     assert "field does not settle" in err and "x = -160" in err, err
 
 
+@pytest.mark.parametrize("argv", [["roundtrip", "--preset", "fig3a", "--find-tol", "inf"],
+                                  ["scatter", "--preset", "fig3a", "--tol", "inf", "--out"],
+                                  ["verify", "--preset", "fig5", "--n-probe", "12", "--h", "inf", "--out"]])
+def test_cli_exit_2_on_a_non_finite_tolerance_or_step(tmp_path, capsys, argv):
+    # an infinite tolerance once divided by zero probe cells (exit 1 with a traceback), and an infinite
+    # step raised a singular system at x = -inf
+    out = tmp_path / "out.json"
+    assert main([*argv, str(out)] if argv[-1] == "--out" else argv) == 2
+    assert "must be positive and finite, not inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_solve_exit_2_on_a_non_finite_grid_bound(tmp_path):
+    # --xmax inf once wrote a grid of non-finite x with every point masked, and exited 0; so did a config's
+    out = tmp_path / "g.csv"
+    argv = ["solve", "--preset", "fig4", "--nx", "3", "--nt", "3", "--out", str(out)]
+    assert main([*argv, "--xmax", "inf"]) == 2
+    assert main([*argv, "--tmin", "-inf"]) == 2
+    cfg = {
+        "name": "flat",
+        "background": {"sigma": -1, "k0": 1.0, "alpha": 1.0, "beta": 0.1,
+                       "qplus": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        "seeds": [{"zeta": [0, 2], "c": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}],
+        "grid": {"xmin": -1, "xmax": math.inf, "nx": 3, "tmin": -1, "tmax": 1, "nt": 3},  # written as Infinity
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(h.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

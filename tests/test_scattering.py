@@ -33,7 +33,6 @@ from hirota_ist.scattering import (
     _panels,
     _stack,
     _transfer,
-    _z_per_block,
     audit_symmetries,
     det_a,
     find_discrete_spectrum,
@@ -125,6 +124,13 @@ def test_det_a_requires_dplus(fig3a_field, fig3a_spec):
 
     with pytest.raises(ValueError):
         det_a(unreachable, np.array([2.5j, 0.5]), TOL, fig3a_spec.bg)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8])
+def test_mesh_rejects_a_tolerance_that_is_not_positive_and_finite(fig3a_field, fig3a_spec, tol):
+    # tol = inf once made no probe cells and divided by their count
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        det_a(fig3a_field, 2.5j, tol, fig3a_spec.bg)
 
 
 def test_det_a_ignores_the_backgrounds_Qminus(fig3a_field, fig3a_spec):
@@ -583,12 +589,12 @@ def test_transfer_matches_the_taylor_reference(name, tol, t0, block, monkeypatch
         transfers.append(P)
     squarings = np.concatenate(squarings)
     if block < _BLOCK and name == "fig3a":
-        assert min(len(c.h) for c in mesh) > 3 * block and _z_per_block(len(mesh[0].h)) == 1
+        assert min(len(c.h) for c in mesh) > 3 * block and max(1, block // len(mesh[0].h)) == 1
         monkeypatch.setattr(scattering, "_BLOCK", _BLOCK)  # z share blocks again; each z keeps its bits
         for cells, P in zip(mesh, transfers):
             np.testing.assert_array_equal(_transfer(cells, sp.k, w), P)
     elif name == "fig3a":
-        assert squarings.max() == 7 and all(len(zs) % _z_per_block(len(c.h)) for c in mesh)
+        assert squarings.max() == 7 and all(len(zs) % max(1, _BLOCK // len(c.h)) for c in mesh)
     else:
         assert (max(len(c.h) for c in mesh) > scattering._BLOCK) == (t0 > 0) and squarings.max() >= 3
 
@@ -680,7 +686,7 @@ def _cell_expm1(om):
     """_expm1 of a (m, 4, 4) stack, as (m, 4, 4)."""
     ws = np.empty((6, 16 * len(om)), dtype=complex)
     np.copyto(_stack(ws[0], len(om)), np.moveaxis(om, 0, -1))
-    return np.moveaxis(_expm1(ws, len(om), np.zeros(len(om), dtype=complex)), -1, 0).copy()
+    return np.moveaxis(_expm1(ws, len(om), np.zeros(len(om), dtype=complex))[0], -1, 0).copy()
 
 
 def _phi1_expm1(om):
@@ -761,7 +767,7 @@ def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog, mon
     zs = np.append(nodes, nodes[0])
     mesh = _mesh(fig3a_field, tol, 0.0, bg)
     cells = [len(c.h) for c in mesh]
-    per = [_z_per_block(n) for n in cells]
+    per = [max(1, _BLOCK // n) for n in cells]
     assert len(zs) >= 289 and min(per) > 1 and all(len(zs) % p for p in per)
     some = np.r_[0:len(zs):7, len(zs) - 1]  # every position in a block of 6 or 8, and the partial block
     batch = det_a(fig3a_field, zs, tol, bg)
@@ -787,10 +793,29 @@ def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog, mon
     s = np.maximum(np.ceil(0.5 * np.log2(np.abs(p) + np.abs(r))), 0.0)
     got = re.search(r"(\d+) of (\d+) cells x z scaled, at most (\d+) squarings,", record).groups()
     assert [int(g) for g in got] == [np.count_nonzero(s), s.size, s.max()] and s.max() > 0
-    monkeypatch.setattr(scattering, "_z_per_block", lambda n: 1)
+    monkeypatch.setattr(scattering, "_BLOCK", 1)
     alone, _, record = _search(fig3a_field, CLI_BOX, tol, bg, monkeypatch, caplog)
     assert f"x {sum(new)} z propagated in {2 * sum(new)} blocks" in record and max(cells) <= _BLOCK
     assert len(found) == 1 and found == alone
+
+
+def test_debug_record_changes_nothing_the_search_runs(fig3a_field, fig3a_spec, caplog, monkeypatch):
+    # the record reads the counts that the transfer kept while it ran, so DEBUG evaluates nothing more
+    det_a_of_mesh, invariants = scattering._det_a, scattering._invariants
+    runs = []
+    for level in (logging.INFO, logging.DEBUG):
+        zs, calls = [], []
+        monkeypatch.setattr(scattering, "_det_a", lambda mesh, sp, bg: zs.append(sp.z) or det_a_of_mesh(mesh, sp, bg))
+        monkeypatch.setattr(scattering, "_invariants", lambda *args: calls.append(1) or invariants(*args))
+        with caplog.at_level(level, logger="hirota_ist.scattering"):
+            found = find_discrete_spectrum(fig3a_field, CLI_BOX, 1e-4, fig3a_spec.bg)
+        records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_discrete_spectrum: ")]
+        caplog.clear()
+        runs.append((found, np.concatenate(zs), len(calls), len(records)))
+    (found, zs, calls, records), (found_debug, zs_debug, calls_debug, records_debug) = runs
+    assert (records, records_debug) == (0, 1) and len(found) == 1
+    assert found_debug == found and calls_debug == calls
+    np.testing.assert_array_equal(zs_debug, zs)
 
 
 # located-zero error on the CLI box at find-tol 1e-4 and 1e-8 with the composite Gauss-Legendre

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hirota_ist as h
@@ -14,7 +14,7 @@ from hirota_ist.solitons import RankFlag, min_decay_rate
 from hirota_ist.spectral import Background
 from hirota_ist.traceform import TraceInput, theta_condition, trace_det_a
 from hirota_ist.verification import boundary_decay
-from test_solitons import random_seeds, rank1_or_2, scaled_backgrounds
+from test_solitons import _symmetric_unitary, random_seeds, rank1_or_2, scaled_backgrounds
 
 EYE = np.eye(2, dtype=complex)
 FOC = Background(sigma=-1, k0=1.0, alpha=1.0, beta=0.1, Qplus=EYE, Qminus=EYE)
@@ -118,6 +118,9 @@ def _decays(quartet):
 
 @given(random_seeds(scaled_backgrounds, st.floats(min_value=1.05, max_value=3.0), rank1_or_2).filter(_decays))
 @settings(deadline=None, max_examples=50)
+# a soliton that drifts to x = -25 by t = 0.25: read at x = -40, the left limit's phase was 1.2e-8 off
+@example((h.DiscreteEigenpair(-5.875471724439123 + 1.2160723725652027j, np.diag([1.0, 0.0]).astype(complex)),
+          Background(-1, 2.0, 1.0, 1.0, 2.0 * _symmetric_unitary(0.0, 0.0, 0.0), 2.0 * _symmetric_unitary(0.0, 0.0, 0.0))))
 def test_theta_condition_matches_measured_boundary_on_random_seeds(quartet):
     # the left limit as verify measures it, on random k0, Q+ and ranks
     seed, bg = quartet

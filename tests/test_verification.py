@@ -45,6 +45,20 @@ def test_decay_background(background_bg, background_field):
     assert rep.left_deviation == 0.0
 
 
+def test_decay_reads_the_left_limit_past_a_drifted_front(background_bg):
+    # a front at x = -45, left of the first left reading at -40, where it is still 4.5e-5 off
+    Qp = background_bg.Qplus
+    Qm = np.diag([1j, -1.0]).astype(complex)
+
+    def field(x, t):
+        s = (1.0 + np.tanh(np.asarray(x) + 45.0)) / 2.0
+        return Qm + s[..., None, None] * (Qp - Qm)
+
+    rep = boundary_decay(field, 0.0, background_bg)
+    assert np.max(np.abs(rep.Qminus_measured - Qm)) <= 1e-15
+    assert rep.right_deviation == 0.0
+
+
 def test_decay_fig3a(fig3a_spec):
     field = functools.partial(h.reconstruct_Q, spec=fig3a_spec)
 
@@ -130,9 +144,18 @@ def test_periodicity_near_circle_quasi_period():
     assert dev < dev_off
 
 
+@pytest.mark.parametrize("h", [math.inf, math.nan, 0.0])
+def test_pde_residual_rejects_a_step_that_is_not_positive_and_finite(background_field, background_bg, h):
+    # h = inf once passed `not h > 0` and failed later as a singular system at x = -inf
+    with pytest.raises(ValueError, match="step h must be positive and finite"):
+        pde_residual(background_field, (-3, 3, -2, 2), 4, h, background_bg)
+
+
 def test_periodicity_rejects_bad_args(background_field):
     with pytest.raises(ValueError):
         periodicity_probe(background_field, "x", -1.0, 4)
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        periodicity_probe(background_field, "x", math.inf, 4)
     with pytest.raises(ValueError):
         periodicity_probe(background_field, "y", 1.0, 4)
     with pytest.raises(ValueError):
