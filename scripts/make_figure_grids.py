@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Evaluate every preset on its default grid and export CSV files.
 
-The CSVs carry x, t and the three independent field entries; figures are
-produced from them with external plotting tooling.
+Runs `hirota-ist solve` for each requested preset.  The CSVs carry x, t and
+the three independent field entries; figures are produced from them with
+external plotting tooling.
 """
 
 import argparse
 import pathlib
 import sys
-import time
 
-from hirota_ist import eval_field, preset, preset_names, write_csv
+from hirota_ist import cli, preset_names
 
 
 def main() -> int:
@@ -20,16 +20,10 @@ def main() -> int:
     args = ap.parse_args()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = args.presets or preset_names()
-    for name in names:
-        p = preset(name)
-        t0 = time.time()
-        fg = eval_field(p.grid, p.spec(), preset_name=name)
-        path = outdir / f"{name}.csv"
-        write_csv(fg, path)
-        print(f"{name}: {p.grid.nx}x{p.grid.nt} grid -> {path} "
-              f"(masked {fg.masked_count}, {time.time()-t0:.1f} s)")
-    return 0
+    ok = True
+    for name in args.presets or preset_names():
+        ok &= cli.main(["solve", "--preset", name, "--out", str(outdir / f"{name}.csv")]) == 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -50,33 +50,37 @@ def _mat_pairs(M) -> list:
     return [[_pair(M[0, 0]), _pair(M[0, 1])], [_pair(M[1, 0]), _pair(M[1, 1])]]
 
 
+def _integer(doc: dict, key: str) -> int:
+    if not float(doc[key]).is_integer():
+        raise ValueError(f"{key} must be an integer, not {doc[key]!r}")
+    return int(doc[key])
+
+
 def load_config(path) -> Preset:
-    doc = json.loads(Path(path).read_text())
-    bgd = doc["background"]
-    qplus = _mat(bgd["qplus"])
-    bg = Background(
-        sigma=int(bgd["sigma"]),
-        k0=float(bgd["k0"]),
-        alpha=float(bgd["alpha"]),
-        beta=float(bgd["beta"]),
-        Qplus=qplus,
-        Qminus=qplus,
-    )
-    seeds = tuple(
-        DiscreteEigenpair(zn=_c(s["zeta"]), Cn=_mat(s["c"])) for s in doc["seeds"]
-    )
-    g = doc.get("grid")
-    grid = (
-        GridSpec(
-            xmin=float(g["xmin"]), xmax=float(g["xmax"]), nx=int(g["nx"]),
-            tmin=float(g["tmin"]), tmax=float(g["tmax"]), nt=int(g["nt"]),
-        )
-        if g
-        else DEFAULT_GRID
-    )
-    p = Preset(name=str(doc.get("name", "config")), bg=bg, seeds=seeds, grid=grid)
-    p.spec()
-    return p
+    """The preset that a JSON config describes; a malformed document raises a `ValueError` that names the file."""
+    text = Path(path).read_text()
+    try:
+        doc = json.loads(text)
+        bgd = doc["background"]
+        qplus = _mat(bgd["qplus"])
+        bg = Background(sigma=_integer(bgd, "sigma"), k0=float(bgd["k0"]), alpha=float(bgd["alpha"]),
+                        beta=float(bgd["beta"]), Qplus=qplus, Qminus=qplus)
+        seeds = tuple(DiscreteEigenpair(zn=_c(s["zeta"]), Cn=_mat(s["c"])) for s in doc["seeds"])
+        g = doc.get("grid")
+        grid = GridSpec(xmin=float(g["xmin"]), xmax=float(g["xmax"]), nx=_integer(g, "nx"),
+                        tmin=float(g["tmin"]), tmax=float(g["tmax"]), nt=_integer(g, "nt")) if g else DEFAULT_GRID
+        name = str(doc.get("name", "config"))
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError is a ValueError
+        raise ValueError(f"bad config {path}: {type(exc).__name__}: {exc}") from exc
+    return Preset(name=name, bg=bg, seeds=seeds, grid=grid)
+
+
+def _positive(text: str) -> float:
+    """argparse type of a tolerance or step: a finite float above 0."""
+    v = float(text)
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, not {v}")
+    return v
 
 
 def _resolve_preset(args) -> Preset:
@@ -122,7 +126,7 @@ def cmd_solve(args) -> int:
     p = _resolve_preset(args)
     overrides = {f: getattr(args, f) for f in ("xmin", "xmax", "nx", "tmin", "tmax", "nt")}
     grid = dataclasses.replace(p.grid, **{f: v for f, v in overrides.items() if v is not None})
-    fg = eval_field(grid, p.spec(), preset_name=p.name)
+    fg = eval_field(grid, p.spec, preset_name=p.name)
     if args.format == "csv":
         write_csv(fg, args.out)
     else:
@@ -139,7 +143,7 @@ def _scatter_points(args, k0: float) -> list[complex]:
 
 def cmd_scatter(args) -> int:
     p = _resolve_preset(args)
-    spec = p.spec()
+    spec = p.spec
     field = functools.partial(reconstruct_Q, spec=spec)
     samples = scattering_matrix(field, _scatter_points(args, spec.bg.k0), args.tol, spec.bg, t0=args.t0)
     report = {
@@ -173,7 +177,7 @@ def cmd_scatter(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     p = _resolve_preset(args)
-    spec = p.spec()
+    spec = p.spec
     field = functools.partial(reconstruct_Q, spec=spec)
     k0 = spec.bg.k0
     # slightly asymmetric box so its edges avoid common eigenvalue locations
@@ -203,7 +207,7 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_verify(args) -> int:
     p = _resolve_preset(args)
-    spec = p.spec()
+    spec = p.spec
     g = p.grid
     region = (g.xmin, g.xmax, g.tmin, g.tmax)
     checks: dict[str, dict] = {}
@@ -294,21 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-real-orbits", type=int, default=2)
     sp.add_argument("--n-circle-orbits", type=int, default=1)
     sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_positive, default=1e-10)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_scatter)
 
     sp = sub.add_parser("roundtrip", help="recover seed eigenvalues from the constructed field")
     add_common(sp)
-    sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--find-tol", type=float, default=1e-8, help="Jost mesh tolerance for the search")
+    sp.add_argument("--tol", type=_positive, default=1e-3)
+    sp.add_argument("--find-tol", type=_positive, default=1e-8, help="Jost mesh tolerance for the search")
     sp.set_defaults(fn=cmd_roundtrip)
 
     sp = sub.add_parser("verify", help="PDE residual, decay, symmetry, phase condition")
     add_common(sp)
-    sp.add_argument("--h", type=float, default=1e-2)
+    sp.add_argument("--h", type=_positive, default=1e-2)
     sp.add_argument("--n-probe", type=int, default=200)
-    sp.add_argument("--tol-residual", type=float, default=1e-5)
+    sp.add_argument("--tol-residual", type=_positive, default=1e-5)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_verify)
     return ap
@@ -322,7 +326,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (HirotaError, OSError, ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+    except (HirotaError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

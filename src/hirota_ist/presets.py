@@ -8,7 +8,7 @@ They are data, not computation, and must not drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +41,10 @@ class Preset:
     bg: Background
     seeds: tuple[DiscreteEigenpair, ...]
     grid: GridSpec
+    spec: SolitonSpec = field(init=False)
 
-    def spec(self) -> SolitonSpec:
-        return expand_quartets(self.seeds, self.bg)
+    def __post_init__(self):
+        object.__setattr__(self, "spec", expand_quartets(self.seeds, self.bg))
 
 
 def preset_names() -> list[str]:
@@ -51,13 +52,11 @@ def preset_names() -> list[str]:
 
 
 def preset(name: str) -> Preset:
-    """Load one preset; every preset passes quartet-expansion validation."""
+    """Load one preset, its quartet-expanded spec built and checked."""
     if name not in _TABLE:
         raise UnknownPreset(f"unknown preset {name!r}; known: {', '.join(_TABLE)}")
     alpha, beta, zeta, (g1, g0, gm1) = _TABLE[name]
     eye = np.eye(2, dtype=complex)
     bg = Background(sigma=-1, k0=1.0, alpha=alpha, beta=beta, Qplus=eye, Qminus=eye)
     seed = DiscreteEigenpair(zn=zeta, Cn=np.array([[g1, g0], [g0, gm1]], dtype=complex))
-    p = Preset(name=name, bg=bg, seeds=(seed,), grid=DEFAULT_GRID)
-    p.spec()  # validate at load time
-    return p
+    return Preset(name=name, bg=bg, seeds=(seed,), grid=DEFAULT_GRID)

@@ -148,6 +148,8 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
     """(left, right) cells: [-L, 0] travelled upward, [0, L] downward, L and grading as the module states."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, not {tol}")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, not {t0}")
     h0 = H * (tol / 1e-8) ** (1.0 / 6.0) / max(1.0, bg.k0)
     L, evals = L0, 0
     while True:

@@ -35,7 +35,6 @@ from .errors import (
     DuplicateEigenvalue,
     EigenvalueRegionError,
     EigenvalueTooCloseToSigma,
-    HirotaError,
     PoleCollision,
     SingularSystem,
 )
@@ -75,6 +74,10 @@ class DiscreteEigenpair:
     def __post_init__(self):
         object.__setattr__(self, "zn", complex(self.zn))
         object.__setattr__(self, "Cn", np.asarray(self.Cn, dtype=complex))
+        if not np.isfinite(self.zn):
+            raise ValueError(f"eigenvalue zn must be finite, not {self.zn}")
+        if not np.all(np.isfinite(self.Cn)):
+            raise ValueError(f"norming constant Cn must be finite, not {self.Cn.tolist()}")
         scale = max(1.0, float(np.max(np.abs(self.Cn))))
         if np.max(np.abs(self.Cn - self.Cn.T)) > 1e-14 * scale:
             raise ValueError("norming constant must be symmetric")
@@ -90,13 +93,20 @@ def quartet_partner(z: complex, k0: float) -> complex:
 class SolitonSpec:
     """Fully quartet-expanded scattering data driving the linear system.
 
-    The N seeds come first and their N partners follow in the same order.
+    The N seeds come first, their N partners follow in the same order, and
+    construction raises `DuplicateEigenvalue` or `PoleCollision` (`_check_poles`).
     """
 
     bg: Background
     zetas: tuple[complex, ...]
     Cs: tuple[CMat2, ...]
-    Cbars: tuple[CMat2, ...]
+
+    def __post_init__(self):
+        _check_poles(self.zetas)
+
+    @property
+    def Cbars(self) -> tuple[CMat2, ...]:
+        return tuple(-dagger(C) for C in self.Cs)  # Cbar_j = -C_j^dag, the focusing case
 
     @cached_property
     def _residues(self) -> "_ResidueSystem":
@@ -111,11 +121,10 @@ _CIRCLE_BAND = 0.25
 
 
 def expand_quartets(seeds: Sequence[DiscreteEigenpair], bg: Background) -> SolitonSpec:
-    """Expand seeds into the 2N symmetric triples (zeta_n, C_n, Cbar_n).
+    """Expand seeds into the 2N symmetric pairs (zeta_n, C_n).
 
-    For each seed (z_n, C_n): zeta_{n+N} = -k0^2/z_n*, the partner norming
-    constant is Q+^dag Cbar_n Q+^dag / (z_n*)^2, and Cbar_j = -C_j^dag
-    throughout (focusing case).
+    For each seed (z_n, C_n): zeta_{n+N} = -k0^2/z_n*, and the partner norming
+    constant is Q+^dag Cbar_n Q+^dag / (z_n*)^2 with Cbar_n = -C_n^dag.
     """
     if bg.sigma != -1:
         raise DefocusingUnsupported("soliton construction is focusing-only")
@@ -137,15 +146,15 @@ def expand_quartets(seeds: Sequence[DiscreteEigenpair], bg: Background) -> Solit
         Cbar = -dagger(s.Cn)
         zetas.append(quartet_partner(z, bg.k0))
         Cs.append(dagger(Qp) @ Cbar @ dagger(Qp) / np.conj(z) ** 2)
+    return SolitonSpec(bg=bg, zetas=tuple(zetas), Cs=tuple(Cs))
+
+
+def _check_poles(zetas: Sequence[complex]) -> None:
+    """Eigenvalues at least 1e-8 apart, then no pole zeta_n* within 1e-10 of an eigenvalue."""
     for i in range(len(zetas)):
         for j in range(i + 1, len(zetas)):
             if abs(zetas[i] - zetas[j]) < 1e-8:
                 raise DuplicateEigenvalue(f"eigenvalues {zetas[i]} and {zetas[j]} coincide")
-    Cbars = tuple(-dagger(C) for C in Cs)
-    return SolitonSpec(bg=bg, zetas=tuple(zetas), Cs=tuple(Cs), Cbars=Cbars)
-
-
-def _check_poles(zetas: Sequence[complex]) -> None:
     for n, zn in enumerate(zetas):
         for j, zj in enumerate(zetas):
             if abs(np.conj(zn) - zj) < 1e-10:
@@ -178,7 +187,6 @@ class _ResidueSystem:
 
 
 def _residue_system(spec: SolitonSpec) -> _ResidueSystem:
-    _check_poles(spec.zetas)
     # a partner's constant is fixed by its seed's, so it takes the seed's rank:
     # a second decision could differ within rounding of the rank threshold
     n = len(spec.Cs) // 2
@@ -279,10 +287,10 @@ def reconstruct_Q(x, t, spec: SolitonSpec) -> np.ndarray:
     e = E / max(1, |E|), leaves every entry bounded by its Cauchy factor and
     puts 1 / max(1, |E|) on the diagonal; E itself is never formed, so
     nothing overflows.  Then Q = Q+ - i sum_n x_n A_n^dag, symmetric to
-    1e-10 by the norming-constant symmetries.  Raises `PoleCollision` for
-    colliding poles and `SingularSystem` when kappa_inf of the scaled 2R x 2R
-    system exceeds `COND_LIMIT` at any of the points (`eval_field` masks such
-    points instead); kappa_2 / 2R <= kappa_inf <= 2R kappa_2.
+    1e-10 by the norming-constant symmetries.  Raises `SingularSystem` when
+    kappa_inf of the scaled 2R x 2R system exceeds `COND_LIMIT` at any of the
+    points (`eval_field` masks such points instead); kappa_2 / 2R <=
+    kappa_inf <= 2R kappa_2.
     """
     x, t = np.broadcast_arrays(x, t)
     Q, kappa = _field(x, t, spec)
@@ -386,17 +394,12 @@ def eval_field(grid: GridSpec, spec: SolitonSpec, preset_name: str = "") -> Fiel
     """Evaluate the reconstruction on a rectangular grid (t outer, x inner).
 
     Points whose kappa_inf exceeds `COND_LIMIT` are recorded in the mask
-    (their values stay zero) instead of aborting the run; a failure of the
-    whole spec, such as `PoleCollision`, masks every point.  At DEBUG level
+    (their values stay zero) instead of aborting the run.  At DEBUG level
     one record states the points, the masked points and the largest and
     99th-percentile kappa_inf.
     """
     xs, ts = grid.x_axis(), grid.t_axis()
-    try:
-        values, kappa = _field(xs[None, :], ts[:, None], spec)
-    except HirotaError:
-        values = np.zeros((len(ts), len(xs), 2, 2), dtype=complex)
-        kappa = np.full((len(ts), len(xs)), np.inf)
+    values, kappa = _field(xs[None, :], ts[:, None], spec)
     ok = kappa <= COND_LIMIT
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("eval_field %s: %d points, %d masked, kappa_inf max %.3g p99 %.3g", preset_name, kappa.size,

@@ -52,8 +52,11 @@ class Background:
     def __post_init__(self):
         if self.sigma not in (-1, 1):
             raise ValueError("sigma must be +1 or -1")
-        if not self.k0 > 0:
-            raise ValueError("k0 must be a positive real constant")
+        if not (self.k0 > 0 and np.isfinite(self.k0)):
+            raise ValueError(f"k0 must be a positive finite real constant, not {self.k0}")
+        for name in ("alpha", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         object.__setattr__(self, "Qplus", np.asarray(self.Qplus, dtype=complex))
         object.__setattr__(self, "Qminus", np.asarray(self.Qminus, dtype=complex))
         for name in ("Qplus", "Qminus"):

@@ -13,7 +13,7 @@ def fig3a():
 
 @pytest.fixture(scope="session")
 def fig3a_spec(fig3a):
-    return fig3a.spec()
+    return fig3a.spec
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def fig6():
 
 @pytest.fixture(scope="session")
 def fig6_spec(fig6):
-    return fig6.spec()
+    return fig6.spec
 
 
 @pytest.fixture(scope="session")

@@ -47,7 +47,7 @@ MIN_ORDER = 5.0
 @pytest.mark.parametrize("name", ALL_PRESETS)
 def test_criterion_01_pde_residual(name):
     p = h.preset(name)
-    spec = p.spec()
+    spec = p.spec
     g = p.grid
     region = (g.xmin, g.xmax, g.tmin, g.tmax)
 
@@ -81,7 +81,7 @@ def test_criterion_01_pde_residual(name):
 @pytest.mark.parametrize("name", ALL_PRESETS)
 def test_criterion_02_dual_path(name):
     p = h.preset(name)
-    spec = p.spec()
+    spec = p.spec
     g = p.grid
     worst = 0.0
     for t in np.linspace(g.tmin, g.tmax, 21):

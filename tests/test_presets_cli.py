@@ -21,7 +21,7 @@ def test_all_presets_load_and_validate():
     assert len(names) == 11
     for name in names:
         p = preset(name)
-        spec = p.spec()
+        spec = p.spec
         assert len(spec.zetas) == 2
 
 
@@ -106,7 +106,8 @@ def test_cli_solve_small_grid(tmp_path):
          "--out", str(out)]
     )
     assert rc == 0
-    rows = list(csv.reader(out.open()))
+    with out.open() as f:
+        rows = list(csv.reader(f))
     assert rows[0] == CSV_HEADER
     assert len(rows) == 1 + 9
 
@@ -296,6 +297,71 @@ def test_cli_exit_2_on_a_non_finite_tolerance_or_step(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     assert main([*argv, str(out)] if argv[-1] == "--out" else argv) == 2
     assert "must be positive and finite, not inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["roundtrip", "--preset", "fig3a", "--find-tol", "1e-4", "--tol", "nan"],
+                                  ["roundtrip", "--preset", "fig3a", "--find-tol", "1e-4", "--tol", "inf"],
+                                  ["verify", "--preset", "fig4", "--tol-residual", "nan"],
+                                  ["verify", "--preset", "fig4", "--tol-residual", "inf"]])
+def test_cli_exit_2_on_a_non_finite_acceptance_tolerance(capsys, argv):
+    # a NaN tolerance once failed every check (exit 1), and an infinite one passed whatever was measured
+    assert main(argv) == 2
+    assert f"must be positive and finite, not {argv[-1]}" in capsys.readouterr().err
+
+
+_CFG = {
+    "name": "one",
+    "background": {"sigma": -1, "k0": 1.0, "alpha": 1.0, "beta": 0.1,
+                   "qplus": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    "seeds": [{"zeta": [0, 1.2], "c": [[[1, 0], [1, 0]], [[1, 0], [1, 0]]]}],
+    "grid": {"xmin": -1, "xmax": 1, "nx": 5, "tmin": -1, "tmax": 1, "nt": 3},
+}
+
+
+def _edit(path, value):
+    """A copy of _CFG with the entry at `path` (a tuple of keys) set to value; the empty path replaces it all."""
+    doc = json.loads(json.dumps(_CFG))
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(("seeds", 0, "zeta"), [1.2], id="zeta-one-entry"),  # IndexError
+    pytest.param(("seeds", 0, "zeta"), 1.2, id="zeta-number"),
+    pytest.param(("seeds", 0, "zeta"), "1.2j", id="zeta-string"),  # TypeError
+    pytest.param(("seeds",), {"zeta": [0, 1.2]}, id="seeds-object"),
+    pytest.param(("seeds",), 3, id="seeds-number"),
+    pytest.param((), [_CFG], id="document-list"),
+    pytest.param(("grid", "nx"), 2.5, id="nx-fraction"),  # once truncated to 2
+    pytest.param(("grid", "nt"), math.nan, id="nt-nan"),
+    pytest.param(("background", "alpha"), math.nan, id="alpha-nan"),  # once masked every point
+    pytest.param(("background", "sigma"), math.inf, id="sigma-inf"),  # int(inf) once raised OverflowError
+    pytest.param(("background", "sigma"), -1.5, id="sigma-fraction"),  # once truncated to -1
+])
+def test_cli_solve_exit_2_on_a_malformed_config(tmp_path, capsys, path, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_edit(path, value)))
+    out = tmp_path / "g.csv"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"bad config {cfg_path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "scatter", "verify", "roundtrip"])
+def test_cli_exit_2_on_colliding_poles_in_every_subcommand(tmp_path, capsys, command):
+    # seeds 1.2i and i/1.2 at k0 = 1 put zeta_0* on zeta_3; solve once wrote a grid of masked NaN rows and exited 0
+    doc = _edit(("seeds",), [_CFG["seeds"][0], {"zeta": [0, 1 / 1.2], "c": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path)] + (["--out", str(out)] if command != "roundtrip" else [])) == 2
+    assert "zeta_0* collides with zeta_3" in capsys.readouterr().err
     assert not out.exists()
 
 

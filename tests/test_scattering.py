@@ -133,6 +133,13 @@ def test_mesh_rejects_a_tolerance_that_is_not_positive_and_finite(fig3a_field, f
         det_a(fig3a_field, 2.5j, tol, fig3a_spec.bg)
 
 
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+def test_mesh_rejects_a_t0_that_is_not_finite(fig3a_field, fig3a_spec, t0):
+    # t0 = nan once failed as an ill-conditioned system at (x, t) = (-40, nan)
+    with pytest.raises(ValueError, match="t0 must be finite"):
+        det_a(fig3a_field, 2.5j, 1e-8, fig3a_spec.bg, t0=t0)
+
+
 def test_det_a_ignores_the_backgrounds_Qminus(fig3a_field, fig3a_spec):
     # the left limit is the field's own sample at -2L, whatever Qminus holds
     zs = np.array([3j, 1.2 + 1.9j])
@@ -353,7 +360,7 @@ def _det_a_error(seed, bg, zs=None):
 @pytest.mark.parametrize("name", sorted(RK45_DET_A_ERROR))
 def test_det_a_no_worse_than_rk45(name):
     p = h.preset(name)
-    assert min_decay_rate(p.spec()) >= 0.75
+    assert min_decay_rate(p.spec) >= 0.75
     assert _det_a_error(p.seeds[0], p.bg) <= RK45_DET_A_ERROR[name]
 
 
@@ -569,7 +576,7 @@ def test_transfer_matches_the_taylor_reference(name, tol, t0, block, monkeypatch
     # No side outgrows the full block where this bound has room: at tol 1e-12 the left side has 2074 cells,
     # but the right side already reads 9.3e-14 and the reference needs only 2 squarings
     monkeypatch.setattr(scattering, "_BLOCK", block)
-    spec = h.preset(name).spec()
+    spec = h.preset(name).spec
     bg = spec.bg
     if name == "fig3a":
         start, extent, n = _panels(CLI_BOX)
@@ -612,7 +619,7 @@ def _assert_cells_match_the_reference(Q, sigma, steps):
 def test_cells_match_the_matmul_reference(name, tol, t0, monkeypatch):
     # each side's samples and steps as _mesh passes them; fig6 at t0 = 12 has a left side of 984 cells,
     # more than one block of _cells
-    spec, sides = h.preset(name).spec(), []
+    spec, sides = h.preset(name).spec, []
 
     def recording(Q, sigma, steps, limit):
         sides.append((Q, sigma, steps))
@@ -828,7 +835,7 @@ GAUSS_LEGENDRE_ZERO_ERROR = {
 @pytest.mark.parametrize("name", sorted(GAUSS_LEGENDRE_ZERO_ERROR))
 def test_refined_contour_is_as_accurate_and_evaluates_each_node_once(name, monkeypatch, caplog):
     p = h.preset(name)
-    spec = p.spec()
+    spec = p.spec
     field = functools.partial(h.reconstruct_Q, spec=spec)
     box = tuple(spec.bg.k0 * e for e in CLI_BOX)
     for tol, bound, most in zip((1e-4, 1e-8), GAUSS_LEGENDRE_ZERO_ERROR[name], (160 if name == "fig3a" else 288, 288)):

@@ -78,6 +78,14 @@ def test_asymmetric_norming_constant_rejected():
         DiscreteEigenpair(2j, np.array([[1, 2], [0, 1]]))
 
 
+@pytest.mark.parametrize("zn, Cn, name", [(complex(np.nan, 2), ONES, "zn"), (complex(0, np.inf), ONES, "zn"),
+                                         (2j, [[np.nan, 1], [1, 1]], "Cn"), (2j, [[np.inf, 0], [0, 1]], "Cn")])
+def test_eigenpair_rejects_non_finite_values(zn, Cn, name):
+    # a NaN once failed as "SVD did not converge" in the rank test
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        DiscreteEigenpair(zn, Cn)
+
+
 def test_rank_flags():
     assert DiscreteEigenpair(2j, ONES).rank_flag is RankFlag.RANK1
     assert DiscreteEigenpair(2j, np.array([[1, 1], [1, 2]])).rank_flag is RankFlag.RANK2
@@ -140,17 +148,24 @@ def test_assemble_detects_pole_collision():
     from hirota_ist.solitons import SolitonSpec
 
     # handcrafted (invalid) data with zeta_1^* colliding with zeta_2;
-    # bypasses expand_quartets on purpose
-    bad = SolitonSpec(
-        bg=FOC,
-        zetas=(2j, -2j + 1e-12),
-        Cs=(ONES, ONES),
-        Cbars=(-ONES, -ONES),
-    )
+    # bypasses expand_quartets on purpose, and is refused where it is built
     with pytest.raises(PoleCollision):
-        h.reconstruct_Q(0.0, 0.0, bad)
-    fg = h.eval_field(GridSpec(-1, 1, 2, -1, 1, 2), bad)
-    assert fg.masked_count == 4  # every point fails, recorded in the mask
+        SolitonSpec(bg=FOC, zetas=(2j, -2j + 1e-12), Cs=(ONES, ONES))
+
+
+def test_spec_checks_duplicates_before_poles():
+    from hirota_ist.solitons import SolitonSpec
+
+    # zeta_0 = zeta_1, and zeta_0* = zeta_2 as well: the duplicate is named
+    with pytest.raises(DuplicateEigenvalue):
+        SolitonSpec(bg=FOC, zetas=(2j, 2j, -2j), Cs=(ONES, ONES, ONES))
+
+
+def test_spec_derives_cbars_and_takes_none():
+    # Cbar_j = -C_j^dag is read from Cs (test_quartet_invariants checks it), never passed in to disagree with them
+    spec = expand_quartets([DiscreteEigenpair(2j, ONES)], FOC)
+    with pytest.raises(TypeError):
+        type(spec)(bg=FOC, zetas=spec.zetas, Cs=spec.Cs, Cbars=spec.Cbars)
 
 
 def test_reconstruction_symmetric_and_matches_closed_form(fig3a, fig3a_spec):
@@ -205,7 +220,7 @@ def _points_from_band(spec, xmin, xmax, tmin, tmax):
 def test_double_path_matches_mpmath_below_switch(name):
     # s in [4, 6) is where an eliminated solve loses most digits (up to
     # 3.6e-13, on fig11); the far field takes s to 60 and beyond
-    spec = h.preset(name).spec()
+    spec = h.preset(name).spec
     pts = _points_from_band(spec, -5.0, 5.0, -3.0, 3.0) + _FAR_FIELD
     assert max(_check_against_mpmath(spec, pts)) >= 6.0
 
@@ -399,7 +414,7 @@ def test_eval_field_matches_point_calls_bit_for_bit(name):
         spec, grid = _seed_spec(int(name[4]))
     else:
         p = h.preset(name)
-        spec, g = p.spec(), p.grid
+        spec, g = p.spec, p.grid
         grid = GridSpec(g.xmin, g.xmax, 41, g.tmin, g.tmax, 25)
     fg = h.eval_field(grid, spec)  # 1025 points: three solve blocks
     assert fg.masked_count == 0
@@ -470,7 +485,7 @@ def test_kappa_inf_lies_within_2R_of_the_svd_condition_number(name):
         spec, grid = _off_preset(name)
     else:
         p = h.preset(name)
-        spec, g = p.spec(), p.grid
+        spec, g = p.spec, p.grid
         grid = GridSpec(g.xmin, g.xmax, 41, g.tmin, g.tmax, 25)
     x, t = (a.ravel() for a in np.broadcast_arrays(grid.x_axis()[None, :], grid.t_axis()[:, None]))
     _, kappa = solitons._field(x, t, spec)
@@ -541,7 +556,7 @@ def test_field_never_reaches_the_svd(monkeypatch, fig6_spec):
     def unreachable(*args, **kwargs):
         raise AssertionError("the residue solve reached an SVD")
 
-    spec = h.preset("fig10d").spec()
+    spec = h.preset("fig10d").spec
     for s in (spec, fig6_spec):
         s._residues  # the rank factors take their SVDs once, when the residues are built
     monkeypatch.setattr(np.linalg, "svd", unreachable)
@@ -562,7 +577,7 @@ def test_runtime_never_reaches_mpmath(monkeypatch, fig6_spec):
     monkeypatch.setattr(solitons, "mp", _NoMpmath())
     p = h.preset("fig10d")
     g = p.grid
-    fg = h.eval_field(GridSpec(g.xmin, g.xmax, 41, g.tmin, g.tmax, 25), p.spec(), "fig10d")
+    fg = h.eval_field(GridSpec(g.xmin, g.xmax, 41, g.tmin, g.tmax, 25), p.spec, "fig10d")
     assert fg.masked_count == 0
     field = functools.partial(h.reconstruct_Q, spec=fig6_spec)
     s = h.scattering_matrix(field, 0.5, 1e-8, fig6_spec.bg)  # its mesh probes x = -40

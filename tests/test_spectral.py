@@ -149,3 +149,12 @@ def test_background_validation():
     # phase-rotated diagonal background, as produced by left-limit measurement
     ph = np.exp(1.854590436j)
     Background(sigma=-1, k0=1.0, alpha=1, beta=0, Qplus=EYE, Qminus=ph * EYE)
+
+
+@pytest.mark.parametrize("name, value", [("k0", np.inf), ("k0", np.nan), ("alpha", np.nan), ("alpha", -np.inf),
+                                         ("beta", np.inf), ("beta", np.nan)])
+def test_background_rejects_non_finite_constants(name, value):
+    # a NaN alpha or beta once masked every grid point, and k0 = inf failed as a seed too close to the real axis
+    args = dict(sigma=-1, k0=1.0, alpha=1.0, beta=0.1, Qplus=EYE, Qminus=EYE)
+    with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+        Background(**{**args, name: value})

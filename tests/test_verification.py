@@ -80,7 +80,7 @@ def test_decay_fig6_rate(fig6_spec):
 )
 def test_decay_rate_all_decaying_presets(name):
     p = h.preset(name)
-    spec = p.spec()
+    spec = p.spec
     expected = min_decay_rate(spec)
     assert expected >= 0.75
 
@@ -118,7 +118,7 @@ def test_periodicity_ab_along_x_on_circle():
     # eigenvalue exactly on the circle: Im lambda = 0, so the field is
     # exactly x-periodic with period 2 pi / (2 Re lambda)
     p = h.preset("fig11")
-    spec = p.spec()
+    spec = p.spec
     lam = uniformize(p.seeds[0].zn, p.bg).lam
     assert abs(lam.imag) < 1e-12
     period = 2 * math.pi / abs(2 * lam.real)
@@ -133,7 +133,7 @@ def test_periodicity_near_circle_quasi_period():
     # eigenvalue near (not on) the circle: |Q| drifts between periods at the
     # residual decay rate, but the derived period still beats any other shift
     p = h.preset("fig5")
-    spec = p.spec()
+    spec = p.spec
     lam = uniformize(p.seeds[0].zn, p.bg).lam
     period = 2 * math.pi / abs(2 * lam.real)
 
