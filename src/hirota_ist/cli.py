@@ -57,7 +57,7 @@ def _integer(doc: dict, key: str) -> int:
 
 
 def load_config(path) -> Preset:
-    """The preset that a JSON config describes; a malformed document raises a `ValueError` that names the file."""
+    """The preset that a JSON config describes; a malformed or invalid document raises a ValueError naming the file."""
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
@@ -69,10 +69,10 @@ def load_config(path) -> Preset:
         g = doc.get("grid")
         grid = GridSpec(xmin=float(g["xmin"]), xmax=float(g["xmax"]), nx=_integer(g, "nx"),
                         tmin=float(g["tmin"]), tmax=float(g["tmax"]), nt=_integer(g, "nt")) if g else DEFAULT_GRID
-        name = str(doc.get("name", "config"))
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError is a ValueError
+        return Preset(name=str(doc.get("name", "config")), bg=bg, seeds=seeds, grid=grid)
+    # JSONDecodeError is a ValueError; a HirotaError is the spec's own check (no seeds, colliding eigenvalues)
+    except (HirotaError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad config {path}: {type(exc).__name__}: {exc}") from exc
-    return Preset(name=name, bg=bg, seeds=seeds, grid=grid)
 
 
 def _positive(text: str) -> float:

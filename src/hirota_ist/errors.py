@@ -45,6 +45,10 @@ class EigenvalueRegionError(HirotaError):
     """Seed eigenvalue violates the admissible-region precondition."""
 
 
+class NoSeeds(HirotaError):
+    """A soliton spec built from an empty seed list."""
+
+
 class DuplicateEigenvalue(HirotaError):
     """Two quartet-expanded eigenvalues coincide within tolerance."""
 

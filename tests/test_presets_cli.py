@@ -361,7 +361,21 @@ def test_cli_exit_2_on_colliding_poles_in_every_subcommand(tmp_path, capsys, com
     cfg_path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg_path)] + (["--out", str(out)] if command != "roundtrip" else [])) == 2
-    assert "zeta_0* collides with zeta_3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"bad config {cfg_path}" in err and "zeta_0* collides with zeta_3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "scatter", "verify", "roundtrip"])
+def test_cli_exit_2_on_an_empty_seed_list_in_every_subcommand(tmp_path, capsys, command):
+    # "seeds": [] once reached the first field call and failed there with numpy's "need at least one array
+    # to concatenate", which named neither the file nor the seeds
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_edit(("seeds",), [])))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path)] + (["--out", str(out)] if command != "roundtrip" else [])) == 2
+    err = capsys.readouterr().err
+    assert f"bad config {cfg_path}: NoSeeds: the seed list is empty" in err
     assert not out.exists()
 
 

@@ -1,5 +1,9 @@
 import functools
+import json
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hirota_ist.errors import (
     DuplicateEigenvalue,
     EigenvalueRegionError,
     EigenvalueTooCloseToSigma,
+    NoSeeds,
 )
 from hirota_ist.grids import GridSpec
 from hirota_ist.matrices import dagger, det2
@@ -60,6 +65,14 @@ def test_expand_rejects_near_real_axis():
 def test_expand_rejects_duplicates():
     with pytest.raises(DuplicateEigenvalue):
         expand_quartets([DiscreteEigenpair(2j, ONES), DiscreteEigenpair(2j, 2 * ONES)], FOC)
+
+
+def test_spec_rejects_an_empty_seed_list():
+    # once built, and failed at its first field call with numpy's "need at least one array to concatenate"
+    with pytest.raises(NoSeeds, match="seed list is empty"):
+        expand_quartets([], FOC)
+    with pytest.raises(NoSeeds):
+        h.SolitonSpec(bg=FOC, zetas=(), Cs=())
 
 
 def test_expand_zero_norming_constant():
@@ -566,22 +579,40 @@ def test_field_never_reaches_the_svd(monkeypatch, fig6_spec):
     assert np.all(np.isfinite(h.reconstruct_Q(np.linspace(-40, 40, 9), 0.5, fig6_spec)))
 
 
-class _NoMpmath:
-    def __getattr__(self, name):
-        raise AssertionError(f"runtime reached mpmath (mp.{name})")
+# every subcommand on small arguments, then the closed form against reconstruct_Q; prints one JSON line
+_CLI_THEN_CLOSED_FORM = """
+import contextlib, io, json, sys
+import numpy as np
+from hirota_ist import one_soliton_closed_form, preset, reconstruct_Q
+from hirota_ist.cli import main
+
+out = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in (
+        ["presets"],
+        ["solve", "--preset", "fig10d", "--nx", "9", "--nt", "5", "--out", out + ".csv"],
+        ["verify", "--preset", "fig3a", "--n-probe", "4"],
+        ["scatter", "--preset", "fig6", "--n-real-orbits", "1", "--n-circle-orbits", "0", "--out", out + ".json"],
+        ["roundtrip", "--preset", "fig3a", "--find-tol", "1e-3"],
+    )]
+cli_loaded = "mpmath" in sys.modules
+p = preset("fig6")
+err = max(float(np.max(np.abs(one_soliton_closed_form(x, 0.5, p.seeds[0], p.bg) - reconstruct_Q(x, 0.5, p.spec))))
+          for x in (-3.0, 0.0, 2.5))
+print(json.dumps({"codes": codes, "cli_loaded": cli_loaded, "closed_form_loaded": "mpmath" in sys.modules, "err": err}))
+"""
 
 
-def test_runtime_never_reaches_mpmath(monkeypatch, fig6_spec):
-    from hirota_ist import solitons
-
-    monkeypatch.setattr(solitons, "mp", _NoMpmath())
-    p = h.preset("fig10d")
-    g = p.grid
-    fg = h.eval_field(GridSpec(g.xmin, g.xmax, 41, g.tmin, g.tmax, 25), p.spec, "fig10d")
-    assert fg.masked_count == 0
-    field = functools.partial(h.reconstruct_Q, spec=fig6_spec)
-    s = h.scattering_matrix(field, 0.5, 1e-8, fig6_spec.bg)  # its mesh probes x = -40
-    assert np.all(np.isfinite(s.S))
+def test_cli_never_loads_mpmath_and_the_closed_form_does(tmp_path):
+    # a fresh interpreter, since the tests' own oracles load mpmath into this one
+    src = os.path.dirname(os.path.dirname(h.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", _CLI_THEN_CLOSED_FORM, str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    res = json.loads(run.stdout.splitlines()[-1])
+    assert res["codes"] == [0] * 5
+    assert not res["cli_loaded"]
+    assert res["closed_form_loaded"] and res["err"] <= 1e-12
 
 
 def test_closed_form_never_reaches_the_solver(monkeypatch, fig6):
