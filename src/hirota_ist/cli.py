@@ -46,10 +46,6 @@ def _pair(v: complex) -> list[float]:
     return [float(np.real(v)), float(np.imag(v))]
 
 
-def _mat_pairs(M) -> list:
-    return [[_pair(M[0, 0]), _pair(M[0, 1])], [_pair(M[1, 0]), _pair(M[1, 1])]]
-
-
 def _integer(doc: dict, key: str) -> int:
     if not float(doc[key]).is_integer():
         raise ValueError(f"{key} must be an integer, not {doc[key]!r}")
@@ -81,6 +77,17 @@ def _positive(text: str) -> float:
     if not (math.isfinite(v) and v > 0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, not {v}")
     return v
+
+
+def _point(text: str) -> complex:
+    """argparse type of a spectral point 're,im': two finite floats."""
+    try:
+        x, y = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be 're,im', not {text!r}") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    return complex(x, y)
 
 
 def _resolve_preset(args) -> Preset:
@@ -136,9 +143,7 @@ def cmd_solve(args) -> int:
 
 
 def _scatter_points(args, k0: float) -> list[complex]:
-    if args.z:
-        return [complex(float(r), float(i)) for r, i in (s.split(",") for s in args.z)]
-    return sigma_sample_points(k0, n_real_orbits=args.n_real_orbits, n_circle_orbits=args.n_circle_orbits)
+    return args.z or sigma_sample_points(k0, n_real_orbits=args.n_real_orbits, n_circle_orbits=args.n_circle_orbits)
 
 
 def cmd_scatter(args) -> int:
@@ -146,25 +151,13 @@ def cmd_scatter(args) -> int:
     spec = p.spec
     field = functools.partial(reconstruct_Q, spec=spec)
     samples = scattering_matrix(field, _scatter_points(args, spec.bg.k0), args.tol, spec.bg, t0=args.t0)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "preset": p.name,
-        "t0": args.t0,
-        "samples": [
-            {
-                "z": _pair(s.z),
-                "det_S_deviation": abs(np.linalg.det(s.S) - 1.0),
-                "rho_norm": float(np.max(np.abs(s.rho))),
-                "a": _mat_pairs(s.a),
-                "b": _mat_pairs(s.b),
-                "abar": _mat_pairs(s.abar),
-                "bbar": _mat_pairs(s.bbar),
-                "rho": _mat_pairs(s.rho),
-                "rhobar": _mat_pairs(s.rhobar),
-            }
-            for s in samples
-        ],
-    }
+    blocks = ("a", "b", "abar", "bbar", "rho", "rhobar")
+    rows = []
+    for s in samples:
+        pairs = np.stack([getattr(s, name) for name in blocks]).view(float).reshape(6, 2, 2, 2).tolist()
+        rows.append({"z": _pair(s.z), "det_S_deviation": abs(np.linalg.det(s.S) - 1.0),
+                     "rho_norm": float(np.max(np.abs(s.rho))), **dict(zip(blocks, pairs))})
+    report = {"schema_version": SCHEMA_VERSION, "preset": p.name, "t0": args.t0, "samples": rows}
     try:
         audit = audit_symmetries(samples, spec.bg)
         report["audit"] = {k: v for k, v in dataclasses.asdict(audit).items() if k != "n_samples"}
@@ -294,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scatter", help="direct scattering + symmetry audit report")
     add_common(sp)
-    sp.add_argument("--z", action="append", help="sample point 're,im' (repeatable)")
+    sp.add_argument("--z", action="append", type=_point,
+                    help="sample point 're,im' (repeatable; --z=-2,0 where re is negative)")
     sp.add_argument("--n-real-orbits", type=int, default=2)
     sp.add_argument("--n-circle-orbits", type=int, default=1)
     sp.add_argument("--t0", type=float, default=0.0)

@@ -47,7 +47,15 @@ the same bits in any batch.  A call allocates one workspace, four 4x4 stacks
 of a block and rows of 4 and 3 entries a cell x z, into which every block
 writes with out=, the products' temporaries included.  Each block adds its
 z, the cells x z it scaled and their most squarings to its side's tally,
-which the zero search's DEBUG record reads.
+which the DEBUG records of the zero search and of scattering_matrix read.
+k = (z + sigma k0^2/z)/2 is two-to-one: z and its antipode sigma k0^2/z
+share k, hence every cell's exp(Omega), and differ only in the shift w =
+i lambda eps.  So a call runs the blocks for the first z of each k only, and
+gives the other that product times e^{(w - w_first) sum h}, exact because
+prod e^{w h_j} exp(Omega_j) = e^{w sum h} prod exp(Omega_j), and of modulus 1
+because the two have the same |Im lambda|.  A spectrum sample set closed
+under the map propagates half its z; det a's contour, wholly in D+, holds no
+antipodes.
 """
 
 from __future__ import annotations
@@ -88,6 +96,7 @@ _NEAR = 1.0 / 72.0  # a located zero this share of the perimeter from an unresol
 _RANK = 1e-8  # Hankel singular values below this fraction of the largest are noise
 _DIP = 0.25  # |det a| at a node below this fraction of both neighbours: zero on the contour
 _MOVES = 2  # contour moves before a zero near the boundary is reported, not avoided
+_ULPS = 4  # two z share a transfer when their k agree within this many ulps of |k| + |lambda| (antipodes: 0.5)
 
 _log = logging.getLogger(__name__)
 
@@ -278,21 +287,70 @@ def _expm1(ws: Sequence[np.ndarray], m: int, wh: np.ndarray) -> tuple[np.ndarray
     return F, sq
 
 
+def _first_of_equal_k(k: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """For each z, the index of the first z whose k is its own within _ULPS ulps of |k| + |w| (|w| = |lambda|).
+
+    k is two-to-one in z: z and sigma k0^2/z share it.  Candidates share k
+    rounded to 2^-40 of the binade of that scale (one sort, O(n) memory), so
+    a pair split by a rounding edge or by a binade is missed, which costs a
+    transfer, not accuracy.  A z of non-finite k or w keeps its own index.
+    """
+    first = np.arange(len(k))
+    scale = np.abs(k) + np.abs(w)
+    ok = np.flatnonzero(np.isfinite(scale))
+    q = np.ldexp(1.0, np.frexp(scale[ok])[1] - 40)
+    _, head, group = np.unique(np.rint(k[ok] / q) * q, return_index=True, return_inverse=True)
+    first[ok] = ok[head[group]]
+    far = ok[np.abs(k[ok] - k[first[ok]]) > _ULPS * np.finfo(float).eps * scale[ok]]
+    first[far] = far
+    return first
+
+
+def _exp_shift(w: np.ndarray, w0: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """e^{(w - w0) sum h} of complex arrays w and w0, the exponent in double-double: |(w - w0) sum h| reaches
+    2 |lambda| L, several hundred, where one rounding of it turns the phase by up to 3e-14.
+
+    sum h is s + s_lo (two fsums), w - w0 is d + d_lo (Knuth's two-sum) and
+    each part of d s is p + e (Dekker's product of 26-bit halves).
+    """
+    def halves(x):
+        c = 134217729.0 * x  # 2^27 + 1
+        return c - (c - x), x - (c - (c - x))
+
+    s = math.fsum(h)
+    s_lo = math.fsum(np.append(h, -s))
+    d = w - w0
+    v = d - w
+    d_lo = (w - (d - v)) + (-w0 - v)
+    (xh, xl), (sh, sl), p = halves(d.view(float)), halves(s), d.view(float) * s
+    e = ((xh * sh - p) + xh * sl + xl * sh) + xl * sl
+    return np.exp(p.view(complex)) * np.exp(e.view(complex) + d * s_lo + d_lo * s)
+
+
 def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     """e^{w h_{n-1}} exp(Omega_{n-1}) ... e^{w h_0} exp(Omega_0) over the cells of one side, (len(k), 4, 4).
 
     One product for each pair (k, w) of the 1-D arrays k and w.  Factors
     are carried as I + F, (I + A)(I + B) = I + (A + B + AB), so rounding
-    scales with the small |F| = |exp(Omega) - I|, not with 1.  Each block adds to cells.tally.
+    scales with the small |F| = |exp(Omega) - I|, not with 1.  Omega depends
+    on z only through k, so the blocks run only the first z of each k
+    (_first_of_equal_k), which keep their bits, and each other z takes that
+    product times e^{(w - w_first) sum h} (_exp_shift), the same product in
+    exact arithmetic; z and sigma k0^2/z have the same |Im lambda|, so the
+    factor has modulus 1.  Each block adds to cells.tally, which counts the z
+    the blocks ran.
     """
+    first = _first_of_equal_k(k, w)
+    own = first == np.arange(len(k))
+    run, shared = np.flatnonzero(own), np.flatnonzero(~own)
     n = len(cells.h)
     per = max(1, _BLOCK // n)  # z a block
-    cap = min(per, len(k)) * n  # rows: four 4x4 stacks, then 4 and 3 entries a cell x z (see _expm1)
+    cap = min(per, len(run)) * n  # rows: four 4x4 stacks, then 4 and 3 entries a cell x z (see _expm1)
     ws = np.split(np.empty(71 * cap, dtype=complex), np.cumsum([16 * cap] * 4 + [4 * cap]))
     out = np.empty((len(k), 4, 4), dtype=complex)
-    for z0 in range(0, len(k), per):
-        zs = slice(z0, z0 + per)
-        shape = len(k[zs]), n
+    for z0 in range(0, len(run), per):
+        zs = run[z0 : z0 + per]
+        shape = len(zs), n
         om = _stack(ws[0], *shape)
         np.copyto(om, cells.A[3, ..., None, :])
         for j in (2, 1, 0):  # Horner's rule in k
@@ -313,8 +371,11 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
             if m % 2:
                 P[..., -1] = F[..., -1]
             F, here, spare = P, spare, here
-        out[zs] = np.moveaxis(F[..., 0], -1, 0)
-        out[zs, _DIAG, _DIAG] += 1.0
+        P = np.moveaxis(F[..., 0], -1, 0)
+        P[:, _DIAG, _DIAG] += 1.0
+        out[zs] = P
+    if shared.size:
+        out[shared] = out[first[shared]] * _exp_shift(w[shared], w[first[shared]], cells.h)[:, None, None]
     return out
 
 
@@ -342,10 +403,13 @@ def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: boo
 
 
 def _points(z, bg: Background) -> SpectralPoint:
-    """The spectral point of a scalar or a 1-D array of z, with fields of shape (n,)."""
+    """The spectral point of a scalar or a 1-D array of finite z, with fields of shape (n,)."""
     if np.ndim(z) > 1:
         raise ValueError("z must be a scalar or a 1-D array")
-    return uniformize(np.ravel(z), bg)
+    z = np.ravel(z)
+    if (bad := ~np.isfinite(z)).any():
+        raise ValueError(f"z must be finite, not {complex(z[bad][0])}")
+    return uniformize(z, bg)
 
 
 @dataclass(frozen=True)
@@ -372,8 +436,8 @@ def integrate_jost(field: Field, z, side: str, tol: float, bg: Background, t0: f
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    mesh = _mesh(field, tol, t0, bg)
-    mu = _jost(mesh, _points(z, bg), side, bg)
+    sp = _points(z, bg)
+    mu = _jost(_mesh(field, tol, t0, bg), sp, side, bg)
     return mu[0] if np.ndim(z) == 0 else mu
 
 
@@ -383,10 +447,12 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
     Phi(0) and Psi(0) are rebuilt from the two modified-eigenfunction halves
     by restoring the phase factor e^{i theta(0, t0) sigma3}; that factor is
     what makes S independent of t0.  A scalar z gives one sample, a 1-D
-    array of z the list of samples.
+    array of z the list of samples.  z and sigma k0^2/z share k, so a set
+    closed under that map propagates half its z (see _transfer); the DEBUG
+    record states the z and cells each side ran.
     """
-    mesh = _mesh(field, tol, t0, bg)
     sp = _points(z, bg)
+    mesh = _mesh(field, tol, t0, bg)
     ph = np.exp(1j * theta(0.0, t0, sp.z, bg)[:, None, None] * _SGN)  # scales the columns
     Phi, Psi = (_jost(mesh, sp, side, bg) * ph for side in ("left", "right"))
     d = np.linalg.det(Psi)
@@ -396,6 +462,10 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
     S = np.linalg.solve(Psi, Phi)
     a, bbar, b, abar = S[:, :2, :2], S[:, :2, 2:], S[:, 2:, :2], S[:, 2:, 2:]
     rho, rhobar = b @ inv2(a), bbar @ inv2(abar)
+    if _log.isEnabledFor(logging.DEBUG):
+        (nl, nr), (tl, tr) = [len(c.h) for c in mesh], (c.tally for c in mesh)
+        _log.debug("scattering_matrix: %d samples, z propagated %d left %d right, cells %d left %d right, "
+                   "blocks %d left %d right", len(sp.z), tl["z"], tr["z"], nl, nr, tl["blocks"], tr["blocks"])
     out = [ScatteringSample(complex(w), t0, *m) for w, *m in zip(sp.z, S, a, b, abar, bbar, rho, rhobar)]
     return out[0] if np.ndim(z) == 0 else out
 
@@ -419,7 +489,10 @@ def audit_symmetries(samples: Sequence[ScatteringSample], bg: Background) -> Sym
     """Check the three scattering-matrix symmetries on spectrum samples.
 
     Needs the sample set closed under z -> z* and z -> sigma k0^2/z (real
-    points are their own conjugates).
+    points are their own conjugates).  The antipode identity never compared
+    two truncation errors: z and sigma k0^2/z share k, hence every cell's
+    exp(Omega_j(k)), and now one transfer (see _transfer).  It checks the
+    eigenvector algebra, the shift e^{(w - w_first) sum h} and the t0 phase.
     """
     J = np.diag([1.0, 1.0, -bg.sigma, -bg.sigma])
     Qpd = dagger(bg.Qplus)
@@ -449,10 +522,10 @@ def det_a(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
     well defined arbitrarily deep in D+ where the other columns overflow.
     A 1-D array of z gives an array of values.
     """
-    zs = np.ravel(z)
-    if (off := zs[classify_region(zs, bg) != Region.D_PLUS]).size:  # before the mesh is built; _det_a assumes D+
+    sp = _points(z, bg)
+    if (off := sp.z[classify_region(sp.z, bg) != Region.D_PLUS]).size:  # before the mesh is built; _det_a assumes D+
         raise ValueError(f"det_a requires z in D+ (got {classify_region(off[0], bg)} at z = {complex(off[0])})")
-    a = _det_a(_mesh(field, tol, t0, bg), _points(z, bg), bg)
+    a = _det_a(_mesh(field, tol, t0, bg), sp, bg)
     return complex(a[0]) if np.ndim(z) == 0 else a
 
 

@@ -175,6 +175,16 @@ def test_cli_scatter_exit_2_on_bad_orbit_counts(tmp_path, real, circle):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("z", ["nan,0", "inf,0", "1"])
+def test_cli_scatter_exit_2_on_a_bad_z(tmp_path, z, capsys):
+    # nan and inf once passed into the mesh (numpy RuntimeWarnings, then "non-finite Jost solution"), and a
+    # missing comma failed with "not enough values to unpack"
+    out = tmp_path / "s.json"
+    assert main(["scatter", "--preset", "fig3a", "--z", z, "--out", str(out)]) == 2
+    assert "argument --z" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("t0", ["4", "12"])
 def test_cli_scatter_fig6_reflectionless_after_its_front_moves(tmp_path, t0):
     # fig6's front moves left: at L = 20 its left outermost probe is off its limit at t0 = 4

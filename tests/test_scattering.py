@@ -864,6 +864,80 @@ def test_noise_eigenvalues_of_the_pencil_are_dropped():
     assert len(roots) == 1 and abs(roots[0] - 2j) <= 1e-6 and round(mult[0].real) == 2
 
 
+@pytest.mark.parametrize("case", ["fig6 samples", "background", "off-Sigma pair", "unpaired and k = 0"])
+def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background_field, monkeypatch, caplog):
+    # z and sigma k0^2/z share k, so _transfer runs the first of them and gives the other that product times
+    # e^{(w - w_first) sum h}.  Each z must read within 1e-13 of itself propagated alone, the z run keep their
+    # bits, and each side's tally count only the z run.  fig6: the 48 samples of `scatter --n-real-orbits 8
+    # --n-circle-orbits 4`; off Sigma z lies in D+ and sigma k0^2/z in D-; last, 0.5 k0 and -2 k0 pair, so do
+    # +-k0, where k = 0, and 0.7 k0 has no partner.  The largest deviations read 1.8e-14 (fig6), 1.0e-14, 1.3e-14
+    # and 3.5e-15
+    if case == "background":
+        bg, field, tol = background_bg, background_field, 1e-8
+        zs = np.array(sigma_sample_points(bg.k0, 2, 1))
+    else:
+        spec = h.preset("fig6" if case == "fig6 samples" else "fig3a").spec
+        bg, field, tol = spec.bg, functools.partial(h.reconstruct_Q, spec=spec), 1e-8
+        if case == "fig6 samples":
+            zs, tol = np.array(sigma_sample_points(bg.k0, 8, 4)), 1e-10
+        elif case == "off-Sigma pair":
+            zs = np.array([1.5 + 0.3j, bg.sigma * bg.k0**2 / (1.5 + 0.3j)])
+            assert [classify_region(z, bg) for z in zs] == [Region.D_PLUS, Region.D_MINUS]
+        else:
+            zs = bg.k0 * np.array([0.5, -2.0, 1.0, -1.0, 0.7])
+    assert bg.sigma == -1
+    sp = uniformize(zs, bg)
+    first = scattering._first_of_equal_k(sp.k, 1j * sp.lam * np.where(sp.lam.imag >= 0, 1.0, -1.0))
+    run = np.flatnonzero(first == np.arange(len(zs)))
+    assert len(run) == (3 if case == "unpaired and k = 0" else len(zs) // 2)
+    mesh = _mesh(field, tol, 0.0, bg)
+    monkeypatch.setattr(scattering, "_mesh", lambda *args: mesh)  # the calls below share one mesh and its tallies
+    with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
+        samples = scattering_matrix(field, zs, tol, bg)
+    assert [c.tally["z"] for c in mesh] == [len(run)] * 2
+    assert (f"scattering_matrix: {len(zs)} samples, z propagated {len(run)} left {len(run)} right, cells "
+            f"{len(mesh[0].h)} left {len(mesh[1].h)} right, blocks {mesh[0].tally['blocks']} left "
+            f"{mesh[1].tally['blocks']} right") in caplog.messages
+    mus = [integrate_jost(field, zs, side, tol, bg) for side in ("left", "right")]
+    assert [c.tally["z"] for c in mesh] == [2 * len(run)] * 2
+    for i, z in enumerate(zs):
+        pairs = [(samples[i].S, scattering_matrix(field, z, tol, bg).S)]
+        pairs += [(mu[i], integrate_jost(field, z, side, tol, bg)) for mu, side in zip(mus, ("left", "right"))]
+        for got, alone in pairs:
+            assert np.abs(got - alone).max() <= 1e-13 * np.abs(alone).max(), z
+            if i in run:
+                np.testing.assert_array_equal(got, alone)
+
+
+def test_shift_factor_keeps_its_exponent_in_double_double():
+    # a partner's factor e^{(w - w_first) sum h} has an exponent of up to 2 |lambda| L, several hundred: rounded
+    # once, with a rounded sum h and w - w_first, it turned fig6's phases by up to 7e-14 at t0 = 12 and failed
+    # the Taylor-reference test.  Against 50 digits on one side of 360 equal cells over L = 80, antipodes on
+    # Sigma (w_first = -w to the last bit or one off) and off Sigma (w_first = w)
+    import mpmath
+
+    rng = np.random.default_rng(3)
+    h = np.repeat(80.0 / 360.0, 360)
+    lam = rng.uniform(0.1, 4.0, 64) * rng.choice([1.0, -1.0], 64)
+    w = np.concatenate([1j * lam, lam * rng.uniform(-0.05, 0.0, 64) + 1j * lam])
+    w0 = np.concatenate([-1j * lam * (1.0 + rng.integers(-1, 2, 64) * 2.0**-52), w[64:]])
+    got = scattering._exp_shift(w, w0, h)
+    with mpmath.workdps(50):
+        s = mpmath.fsum(mpmath.mpf(x) for x in h)
+        exact = [mpmath.exp((mpmath.mpc(a) - mpmath.mpc(b)) * s) for a, b in zip(w, w0)]
+        assert max(abs(mpmath.mpc(g) - e) / abs(e) for g, e in zip(got, exact)) <= 2e-16
+
+
+@pytest.mark.parametrize("z", [np.nan, complex(0.5, np.inf), [0.5, complex(np.nan, 1.0)]])
+def test_non_finite_z_is_refused_before_the_mesh(fig3a_field, fig3a_spec, z, monkeypatch):
+    monkeypatch.setattr(scattering, "_mesh", lambda *args: pytest.fail("mesh built"))
+    bg = fig3a_spec.bg
+    for call in (lambda: scattering_matrix(fig3a_field, z, 1e-8, bg), lambda: det_a(fig3a_field, z, 1e-8, bg),
+                 lambda: integrate_jost(fig3a_field, z, "left", 1e-8, bg)):
+        with pytest.raises(ValueError, match="z must be finite"):
+            call()
+
+
 def test_non_finite_field_or_propagator_raises(background_bg, background_field):
     def nan_field(x, t):
         Q = np.array(background_field(x, t))
