@@ -163,7 +163,7 @@ def cmd_scatter(args) -> int:
         report["audit"] = {k: v for k, v in dataclasses.asdict(audit).items() if k != "n_samples"}
     except HirotaError as exc:
         report["audit"] = {"skipped": str(exc)}
-    Path(args.out).write_text(json.dumps(report, indent=1))
+    Path(args.out).write_text(json.dumps(report))
     print(f"wrote scattering report for {p.name} ({len(samples)} samples) to {args.out}")
     return 0
 
@@ -258,7 +258,7 @@ def cmd_verify(args) -> int:
     ok = all(c.get("pass", False) for c in checks.values())
     report = {"schema_version": SCHEMA_VERSION, "preset": p.name, "checks": checks, "pass": ok}
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=1))
+        Path(args.out).write_text(json.dumps(report))
     for name, c in checks.items():
         print(f"{name}: {'PASS' if c.get('pass') else 'FAIL'} {c}")
     return 0 if ok else 1

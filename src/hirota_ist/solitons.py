@@ -11,7 +11,8 @@ and loses about eps * e^{s}, s being the largest log-magnitude among the E_j.
 `reconstruct_Q` therefore solves the un-eliminated residue system, with each
 norming constant factored by rank and every unknown scaled by its
 exponential, so that all entries stay O(1) at every (x, t); it runs in
-double precision only.
+double precision only, one LAPACK inverse per point giving both the solution
+and its condition guard, with the point-independent parts built once per spec.
 
 mpmath serves the oracles alone: `one_soliton_closed_form` (one coupled
 4x4 solve of the one-quartet algebra at `_dps_for(log_scale)` digits) is an
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .grids import ARTIFACT_VERSION, FieldGrid, GridSpec
 from .matrices import CMat2, dagger
-from .spectral import Background, theta, uniformize
+from .spectral import Background, dispersion, theta, uniformize
 
 if TYPE_CHECKING:
     import mpmath as mp
@@ -177,19 +178,16 @@ def _rank_factor(C: CMat2, rank: RankFlag) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _ResidueSystem:
-    """Parts of the residue system that do not depend on (x, t).
-
-    Each norming constant is factored as C_j = A_j B_j (`_rank_factor`) and
-    the factors of all eigenvalues sit side by side as R columns; column k
-    belongs to eigenvalue zeta_k = zetas[col[k]].
-    """
+    """Parts of the residue system that do not depend on (x, t): each C_j = A_j B_j (`_rank_factor`), the
+    factors of all eigenvalues side by side as R columns, column k belonging to zeta_k = zetas[col[k]]."""
 
     col: np.ndarray  # eigenvalue index of each column
-    A: np.ndarray  # 2 x R, the left factors
-    Bh: np.ndarray  # 2 x R, the right factors conjugate-transposed
-    AA: np.ndarray  # R x R, (A^dag A)_{nk} / (zeta_n* - zeta_k)
-    BB: np.ndarray  # R x R, (B B^dag)_{jm} / (zeta_m* - zeta_j)
-    Ay: np.ndarray  # 2 x R, i Q+ A_k / zeta_k
+    Ah: np.ndarray  # R x 2, the left factors conjugate-transposed
+    AB: np.ndarray  # 2R x R, (A^dag A)_{nk} / (zeta_n* - zeta_k) over (B B^dag)_{jm} / (zeta_m* - zeta_j)
+    AB_abs: np.ndarray  # |AB|
+    By: np.ndarray  # 2 x 2R, [B^dag | i Q+ A / zeta], rhs before the scaling by [e* | e]
+    lam: np.ndarray  # R, lambda(zeta_k)
+    disp: np.ndarray  # R, the dispersion w(zeta_k), so that theta = lam (-x - disp t)
 
 
 def _residue_system(spec: SolitonSpec) -> _ResidueSystem:
@@ -202,69 +200,71 @@ def _residue_system(spec: SolitonSpec) -> _ResidueSystem:
     B = np.vstack([b for _, b in factors])
     zk = np.asarray(spec.zetas, dtype=complex)[col]
     G = 1.0 / (np.conj(zk)[None, :] - zk[:, None])  # G[k, m] = 1 / (zeta_m* - zeta_k)
+    AB, sp = np.vstack(((dagger(A) @ A) * G.T, (B @ dagger(B)) * G)), uniformize(zk, spec.bg)
     return _ResidueSystem(
-        col=col, A=A, Bh=dagger(B),
-        AA=(dagger(A) @ A) * G.T, BB=(B @ dagger(B)) * G,
-        Ay=1j * spec.bg.Qplus @ A / zk[None, :],
+        col=col, Ah=dagger(A), AB=AB, AB_abs=np.abs(AB), By=np.hstack((dagger(B), 1j * spec.bg.Qplus @ A / zk)),
+        lam=sp.lam, disp=dispersion(sp.k, spec.bg),
     )
 
 
-def _log_factors(x, t, spec: SolitonSpec) -> np.ndarray:
-    """log E_j = -2i theta(x, t; zeta_j), eigenvalues on the last axis."""
-    return -2j * theta(np.asarray(x)[..., None], np.asarray(t)[..., None], np.array(spec.zetas), spec.bg)
-
-
 def log_scale(x: float, t: float, spec: SolitonSpec) -> float:
-    """Largest positive log-magnitude among the plane-wave factors."""
-    return float(np.max(_log_factors(x, t, spec).real, initial=0.0))
+    """Largest positive log-magnitude among the plane-wave factors E_j = e^{-2i theta(x, t; zeta_j)}."""
+    return float(np.max((-2j * theta(x, t, np.array(spec.zetas), spec.bg)).real, initial=0.0))
 
 
-_BLOCK = 128  # points per batched solve, so that memory stays flat; 256 and 512 were no faster and held more
+_BLOCK = 8192  # matrix entries per batched inverse: 512 points of a 4 x 4 system, 128 of an 8 x 8
 
 
-def _system(x, t, spec: SolitonSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The scaled residue system Z M = rhs at 1-D arrays of points: M (n, 2R, 2R), rhs (n, 2, 2R)."""
+def _system(x, t, spec: SolitonSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scaled residue system Z M = rhs at 1-D arrays of points: M (n, 2R, 2R), rhs (n, 2, 2R), ||M||_inf (n,).
+
+    M = [[D, AA e], [BB e*, D]] with D = diag(1 / max(1, |E|)), so ||M||_inf is the largest
+    D_k + max((|AA| |e|)_k, (|BB| |e|)_k): no |M| over 4R^2 entries and no matmul over points.
+    """
     rs = spec._residues
     R = len(rs.col)
-    log_e = _log_factors(x, t, spec)[:, rs.col]
+    log_e = -2j * (rs.lam * (-x[:, None] - rs.disp * t[:, None]))  # the operations of `theta`, so its bits
     g = np.maximum(log_e.real, 0.0)
-    e = np.exp(log_e - g)[:, None, :]
-    M = np.empty((len(g), 2 * R, 2 * R), dtype=complex)
-    M[:, :R, :R] = M[:, R:, R:] = np.exp(-g)[:, :, None] * np.eye(R)
-    M[:, :R, R:] = rs.AA * e
-    M[:, R:, :R] = rs.BB * np.conj(e)
-    return M, np.concatenate((rs.Bh * np.conj(e), rs.Ay * e), axis=-1)
+    d, e, ae = np.exp(-g), np.exp(log_e - g), np.exp(log_e.real - g)  # ae = |e|
+    M = np.zeros((len(g), 2 * R, 2 * R), dtype=complex)
+    M.reshape(len(g), -1)[:, ::2 * R + 1] = np.tile(d, 2)
+    np.multiply(rs.AB[:R], e[:, None, :], out=M[:, :R, R:])
+    np.multiply(rs.AB[R:], np.conj(e)[:, None, :], out=M[:, R:, :R])
+    s = rs.AB_abs[:, 0] * ae[:, :1]  # |AA| |e| over |BB| |e|, elementwise products summed in column order
+    for k in range(1, R):
+        s += rs.AB_abs[:, k] * ae[:, k:k + 1]
+    norm = (d + np.maximum(s[:, :R], s[:, R:])).max(-1)
+    return M, rs.By * np.concatenate((np.conj(e), e), axis=-1)[:, None, :], norm
 
 
 def _field(x, t, spec: SolitonSpec) -> tuple[np.ndarray, np.ndarray]:
     """`reconstruct_Q` with (Q, kappa_inf) in place of `SingularSystem`; Q is 0 where kappa_inf > `COND_LIMIT`.
 
-    The solve of M^T [Z^T | M^-T] = [rhs^T | I] gives Z and kappa_inf = ||M||_inf ||M^-T||_1 from one
-    factorisation, with no SVD (Higham 2002, ch. 15); a non-finite kappa_inf reads inf.  Only a block
-    whose solve raises on a zero pivot is screened by slogdet, whose LU flags the pivot instead of
-    raising, and solved again with its singular M replaced (kappa_inf = inf there).  Each point's
-    solve is independent, so a point alone and in any batch gives the same bits.
+    One LAPACK inverse per point gives both Z = rhs M^-1 and kappa_inf = ||M||_inf ||M^-1||_inf, with no
+    SVD (Higham 2002, ch. 15); a non-finite kappa_inf reads inf.  Only a block whose inverse raises on a
+    zero pivot is screened by slogdet, whose LU flags the pivot instead of raising, and inverted again
+    with its singular M replaced (kappa_inf = inf there).  A block holds `_BLOCK` / (2R)^2 points, and a
+    point's inverse and sums (einsum adds in index order) are its own: alone or in any batch, same bits.
     """
     x, t = np.broadcast_arrays(x, t)
-    rs = spec._residues
-    n = 2 * len(rs.col)
-    Q, kappa = np.zeros((x.size, 2, 2), dtype=complex), np.full(x.size, np.inf)
-    for lo in range(0, x.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        M, rhs = _system(x.flat[blk], t.flat[blk], spec)
-        MT = M.transpose(0, 2, 1)
-        B = np.concatenate((rhs.transpose(0, 2, 1), np.broadcast_to(np.eye(n), M.shape)), -1)
+    R = len(spec._residues.col)
+    size = max(1, _BLOCK // (2 * R) ** 2)
+    Q, kappa = np.empty((x.size, 2, 2), dtype=complex), np.empty(x.size)
+    for lo in range(0, x.size, size):
+        blk = slice(lo, lo + size)
+        M, rhs, norm = _system(x.flat[blk], t.flat[blk], spec)
         try:
-            W, singular = np.linalg.solve(MT, B), False
+            Minv, singular = np.linalg.inv(M), False
         except np.linalg.LinAlgError:
-            sign, logdet = np.linalg.slogdet(MT)
+            sign, logdet = np.linalg.slogdet(M)
             singular = (sign == 0) | ~np.isfinite(logdet)
-            M[singular] = np.eye(n)  # a stand-in that the solve cannot fail on; such points stay masked
-            W = np.linalg.solve(MT, B)
-        k = np.abs(M).sum(-1).max(-1) * np.abs(W[..., 2:]).sum(-2).max(-1)  # ||M||_inf ||M^-T||_1
-        kappa[blk] = np.where(singular | ~np.isfinite(k), np.inf, k)
-        ok = kappa[blk] <= COND_LIMIT
-        Q[blk][ok] = spec.bg.Qplus - 1j * np.swapaxes(W[ok, :n // 2, :2], -1, -2) @ dagger(rs.A)
+            M[singular] = np.eye(2 * R)  # a stand-in that the inverse cannot fail on; such points stay masked
+            Minv = np.linalg.inv(M)
+        k = norm * np.abs(Minv).sum(-1).max(-1)
+        kappa[blk] = k = np.where(singular | ~np.isfinite(k), np.inf, k)
+        Z = np.einsum("paj,pjk->pak", rhs, Minv[..., :R])  # the x_n
+        Qb = spec.bg.Qplus - 1j * np.einsum("pak,kb->pab", Z, spec._residues.Ah)
+        Q[blk] = np.where((k <= COND_LIMIT)[:, None, None], Qb, 0)
     return Q.reshape(x.shape + (2, 2)), kappa.reshape(x.shape)
 
 

@@ -125,12 +125,12 @@ def find_partner(items, z: complex, key):
     raise MissingPartner(f"no sample at the partner point {z}")
 
 
-def theta(x: float, t: float, z, bg: Background):
-    """Phase of the plane-wave factors, theta = lambda(z) (-x - w(z) t), broadcast over x, t and z.
+def dispersion(k, bg: Background):
+    """w = beta (4 k^2 - 2 k0^2) + 2 alpha k, the dispersion of the combined second/third-order flow."""
+    return bg.beta * (4.0 * k**2 - 2.0 * bg.k0**2) + 2.0 * bg.alpha * k
 
-    w(z) = beta (4 k^2 - 2 k0^2) + 2 alpha k is the dispersion of the
-    combined second/third-order flow.
-    """
+
+def theta(x: float, t: float, z, bg: Background):
+    """Phase of the plane-wave factors, theta = lambda(z) (-x - w(z) t), broadcast over x, t and z."""
     sp = uniformize(z, bg)
-    w = bg.beta * (4.0 * sp.k**2 - 2.0 * bg.k0**2) + 2.0 * bg.alpha * sp.k
-    return sp.lam * (-x - w * t)
+    return sp.lam * (-x - dispersion(sp.k, bg) * t)

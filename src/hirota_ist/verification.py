@@ -40,16 +40,16 @@ def halton_points(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one probe point")
 
-    def radical_inverse(i, base):
-        f, r = 1.0, 0.0
-        while i > 0:
+    def radical_inverse(i, base):  # one digit of every index a step, in the scalar recurrence's order
+        f, r = 1.0, np.zeros(i.shape)
+        while i.any():
             f /= base
             r += f * (i % base)
-            i //= base
+            i = i // base  # a new array: the caller passes idx to both bases
         return r
 
-    idx = range(HALTON_SKIP, HALTON_SKIP + n)
-    return np.array([[radical_inverse(i, 2), radical_inverse(i, 3)] for i in idx])
+    idx = np.arange(HALTON_SKIP, HALTON_SKIP + n)
+    return np.stack([radical_inverse(idx, 2), radical_inverse(idx, 3)], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Each script under scripts/ runs in-process on a small input and exits 0."""
 
+import json
 import logging
 import pathlib
 import runpy
+import shutil
 import sys
 
 import pytest
@@ -41,3 +43,20 @@ def test_roundtrip_report_verbose_logs_each_mesh_and_search(monkeypatch, caplog)
     # the search starts from the CLI box's 12 panels of 8 intervals and states each refinement round
     assert sum(m.startswith("find_discrete_spectrum: ") and "rounds [96 nodes (96 new z), largest estimate" in m
                for m in messages) == 1
+
+
+def test_same_outputs_finds_no_deviation_in_one_tree_and_names_a_perturbed_field(tmp_path):
+    so = runpy.run_path(str(SCRIPTS / "same_outputs.py"))
+    ref, new = tmp_path / "ref", tmp_path / "new"
+    ref.mkdir()
+    so["run_all"](ref, ["fig4"])  # this tree, in this process
+    shutil.copytree(ref, new)
+    lines, breaches = so["compare"](ref, new)
+    assert breaches == 0 and len(lines) == 12 and all(line.endswith(": identical") for line in lines)
+    doc = json.loads((new / "fig4.scatter.json").read_text())
+    doc["samples"][3]["rho_norm"] += 1e-12
+    (new / "fig4.scatter.json").write_text(json.dumps(doc))
+    lines, breaches = so["compare"](ref, new)
+    assert breaches == 1
+    (breach,) = [line for line in lines if line.endswith("BREACH")]
+    assert breach.startswith("    samples[].rho_norm: 1e-12 (tol 1e-13)")

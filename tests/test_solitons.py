@@ -502,7 +502,7 @@ def test_kappa_inf_lies_within_2R_of_the_svd_condition_number(name):
         grid = GridSpec(g.xmin, g.xmax, 41, g.tmin, g.tmax, 25)
     x, t = (a.ravel() for a in np.broadcast_arrays(grid.x_axis()[None, :], grid.t_axis()[:, None]))
     _, kappa = solitons._field(x, t, spec)
-    M, _ = solitons._system(x, t, spec)
+    M, _, _ = solitons._system(x, t, spec)
     kappa2, n = np.linalg.cond(M), M.shape[-1]  # the SVD oracle
     assert n == 2 * len(spec._residues.col)
     assert np.all(kappa2 / n <= kappa) and np.all(kappa <= n * kappa2)
@@ -519,7 +519,7 @@ def test_field_masks_nonfinite_and_ill_conditioned_points_across_blocks(monkeypa
     from hirota_ist.errors import SingularSystem
 
     spec, _ = _seed_spec(2)
-    B = solitons._BLOCK
+    B = solitons._BLOCK // (2 * len(spec._residues.col)) ** 2  # points per block
     n = 2 * B + 37
     x, t = np.linspace(-40.0, 40.0, n), np.linspace(-3.0, 3.0, n)[::-1].copy()
     bad = [B - 1, B, B + 1, 2 * B + 5]
@@ -528,9 +528,9 @@ def test_field_masks_nonfinite_and_ill_conditioned_points_across_blocks(monkeypa
     system = solitons._system
 
     def with_a_singular_point(x, t, spec):  # an M whose LU meets a zero pivot
-        M, rhs = system(x, t, spec)
+        M, rhs, norm = system(x, t, spec)
         M[x == singular] = 0.0
-        return M, rhs
+        return M, rhs, norm
 
     monkeypatch.setattr(solitons, "_system", with_a_singular_point)
     with np.errstate(all="ignore"):
@@ -549,6 +549,43 @@ def test_field_masks_nonfinite_and_ill_conditioned_points_across_blocks(monkeypa
     keep = np.setdiff1d(np.arange(n), masked)
     points = np.array([h.reconstruct_Q(float(x[i]), float(t[i]), spec) for i in keep])
     assert np.array_equal(points.view(np.uint64), Q[keep].view(np.uint64))
+
+
+@pytest.mark.parametrize("name", h.preset_names() + _OFF_PRESET)
+def test_inf_norm_from_the_block_structure_matches_numpy(name):
+    from hirota_ist import solitons
+
+    spec = _off_preset(name)[0] if name in _OFF_PRESET else h.preset(name).spec
+    x, t = (a.ravel() for a in np.meshgrid(np.linspace(-40.0, 40.0, 81), np.linspace(-3.0, 3.0, 7)))
+    M, _, norm = solitons._system(x, t, spec)
+    assert np.any(np.abs(np.diagonal(M, axis1=-2, axis2=-1)) < 0.5)  # points with g > 0 scale their diagonal
+    np.testing.assert_allclose(norm, np.linalg.norm(M, np.inf, axis=(-2, -1)), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_field_bits_do_not_depend_on_the_block_size(monkeypatch, rank):
+    from hirota_ist import solitons
+
+    spec, grid = _seed_spec(rank)
+    n = (2 * len(spec._residues.col)) ** 2  # matrix entries per point
+    B = solitons._BLOCK // n  # points in a default block
+    x, t = (a.ravel() for a in np.broadcast_arrays(grid.x_axis()[None, :], grid.t_axis()[:, None]))
+    _, kappa = solitons._field(x, t, spec)
+    limit = np.quantile(kappa, 0.8)
+    ok = kappa <= limit
+    m = int(np.sum(~ok))
+    # the masked points form one run across the first boundary of a default block
+    order = np.concatenate((np.flatnonzero(ok)[:B - m // 2], np.flatnonzero(~ok), np.flatnonzero(ok)[B - m // 2:]))
+    x, t = x[order], t[order]
+    monkeypatch.setattr(solitons, "COND_LIMIT", limit)
+    Q, kappa = solitons._field(x, t, spec)
+    assert np.all(kappa[B - m // 2:B - m // 2 + m] > limit) and np.sum(kappa > limit) == m
+    assert np.all(Q[kappa > limit] == 0) and np.all(np.any(Q[kappa <= limit] != 0, axis=(-2, -1)))
+    for points in (1, 7):
+        monkeypatch.setattr(solitons, "_BLOCK", points * n)
+        Qb, kb = solitons._field(x, t, spec)
+        assert np.array_equal(Qb.view(np.uint64), Q.view(np.uint64))
+        assert np.array_equal(kb.view(np.uint64), kappa.view(np.uint64))
 
 
 def test_eval_field_logs_its_condition_numbers(monkeypatch, caplog, fig3a_spec):

@@ -8,7 +8,8 @@ import hirota_ist as h
 from hirota_ist.grids import FieldGrid, GridSpec
 from hirota_ist.solitons import min_decay_rate
 from hirota_ist.spectral import uniformize
-from hirota_ist.verification import boundary_decay, pde_residual, periodicity_probe, symmetry_residual
+from hirota_ist.verification import (HALTON_SKIP, boundary_decay, halton_points, pde_residual, periodicity_probe,
+                                     symmetry_residual)
 
 
 def test_residual_constant_background(background_bg, background_field):
@@ -160,3 +161,19 @@ def test_periodicity_rejects_bad_args(background_field):
         periodicity_probe(background_field, "y", 1.0, 4)
     with pytest.raises(ValueError):
         periodicity_probe(background_field, "x", 1.0, 0)
+
+
+def test_halton_points_match_the_scalar_recurrence():
+    def radical_inverse(i, base):
+        f, r = 1.0, 0.0
+        while i > 0:
+            f /= base
+            r += f * (i % base)
+            i //= base
+        return r
+
+    ref = np.array([[radical_inverse(i, 2), radical_inverse(i, 3)] for i in range(HALTON_SKIP, HALTON_SKIP + 4096)])
+    for n in (1, 2, 7, 200, 4096):
+        pts = halton_points(n)
+        assert pts.shape == (n, 2)
+        assert np.array_equal(pts.view(np.uint64), ref[:n].view(np.uint64))
