@@ -6,11 +6,13 @@
 REV is exported with `git archive` into a temporary directory, so the
 repository and its working tree stay as they are.  Each tree then runs, in a
 process of its own, `presets` and, on every preset, `solve` to CSV and to JSON
-on the default grid, `verify` to JSON, `scatter` to JSON at the default
-samples and `roundtrip` at find-tol 1e-4 and 1e-8.  Every output (each file
-written, and each run's printed text) is reported as byte-identical or else
-with the largest deviation of each numeric field: a CSV column, a JSON path
-(list indices read []), or a printed line with its numbers read #.  The exit
+on the default grid, `verify` to JSON, `scatter` to JSON at the default 12
+samples and at the bench's 48 (every circle orbit, where the shift's sign
+follows Re lambda), and `roundtrip` at find-tol 1e-4 and 1e-8.  Every output
+(each file written, and each run's printed text) is reported as
+byte-identical or else with the largest deviation of each numeric field: a
+CSV column, a JSON path (list indices read []), or a printed line with its
+numbers read #.  The exit
 codes are compared too.  The script exits 1 if an exit code or a non-numeric
 part differs, or a deviation exceeds its bound in TOLERANCES.
 """
@@ -59,7 +61,9 @@ def runs(preset: str) -> list[tuple[str, list[str]]]:
     out = [(f"{preset}.solve", ["solve", "--preset", preset, "--out", f"{preset}.solve.csv"]),
            (f"{preset}.solve-json", ["solve", "--preset", preset, "--format", "json", "--out", f"{preset}.solve.json"]),
            (f"{preset}.verify", ["verify", "--preset", preset, "--out", f"{preset}.verify.json"]),
-           (f"{preset}.scatter", ["scatter", "--preset", preset, "--out", f"{preset}.scatter.json"])]
+           (f"{preset}.scatter", ["scatter", "--preset", preset, "--out", f"{preset}.scatter.json"]),
+           (f"{preset}.scatter-48", ["scatter", "--preset", preset, "--n-real-orbits", "8", "--n-circle-orbits", "4",
+                                     "--out", f"{preset}.scatter-48.json"])]
     return out + [(f"{preset}.roundtrip-{tol}", ["roundtrip", "--preset", preset, "--find-tol", tol])
                   for tol in FIND_TOLS]
 

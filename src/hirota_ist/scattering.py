@@ -49,13 +49,13 @@ writes with out=, the products' temporaries included.  Each block adds its
 z, the cells x z it scaled and their most squarings to its side's tally,
 which the DEBUG records of the zero search and of scattering_matrix read.
 k = (z + sigma k0^2/z)/2 is two-to-one: z and its antipode sigma k0^2/z
-share k, hence every cell's exp(Omega), and differ only in the shift w =
-i lambda eps.  So a call runs the blocks for the first z of each k only, and
-gives the other that product times e^{(w - w_first) sum h}, exact because
-prod e^{w h_j} exp(Omega_j) = e^{w sum h} prod exp(Omega_j), and of modulus 1
-because the two have the same |Im lambda|.  A spectrum sample set closed
-under the map propagates half its z; det a's contour, wholly in D+, holds no
-antipodes.
+share k, hence every cell's exp(Omega), and have opposite lambda.  The
+shift w = i lambda eps takes eps = sign Im lambda off Sigma and sign
+Re lambda on Sigma (spectral.shift_sign), so the two share w too.  A call
+runs the blocks for the first z of each (k, w) only, and gives the other
+that product times e^{(w - w_first) sum h}, 1 to a few ulps.  A spectrum
+sample set closed under the map propagates half its z; det a's contour,
+wholly in D+, holds no antipodes.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ import numpy as np
 from .errors import IntegrationFailure, NoBackground, NoConvergenceWarning, SingularWronskian
 from .lax import asymptotic_eigenvectors
 from .matrices import SIGMA2, SIGMA3, CMat2, CMat4, dagger, inv2
-from .spectral import (Background, Region, SpectralPoint, background_defect, classify_region, find_partner, theta,
-                       uniformize)
+from .spectral import (Background, Region, SpectralPoint, background_defect, classify_region, find_partner,
+                       shift_sign, theta, uniformize)
 from .verification import Field
 
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
@@ -96,7 +96,7 @@ _NEAR = 1.0 / 72.0  # a located zero this share of the perimeter from an unresol
 _RANK = 1e-8  # Hankel singular values below this fraction of the largest are noise
 _DIP = 0.25  # |det a| at a node below this fraction of both neighbours: zero on the contour
 _MOVES = 2  # contour moves before a zero near the boundary is reported, not avoided
-_ULPS = 4  # two z share a transfer when their k agree within this many ulps of |k| + |lambda| (antipodes: 0.5)
+_ULPS = 4  # two z share a transfer when k and w agree within this many ulps of |k| + |lambda| (CLI antipodes: 0.6)
 
 _log = logging.getLogger(__name__)
 
@@ -288,12 +288,13 @@ def _expm1(ws: Sequence[np.ndarray], m: int, wh: np.ndarray) -> tuple[np.ndarray
 
 
 def _first_of_equal_k(k: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """For each z, the index of the first z whose k is its own within _ULPS ulps of |k| + |w| (|w| = |lambda|).
+    """For each z, the index of the first z whose k and w match its own within _ULPS ulps of |k| + |w|.
 
-    k is two-to-one in z: z and sigma k0^2/z share it.  Candidates share k
-    rounded to 2^-40 of the binade of that scale (one sort, O(n) memory), so
-    a pair split by a rounding edge or by a binade is missed, which costs a
-    transfer, not accuracy.  A z of non-finite k or w keeps its own index.
+    k is two-to-one in z, and shift_sign gives z and sigma k0^2/z one w.
+    Candidates share k rounded to 2^-40 of the binade of that scale (one
+    sort, O(n) memory); a pair that a rounding edge, a binade or Sigma's
+    delta_reg band splits is missed, which costs a transfer, not accuracy.
+    A z of non-finite k or w keeps its own index.
     """
     first = np.arange(len(k))
     scale = np.abs(k) + np.abs(w)
@@ -301,30 +302,10 @@ def _first_of_equal_k(k: np.ndarray, w: np.ndarray) -> np.ndarray:
     q = np.ldexp(1.0, np.frexp(scale[ok])[1] - 40)
     _, head, group = np.unique(np.rint(k[ok] / q) * q, return_index=True, return_inverse=True)
     first[ok] = ok[head[group]]
-    far = ok[np.abs(k[ok] - k[first[ok]]) > _ULPS * np.finfo(float).eps * scale[ok]]
+    tol = _ULPS * np.finfo(float).eps * scale[ok]
+    far = ok[(np.abs(k[ok] - k[first[ok]]) > tol) | (np.abs(w[ok] - w[first[ok]]) > tol)]
     first[far] = far
     return first
-
-
-def _exp_shift(w: np.ndarray, w0: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """e^{(w - w0) sum h} of complex arrays w and w0, the exponent in double-double: |(w - w0) sum h| reaches
-    2 |lambda| L, several hundred, where one rounding of it turns the phase by up to 3e-14.
-
-    sum h is s + s_lo (two fsums), w - w0 is d + d_lo (Knuth's two-sum) and
-    each part of d s is p + e (Dekker's product of 26-bit halves).
-    """
-    def halves(x):
-        c = 134217729.0 * x  # 2^27 + 1
-        return c - (c - x), x - (c - (c - x))
-
-    s = math.fsum(h)
-    s_lo = math.fsum(np.append(h, -s))
-    d = w - w0
-    v = d - w
-    d_lo = (w - (d - v)) + (-w0 - v)
-    (xh, xl), (sh, sl), p = halves(d.view(float)), halves(s), d.view(float) * s
-    e = ((xh * sh - p) + xh * sl + xl * sh) + xl * sl
-    return np.exp(p.view(complex)) * np.exp(e.view(complex) + d * s_lo + d_lo * s)
 
 
 def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -333,12 +314,11 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     One product for each pair (k, w) of the 1-D arrays k and w.  Factors
     are carried as I + F, (I + A)(I + B) = I + (A + B + AB), so rounding
     scales with the small |F| = |exp(Omega) - I|, not with 1.  Omega depends
-    on z only through k, so the blocks run only the first z of each k
+    on z only through k, so the blocks run only the first z of each (k, w)
     (_first_of_equal_k), which keep their bits, and each other z takes that
-    product times e^{(w - w_first) sum h} (_exp_shift), the same product in
-    exact arithmetic; z and sigma k0^2/z have the same |Im lambda|, so the
-    factor has modulus 1.  Each block adds to cells.tally, which counts the z
-    the blocks ran.
+    product times e^{(w - w_first) sum h}, the same product in exact
+    arithmetic, whose exponent is a few ulps of |w| sum h.  Each block adds to
+    cells.tally, which counts the z the blocks ran.
     """
     first = _first_of_equal_k(k, w)
     own = first == np.arange(len(k))
@@ -375,7 +355,7 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
         P[:, _DIAG, _DIAG] += 1.0
         out[zs] = P
     if shared.size:
-        out[shared] = out[first[shared]] * _exp_shift(w[shared], w[first[shared]], cells.h)[:, None, None]
+        out[shared] = out[first[shared]] * np.exp((w[shared] - w[first[shared]]) * cells.h.sum())[:, None, None]
     return out
 
 
@@ -388,7 +368,7 @@ def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: boo
     left = side == "left"
     cells = mesh[0] if left else mesh[1]
     X = asymptotic_eigenvectors(sp, cells.limit, bg)  # rejects branch points
-    eps = np.where(sp.lam.imag >= 0, 1.0, -1.0)
+    eps = shift_sign(sp, bg)
     P = _transfer(cells, sp.k, 1j * sp.lam * eps)
     analytic = (1.0 if left else -1.0) * _SGN == eps[:, None]  # (n, 4), two columns a row
     if analytic_only:
@@ -490,9 +470,9 @@ def audit_symmetries(samples: Sequence[ScatteringSample], bg: Background) -> Sym
 
     Needs the sample set closed under z -> z* and z -> sigma k0^2/z (real
     points are their own conjugates).  The antipode identity never compared
-    two truncation errors: z and sigma k0^2/z share k, hence every cell's
-    exp(Omega_j(k)), and now one transfer (see _transfer).  It checks the
-    eigenvector algebra, the shift e^{(w - w_first) sum h} and the t0 phase.
+    two truncation errors: z and sigma k0^2/z share k and the shift w, hence
+    one transfer (see _transfer).  It checks the eigenvector algebra, the
+    column factors e^{-2 i lambda eps sum h} and the t0 phase.
     """
     J = np.diag([1.0, 1.0, -bg.sigma, -bg.sigma])
     Qpd = dagger(bg.Qplus)

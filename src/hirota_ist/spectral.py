@@ -106,6 +106,13 @@ def classify_region(z, bg: Background) -> Region | np.ndarray:
     return np.select([near, s > tol, s < -tol], [Region.BRANCH_POINT, Region.D_PLUS, Region.D_MINUS], Region.SIGMA)[()]
 
 
+def shift_sign(sp: SpectralPoint, bg: Background) -> np.ndarray:
+    """eps of the Jost shift i lambda eps: +1 in D+, -1 in D-, where it picks the bounded column pair, and the sign
+    of Re lambda on Sigma, where both pairs are bounded.  sigma k0^2/z has -lambda, so it gets z's shift."""
+    region = classify_region(sp.z, bg)
+    return np.select([region == Region.D_PLUS, region == Region.D_MINUS, sp.lam.real >= 0], [1.0, -1.0, 1.0], -1.0)
+
+
 def uniformize(z, bg: Background) -> SpectralPoint:
     """Attach k(z), lambda(z) and gamma(z) to z, in numpy arithmetic for a scalar and an array alike."""
     z = _check_nonzero(z)

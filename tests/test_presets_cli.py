@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import hirota_ist as h
+from hirota_ist import cli
 from hirota_ist.cli import load_config, main, sigma_sample_points
 from hirota_ist.errors import UnknownPreset
 from hirota_ist.grids import CSV_HEADER, FieldGrid, read_csv, read_json, write_csv, write_json
@@ -206,6 +208,24 @@ def test_cli_verify_preset(tmp_path):
     assert doc["checks"]["pde_residual"]["pass"] is True
     assert doc["checks"]["theta_condition"]["pass"] is True
     assert set(doc["checks"]["theta_condition"]) == {"measured", "expected", "pass"}
+
+
+@pytest.mark.parametrize("turn", [-1e-12, 1e-12])
+def test_cli_verify_states_the_measured_phase_nearest_the_expected(tmp_path, monkeypatch, turn):
+    # fig8's boundary phase is the expected 0 to rounding, so read mod 2 pi it could state 4.5e-17 or
+    # 6.283185307179586 from one ulp's move of the field.  Turned by 1e-12 either way, it must read 1e-12 from 0
+    decay = cli.boundary_decay
+
+    def turned(*args, **kwargs):
+        dec = decay(*args, **kwargs)  # det(Q+ Q-^dag) takes e^{i turn}
+        return dataclasses.replace(dec, Qminus_measured=dec.Qminus_measured * np.exp(-0.5j * turn))
+
+    monkeypatch.setattr(cli, "boundary_decay", turned)
+    out = tmp_path / "verify.json"
+    main(["verify", "--preset", "fig8", "--n-probe", "12", "--out", str(out)])
+    theta = json.loads(out.read_text())["checks"]["theta_condition"]
+    assert theta["expected"] == 0.0 and theta["pass"] is True
+    assert abs(theta["measured"] - turn) <= 1e-15, theta
 
 
 def _verify_theta_condition(tmp_path, zeta, C, alpha, beta):

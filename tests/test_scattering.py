@@ -40,7 +40,7 @@ from hirota_ist.scattering import (
     scattering_matrix,
 )
 from hirota_ist.solitons import DiscreteEigenpair, RankFlag, expand_quartets, min_decay_rate
-from hirota_ist.spectral import Region, classify_region, uniformize
+from hirota_ist.spectral import Region, classify_region, shift_sign, uniformize
 from hirota_ist.traceform import TraceInput, trace_det_a
 import reference_transfer
 from test_solitons import random_seeds, rank1_or_2, scaled_backgrounds
@@ -293,6 +293,12 @@ def test_off_dplus_agrees_with_classify_region(sigma):
     with pytest.raises(ValueError, match=re.escape(f"at z = {complex(zs[~inside][0])})")):
         det_a(lambda x, t: calls.append(x), zs, 1e-4, bg)
     assert calls == []
+    # the shift's sign reads the same D+ test: just above delta_reg a z of Re lambda < 0 keeps eps = +1, so det_a
+    # keeps its analytic columns; just below it, on Sigma, eps is the sign of Re lambda
+    x = -2.0 * bg.k0
+    sp = uniformize(x + 1j * np.array([2.0, 0.5]) * bg.delta_reg / (x * x + bg.sigma * bg.k0**2), bg)
+    assert list(classify_region(sp.z, bg)) == [Region.D_PLUS, Region.SIGMA] and (sp.lam.real < 0).all()
+    assert list(shift_sign(sp, bg)) == [1.0, -1.0]
 
 
 def test_winding_counts_double_zero(fig3a_spec):
@@ -567,11 +573,12 @@ def test_mixed_region_batch_gives_the_same_bits(fig3a_field, fig3a_spec):
                          ids=["fig3a-0.0001-0.0", "fig6-1e-10-0.0", "fig6-1e-10-12.0", "fig3a-0.0001-0.0-block16"])
 def test_transfer_matches_the_taylor_reference(name, tol, t0, block, monkeypatch):
     # reference_transfer exponentiates each cell by a Taylor sum with scaling and squaring, over the same
-    # product tree; the closed form read at most 4.8e-14 from it relative to each z's largest entry (fig6's
-    # right side at t0 = 12).  Neither side drifts alone: against a 40-digit mpmath product of the same double
-    # Omega and shifts, at the two worst z the closed form reads 6.3e-14 and the reference 6.0e-14 there, and on
-    # that side at tol 1e-12 (774 cells) 6.3e-14 and 8.5e-14, at 1e-13 (1136 cells) 9.0e-14 and 6.1e-14, so
-    # that their distance, up to the sum, reaches 1.45e-13 at 1e-13.
+    # product tree, and runs every z, where _transfer runs one z of each antipode pair; the closed form read at
+    # most 6.4e-14 from it relative to each z's largest entry (fig6's right side at t0 = 12).  Neither side
+    # drifts alone: against a 40-digit mpmath product of the same double Omega and shifts, at the two worst z
+    # the closed form reads 6.3e-14 and the reference 6.0e-14 there, and on that side at tol 1e-12 (774 cells)
+    # 6.3e-14 and 8.5e-14, at 1e-13 (1136 cells) 9.0e-14 and 6.1e-14, so that their distance, up to the sum,
+    # reaches 1.45e-13 at 1e-13.
     # fig3a: the CLI box's nodes over 59-75 cells a side (up to 7 squarings in the reference, a partial last
     # block of z); fig6: the 48 samples of `scatter --n-real-orbits 8 --n-circle-orbits 4`, and at t0 = 12 a
     # left side of 984 cells against a block cut to 512 cells, so that each z takes a block of its own.
@@ -589,7 +596,7 @@ def test_transfer_matches_the_taylor_reference(name, tol, t0, block, monkeypatch
     else:
         zs = np.array(sigma_sample_points(bg.k0, 8, 4))
     sp = uniformize(zs, bg)
-    w = 1j * sp.lam * np.where(sp.lam.imag >= 0, 1.0, -1.0)
+    w = 1j * sp.lam * shift_sign(sp, bg)
     mesh = _mesh(functools.partial(h.reconstruct_Q, spec=spec), tol, t0, bg)
     squarings, transfers = [], []
     for cells in mesh:
@@ -599,6 +606,8 @@ def test_transfer_matches_the_taylor_reference(name, tol, t0, block, monkeypatch
         squarings.append(reference_transfer._squarings(taylor, sp.k).ravel())
         transfers.append(P)
     squarings = np.concatenate(squarings)
+    # fig6's samples are 24 antipode pairs; fig3a's contour, in D+, repeats only its first node
+    assert [c.tally["z"] for c in mesh] == [len(zs) // 2 if name == "fig6" else len(zs) - 1] * 2
     if block < _BLOCK and name == "fig3a":
         assert min(len(c.h) for c in mesh) > 3 * block and max(1, block // len(mesh[0].h)) == 1
         monkeypatch.setattr(scattering, "_BLOCK", _BLOCK)  # z share blocks again; each z keeps its bits
@@ -866,12 +875,13 @@ def test_noise_eigenvalues_of_the_pencil_are_dropped():
 
 @pytest.mark.parametrize("case", ["fig6 samples", "background", "off-Sigma pair", "unpaired and k = 0"])
 def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background_field, monkeypatch, caplog):
-    # z and sigma k0^2/z share k, so _transfer runs the first of them and gives the other that product times
-    # e^{(w - w_first) sum h}.  Each z must read within 1e-13 of itself propagated alone, the z run keep their
-    # bits, and each side's tally count only the z run.  fig6: the 48 samples of `scatter --n-real-orbits 8
-    # --n-circle-orbits 4`; off Sigma z lies in D+ and sigma k0^2/z in D-; last, 0.5 k0 and -2 k0 pair, so do
-    # +-k0, where k = 0, and 0.7 k0 has no partner.  The largest deviations read 1.8e-14 (fig6), 1.0e-14, 1.3e-14
-    # and 3.5e-15
+    # z and sigma k0^2/z share k and, through shift_sign, the shift w, so _transfer runs the first of them and
+    # gives the other that product times e^{(w - w_first) sum h}.  Each z must read within 1e-13 of itself
+    # propagated alone, the z run keep their bits, and each side's tally count only the z run.  fig6: the 48
+    # samples of `scatter --n-real-orbits 8 --n-circle-orbits 4`; off Sigma z lies in D+ and sigma k0^2/z in D-;
+    # last, 0.5 k0 and -2 k0 pair, so do +-k0, where k = 0, and 0.7 k0 has no partner; nor has (0.5 + 1e-9 i) k0,
+    # inside Sigma's delta_reg band, whose antipode in D+ shares its k but takes the opposite shift.  The largest
+    # deviations read 1.3e-14 (fig6), 8.0e-15, 1.2e-14 and 0 (the pairs share w to the last bit)
     if case == "background":
         bg, field, tol = background_bg, background_field, 1e-8
         zs = np.array(sigma_sample_points(bg.k0, 2, 1))
@@ -884,12 +894,14 @@ def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background
             zs = np.array([1.5 + 0.3j, bg.sigma * bg.k0**2 / (1.5 + 0.3j)])
             assert [classify_region(z, bg) for z in zs] == [Region.D_PLUS, Region.D_MINUS]
         else:
-            zs = bg.k0 * np.array([0.5, -2.0, 1.0, -1.0, 0.7])
+            zs = bg.k0 * np.array([0.5, -2.0, 1.0, -1.0, 0.7, 0.5 + 1e-9j])
+            zs = np.append(zs, bg.sigma * bg.k0**2 / zs[-1])
+            assert [classify_region(z, bg) for z in zs[-2:]] == [Region.SIGMA, Region.D_PLUS]
     assert bg.sigma == -1
     sp = uniformize(zs, bg)
-    first = scattering._first_of_equal_k(sp.k, 1j * sp.lam * np.where(sp.lam.imag >= 0, 1.0, -1.0))
+    first = scattering._first_of_equal_k(sp.k, 1j * sp.lam * shift_sign(sp, bg))
     run = np.flatnonzero(first == np.arange(len(zs)))
-    assert len(run) == (3 if case == "unpaired and k = 0" else len(zs) // 2)
+    assert len(run) == (5 if case == "unpaired and k = 0" else len(zs) // 2)
     mesh = _mesh(field, tol, 0.0, bg)
     monkeypatch.setattr(scattering, "_mesh", lambda *args: mesh)  # the calls below share one mesh and its tallies
     with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
@@ -909,23 +921,22 @@ def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background
                 np.testing.assert_array_equal(got, alone)
 
 
-def test_shift_factor_keeps_its_exponent_in_double_double():
-    # a partner's factor e^{(w - w_first) sum h} has an exponent of up to 2 |lambda| L, several hundred: rounded
-    # once, with a rounded sum h and w - w_first, it turned fig6's phases by up to 7e-14 at t0 = 12 and failed
-    # the Taylor-reference test.  Against 50 digits on one side of 360 equal cells over L = 80, antipodes on
-    # Sigma (w_first = -w to the last bit or one off) and off Sigma (w_first = w)
-    import mpmath
-
-    rng = np.random.default_rng(3)
-    h = np.repeat(80.0 / 360.0, 360)
-    lam = rng.uniform(0.1, 4.0, 64) * rng.choice([1.0, -1.0], 64)
-    w = np.concatenate([1j * lam, lam * rng.uniform(-0.05, 0.0, 64) + 1j * lam])
-    w0 = np.concatenate([-1j * lam * (1.0 + rng.integers(-1, 2, 64) * 2.0**-52), w[64:]])
-    got = scattering._exp_shift(w, w0, h)
-    with mpmath.workdps(50):
-        s = mpmath.fsum(mpmath.mpf(x) for x in h)
-        exact = [mpmath.exp((mpmath.mpc(a) - mpmath.mpc(b)) * s) for a, b in zip(w, w0)]
-        assert max(abs(mpmath.mpc(g) - e) / abs(e) for g, e in zip(got, exact)) <= 2e-16
+def test_jost_on_sigma_does_not_depend_on_the_shift_sign(fig6_spec, monkeypatch):
+    # on Sigma both column pairs are unimodular and eps only labels them: in exact arithmetic each column c of mu
+    # is e^{+-i lambda SGN_c sum h} P_0 X_c (+ left, - right) for either sign.  Flipped, eps still gives antipodes
+    # one shift, so each side runs 24 of fig6's 48 samples again; mu moved by at most 1.3e-14 of each z's
+    # largest entry
+    bg = fig6_spec.bg
+    zs = np.array(sigma_sample_points(bg.k0, 8, 4))
+    sp = uniformize(zs, bg)
+    assert (classify_region(zs, bg) == Region.SIGMA).all()
+    mesh = _mesh(functools.partial(h.reconstruct_Q, spec=fig6_spec), 1e-10, 0.0, bg)
+    default = [scattering._jost(mesh, sp, side, bg) for side in ("left", "right")]
+    monkeypatch.setattr(scattering, "shift_sign", lambda sp, bg: -shift_sign(sp, bg))  # every z here is on Sigma
+    flipped = [scattering._jost(mesh, sp, side, bg) for side in ("left", "right")]
+    assert [c.tally["z"] for c in mesh] == [len(zs)] * 2  # half of them in each of the two calls a side
+    for mu, other in zip(default, flipped):
+        assert (np.abs(other - mu).max(axis=(1, 2)) <= 1e-13 * np.abs(mu).max(axis=(1, 2))).all()
 
 
 @pytest.mark.parametrize("z", [np.nan, complex(0.5, np.inf), [0.5, complex(np.nan, 1.0)]])
