@@ -15,9 +15,14 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("phase_condition_probe.py", []),
-        ("roundtrip_report.py", ["--presets", "fig3a"]),
-        ("roundtrip_report.py", ["--presets", "fig6", "--find-tol", "1e-4"]),
+        pytest.param("phase_condition_probe.py", [], id="phase_condition_probe.py-args0"),
+        # Explicit ids keep each case's name stable when a case is added or retired.
+        pytest.param("roundtrip_report.py", ["--presets", "fig3a"], id="roundtrip_report.py-args2"),
+        pytest.param(
+            "roundtrip_report.py",
+            ["--presets", "fig6", "--find-tol", "1e-4"],
+            id="roundtrip_report.py-args3",
+        ),
     ],
 )
 def test_script_runs(monkeypatch, script, args):
