@@ -17,7 +17,6 @@ import numpy as np
 from hirota_ist import (
     Background,
     DiscreteEigenpair,
-    RankFlag,
     TraceInput,
     expand_quartets,
     reconstruct_Q,
@@ -46,11 +45,7 @@ def main() -> int:
         spec = expand_quartets([seed], bg)
         Qm = reconstruct_Q(-40.0, 0.2, spec)
         measured = float(np.angle(np.linalg.det(bg.Qplus @ dagger(Qm))) % (2 * math.pi))
-        if seed.rank_flag is RankFlag.RANK1:
-            inp = TraceInput(bg=bg, simple_zeros=(zeta,))
-        else:
-            inp = TraceInput(bg=bg, double_zeros=(zeta,))
-        expected = theta_condition(inp)
+        expected = theta_condition(TraceInput(bg, (zeta,), (seed.rank_flag.value,)))
         gap = abs(expected - measured)
         gap = min(gap, 2 * math.pi - gap)
         worst = max(worst, gap)

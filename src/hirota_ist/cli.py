@@ -22,13 +22,7 @@ from .grids import SCHEMA_VERSION, GridSpec, write_csv, write_json
 from .matrices import dagger
 from .presets import DEFAULT_GRID, Preset, preset, preset_names
 from .scattering import audit_symmetries, find_discrete_spectrum, scattering_matrix
-from .solitons import (
-    DiscreteEigenpair,
-    RankFlag,
-    eval_field,
-    min_decay_rate,
-    reconstruct_Q,
-)
+from .solitons import DiscreteEigenpair, eval_field, min_decay_rate, reconstruct_Q
 from .spectral import Background, uniformize
 from .traceform import TraceInput, theta_condition
 from .verification import boundary_decay, pde_residual, periodicity_probe, symmetry_residual
@@ -230,9 +224,8 @@ def cmd_verify(args) -> int:
             "expected_rate": expected,
             "pass": dec.right_deviation <= 1e-8 and rate_ok,
         }
-        simple = tuple(s.zn for s in p.seeds if s.rank_flag is RankFlag.RANK1)
-        double = tuple(s.zn for s in p.seeds if s.rank_flag is RankFlag.RANK2)
-        expected_phase = theta_condition(TraceInput(bg=spec.bg, simple_zeros=simple, double_zeros=double))
+        ranks = tuple(s.rank_flag.value for s in p.seeds)
+        expected_phase = theta_condition(TraceInput(spec.bg, tuple(s.zn for s in p.seeds), ranks))
         angle = float(np.angle(np.linalg.det(spec.bg.Qplus @ dagger(dec.Qminus_measured))))
         # the representative nearest the expected phase, so that a phase at the wrap reads the same either side of it
         measured_phase = expected_phase + (angle - expected_phase + math.pi) % (2 * math.pi) - math.pi

@@ -1,9 +1,11 @@
 """Trace formula for det a(z) and the boundary-phase condition.
 
-The reflectionless product form reconstructs det a from its zeros alone.
-The phase condition ties the asymptotic phases of det Q+- to the
-discrete-eigenvalue phases, with the signs that the measured boundary
-phases select: +4 arg z per simple zero and +8 arg z per double zero (see
+Each discrete zero z_n comes with its multiplicity m_n, the rank of its
+norming constant: 1 for a simple zero, 2 for a double one.  The
+reflectionless product form reconstructs det a from the zeros alone, each
+factor raised to m_n.  The phase condition ties the asymptotic phases of
+det Q+- to the discrete-eigenvalue phases, with the signs that the
+measured boundary phases select: +4 m_n arg z_n per zero (see
 scripts/phase_condition_probe.py for the measurement).
 """
 
@@ -20,61 +22,49 @@ from .spectral import Background, Region, classify_region
 
 @dataclass(frozen=True)
 class TraceInput:
-    """Discrete zeros in the seed normalization: Im z > 0, |z| > k0."""
+    """Discrete zeros in the seed normalization (Im z > 0, |z| > k0), pairwise apart by 1e-8, and one
+    multiplicity per zero, 1 or 2: the rank of its norming constant, as the zero search's Hankel step reads it."""
 
     bg: Background
-    simple_zeros: tuple[complex, ...] = ()
-    double_zeros: tuple[complex, ...] = ()
+    zeros: tuple[complex, ...] = ()
+    multiplicities: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "simple_zeros", tuple(complex(z) for z in self.simple_zeros))
-        object.__setattr__(self, "double_zeros", tuple(complex(z) for z in self.double_zeros))
-        for z in self.simple_zeros + self.double_zeros:
-            if classify_region(z, self.bg) is not Region.D_PLUS or z.imag <= 0 or abs(z) <= self.bg.k0:
-                raise ValueError(f"zero {z} is not in the admissible part of D+")
-        allz = self.simple_zeros + self.double_zeros
-        for i in range(len(allz)):
-            for j in range(i + 1, len(allz)):
-                if abs(allz[i] - allz[j]) < 1e-8:
-                    raise ValueError("zero lists must be pairwise disjoint")
+        z, m = np.asarray(self.zeros, dtype=complex), np.asarray(self.multiplicities)
+        if z.ndim != 1 or m.shape != z.shape or not np.isin(m, (1, 2)).all():
+            raise ValueError(f"one multiplicity, 1 or 2, per zero is required ({m.tolist()} for zeros {z.tolist()})")
+        bad = (np.asarray(classify_region(z, self.bg)) != Region.D_PLUS) | (z.imag <= 0) | (np.abs(z) <= self.bg.k0)
+        if bad.any():
+            raise ValueError(f"zero {z[bad][0]} is not in the admissible part of D+")
+        i, j = np.triu_indices(z.size, 1)
+        near = np.abs(z[i] - z[j]) < 1e-8
+        if near.any():
+            raise ValueError(f"zeros {z[i][near][0]} and {z[j][near][0]} are not apart by 1e-8")
+        object.__setattr__(self, "zeros", tuple(z.tolist()))
+        object.__setattr__(self, "multiplicities", tuple(m.astype(int).tolist()))
 
 
-def _pair_factor(z: complex, zn: complex, k0: float) -> complex:
-    num = (z - zn) * (z + k0**2 / np.conj(zn))
-    den = (z - np.conj(zn)) * (z + k0**2 / zn)
-    return num / den
+def trace_det_a(z, inp: TraceInput):
+    """det a(z) of a reflectionless field from its zeros, for a scalar z or an array of them (a scalar gives a scalar).
 
-
-def trace_det_a(z: complex, inp: TraceInput) -> complex:
-    """det a(z) of a reflectionless field from its zeros.
-
-    Product of (z - z_n)(z + k0^2/z_n*) / ((z - z_n*)(z + k0^2/z_n)) over
-    simple zeros, and squared factors for double zeros.
+    Product over the zeros of ((z - z_n)(z + k0^2/z_n*) / ((z - z_n*)(z + k0^2/z_n)))^m_n.
     """
-    z = complex(z)
-    k0 = inp.bg.k0
+    z, zn = np.asarray(z, dtype=complex), np.asarray(inp.zeros, dtype=complex)
+    k0sq, w = inp.bg.k0**2, z[..., None]
     # the product's poles sit at the reflected zeros (in D-); check first so
     # a pole hit is reported as such rather than as a region violation
-    for zn in inp.simple_zeros + inp.double_zeros:
-        for pole in (np.conj(zn), -k0**2 / zn):
-            if abs(z - pole) < 1e-10:
-                raise PoleHit(f"z = {z} hits a pole of the trace product")
-    if classify_region(z, inp.bg) is not Region.D_PLUS:
-        raise ValueError(f"trace_det_a requires z in D+ (got z = {z})")
-    out = 1.0 + 0.0j
-    for zn in inp.simple_zeros:
-        out *= _pair_factor(z, zn, k0)
-    for zn in inp.double_zeros:
-        out *= _pair_factor(z, zn, k0) ** 2
-    return out
+    hit = np.any(np.abs(w - np.concatenate([zn.conj(), -k0sq / zn])) < 1e-10, axis=-1)
+    if hit.any():
+        raise PoleHit(f"z = {z[hit][0]} hits a pole of the trace product")
+    outside = np.asarray(classify_region(z, inp.bg)) != Region.D_PLUS
+    if outside.any():
+        raise ValueError(f"trace_det_a requires z in D+ (got z = {z[outside][0]})")
+    f = (w - zn) * (w + k0sq / zn.conj()) / ((w - zn.conj()) * (w + k0sq / zn))
+    return np.prod(f ** np.asarray(inp.multiplicities, dtype=int), axis=-1)[()]
 
 
 def theta_condition(inp: TraceInput) -> float:
-    """Boundary-phase difference theta_+ - theta_- = arg det(Q+ Q-^dag), in [0, 2 pi).
-
-    4 sum(arg z) over the simple zeros plus 8 sum(arg z) over the double
-    zeros (rank-2 norming constants).
-    """
-    ds = sum(math.atan2(z.imag, z.real) for z in inp.simple_zeros)
-    dd = sum(math.atan2(z.imag, z.real) for z in inp.double_zeros)
-    return float((4.0 * ds + 8.0 * dd) % (2.0 * math.pi))
+    """Boundary-phase difference theta_+ - theta_- = arg det(Q+ Q-^dag), in [0, 2 pi): 4 sum m_n arg z_n."""
+    # arg z as the imaginary part of log z, which is libm's atan2; np.angle's vectorized arctan2 can be an ulp off it
+    phase = 4.0 * np.sum(np.asarray(inp.multiplicities) * np.log(np.asarray(inp.zeros, dtype=complex)).imag)
+    return float(phase % (2.0 * math.pi))

@@ -136,7 +136,7 @@ def test_criterion_04_symmetry_audit(fig3a_field, fig3a_spec):
 # -- criterion 5: trace-formula consistency ---------------------------------
 
 def test_criterion_05_trace_formula(fig3a_field, fig3a_spec):
-    inp = TraceInput(bg=fig3a_spec.bg, simple_zeros=(2j,))
+    inp = TraceInput(fig3a_spec.bg, (2j,), (1,))
     da3 = det_a(fig3a_field, 3j, 1e-10, fig3a_spec.bg)
     hand_ok = abs(da3 - 0.28) <= 1e-3
     pts = []
@@ -146,8 +146,8 @@ def test_criterion_05_trace_formula(fig3a_field, fig3a_spec):
             pts.append(z)
         if len(pts) == 20:
             break
-    das = det_a(fig3a_field, np.array(pts), 1e-8, fig3a_spec.bg)
-    worst = max(abs(da - trace_det_a(z, inp)) for z, da in zip(pts, das))
+    zs = np.array(pts)
+    worst = float(np.max(np.abs(det_a(fig3a_field, zs, 1e-8, fig3a_spec.bg) - trace_det_a(zs, inp))))
     ok = hand_ok and worst <= 1e-3
     report(
         "criterion 5", ok,
@@ -162,7 +162,7 @@ def test_criterion_05_trace_formula(fig3a_field, fig3a_spec):
 def test_criterion_06_theta_condition(fig3a_spec):
     Qm = h.reconstruct_Q(-40.0, 0.0, fig3a_spec)
     measured = float(np.angle(np.linalg.det(fig3a_spec.bg.Qplus @ dagger(Qm))) % (2 * math.pi))
-    expected = theta_condition(TraceInput(bg=fig3a_spec.bg, simple_zeros=(2j,)))
+    expected = theta_condition(TraceInput(fig3a_spec.bg, (2j,), (1,)))
     gap = abs(expected - measured)
     gap = min(gap, 2 * math.pi - gap)
     ok = gap <= 1e-3

@@ -228,22 +228,22 @@ def test_cli_verify_states_the_measured_phase_nearest_the_expected(tmp_path, mon
     assert abs(theta["measured"] - turn) <= 1e-15, theta
 
 
-def _verify_theta_condition(tmp_path, zeta, C, alpha, beta):
-    """Seed flag and theta_condition check of `verify --config` on one seed with Q+- = I."""
+def _verify_theta_condition(tmp_path, seeds, alpha, beta):
+    """Seed flags and theta_condition check of `verify --config` on seeds [(zeta, C), ...] with Q+- = I."""
     pair = lambda v: [float(v.real), float(v.imag)]
     cfg = {
         "name": "config",
         "background": {"sigma": -1, "k0": 1.0, "alpha": alpha, "beta": beta,
                        "qplus": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
         "seeds": [{"zeta": pair(zeta), "c": [[pair(C[0, 0]), pair(C[0, 1])],
-                                             [pair(C[1, 0]), pair(C[1, 1])]]}],
+                                             [pair(C[1, 0]), pair(C[1, 1])]]} for zeta, C in seeds],
         "grid": {"xmin": -4, "xmax": 4, "nx": 41, "tmin": -2, "tmax": 2, "nt": 25},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "verify.json"
     main(["verify", "--config", str(cfg_path), "--n-probe", "12", "--out", str(out)])
-    return load_config(cfg_path).seeds[0].rank_flag, json.loads(out.read_text())["checks"]["theta_condition"]
+    return [s.rank_flag for s in load_config(cfg_path).seeds], json.loads(out.read_text())["checks"]["theta_condition"]
 
 
 def test_cli_verify_rank1_config_theta_condition(tmp_path):
@@ -256,7 +256,7 @@ def test_cli_verify_rank1_config_theta_condition(tmp_path):
     u = rng.normal(size=2) + 1j * rng.normal(size=2)
     C = np.outer(u, u)
     C[1, 0] = C[0, 1]
-    flag, theta = _verify_theta_condition(tmp_path, zeta, C, 0.5, 0.02)
+    (flag,), theta = _verify_theta_condition(tmp_path, [(zeta, C)], 0.5, 0.02)
     assert flag is RankFlag.RANK1
     assert theta["pass"] is True, theta
 
@@ -266,8 +266,18 @@ def test_cli_verify_near_rank1_config_theta_condition(tmp_path):
     # and the measured phase (0.360) then missed the phase condition; the rest of the
     # report is not asserted (pde_residual reads 1.04e-5 at h = 1e-2, stencil
     # truncation)
-    flag, theta = _verify_theta_condition(tmp_path, 1 + 2j, np.array([[1, 1], [1, 1 + 1e-11]]), 1.0, 0.1)
+    (flag,), theta = _verify_theta_condition(tmp_path, [(1 + 2j, np.array([[1, 1], [1, 1 + 1e-11]]))], 1.0, 0.1)
     assert flag is RankFlag.RANK2
+    assert theta["pass"] is True, theta
+
+
+def test_cli_verify_mixed_order_config_theta_condition(tmp_path):
+    # the seeds of test_two_eigenvalue_recovery: a simple zero 2i and a double zero 1 + 2i, so the expected phase
+    # is 4 arg 2i + 8 arg(1 + 2i) mod 2 pi
+    seeds = [(2j, np.ones((2, 2), dtype=complex)), (1 + 2j, np.array([[1, 0.5], [0.5, 1]], dtype=complex))]
+    flags, theta = _verify_theta_condition(tmp_path, seeds, 1.0, 0.1)
+    assert flags == [RankFlag.RANK1, RankFlag.RANK2]
+    assert abs(theta["expected"] - (2 * math.pi + 8 * math.atan2(2, 1)) % (2 * math.pi)) <= 1e-12, theta
     assert theta["pass"] is True, theta
 
 

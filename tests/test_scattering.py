@@ -214,11 +214,11 @@ def test_first_symmetry_scales_with_tolerance(fig3a_field, fig3a_spec):
         s = scattering_matrix(fig3a_field, 0.5, tol, fig3a_spec.bg)
         assert np.max(np.abs(dagger(s.S) @ J @ s.S - J)) <= 1e-12
 
-    inp = TraceInput(bg=fig3a_spec.bg, simple_zeros=(2j,))
+    inp = TraceInput(fig3a_spec.bg, (2j,), (1,))
     zs = np.array([3j, 1.2 + 1.9j, -0.8 + 2.6j])
 
     def err(tol):
-        return np.max(np.abs(det_a(fig3a_field, zs, tol, fig3a_spec.bg) - [trace_det_a(z, inp) for z in zs]))
+        return np.max(np.abs(det_a(fig3a_field, zs, tol, fig3a_spec.bg) - trace_det_a(zs, inp)))
 
     assert 10.0 <= err(1e-6) / err(1e-8) <= 1000.0
 
@@ -357,21 +357,19 @@ def _dplus_points(zeta, n=6):
     return out
 
 
-def _det_a_error(seed, bg, zs=None):
-    """max |det_a - trace_det_a| at tol 1e-8 over zs, by default _dplus_points (field at t = 0)."""
-    spec = expand_quartets([seed], bg)
-    rank2 = seed.rank_flag is RankFlag.RANK2
-    inp = TraceInput(bg=bg, simple_zeros=() if rank2 else (seed.zn,), double_zeros=(seed.zn,) if rank2 else ())
-    zs = _dplus_points(seed.zn) if zs is None else zs
-    got = det_a(functools.partial(h.reconstruct_Q, spec=spec), np.array(zs), 1e-8, bg)
-    return max(abs(g - trace_det_a(z, inp)) for g, z in zip(got, zs))
+def _det_a_error(seeds, bg, zs=None, tol=1e-8):
+    """max |det_a - trace_det_a| at tol over zs, by default _dplus_points of the first seed (field at t = 0)."""
+    field = functools.partial(h.reconstruct_Q, spec=expand_quartets(seeds, bg))
+    inp = TraceInput(bg, [s.zn for s in seeds], [s.rank_flag.value for s in seeds])
+    zs = np.array(_dplus_points(seeds[0].zn) if zs is None else zs)
+    return np.max(np.abs(det_a(field, zs, tol, bg) - trace_det_a(zs, inp)))
 
 
 @pytest.mark.parametrize("name", sorted(RK45_DET_A_ERROR))
 def test_det_a_no_worse_than_rk45(name):
     p = h.preset(name)
     assert min_decay_rate(p.spec) >= 0.75
-    assert _det_a_error(p.seeds[0], p.bg) <= RK45_DET_A_ERROR[name]
+    assert _det_a_error(p.seeds, p.bg) <= RK45_DET_A_ERROR[name]
 
 
 # _det_a_error on the graded mesh of the 2-node, 4th-order Magnus step that the
@@ -385,7 +383,7 @@ MAGNUS4_DET_A_ERROR = {
 @pytest.mark.parametrize("name", sorted(MAGNUS4_DET_A_ERROR))
 def test_det_a_no_worse_than_the_4th_order_step(name):
     p = h.preset(name)
-    assert _det_a_error(p.seeds[0], p.bg) <= MAGNUS4_DET_A_ERROR[name]
+    assert _det_a_error(p.seeds, p.bg) <= MAGNUS4_DET_A_ERROR[name]
 
 
 def test_magnus_step_is_6th_order(fig3a_field, fig3a_spec):
@@ -423,7 +421,17 @@ def test_det_a_matches_trace_formula_off_the_presets(name, fig3a):
     zeta, C, bound = OFF_PRESET_DET_A_ERROR[name]
     seed = DiscreteEigenpair(zeta, np.array(C, dtype=complex))
     assert (seed.rank_flag is RankFlag.RANK1) == (name == "rank1")
-    assert _det_a_error(seed, fig3a.bg) <= bound
+    assert _det_a_error([seed], fig3a.bg) <= bound
+
+
+@pytest.mark.parametrize("tol, bound", [(1e-8, 1e-10), (1e-10, 1e-11)])
+def test_det_a_matches_trace_formula_with_a_simple_and_a_double_zero(fig3a, tol, bound):
+    # the seeds of test_two_eigenvalue_recovery, 2i of rank 1 and 1 + 2i of rank 2: a product of one simple factor
+    # and one squared factor (1.5e-11 at tol 1e-8 and 4.0e-13 at tol 1e-10)
+    seeds = [DiscreteEigenpair(2j, np.ones((2, 2), dtype=complex)),
+             DiscreteEigenpair(1 + 2j, np.array([[1, 0.5], [0.5, 1]], dtype=complex))]
+    assert [s.rank_flag for s in seeds] == [RankFlag.RANK1, RankFlag.RANK2]
+    assert _det_a_error(seeds, fig3a.bg, _dplus_points(1 + 2j, 8), tol) <= bound  # the points are 0.6 or more from 2i
 
 
 @pytest.mark.parametrize("k0", [1.0, 1.5, 2.0])
@@ -433,7 +441,7 @@ def test_det_a_error_does_not_grow_with_k0(k0):
     Qp = k0 * np.eye(2, dtype=complex)
     bg = h.Background(sigma=-1, k0=k0, alpha=1.0, beta=0.1, Qplus=Qp, Qminus=Qp)
     seed = DiscreteEigenpair(2j * k0, np.ones((2, 2), dtype=complex))
-    assert _det_a_error(seed, bg, [k0 * z for z in _dplus_points(2j)]) <= 4e-12
+    assert _det_a_error([seed], bg, [k0 * z for z in _dplus_points(2j)]) <= 4e-12
 
 
 # Hypothesis legs: random seeds off the presets -------------------------------
@@ -464,7 +472,7 @@ def seeds_and_dplus_points(draw):
 @pytest.mark.filterwarnings("error::hirota_ist.errors.NoConvergenceWarning")
 def test_det_a_matches_trace_formula_on_random_seeds(case):
     seed, bg, zs = case
-    assert _det_a_error(seed, bg, zs) <= 5e-8
+    assert _det_a_error([seed], bg, zs) <= 5e-8
 
 
 @given(random_seeds(scaled_backgrounds, st.floats(min_value=1.05, max_value=3.0), rank1_or_2).filter(_decays))

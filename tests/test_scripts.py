@@ -3,6 +3,7 @@
 import json
 import logging
 import pathlib
+import re
 import runpy
 import shutil
 import sys
@@ -64,3 +65,14 @@ def test_same_outputs_finds_no_deviation_in_one_tree_and_names_a_perturbed_field
     assert breaches == 1
     (breach,) = [line for line in lines if line.endswith("BREACH")]
     assert breach.startswith("    samples[].rho_norm: 1e-12 (tol 1e-13)")
+    shutil.copy(ref / "fig4.scatter.json", new)
+    # roundtrip's closest error may move by one unit of its third digit, and no more
+    text = (ref / "fig4.roundtrip-1e-4.txt").read_text()
+    mantissa, exponent = re.search(r"closest error (\d\.\d\d)e([-+]\d+),", text).groups()
+    for factor, n in ((1.0 + 0.01 / float(mantissa), 0), (1.05, 1)):
+        moved = f"closest error {float(mantissa) * factor:.2f}e{exponent},"
+        (new / "fig4.roundtrip-1e-4.txt").write_text(text.replace(f"closest error {mantissa}e{exponent},", moved))
+        lines, breaches = so["compare"](ref, new)
+        assert breaches == n and "fig4.roundtrip-1e-4.txt:" in lines
+        (line,) = [line for line in lines if line.startswith("    eigenvalue ")]
+        assert line.endswith("(tol 1e-02, relative)" + " BREACH" * n), line

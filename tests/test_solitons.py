@@ -120,7 +120,7 @@ def test_seed_and_partner_share_a_rank():
     Qmp = _reconstruct_mp(-40.0, 0.0, spec, _dps_for(log_scale(-40.0, 0.0, spec)))
     assert np.max(np.abs(Q - Qmp)) <= 1e-14
     measured = np.angle(np.linalg.det(FOC.Qplus @ dagger(Q))) % (2 * np.pi)
-    assert abs(measured - h.theta_condition(h.TraceInput(bg=FOC, double_zeros=(seed.zn,)))) <= 1e-12
+    assert abs(measured - h.theta_condition(h.TraceInput(FOC, (seed.zn,), (2,)))) <= 1e-12
 
 
 upper = st.builds(
