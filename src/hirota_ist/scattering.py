@@ -70,11 +70,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IntegrationFailure, NoBackground, NoConvergenceWarning, SingularWronskian
+from .errors import IntegrationFailure, MissingPartner, NoBackground, NoConvergenceWarning, SingularWronskian
 from .lax import asymptotic_eigenvectors
-from .matrices import SIGMA2, SIGMA3, CMat2, CMat4, dagger, inv2
-from .spectral import (Background, Region, SpectralPoint, background_defect, classify_region, find_partner,
-                       shift_sign, theta, uniformize)
+from .matrices import SIGMA2, SIGMA3, CMat2, dagger, inv2
+from .spectral import (Background, Region, SpectralPoint, background_defect, classify_region, shift_sign, theta,
+                       uniformize)
 from .verification import Field
 
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
@@ -394,15 +394,15 @@ def _points(z, bg: Background) -> SpectralPoint:
 
 @dataclass(frozen=True)
 class ScatteringSample:
-    z: complex
+    z: np.ndarray | complex
     t0: float
-    S: CMat4
-    a: CMat2
-    b: CMat2
-    abar: CMat2
-    bbar: CMat2
-    rho: CMat2
-    rhobar: CMat2
+    S: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    abar: np.ndarray
+    bbar: np.ndarray
+    rho: np.ndarray
+    rhobar: np.ndarray
 
 
 def integrate_jost(field: Field, z, side: str, tol: float, bg: Background, t0: float = 0.0):
@@ -426,10 +426,12 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
 
     Phi(0) and Psi(0) are rebuilt from the two modified-eigenfunction halves
     by restoring the phase factor e^{i theta(0, t0) sigma3}; that factor is
-    what makes S independent of t0.  A scalar z gives one sample, a 1-D
-    array of z the list of samples.  z and sigma k0^2/z share k, so a set
-    closed under that map propagates half its z (see _transfer); the DEBUG
-    record states the z and cells each side ran.
+    what makes S independent of t0.  Returns one ScatteringSample, whose
+    fields stack the n z of a 1-D array: z (n,), S (n, 4, 4) and a, b, abar,
+    bbar, rho, rhobar (n, 2, 2); a scalar z gives a complex z, a 4x4 S and
+    2x2 blocks.  z and sigma k0^2/z share k, so a set closed under that map
+    propagates half its z (see _transfer); the DEBUG record states the z and
+    cells each side ran.
     """
     sp = _points(z, bg)
     mesh = _mesh(field, tol, t0, bg)
@@ -446,8 +448,9 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
         (nl, nr), (tl, tr) = [len(c.h) for c in mesh], (c.tally for c in mesh)
         _log.debug("scattering_matrix: %d samples, z propagated %d left %d right, cells %d left %d right, "
                    "blocks %d left %d right", len(sp.z), tl["z"], tr["z"], nl, nr, tl["blocks"], tr["blocks"])
-    out = [ScatteringSample(complex(w), t0, *m) for w, *m in zip(sp.z, S, a, b, abar, bbar, rho, rhobar)]
-    return out[0] if np.ndim(z) == 0 else out
+    one = np.ndim(z) == 0
+    return ScatteringSample(complex(sp.z[0]) if one else sp.z, t0,
+                            *(m[0] if one else m for m in (S, a, b, abar, bbar, rho, rhobar)))
 
 
 @dataclass(frozen=True)
@@ -465,29 +468,36 @@ class SymmetryAuditReport:
         return max(astuple(self)[:-1])  # every field but n_samples
 
 
-def audit_symmetries(samples: Sequence[ScatteringSample], bg: Background) -> SymmetryAuditReport:
+def audit_symmetries(sample: ScatteringSample, bg: Background) -> SymmetryAuditReport:
     """Check the three scattering-matrix symmetries on spectrum samples.
 
     Needs the sample set closed under z -> z* and z -> sigma k0^2/z (real
-    points are their own conjugates).  The antipode identity never compared
-    two truncation errors: z and sigma k0^2/z share k and the shift w, hence
-    one transfer (see _transfer).  It checks the eigenvector algebra, the
-    column factors e^{-2 i lambda eps sum h} and the t0 phase.
+    points are their own conjugates): one array search takes as each z's
+    partner the first sample within 1e-9 max(1, |partner|), and
+    MissingPartner names the partner point of the first z that lacks one,
+    its conjugate's first.  The identities are stacked products.  The
+    antipode identity never compared two truncation errors: z and
+    sigma k0^2/z share k and the shift w, hence one transfer (see
+    _transfer).  It checks the eigenvector algebra, the column factors
+    e^{-2 i lambda eps sum h} and the t0 phase.
     """
-    J = np.diag([1.0, 1.0, -bg.sigma, -bg.sigma])
-    Qpd = dagger(bg.Qplus)
-    devs = [[0.0] * 5]
-    for s in samples:
-        conj_s = find_partner(samples, complex(np.conj(s.z)), lambda u: u.z)
-        anti_s = find_partner(samples, bg.sigma * bg.k0**2 / s.z, lambda u: u.z)
-        devs.append([np.abs(D).max() for D in (
-            dagger(conj_s.S) @ J @ s.S - J,
-            s.S.T @ SIGMA2 @ s.S - SIGMA2,
-            s.rho - s.rho.T,
-            anti_s.rho + (bg.sigma / bg.k0**2) * Qpd @ s.rhobar @ Qpd,
-            conj_s.abar - np.conj(s.a),
-        )])
-    return SymmetryAuditReport(*(float(d) for d in np.max(devs, axis=0)), n_samples=len(samples))
+    z = np.ravel(sample.z)  # a scalar z's sample always lacks its antipode, so only stacks reach the identities
+    w = np.stack([np.conj(z), bg.sigma * bg.k0**2 / z])  # each z's conjugate, then its antipode
+    near = np.abs(z - w[..., None]) <= 1e-9 * np.maximum(1.0, np.abs(w))[..., None]  # (2, n, n)
+    if not (found := near.any(axis=-1)).all():
+        i, k = divmod(int(np.argmin(found.T)), 2)  # the first z that lacks a partner, its conjugate's first
+        point = complex(z[i]).conjugate() if k == 0 else bg.sigma * bg.k0**2 / complex(z[i])
+        raise MissingPartner(f"no sample at the partner point {point}")
+    conj, anti = np.sum(np.cumsum(near, axis=-1) == 0, axis=-1)  # the misses before each first match; n = 0 too
+    S, J, Qpd = sample.S, np.diag([1.0, 1.0, -bg.sigma, -bg.sigma]), dagger(bg.Qplus)
+    devs = (
+        dagger(S[conj]) @ J @ S - J,
+        np.swapaxes(S, -1, -2) @ SIGMA2 @ S - SIGMA2,
+        sample.rho - np.swapaxes(sample.rho, -1, -2),
+        sample.rho[anti] + (bg.sigma / bg.k0**2) * Qpd @ sample.rhobar @ Qpd,
+        sample.abar[conj] - np.conj(sample.a),
+    )
+    return SymmetryAuditReport(*(float(np.abs(D).max(initial=0.0)) for D in devs), n_samples=len(z))
 
 
 def _det_a(mesh, sp: SpectralPoint, bg: Background) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingPartner, ZeroArgument
+from .errors import ZeroArgument
 from .matrices import CMat2, dagger
 
 
@@ -121,15 +121,6 @@ def uniformize(z, bg: Background) -> SpectralPoint:
     lam = z - k  # keeps k + lam = z to the last bit
     gamma = 1.0 - bg.sigma * bg.k0**2 / z**2
     return SpectralPoint(z=z, k=k, lam=lam, gamma=gamma)
-
-
-def find_partner(items, z: complex, key):
-    """The first of items whose key(item) lies within 1e-9 max(1, |z|) of z; MissingPartner if none."""
-    tol = 1e-9 * max(1.0, abs(z))
-    for item in items:
-        if abs(key(item) - z) <= tol:
-            return item
-    raise MissingPartner(f"no sample at the partner point {z}")
 
 
 def dispersion(k, bg: Background):

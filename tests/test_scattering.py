@@ -33,6 +33,7 @@ from hirota_ist.scattering import (
     _panels,
     _stack,
     _transfer,
+    SymmetryAuditReport,
     audit_symmetries,
     det_a,
     find_discrete_spectrum,
@@ -94,8 +95,7 @@ def test_scattering_time_invariance(fig3a_spec, fig3a_field):
     zs = [0.5, -1.7]
     at0 = scattering_matrix(fig3a_field, zs, TOL, fig3a_spec.bg, t0=0.0)
     at1 = scattering_matrix(field_t, zs, TOL, fig3a_spec.bg, t0=0.5)
-    for s0, s1 in zip(at0, at1):
-        assert np.max(np.abs(s0.S - s1.S)) <= 1e-6
+    assert np.max(np.abs(at0.S - at1.S)) <= 1e-6
 
 
 def test_det_a_trace_value(fig3a_field, fig3a_spec):
@@ -174,9 +174,39 @@ def test_wkb_tail_of_modified_eigenfunction(fig3a_field, fig3a_spec):
     assert np.max(np.abs(mu[2:, :2] - expected_dn)) <= 2.0 / abs(z) ** 2
 
 
+def _find_partner(zs, w):
+    """The index of the first of zs within 1e-9 max(1, |w|) of w; MissingPartner if none."""
+    tol = 1e-9 * max(1.0, abs(w))
+    for i, u in enumerate(zs):
+        if abs(u - w) <= tol:
+            return i
+    raise MissingPartner(f"no sample at the partner point {w}")
+
+
+def _reference_audit(sample, bg):
+    """The symmetry audit one sample at a time, with a linear search for each partner: the array audit's reference."""
+    zs = [complex(z) for z in np.ravel(sample.z)]
+    S, a, abar, rho, rhobar = (np.reshape(m, (len(zs),) + np.shape(m)[-2:])
+                               for m in (sample.S, sample.a, sample.abar, sample.rho, sample.rhobar))
+    J = np.diag([1.0, 1.0, -bg.sigma, -bg.sigma])
+    Qpd = dagger(bg.Qplus)
+    devs = [[0.0] * 5]
+    for i, z in enumerate(zs):
+        c = _find_partner(zs, complex(np.conj(z)))
+        w = _find_partner(zs, bg.sigma * bg.k0**2 / z)
+        devs.append([np.abs(D).max() for D in (
+            dagger(S[c]) @ J @ S[i] - J,
+            S[i].T @ SIGMA2 @ S[i] - SIGMA2,
+            rho[i] - rho[i].T,
+            rho[w] + (bg.sigma / bg.k0**2) * Qpd @ rhobar[i] @ Qpd,
+            abar[c] - np.conj(a[i]),
+        )])
+    return SymmetryAuditReport(*(float(d) for d in np.max(devs, axis=0)), n_samples=len(zs))
+
+
 def test_audit_background_zero(background_bg, background_field):
-    samples = scattering_matrix(background_field, [0.5, -2.0, -0.5, 2.0], TOL, background_bg)
-    rep = audit_symmetries(samples, background_bg)
+    sample = scattering_matrix(background_field, [0.5, -2.0, -0.5, 2.0], TOL, background_bg)
+    rep = audit_symmetries(sample, background_bg)
     assert rep.max_deviation() < 1e-8
 
 
@@ -184,25 +214,46 @@ def test_audit_soliton_small(fig3a_field, fig3a_spec):
     zs = [0.45, -1 / 0.45, -0.45, 1 / 0.45]
     for phi in (math.pi / 4, -math.pi / 4, 3 * math.pi / 4, -3 * math.pi / 4):
         zs.append(np.exp(1j * phi))
-    samples = scattering_matrix(fig3a_field, zs, TOL, fig3a_spec.bg)
-    rep = audit_symmetries(samples, fig3a_spec.bg)
+    sample = scattering_matrix(fig3a_field, zs, TOL, fig3a_spec.bg)
+    rep = audit_symmetries(sample, fig3a_spec.bg)
     assert rep.max_deviation() <= 1e-6
 
 
+@pytest.mark.parametrize("name, n_real, n_circle", [("fig6", 8, 4), ("fig3a", 3, 1)],
+                         ids=["fig6-scatter-48", "fig3a-roundtrip-16"])
+def test_array_audit_gives_the_per_sample_report_bit_for_bit(name, n_real, n_circle):
+    # the samples of `scatter --n-real-orbits 8 --n-circle-orbits 4` (the bench's 48) and of `roundtrip`'s det S check
+    spec = h.preset(name).spec
+    zs = sigma_sample_points(spec.bg.k0, n_real, n_circle)
+    sample = scattering_matrix(functools.partial(h.reconstruct_Q, spec=spec), zs, 1e-10, spec.bg)
+    rep = audit_symmetries(sample, spec.bg)
+    assert rep == _reference_audit(sample, spec.bg) and rep.n_samples == len(zs)
+
+
 def test_audit_flags_corruption(background_bg, background_field):
-    samples = scattering_matrix(background_field, [0.5, -2.0, -0.5, 2.0], TOL, background_bg)
-    s = samples[0]
-    bad_b = s.b + 0.1
-    samples[0] = dataclasses.replace(s, b=bad_b, rho=bad_b @ np.linalg.inv(s.a))
-    rep = audit_symmetries(samples, background_bg)
+    sample = scattering_matrix(background_field, [0.5, -2.0, -0.5, 2.0], TOL, background_bg)
+    b, rho = sample.b.copy(), sample.rho.copy()
+    b[0] += 0.1
+    rho[0] = b[0] @ np.linalg.inv(sample.a[0])
+    bad = dataclasses.replace(sample, b=b, rho=rho)
+    rep = audit_symmetries(bad, background_bg)
+    assert rep == _reference_audit(bad, background_bg)
     assert rep.max_deviation() > 1e-2
-    assert rep.antipode_identity > 1e-2  # samples[0] is the antipode partner of z = -2
+    assert rep.antipode_identity > 1e-2  # row 0 is the antipode partner of z = -2
 
 
 def test_audit_missing_partner(background_bg, background_field):
-    samples = [scattering_matrix(background_field, 0.5, TOL, background_bg)]
-    with pytest.raises(MissingPartner):
-        audit_symmetries(samples, background_bg)
+    for zs, missing in (
+        (0.5, "(-2+0j)"),  # a scalar z's sample: 0.5 is its own conjugate, and its antipode is absent
+        ([0.5, -2.0, -0.5], "(2-0j)"),  # only -0.5 lacks a partner, its antipode
+        ([0.5, 1.5 + 0.3j, -2.0], "(1.5-0.3j)"),  # 1.5 + 0.3i lacks both: its conjugate is named first
+    ):
+        sample = scattering_matrix(background_field, zs, TOL, background_bg)
+        with pytest.raises(MissingPartner) as ref:
+            _reference_audit(sample, background_bg)
+        with pytest.raises(MissingPartner) as got:
+            audit_symmetries(sample, background_bg)
+        assert str(got.value) == str(ref.value) == f"no sample at the partner point {missing}", zs
 
 
 def test_first_symmetry_scales_with_tolerance(fig3a_field, fig3a_spec):
@@ -482,8 +533,8 @@ def test_symmetry_audit_holds_on_random_seeds(quartet):
     # over 300 examples at t0 = 0 the audit read at most 1.2e-13 (median 1.9e-14); the bound leaves 8x
     seed, bg = quartet
     field = functools.partial(h.reconstruct_Q, spec=expand_quartets([seed], bg))
-    samples = scattering_matrix(field, sigma_sample_points(bg.k0, 2, 1), 1e-10, bg)
-    assert audit_symmetries(samples, bg).max_deviation() <= 1e-12
+    sample = scattering_matrix(field, sigma_sample_points(bg.k0, 2, 1), 1e-10, bg)
+    assert audit_symmetries(sample, bg).max_deviation() <= 1e-12
 
 
 CLI_BOX = (-3.07, 3.05, 1.085, 3.21)  # the search box of `hirota-ist roundtrip`, in units of k0
@@ -553,12 +604,12 @@ def test_batched_z_gives_the_same_bits(fig3a_field, fig3a_spec):
     assert batch.shape == (4,)
     np.testing.assert_array_equal(batch, [det_a(fig3a_field, z, 1e-8, bg) for z in zs])
     zs = np.array([0.5, -1.7, np.exp(0.25j * math.pi)])
-    samples = scattering_matrix(fig3a_field, zs, 1e-8, bg)
-    assert [s.z for s in samples] == list(zs)
-    for s, z in zip(samples, zs):
+    sample = scattering_matrix(fig3a_field, zs, 1e-8, bg)
+    np.testing.assert_array_equal(sample.z, zs)
+    for i, z in enumerate(zs):
         one = scattering_matrix(fig3a_field, z, 1e-8, bg)
         for name in ("S", "a", "b", "abar", "bbar", "rho", "rhobar"):
-            np.testing.assert_array_equal(getattr(s, name), getattr(one, name), err_msg=name)
+            np.testing.assert_array_equal(getattr(sample, name)[i], getattr(one, name), err_msg=name)
     np.testing.assert_array_equal(
         integrate_jost(fig3a_field, zs, "right", 1e-8, bg)[1],
         integrate_jost(fig3a_field, zs[1], "right", 1e-8, bg),
@@ -804,9 +855,17 @@ def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog, mon
     few = np.r_[0:len(zs):29, len(zs) - 1]
     mu = integrate_jost(fig3a_field, zs, "left", tol, bg)
     np.testing.assert_array_equal(mu[few], [integrate_jost(fig3a_field, z, "left", tol, bg) for z in zs[few]])
-    samples = scattering_matrix(fig3a_field, zs, tol, bg)
+    sample = scattering_matrix(fig3a_field, zs, tol, bg)
+    assert sample.z.shape == (len(zs),) and sample.S.shape == (len(zs), 4, 4)
+    blocks = ("a", "b", "abar", "bbar", "rho", "rhobar")
+    assert all(getattr(sample, name).shape == (len(zs), 2, 2) for name in blocks)
     for i in few:
-        np.testing.assert_array_equal(samples[i].S, scattering_matrix(fig3a_field, zs[i], tol, bg).S)
+        one = scattering_matrix(fig3a_field, zs[i], tol, bg)
+        assert type(one.z) is complex and one.S.shape == (4, 4)
+        assert all(getattr(one, name).shape == (2, 2) for name in blocks)
+        assert one.z == sample.z[i] and one.t0 == sample.t0
+        for name in ("S",) + blocks:
+            np.testing.assert_array_equal(getattr(sample, name)[i], getattr(one, name), err_msg=name)
     # the search's rounds share blocks too, and its zeros have the same bits with every z propagated alone
     found, evaluated, record = _search(fig3a_field, CLI_BOX, tol, bg, monkeypatch, caplog)
     new = [int(k) for k in re.findall(r"\((\d+) new z\)", record)]
@@ -913,7 +972,7 @@ def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background
     mesh = _mesh(field, tol, 0.0, bg)
     monkeypatch.setattr(scattering, "_mesh", lambda *args: mesh)  # the calls below share one mesh and its tallies
     with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
-        samples = scattering_matrix(field, zs, tol, bg)
+        sample = scattering_matrix(field, zs, tol, bg)
     assert [c.tally["z"] for c in mesh] == [len(run)] * 2
     assert (f"scattering_matrix: {len(zs)} samples, z propagated {len(run)} left {len(run)} right, cells "
             f"{len(mesh[0].h)} left {len(mesh[1].h)} right, blocks {mesh[0].tally['blocks']} left "
@@ -921,7 +980,7 @@ def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background
     mus = [integrate_jost(field, zs, side, tol, bg) for side in ("left", "right")]
     assert [c.tally["z"] for c in mesh] == [2 * len(run)] * 2
     for i, z in enumerate(zs):
-        pairs = [(samples[i].S, scattering_matrix(field, z, tol, bg).S)]
+        pairs = [(sample.S[i], scattering_matrix(field, z, tol, bg).S)]
         pairs += [(mu[i], integrate_jost(field, z, side, tol, bg)) for mu, side in zip(mus, ("left", "right"))]
         for got, alone in pairs:
             assert np.abs(got - alone).max() <= 1e-13 * np.abs(alone).max(), z
