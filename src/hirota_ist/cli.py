@@ -85,11 +85,7 @@ def _point(text: str) -> complex:
 
 
 def _resolve_preset(args) -> Preset:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    if getattr(args, "preset", None):
-        return preset(args.preset)
-    raise HirotaError("either --preset or --config is required")
+    return load_config(args.config) if args.config else preset(args.preset)
 
 
 def sigma_sample_points(k0: float, n_real_orbits: int = 2, n_circle_orbits: int = 1) -> list[complex]:
@@ -258,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--preset", help="preset name (see 'presets')")
-        sp.add_argument("--config", help="JSON config path")
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--preset", help="preset name (see 'presets')")
+        source.add_argument("--config", help="JSON config path")
 
     sp = sub.add_parser("presets", help="list preset parameter sets")
     sp.set_defaults(fn=cmd_presets)

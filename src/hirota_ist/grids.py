@@ -30,6 +30,9 @@ class GridSpec:
     nt: int
 
     def __post_init__(self):
+        for name in ("nx", "nt"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.nx < 2 or self.nt < 2:
             raise ValueError("grid needs at least 2 samples per axis")
         if not all(map(math.isfinite, (self.xmin, self.xmax, self.tmin, self.tmax))):

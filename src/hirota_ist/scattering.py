@@ -83,6 +83,7 @@ _Box = tuple[float, float, float, float]  # (re0, re1, im0, im1)
 H = 0.03  # shortest cell at tol = 1e-8 and k0 <= 1 (over k0 above); a crossing's error scales like h^6
 R = 16  # longest cell over the shortest; probe cells are about R of the shortest long
 L0, L_MAX = 20.0, 80.0  # first and largest truncation length; L doubles from L0 while the field has not settled
+_MAX_PROBES = 4096  # probe cells a side past which a mesh is refused (up to R cells each); tol 1e-10 at L_MAX takes 360
 _BLOCK = 2048  # cells x z a block takes, in whole sides (one z at least): it spreads ~140 numpy calls over them
 _CELL_BLOCK = 512  # cells built at once, which bounds _cells' ~25 live (4, 4, n) temporaries to about 3 MB
 _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])  # Gauss-Legendre nodes on a unit cell
@@ -162,7 +163,11 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
     h0 = H * (tol / 1e-8) ** (1.0 / 6.0) / max(1.0, bg.k0)
     L, evals = L0, 0
     while True:
-        m = math.ceil(L / (R * h0))  # probe cells a side
+        m = L / (R * h0)  # probe cells a side, checked before it is rounded up and before any array is sized
+        if not m <= _MAX_PROBES:
+            raise ValueError(f"Jost mesh too fine: tol {tol:g} and k0 {bg.k0:g} ask for {m:.4g} probe cells a side "
+                             f"at L = {L:g}, above {_MAX_PROBES}")
+        m = math.ceil(m)
         p = L / m
         probe = p * (np.arange(2 * m) + 0.5) - L
         Qs = _field_at(field, np.concatenate(([-2.0 * L], probe)), t0)
@@ -629,7 +634,8 @@ def find_discrete_spectrum(
     panel whose error estimate (see _moments) exceeds tol times its
     share of the perimeter doubles its intervals, and det a is evaluated
     only at the new nodes, so no value is thrown away (Austin, Kravanja &
-    Trefethen, SIAM J. Numer. Anal. 52, 2014).  A panel past _MAX_DEGREE
+    Trefethen, SIAM J. Numer. Anal. 52, 2014); each round is one det a call,
+    on every node of a new or moved box.  A panel past _MAX_DEGREE
     intervals stops the refinement with a NoConvergenceWarning.
 
     A zero on or near the contour (a phase step between neighbouring nodes
@@ -660,41 +666,37 @@ def find_discrete_spectrum(
     mesh = _mesh(field, tol, t0, bg)
     moves: list[_Box] = []
     rounds: list[str] = []
-    while True:
-        re0, re1, im0, im1 = box
-        perimeter = 2.0 * (re1 - re0 + im1 - im0)
-        start, extent, n = _panels(box)
-        z = _contour(start, extent, n)
-        a, new = _det_a(mesh, _points(z, bg), bg), len(z)
-        while True:  # refinement rounds on this box
-            mag = np.abs(a)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = np.angle(np.roll(a, -1) / a)  # node j to j + 1, the last one closing the contour
-            dip = mag < _DIP * np.minimum(np.roll(mag, 1), np.roll(mag, -1))
-            near = not mag.all() or bool(np.abs(steps).max() > 0.5 * math.pi or dip.any())
-            w = float(np.nansum(steps)) / (2.0 * math.pi)
-            N = max(0, round(w))
-            rounds.append(f"{len(z)} nodes ({new} new z)")
-            if not N or not mag.all():
-                break
+    fresh = None  # the nodes that the next round evaluates; None lays out a new box, all of whose nodes are fresh
+    while True:  # rounds, each of one det a call at its fresh nodes
+        if fresh is None:
+            perimeter = 2.0 * (box[1] - box[0] + box[3] - box[2])
+            start, extent, n = _panels(box)
+            fresh, a = np.ones(n.sum(), dtype=bool), np.empty(0, dtype=complex)
+        z, old = _contour(start, extent, n), a
+        a = np.empty(len(z), dtype=complex)
+        a[~fresh], a[fresh] = old, _det_a(mesh, _points(z[fresh], bg), bg)
+        mag = np.abs(a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.angle(np.roll(a, -1) / a)  # node j to j + 1, the last one closing the contour
+        dip = mag < _DIP * np.minimum(np.roll(mag, 1), np.roll(mag, -1))
+        near = not mag.all() or bool(np.abs(steps).max() > 0.5 * math.pi or dip.any())
+        w = float(np.nansum(steps)) / (2.0 * math.pi)
+        N = max(0, round(w))
+        rounds.append(f"{len(z)} nodes ({fresh.sum()} new z)")
+        roots, mult, sv = np.empty(0, complex), np.empty(0), np.empty(0)
+        if N and mag.all():
             s, est = _moments(z, a, steps, box, N, extent, n)
             target = tol * np.abs(extent) / perimeter
             grow, worst = est > target, int(np.argmax(est / target))
             rounds[-1] += (f", largest estimate {est[worst]:.2g} against {target[worst]:.2g}, "
                            f"{grow.sum()} of {len(n)} panels refined")
-            if not grow.any():
-                break
-            if n[grow].max() >= _MAX_DEGREE:
+            if grow.any() and n[grow].max() < _MAX_DEGREE:  # the next round evaluates the doubled panels' new nodes
+                fresh = np.concatenate([np.arange(2 * m) % 2 == 1 if g else np.zeros(m, bool) for m, g in zip(n, grow)])
+                n = np.where(grow, 2 * n, n)
+                continue
+            if grow.any():
                 warnings.warn(f"a contour panel of {box} at {_MAX_DEGREE} intervals estimates {est[worst]:.2g} "
                               f"against {target[worst]:.2g}", NoConvergenceWarning)
-                break
-            fresh = np.concatenate([np.arange(2 * m) % 2 == 1 if g else np.zeros(m, bool) for m, g in zip(n, grow)])
-            n = np.where(grow, 2 * n, n)
-            z, old = _contour(start, extent, n), a
-            a = np.empty(len(z), dtype=complex)
-            a[~fresh], a[fresh], new = old, _det_a(mesh, _points(z[fresh], bg), bg), fresh.sum()
-        roots, mult, sv = np.empty(0, complex), np.empty(0), np.empty(0)
-        if N and mag.all():
             roots, mult, sv = _moment_zeros(s, box)
             r = roots[:, None]  # the distance of each zero to the nearest point of each panel
             gap = np.abs(r - start - extent * np.clip(((r - start) / extent).real, 0.0, 1.0))
@@ -702,10 +704,10 @@ def find_discrete_spectrum(
         if not near or len(moves) == _MOVES:
             break
         d = 4.0 * _NEAR * perimeter
-        grown = (re0 - d, re1 + d, im0 - d, im1 + d)
+        grown = (box[0] - d, box[1] + d, box[2] - d, box[3] + d)
         if box_off_dplus(grown) is not None:
             break
-        box = grown
+        box, fresh = grown, None
         moves.append(box)
         rounds.append("contour moved")
         warnings.warn(f"zero of det a on or near the contour; box moved to {box}", NoConvergenceWarning)

@@ -81,6 +81,8 @@ class DiscreteEigenpair:
         object.__setattr__(self, "Cn", np.asarray(self.Cn, dtype=complex))
         if not np.isfinite(self.zn):
             raise ValueError(f"eigenvalue zn must be finite, not {self.zn}")
+        if self.Cn.shape != (2, 2):
+            raise ValueError(f"norming constant Cn must be 2x2, not of shape {self.Cn.shape}")
         if not np.all(np.isfinite(self.Cn)):
             raise ValueError(f"norming constant Cn must be finite, not {self.Cn.tolist()}")
         scale = max(1.0, float(np.max(np.abs(self.Cn))))

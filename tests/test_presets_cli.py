@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import logging
 import math
 import os
 import subprocess
@@ -133,13 +134,20 @@ def test_cli_solve_zero_constant_config(tmp_path):
             np.testing.assert_array_equal(grid.values[it, ix], np.eye(2))
 
 
-def test_cli_bad_inputs(tmp_path):
+def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["solve", "--preset", "fig99", "--out", str(tmp_path / "x.csv")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["solve", "--out", str(tmp_path / "x.csv")]) == 2  # no preset/config
     assert main(["nonsense"]) == 2
+    # both --preset and --config: the config was once taken silently
+    capsys.readouterr()
+    good = tmp_path / "cfg.json"
+    good.write_text(json.dumps(_CFG))
+    assert main(["solve", "--preset", "fig3a", "--config", str(good), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "argument --config: not allowed with argument --preset" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_config_mirrors_preset(tmp_path):
@@ -436,6 +444,27 @@ def test_cli_solve_exit_2_on_a_non_finite_grid_bound(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_cli_scatter_exit_2_where_the_jost_mesh_would_be_too_fine(tmp_path, capsys):
+    # tol 1e-40 once died with an uncaught numpy._ArrayMemoryError, and 1e-300 with "Maximum allowed size exceeded"
+    out = tmp_path / "s.json"
+    for tol in ("1e-40", "1e-300"):
+        assert main(["scatter", "--preset", "fig3a", "--z", "0.7,0", "--tol", tol, "--out", str(out)]) == 2
+        assert f"error: Jost mesh too fine: tol {tol} and k0 1 ask for" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, find_tol", [("fig3a", []), ("fig6", ["--find-tol", "1e-4"])],
+                         ids=["fig3a", "fig6-1e-4"])
+def test_cli_roundtrip_logs_each_mesh_and_search(name, find_tol, caplog):
+    with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
+        assert main(["roundtrip", "--preset", name, *find_tol]) == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "hirota_ist.scattering"]
+    assert sum(m.startswith("Jost mesh ") for m in messages) == 2  # the search's mesh and the samples' mesh
+    # the search starts from the CLI box's 12 panels of 8 intervals and states each refinement round
+    assert sum(m.startswith("find_discrete_spectrum: ") and "rounds [96 nodes (96 new z), largest estimate" in m
+               for m in messages) == 1
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import logging
@@ -138,6 +139,20 @@ def test_mesh_rejects_a_t0_that_is_not_finite(fig3a_field, fig3a_spec, t0):
     # t0 = nan once failed as an ill-conditioned system at (x, t) = (-40, nan)
     with pytest.raises(ValueError, match="t0 must be finite"):
         det_a(fig3a_field, 2.5j, 1e-8, fig3a_spec.bg, t0=t0)
+
+
+@pytest.mark.parametrize("tol, k0", [(1e-40, 1.0), (1e-8, 1e4)], ids=["tol-1e-40", "k0-1e4"])
+def test_mesh_refuses_more_probe_cells_than_its_bound(background_bg, tol, k0):
+    # tol 1e-40 once died in numpy's allocator (1.07 GiB for 17953625 probes), and a large k0 shrinks the cells
+    # like 1/k0; the bound is checked before the field is sampled at all
+    bg = dataclasses.replace(background_bg, k0=k0, Qplus=k0 * np.eye(2), Qminus=k0 * np.eye(2))
+
+    def unreachable(x, t):
+        raise AssertionError("the field was sampled before the bound was checked")
+
+    with pytest.raises(ValueError, match=rf"tol {tol:g} and k0 {k0:g} ask for .* probe cells a side at L = 20, "
+                                         rf"above {scattering._MAX_PROBES}"):
+        integrate_jost(unreachable, 0.7 * k0, "left", tol, bg)
 
 
 def test_det_a_ignores_the_backgrounds_Qminus(fig3a_field, fig3a_spec):
@@ -286,13 +301,31 @@ def test_find_spectrum_roundtrip_fig3a(fig3a_field, fig3a_spec):
 
 
 @pytest.mark.parametrize("box", [(-1.0, 1.0, 2.0, 2.8), (0.0, 1.0, 1.3, 2.8)])
-def test_zero_on_contour_moves_and_warns(fig3a_field, fig3a_spec, box, caplog):
+def test_zero_on_contour_moves_and_warns(fig3a_field, fig3a_spec, box, caplog, monkeypatch):
     # an edge of each box passes through the zero 2i
+    calls = []
+    det_a_ = scattering._det_a
+    monkeypatch.setattr(scattering, "_det_a", lambda mesh, sp, bg: calls.append(sp.z) or det_a_(mesh, sp, bg))
     with pytest.warns(NoConvergenceWarning), caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
         found = find_discrete_spectrum(fig3a_field, box, 1e-4, fig3a_spec.bg)
     assert len(found) == 1
     assert abs(found[0] - 2j) <= 1e-6
     assert sum("Jost mesh" in r.getMessage() for r in caplog.records) == 1  # moved contours share one mesh
+    # one det a call a round, at exactly the round's new z: all nodes of a new or moved box, then only nodes that
+    # no earlier round of that box evaluated
+    (record,) = [m for r in caplog.records if (m := r.getMessage()).startswith("find_discrete_spectrum: ")]
+    parts = re.search(r"rounds \[(.*?)\]", record).group(1).split("; contour moved; ")
+    moves = ast.literal_eval(re.search(r"contour moves (\[.*\])$", record).group(1))
+    assert len(parts) == len(moves) + 1 == 2
+    left = iter(calls)
+    for b, part in zip((box, *moves), parts):
+        nodes, new = zip(*(map(int, re.match(r"(\d+) nodes \((\d+) new z\)", r).groups()) for r in part.split("; ")))
+        zs = [next(left) for _ in new]
+        assert [len(z) for z in zs] == list(new) and list(nodes) == np.cumsum(new).tolist()
+        np.testing.assert_array_equal(zs[0], _contour(*_panels(b)))
+        z = np.concatenate(zs)
+        assert len(np.unique(z)) == len(z)
+    assert next(left, None) is None
 
 
 def test_zero_on_contour_warns_where_the_box_cannot_grow(fig3a_field, fig3a_spec):

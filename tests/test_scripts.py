@@ -1,7 +1,6 @@
 """Each script under scripts/ runs in-process on a small input and exits 0."""
 
 import json
-import logging
 import pathlib
 import re
 import runpy
@@ -13,19 +12,12 @@ import pytest
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        pytest.param("phase_condition_probe.py", [], id="phase_condition_probe.py-args0"),
-        # Explicit ids keep each case's name stable when a case is added or retired.
-        pytest.param("roundtrip_report.py", ["--presets", "fig3a"], id="roundtrip_report.py-args2"),
-        pytest.param(
-            "roundtrip_report.py",
-            ["--presets", "fig6", "--find-tol", "1e-4"],
-            id="roundtrip_report.py-args3",
-        ),
-    ],
-)
+# Explicit ids keep each case's name stable when a case is added or retired.
+CASES = [pytest.param("phase_condition_probe.py", [], id="phase_condition_probe.py-args0")]
+SAME_OUTPUTS = "same_outputs.py"  # run by test_same_outputs_finds_no_deviation_in_one_tree_and_names_a_perturbed_field
+
+
+@pytest.mark.parametrize("script, args", CASES)
 def test_script_runs(monkeypatch, script, args):
     monkeypatch.setattr(sys, "argv", [script, *args])
     with pytest.raises(SystemExit) as exc:
@@ -33,25 +25,14 @@ def test_script_runs(monkeypatch, script, args):
     assert exc.value.code == 0
 
 
-def test_roundtrip_report_verbose_logs_each_mesh_and_search(monkeypatch, caplog):
-    logger = logging.getLogger("hirota_ist.scattering")
-    level = logger.level
-    monkeypatch.setattr(sys, "argv", ["roundtrip_report.py", "--presets", "fig3a", "--verbose"])
-    try:
-        with pytest.raises(SystemExit) as exc:
-            runpy.run_path(str(SCRIPTS / "roundtrip_report.py"), run_name="__main__")
-    finally:
-        logger.setLevel(level)  # the script sets DEBUG for the rest of its process
-    assert exc.value.code == 0
-    messages = [r.getMessage() for r in caplog.records if r.name == logger.name]
-    assert sum(m.startswith("Jost mesh ") for m in messages) == 2  # the search's mesh and the samples' mesh
-    # the search starts from the CLI box's 12 panels of 8 intervals and states each refinement round
-    assert sum(m.startswith("find_discrete_spectrum: ") and "rounds [96 nodes (96 new z), largest estimate" in m
-               for m in messages) == 1
+def test_every_script_has_a_case():
+    run = {case.values[0] for case in CASES} | {SAME_OUTPUTS}
+    untested = sorted(p.name for p in SCRIPTS.glob("*.py") if p.name not in run)
+    assert not untested, f"no test in this module runs {untested}"
 
 
 def test_same_outputs_finds_no_deviation_in_one_tree_and_names_a_perturbed_field(tmp_path):
-    so = runpy.run_path(str(SCRIPTS / "same_outputs.py"))
+    so = runpy.run_path(str(SCRIPTS / SAME_OUTPUTS))
     ref, new = tmp_path / "ref", tmp_path / "new"
     ref.mkdir()
     so["run_all"](ref, ["fig4"])  # this tree, in this process

@@ -99,6 +99,22 @@ def test_eigenpair_rejects_non_finite_values(zn, Cn, name):
         DiscreteEigenpair(zn, Cn)
 
 
+@pytest.mark.parametrize("Cn", [np.ones((3, 3)), np.ones(2), 1.0], ids=["3x3", "1-D", "scalar"])
+def test_eigenpair_rejects_a_norming_constant_that_is_not_2x2(Cn):
+    # a 3x3 Cn was once accepted and failed inside reconstruct_Q with a matmul error, and a 1-D or scalar Cn
+    # raised an untyped LinAlgError from rank_of's SVD
+    with pytest.raises(ValueError, match=r"Cn must be 2x2, not of shape"):
+        DiscreteEigenpair(2j, Cn)
+
+
+@pytest.mark.parametrize("nx, nt, name", [(2.5, 3, "nx"), (3, 3.0, "nt")])
+def test_grid_spec_rejects_a_sample_count_that_is_not_an_integer(nx, nt, name):
+    # nx = 2.5 was once accepted and failed in np.linspace
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        GridSpec(-1, 1, nx, -1, 1, nt)
+    assert GridSpec(-1, 1, np.int64(3), -1, 1, 3).x_axis().tolist() == [-1.0, 0.0, 1.0]  # numpy integers pass
+
+
 def test_rank_flags():
     assert DiscreteEigenpair(2j, ONES).rank_flag is RankFlag.RANK1
     assert DiscreteEigenpair(2j, np.array([[1, 1], [1, 2]])).rank_flag is RankFlag.RANK2
