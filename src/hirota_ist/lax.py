@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import BranchPointSingular
 from .matrices import SIGMA3, CMat2, I4, dagger
-from .spectral import Background, SpectralPoint
+from .spectral import DELTA, Background, SpectralPoint
 
 
 def embed(Q: np.ndarray, sigma: int) -> np.ndarray:
@@ -30,11 +30,11 @@ def asymptotic_eigenvectors(sp: SpectralPoint, Qpm: CMat2, bg: Background) -> np
     """Background eigenvector matrix X = I - (i/z) sigma3 Qe_pm.
 
     X satisfies U_pm X = -i lambda X sigma3 and det X = gamma^2, so it is
-    invertible away from the branch points, which are rejected.  A point of
-    one z gives a 4x4, a point of n z (n, 4, 4).
+    invertible away from the branch points, which are rejected (|gamma| below
+    DELTA).  A point of one z gives a 4x4, a point of n z (n, 4, 4).
     """
     gamma = np.ravel(sp.gamma)
-    bad = np.abs(gamma) < bg.delta_reg
+    bad = np.abs(gamma) < DELTA
     if bad.any():
         raise BranchPointSingular(f"gamma(z) = {gamma[bad][0]} too small at z = {np.ravel(sp.z)[bad][0]}")
     return I4 - np.multiply.outer(1j / sp.z, SIGMA3) @ embed(Qpm, bg.sigma)

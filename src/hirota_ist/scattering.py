@@ -15,26 +15,29 @@ Propagation is the 3-node, 6th-order Magnus exponential integrator
 470, 2009) on a graded mesh, with Q at the Gauss nodes 1/2 and
 1/2 +- sqrt(15)/10 of every cell from one call of the array field.  The step
 is exact where Q is constant, and its local error grows like h^7 times the
-variation of Q.  One array call probes Q at the centres of cells of about
-R h0, h0 = H (tol/1e-8)^(1/6) / max(1, k0) (the field and k(z) vary on the
-scale 1/k0); g, the larger of |Q - Q_lim| (the nearer of the outermost
-probes of the two sides) and |Delta Q| to the next probe,
-widened by one probe cell, splits each probe cell into equal cells of
-h0 clip((g_max/g)^(1/7), 1, R).  No cell then carries more local error than
-an h0 cell where the field varies most, so tol keeps its meaning on any
-field (errors scale like tol, as on a uniform h0 mesh), and a field that
-sits on its background gets only cells of R h0.  The left side starts from
-the field's own limit, its sample at (-2L, t0) in the same probe call; the
-right from bg.Qplus.  L doubles from L0 up to L_MAX while that sample fails
-Q Q^dag = k0^2 I (NoBackground at L_MAX) or Q(-L + p/2) or Q(L - p/2), p the
-probe cell, is farther than tol/10 from its limit (NoConvergenceWarning at
-L_MAX).  U = P(x) + k(z) S, so a cell's Omega is a cubic A0 + k A1 + k^2 A2
-+ k^3 A3 whose coefficients do not depend on z, and S^T sigma2 S = sigma2
-makes it Hamiltonian, with eigenvalues +-a, +-b, so exp(Omega) - I is
-c0 I + Omega (s0 I + c1 Omega + s1 Omega^2), by a series on Omega 2^-s
-squared s times (see _expm1): two 4x4 products a cell.  Cell
-exponentials, times the column shift e^{+-i lambda h} that keeps the
-analytic pair bounded, are multiplied in pairs along the cells of each z.
+variation of Q.  k0 is the only scale: the system is covariant under
+(k0, alpha k0, beta; k0 zeta, k0 C; x/k0, t/k0^3), which maps Q to k0 Q and
+z to k0 z and keeps det a, rho and S.  So lengths are in units of 1/k0, and
+z and deviations of Q in units of k0.  One array call probes Q at the
+centres of cells of about R h0, h0 = H (tol/1e-8)^(1/6) / k0; g, the larger
+of |Q - Q_lim| (the nearer of the outermost probes of the two sides) and
+|Delta Q| to the next probe, widened by one probe cell, splits each probe
+cell into equal cells of h0 clip((g_max/g)^(1/7), 1, R).  No cell then
+carries more local error than an h0 cell where the field varies most, so tol
+keeps its meaning on any field (errors scale like tol, as on a uniform h0
+mesh), and a field that sits on its background gets only cells of R h0.  The
+left side starts from the field's own limit, its sample at (-2L, t0) in the
+same probe call; the right from bg.Qplus.  L doubles from L0/k0 up to
+L_MAX/k0 while that sample fails Q Q^dag = k0^2 I (NoBackground there) or
+Q(-L + p/2) or Q(L - p/2), p the probe cell, is farther than tol k0/10 from
+its limit (NoConvergenceWarning there).  U = P(x) + k(z) S, so a cell's
+Omega is a cubic A0 + k A1 + k^2 A2 + k^3 A3 whose coefficients do not
+depend on z, and S^T sigma2 S = sigma2 makes it Hamiltonian, with
+eigenvalues +-a, +-b, so exp(Omega) - I is c0 I + Omega (s0 I + c1 Omega +
+s1 Omega^2), by a series on Omega 2^-s squared s times (see _expm1): two 4x4
+products a cell.  Cell exponentials, times the column shift e^{+-i lambda h}
+that keeps the analytic pair bounded, are multiplied in pairs along the
+cells of each z.
 The z travel as arrays: one spectral point of arrays, then (4, 4, ...)
 stacks, the layout of every 4x4 product here, the cells' generators included
 (_mm: broadcast ufuncs over the whole stack).  A call builds one mesh,
@@ -80,9 +83,9 @@ from .verification import Field
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
 _Box = tuple[float, float, float, float]  # (re0, re1, im0, im1)
 
-H = 0.03  # shortest cell at tol = 1e-8 and k0 <= 1 (over k0 above); a crossing's error scales like h^6
+H = 0.03  # shortest cell at tol = 1e-8, in units of 1/k0; a crossing's error scales like h^6
 R = 16  # longest cell over the shortest; probe cells are about R of the shortest long
-L0, L_MAX = 20.0, 80.0  # first and largest truncation length; L doubles from L0 while the field has not settled
+L0, L_MAX = 20.0, 80.0  # first and largest truncation length, in units of 1/k0; L doubles until the field settles
 _MAX_PROBES = 4096  # probe cells a side past which a mesh is refused (up to R cells each); tol 1e-10 at L_MAX takes 360
 _BLOCK = 2048  # cells x z a block takes, in whole sides (one z at least): it spreads ~140 numpy calls over them
 _CELL_BLOCK = 512  # cells built at once, which bounds _cells' ~25 live (4, 4, n) temporaries to about 3 MB
@@ -160,8 +163,8 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
         raise ValueError(f"tolerance must be positive and finite, not {tol}")
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, not {t0}")
-    h0 = H * (tol / 1e-8) ** (1.0 / 6.0) / max(1.0, bg.k0)
-    L, evals = L0, 0
+    h0 = H * (tol / 1e-8) ** (1.0 / 6.0) / bg.k0
+    L, evals, settled = L0 / bg.k0, 0, 0.1 * tol * bg.k0
     while True:
         m = L / (R * h0)  # probe cells a side, checked before it is rounded up and before any array is sized
         if not m <= _MAX_PROBES:
@@ -174,14 +177,14 @@ def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, 
         Qlim, Qp, evals = Qs[0], Qs[1:], evals + len(Qs)
         dev, bound = background_defect(Qlim, bg.k0)
         edges = np.abs(Qlim - Qp[0]).max(), np.abs(Qp[-1] - bg.Qplus).max()
-        if L >= L_MAX or (dev <= bound and max(edges) <= 0.1 * tol):
+        if L >= L_MAX / bg.k0 or (dev <= bound and max(edges) <= settled):
             break
         L *= 2.0
     if dev > bound:
         raise NoBackground(f"field does not settle: |Q Q^dag - k0^2 I| = {dev:.2g} at x = {-2 * L:g}, t = {t0:g}")
-    if max(edges) > 0.1 * tol:
+    if max(edges) > settled:
         warnings.warn(f"field not settled at L = {L:g}: its outermost probes are {edges[0]:.2g} (left) and "
-                      f"{edges[1]:.2g} (right) from its limits, above tol/10, at t = {t0:g}", NoConvergenceWarning)
+                      f"{edges[1]:.2g} (right) from its limits, above tol k0/10, at t = {t0:g}", NoConvergenceWarning)
     g = np.minimum(*(np.abs(Qp - Qp[i]).max(axis=(1, 2)) for i in (0, -1)))
     g[:-1] = np.maximum(g[:-1], np.abs(np.diff(Qp, axis=0)).max(axis=(1, 2)))
     g = np.pad(g, 1)
@@ -298,7 +301,7 @@ def _first_of_equal_k(k: np.ndarray, w: np.ndarray) -> np.ndarray:
     k is two-to-one in z, and shift_sign gives z and sigma k0^2/z one w.
     Candidates share k rounded to 2^-40 of the binade of that scale (one
     sort, O(n) memory); a pair that a rounding edge, a binade or Sigma's
-    delta_reg band splits is missed, which costs a transfer, not accuracy.
+    DELTA band splits is missed, which costs a transfer, not accuracy.
     A z of non-finite k or w keeps its own index.
     """
     first = np.arange(len(k))
@@ -436,9 +439,13 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
     bbar, rho, rhobar (n, 2, 2); a scalar z gives a complex z, a 4x4 S and
     2x2 blocks.  z and sigma k0^2/z share k, so a set closed under that map
     propagates half its z (see _transfer); the DEBUG record states the z and
-    cells each side ran.
+    cells each side ran.  b and rho exist on Sigma only: z in D+ or D- raises
+    ValueError before any mesh is built, a branch point BranchPointSingular.
     """
     sp = _points(z, bg)
+    region = np.asarray(classify_region(sp.z, bg))
+    if (off := np.flatnonzero((region == Region.D_PLUS) | (region == Region.D_MINUS))).size:
+        raise ValueError(f"scattering_matrix requires z on Sigma (got {region[off[0]]} at z = {complex(sp.z[off[0]])})")
     mesh = _mesh(field, tol, t0, bg)
     ph = np.exp(1j * theta(0.0, t0, sp.z, bg)[:, None, None] * _SGN)  # scales the columns
     Phi, Psi = (_jost(mesh, sp, side, bg) * ph for side in ("left", "right"))
@@ -478,7 +485,7 @@ def audit_symmetries(sample: ScatteringSample, bg: Background) -> SymmetryAuditR
 
     Needs the sample set closed under z -> z* and z -> sigma k0^2/z (real
     points are their own conjugates): one array search takes as each z's
-    partner the first sample within 1e-9 max(1, |partner|), and
+    partner the first sample within 1e-9 max(k0, |partner|), and
     MissingPartner names the partner point of the first z that lacks one,
     its conjugate's first.  The identities are stacked products.  The
     antipode identity never compared two truncation errors: z and
@@ -488,7 +495,7 @@ def audit_symmetries(sample: ScatteringSample, bg: Background) -> SymmetryAuditR
     """
     z = np.ravel(sample.z)  # a scalar z's sample always lacks its antipode, so only stacks reach the identities
     w = np.stack([np.conj(z), bg.sigma * bg.k0**2 / z])  # each z's conjugate, then its antipode
-    near = np.abs(z - w[..., None]) <= 1e-9 * np.maximum(1.0, np.abs(w))[..., None]  # (2, n, n)
+    near = np.abs(z - w[..., None]) <= 1e-9 * np.maximum(bg.k0, np.abs(w))[..., None]  # (2, n, n)
     if not (found := near.any(axis=-1)).all():
         i, k = divmod(int(np.argmin(found.T)), 2)  # the first z that lacks a partner, its conjugate's first
         point = complex(z[i]).conjugate() if k == 0 else bg.sigma * bg.k0**2 / complex(z[i])
@@ -720,7 +727,7 @@ def find_discrete_spectrum(
         warnings.warn(f"multiplicities {mult} in {box} are not integers summing to {N}", NoConvergenceWarning)
     kept: list[complex] = []
     for zr in roots:
-        if abs(abs(zr) - bg.k0) >= 1e-6 and abs(zr.imag) >= 1e-6:
+        if abs(abs(zr) - bg.k0) >= 1e-6 * bg.k0 and abs(zr.imag) >= 1e-6 * bg.k0:
             kept.append(complex(zr))
         else:
             warnings.warn(f"zero {zr} rejected: too close to the continuous spectrum", NoConvergenceWarning)

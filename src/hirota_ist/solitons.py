@@ -111,7 +111,7 @@ class SolitonSpec:
     def __post_init__(self):
         if not self.zetas:
             raise NoSeeds("the seed list is empty; a soliton spec needs at least one seed")
-        _check_poles(self.zetas)
+        _check_poles(self.zetas, self.bg.k0)
 
     @property
     def Cbars(self) -> tuple[CMat2, ...]:
@@ -141,7 +141,7 @@ def expand_quartets(seeds: Sequence[DiscreteEigenpair], bg: Background) -> Solit
     Cs: list[np.ndarray] = []
     for s in seeds:
         z = s.zn
-        if z.imag <= 1e-8 * max(1.0, bg.k0):
+        if z.imag <= 1e-8 * bg.k0:
             raise EigenvalueTooCloseToSigma(f"seed {z} too close to the real axis")
         if abs(z) < (1.0 - _CIRCLE_BAND) * bg.k0:
             raise EigenvalueRegionError(
@@ -158,15 +158,15 @@ def expand_quartets(seeds: Sequence[DiscreteEigenpair], bg: Background) -> Solit
     return SolitonSpec(bg=bg, zetas=tuple(zetas), Cs=tuple(Cs))
 
 
-def _check_poles(zetas: Sequence[complex]) -> None:
-    """Eigenvalues at least 1e-8 apart, then no pole zeta_n* within 1e-10 of an eigenvalue."""
+def _check_poles(zetas: Sequence[complex], k0: float) -> None:
+    """Eigenvalues at least 1e-8 k0 apart, then no pole zeta_n* within 1e-10 k0 of an eigenvalue."""
     for i in range(len(zetas)):
         for j in range(i + 1, len(zetas)):
-            if abs(zetas[i] - zetas[j]) < 1e-8:
+            if abs(zetas[i] - zetas[j]) < 1e-8 * k0:
                 raise DuplicateEigenvalue(f"eigenvalues {zetas[i]} and {zetas[j]} coincide")
     for n, zn in enumerate(zetas):
         for j, zj in enumerate(zetas):
-            if abs(np.conj(zn) - zj) < 1e-10:
+            if abs(np.conj(zn) - zj) < 1e-10 * k0:
                 raise PoleCollision(f"zeta_{n}* collides with zeta_{j}")
 
 

@@ -3,6 +3,7 @@
 Everything lives on the z-plane through the rational maps
 k = (z + sigma k0^2/z)/2 and lambda = (z - sigma k0^2/z)/2, so no square
 roots (and hence no sheet or branch-cut bookkeeping) appear anywhere.
+z, k and lambda are in units of k0, the only scale; regions are read on z/k0.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ class Region(enum.Enum):
     BRANCH_POINT = "branch"
 
 
-_BG_TOL = 1e-12
+_BG_TOL = 1e-12  # a background's defects: Q Q^dag - k0^2 I in units of k0^2, Q - Q^T in units of k0
+DELTA = 1e-9  # Sigma's band and the branch points' discs in u = z/k0, and the smallest |gamma| (dimensionless)
 
 
 def background_defect(Q: CMat2, k0: float) -> tuple[float, float]:
-    """max |Q Q^dag - k0^2 I| and the bound 1e-12 max(1, k0^2) that a background Q must meet."""
-    return float(np.max(np.abs(Q @ dagger(Q) - k0**2 * np.eye(2)))), _BG_TOL * max(1.0, k0**2)
+    """max |Q Q^dag - k0^2 I| and the bound 1e-12 k0^2 that a background Q must meet."""
+    return float(np.max(np.abs(Q @ dagger(Q) - k0**2 * np.eye(2)))), _BG_TOL * k0**2
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ class Background:
     def __post_init__(self):
         if self.sigma not in (-1, 1):
             raise ValueError("sigma must be +1 or -1")
-        if not (self.k0 > 0 and np.isfinite(self.k0)):
-            raise ValueError(f"k0 must be a positive finite real constant, not {self.k0}")
+        if not (self.k0 > 0 and np.finfo(float).tiny <= self.k0 * self.k0 < np.inf):  # bounds scale with k0^2
+            raise ValueError(f"k0 must be positive and finite, its square a normal float, not {self.k0}")
         for name in ("alpha", "beta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
@@ -66,13 +68,8 @@ class Background:
             dev, bound = background_defect(Q, self.k0)
             if dev > bound:
                 raise ValueError(f"{name} violates Q Q^dag = k0^2 I")
-            if np.max(np.abs(Q - Q.T)) > bound:
+            if np.max(np.abs(Q - Q.T)) > _BG_TOL * self.k0:
                 raise ValueError(f"{name} must be symmetric")
-
-    @property
-    def delta_reg(self) -> float:
-        """Classification tolerance around Sigma and the branch points."""
-        return 1e-9 * max(1.0, self.k0**2)
 
     def branch_points(self) -> tuple[complex, complex]:
         if self.sigma == -1:
@@ -90,20 +87,22 @@ class SpectralPoint:
     gamma: np.ndarray
 
 
-def _check_nonzero(z) -> np.ndarray:
-    """z as a complex array of its own shape (0-d for a scalar); ZeroArgument if any |z| < 1e-150."""
+def _check_nonzero(z, k0: float) -> np.ndarray:
+    """z as a complex array of its own shape (0-d for a scalar); ZeroArgument if any |z| < 1e-150 k0."""
     z = np.asarray(z, dtype=complex)
-    if np.count_nonzero(np.abs(z) < 1e-150):
+    if np.count_nonzero(np.abs(z) < 1e-150 * k0):
         raise ZeroArgument("spectral maps are singular at z = 0")
     return z
 
 
 def classify_region(z, bg: Background) -> Region | np.ndarray:
-    """The Region of a scalar z, or an object array of them of z's shape: the first of the tests that holds."""
-    z, tol = _check_nonzero(z), bg.delta_reg
-    near = np.min([np.abs(z - b) for b in bg.branch_points()], axis=0) <= tol
-    s = (np.abs(z) ** 2 + bg.sigma * bg.k0**2) * z.imag
-    return np.select([near, s > tol, s < -tol], [Region.BRANCH_POINT, Region.D_PLUS, Region.D_MINUS], Region.SIGMA)[()]
+    """The Region of a scalar z, or an object array of them of z's shape, on u = z/k0: a branch point within DELTA,
+    then D+ or D- where s = (|u|^2 + sigma) Im u passes +-DELTA, else Sigma."""
+    u = _check_nonzero(z, bg.k0) / bg.k0
+    near = np.min([np.abs(u - b / bg.k0) for b in bg.branch_points()], axis=0) <= DELTA
+    s = (np.abs(u) ** 2 + bg.sigma) * u.imag
+    return np.select([near, s > DELTA, s < -DELTA], [Region.BRANCH_POINT, Region.D_PLUS, Region.D_MINUS],
+                     Region.SIGMA)[()]
 
 
 def shift_sign(sp: SpectralPoint, bg: Background) -> np.ndarray:
@@ -115,7 +114,7 @@ def shift_sign(sp: SpectralPoint, bg: Background) -> np.ndarray:
 
 def uniformize(z, bg: Background) -> SpectralPoint:
     """Attach k(z), lambda(z) and gamma(z) to z, in numpy arithmetic for a scalar and an array alike."""
-    z = _check_nonzero(z)
+    z = _check_nonzero(z, bg.k0)
     w = bg.sigma * bg.k0**2 / z
     k = 0.5 * (z + w)
     lam = z - k  # keeps k + lam = z to the last bit

@@ -22,7 +22,7 @@ from .spectral import Background, Region, classify_region
 
 @dataclass(frozen=True)
 class TraceInput:
-    """Discrete zeros in the seed normalization (Im z > 0, |z| > k0), pairwise apart by 1e-8, and one
+    """Discrete zeros in the seed normalization (Im z > 0, |z| > k0), pairwise apart by 1e-8 k0, and one
     multiplicity per zero, 1 or 2: the rank of its norming constant, as the zero search's Hankel step reads it."""
 
     bg: Background
@@ -37,9 +37,9 @@ class TraceInput:
         if bad.any():
             raise ValueError(f"zero {z[bad][0]} is not in the admissible part of D+")
         i, j = np.triu_indices(z.size, 1)
-        near = np.abs(z[i] - z[j]) < 1e-8
+        near = np.abs(z[i] - z[j]) < 1e-8 * self.bg.k0
         if near.any():
-            raise ValueError(f"zeros {z[i][near][0]} and {z[j][near][0]} are not apart by 1e-8")
+            raise ValueError(f"zeros {z[i][near][0]} and {z[j][near][0]} are not apart by 1e-8 k0")
         object.__setattr__(self, "zeros", tuple(z.tolist()))
         object.__setattr__(self, "multiplicities", tuple(m.astype(int).tolist()))
 
@@ -53,7 +53,7 @@ def trace_det_a(z, inp: TraceInput):
     k0sq, w = inp.bg.k0**2, z[..., None]
     # the product's poles sit at the reflected zeros (in D-); check first so
     # a pole hit is reported as such rather than as a region violation
-    hit = np.any(np.abs(w - np.concatenate([zn.conj(), -k0sq / zn])) < 1e-10, axis=-1)
+    hit = np.any(np.abs(w - np.concatenate([zn.conj(), -k0sq / zn])) < 1e-10 * inp.bg.k0, axis=-1)
     if hit.any():
         raise PoleHit(f"z = {z[hit][0]} hits a pole of the trace product")
     outside = np.asarray(classify_region(z, inp.bg)) != Region.D_PLUS

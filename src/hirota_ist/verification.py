@@ -28,9 +28,9 @@ _D1 = np.array([3 / 4, -3 / 20, 1 / 60])
 _D2 = np.array([3 / 2, -3 / 20, 1 / 90])
 _D3 = np.array([-61 / 30, 169 / 120, -3 / 10, 7 / 240])
 
-X_FAR = 20.0  # boundary_decay reads Q+ at X_FAR
-# boundary_decay's readings of the left limit, -40 to -5120: a soliton with |z| = 6 and
-# beta = 1 has drifted about 25 to the left by t = 0.25
+X_FAR = 20.0  # boundary_decay reads Q+ at X_FAR / k0
+# boundary_decay's readings of the left limit, -40 to -5120 in units of 1/k0: a soliton with
+# |z| = 6 k0 and beta = 1 has drifted about 25 / k0 to the left by t = 0.25 / k0^3
 _LEFT_LADDER = -2.0 * X_FAR * 2.0 ** np.arange(8)
 HALTON_SKIP = 20  # first Halton index used: probes skip the corner (0, 0) and the sparse start
 
@@ -120,10 +120,11 @@ def boundary_decay(field: Field, t: float, bg: Background) -> DecayReport:
     -4 x_far, ...: it is the first reading whose difference to the next is
     the least on the ladder, so a front that has drifted past -2 x_far by
     time t is not read as the limit.  The rate comes from a log-linear fit
-    of ||Q(x) - Q+|| over [x_far/2, x_far], where x_far = X_FAR.
+    of ||Q(x) - Q+|| over [x_far/2, x_far], where x_far = X_FAR / k0.
     """
-    fit_xs = np.linspace(X_FAR / 2.0, X_FAR, 9)
-    Q = field(np.concatenate(([X_FAR, -X_FAR], fit_xs, _LEFT_LADDER)), t)
+    x_far = X_FAR / bg.k0
+    fit_xs = np.linspace(x_far / 2.0, x_far, 9)
+    Q = field(np.concatenate(([x_far, -x_far], fit_xs, _LEFT_LADDER / bg.k0)), t)
     fit, left = Q[2:2 + len(fit_xs)], Q[2 + len(fit_xs):]
     steps = np.max(np.abs(np.diff(left, axis=0)), axis=(-2, -1))
     Qminus = left[np.argmin(np.where(np.isfinite(steps), steps, np.inf))]

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -192,6 +193,14 @@ def test_cli_scatter_exit_2_on_a_bad_z(tmp_path, z, capsys):
     out = tmp_path / "s.json"
     assert main(["scatter", "--preset", "fig3a", "--z", z, "--out", str(out)]) == 2
     assert "argument --z" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_scatter_exit_2_on_a_z_off_sigma(tmp_path, capsys):
+    # 1.5i lies in D+, where b and rho do not exist; it once read rho 4.2e-7 of amplified rounding and exited 0
+    out = tmp_path / "s.json"
+    assert main(["scatter", "--preset", "fig6", "--z", "0.7,0", "--z", "0,1.5", "--out", str(out)]) == 2
+    assert "error: scattering_matrix requires z on Sigma (got Region.D_PLUS at z = 1.5j)" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -453,6 +462,46 @@ def test_cli_scatter_exit_2_where_the_jost_mesh_would_be_too_fine(tmp_path, caps
         assert main(["scatter", "--preset", "fig3a", "--z", "0.7,0", "--tol", tol, "--out", str(out)]) == 2
         assert f"error: Jost mesh too fine: tol {tol} and k0 1 ask for" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k0", [0.25, 4.0])
+def test_cli_verify_reads_a_mapped_config_as_its_preset(tmp_path, k0):
+    # fig4 mapped to k0: background (k0, alpha k0, beta), seed (k0 zeta, k0 C), grid (x/k0, t/k0^3).  verify's rate
+    # floor, decay time and bounds follow k0, so its decay, phase and symmetry checks read as fig4's, the rate and
+    # the right deviation times k0; at k0 = 0.25 the rate 0.375 once fell below a floor of 0.75 and both were skipped.
+    # The residual is left out: its step and tolerance are the user's
+    cfg = {"background": {"sigma": -1, "k0": k0, "alpha": -k0, "beta": 0.01,
+                          "qplus": [[[k0, 0], [0, 0]], [[0, 0], [k0, 0]]]},
+           "seeds": [{"zeta": [0, 2 * k0], "c": [[[k0, 0], [2 * k0, 0]], [[2 * k0, 0], [k0, 0]]]}],
+           "grid": {"xmin": -5 / k0, "xmax": 5 / k0, "nx": 201, "tmin": -3 / k0**3, "tmax": 3 / k0**3, "nt": 121}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    checks = []
+    for source in (["--preset", "fig4"], ["--config", str(tmp_path / "cfg.json")]):
+        main(["verify", *source, "--n-probe", "12", "--out", str(tmp_path / "v.json")])
+        checks.append(json.loads((tmp_path / "v.json").read_text())["checks"])
+    ref, got = checks
+    assert got["symmetry"]["pass"] and got["boundary_decay"]["pass"] and got["periodicity"] == ref["periodicity"]
+    for key in ("rate", "expected_rate", "right_deviation"):
+        assert got["boundary_decay"][key] == pytest.approx(k0 * ref["boundary_decay"][key], rel=1e-9), key
+    assert got["theta_condition"] == ref["theta_condition"]
+
+
+def test_cli_roundtrip_lets_one_zero_recover_one_seed(tmp_path, capsys):
+    # rank-1 seeds at 2i and 2i + 1e-4 on fig3a's background come back as one zero of multiplicity 2 at their
+    # midpoint, 5e-5 from each; that zero once recovered both seeds, and the run passed
+    bg = preset("fig3a").bg
+    cfg = {"background": {"sigma": bg.sigma, "k0": bg.k0, "alpha": bg.alpha, "beta": bg.beta,
+                          "qplus": [[[q.real, q.imag] for q in row] for row in bg.Qplus.tolist()]},
+           "seeds": [{"zeta": [0, 2], "c": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},  # C = e1 e1^T and e2 e2^T
+                     {"zeta": [1e-4, 2], "c": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["roundtrip", "--config", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    status = [re.match(r"eigenvalue .*: (recovered|MISSED) \(closest error 5\.00e-05, tol 1\.0e-03\)", line)
+              for line in lines[:2]]
+    assert sorted(m.group(1) for m in status) == ["MISSED", "recovered"], lines
+    assert lines[-1] == "roundtrip: FAIL" and not any(line.startswith("spurious") for line in lines)
 
 
 @pytest.mark.parametrize("name, find_tol", [("fig3a", []), ("fig6", ["--find-tol", "1e-4"])],

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,17 @@ def test_background_validation():
     # phase-rotated diagonal background, as produced by left-limit measurement
     ph = np.exp(1.854590436j)
     Background(sigma=-1, k0=1.0, alpha=1, beta=0, Qplus=EYE, Qminus=ph * EYE)
+
+
+@pytest.mark.parametrize("k0", [1e155, 1e308, 1e-155, 1e-170])
+def test_background_rejects_a_k0_whose_square_is_not_a_normal_float(k0):
+    # every bound scales with k0^2; 1e308 once raised an untyped OverflowError in the Q Q^dag check
+    with pytest.raises(ValueError, match=f"k0 must be .*its square a normal float, not {re.escape(str(k0))}$"):
+        Background(sigma=-1, k0=k0, alpha=1.0, beta=0.1, Qplus=k0 * EYE, Qminus=k0 * EYE)
+    for edge in (1e154, 2e-154):  # k0^2 normal at both ends of the range, where z of order k0 is no zero
+        bg = Background(sigma=-1, k0=edge, alpha=1.0, beta=0.1, Qplus=edge * EYE, Qminus=edge * EYE)
+        assert classify_region(1.25j * edge, bg) is Region.D_PLUS
+        assert abs(uniformize(1.25j * edge, bg).lam - 0.225j * edge) <= 1e-15 * edge
 
 
 @pytest.mark.parametrize("name, value", [("k0", np.inf), ("k0", np.nan), ("alpha", np.nan), ("alpha", -np.inf),
