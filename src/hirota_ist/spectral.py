@@ -118,7 +118,7 @@ def uniformize(z, bg: Background) -> SpectralPoint:
     w = bg.sigma * bg.k0**2 / z
     k = 0.5 * (z + w)
     lam = z - k  # keeps k + lam = z to the last bit
-    gamma = 1.0 - bg.sigma * bg.k0**2 / z**2
+    gamma = 1.0 - w / z  # not sigma k0^2 / z^2: z^2 overflows for |z| above about 1.34e154
     return SpectralPoint(z=z, k=k, lam=lam, gamma=gamma)
 
 

@@ -5,8 +5,8 @@ norming constant: 1 for a simple zero, 2 for a double one.  The
 reflectionless product form reconstructs det a from the zeros alone, each
 factor raised to m_n.  The phase condition ties the asymptotic phases of
 det Q+- to the discrete-eigenvalue phases, with the signs that the
-measured boundary phases select: +4 m_n arg z_n per zero (see
-scripts/phase_condition_probe.py for the measurement).
+measured boundary phases select: +4 m_n arg z_n per zero (measured on
+random seeds of rank 1 and 2 by tests/test_traceform.py, to 1e-9).
 """
 
 from __future__ import annotations

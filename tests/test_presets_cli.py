@@ -227,6 +227,41 @@ def test_cli_verify_preset(tmp_path):
     assert set(doc["checks"]["theta_condition"]) == {"measured", "expected", "pass"}
 
 
+@pytest.mark.parametrize("name, decay, periodicity", [("fig4", True, False), ("fig11", False, True),
+                                                     ("fig5", False, False)])
+def test_cli_verify_samples_its_region_once(tmp_path, monkeypatch, name, decay, periodicity):
+    # the symmetry check reads the residual's 15 stencil samples a probe, so verify builds no grid: it evaluates
+    # 15 n_probe points, 19 more where the decay check runs and 2 n_probe more where the periodicity probe runs
+    def no_grid(*args, **kwargs):
+        raise AssertionError("verify evaluated a grid")
+
+    monkeypatch.setattr(h.solitons, "eval_field", no_grid)
+    monkeypatch.setattr(cli, "eval_field", no_grid)
+    points = []
+
+    def counted(x, t, spec):
+        points.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(t))))
+        return h.reconstruct_Q(x, t, spec)
+
+    monkeypatch.setattr(cli, "reconstruct_Q", counted)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--preset", name, "--n-probe", "12", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert sum(points) == 15 * 12 + 19 * decay + 2 * 12 * periodicity
+    assert ("skipped" not in checks["boundary_decay"]) == decay
+    assert ("skipped" not in checks["periodicity"]) == periodicity
+    assert set(checks["symmetry"]) == {"max_asymmetry", "pass"} and checks["symmetry"]["pass"] is True
+    assert checks["symmetry"]["max_asymmetry"] <= 1e-10
+
+
+def test_cli_verify_exit_2_on_a_singular_probe(monkeypatch, capsys):
+    # kappa_inf over fig3a's region lies between 1 and about 5: a limit of 1.5 makes the residual's probes raise
+    # SingularSystem, which verify reports as bad input rather than as a failed or skipped check
+    monkeypatch.setattr(h.solitons, "COND_LIMIT", 1.5)
+    assert main(["verify", "--preset", "fig3a", "--n-probe", "12"]) == 2
+    assert "error: kappa_inf above 2e+00 at" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("turn", [-1e-12, 1e-12])
 def test_cli_verify_states_the_measured_phase_nearest_the_expected(tmp_path, monkeypatch, turn):
     # fig8's boundary phase is the expected 0 to rounding, so read mod 2 pi it could state 4.5e-17 or

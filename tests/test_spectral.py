@@ -38,6 +38,13 @@ def test_uniformize_gamma_to_one_at_infinity():
     assert abs(sp.gamma - 1.0) < 1e-15
 
 
+def test_uniformize_gamma_at_a_k0_near_the_top_of_the_range():
+    # fig3a's hand value mapped to k0 = 1e154: gamma = 1 - w / z keeps 0.75 where z^2 = -4e308 would overflow
+    sp = uniformize(2e154j, bg_for(-1, k0=1e154))
+    assert abs(sp.gamma - 0.75) < 1e-15
+    assert abs(sp.k - 1.25e154j) < 1e139 and abs(sp.lam - 0.75e154j) < 1e139
+
+
 def test_uniformize_zero_raises():
     with pytest.raises(ZeroArgument):
         uniformize(0.0, FOC)

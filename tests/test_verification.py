@@ -98,17 +98,34 @@ def test_symmetry_residual_variants(background_bg):
     vals = np.zeros((2, 2, 2, 2), dtype=complex)
     vals[:, :] = background_bg.Qplus
     grid = FieldGrid(xs=xs, ts=ts, values=vals, mask=np.zeros((2, 2), bool))
-    assert symmetry_residual(grid) == 0.0
+    assert symmetry_residual(grid.values[~grid.mask]) == 0.0
     vals2 = vals.copy()
     vals2[0, 0, 0, 1] += 0.25  # break symmetry by a known amount
     grid2 = FieldGrid(xs=xs, ts=ts, values=vals2, mask=np.zeros((2, 2), bool))
-    assert abs(symmetry_residual(grid2) - 0.25) < 1e-15
+    assert abs(symmetry_residual(grid2.values[~grid2.mask]) - 0.25) < 1e-15
+    # any (..., 2, 2) stack; an empty one, such as a grid with every point masked, reads 0
+    assert symmetry_residual(vals2[0, 0]) == symmetry_residual(vals2) == symmetry_residual(vals2[None])
+    assert symmetry_residual(vals2[:0]) == 0.0
 
 
 def test_symmetry_residual_generated(fig3a_spec):
     fg = h.eval_field(GridSpec(-3, 3, 13, -2, 2, 9), fig3a_spec)
     assert fg.masked_count == 0
-    assert symmetry_residual(fg) <= 1e-10
+    assert symmetry_residual(fg.values[~fg.mask]) <= 1e-10
+
+
+def test_residual_reads_the_asymmetry_of_its_stencil_samples(background_bg, background_field):
+    # a planted asymmetry of 0.25 at one x: only the stencil sample that lands on it sees it
+    rep = pde_residual(background_field, (-3, 3, -2, 2), 24, 1e-2, background_bg)
+    assert rep.max_asymmetry == 0.0
+    x0 = (-3 + 6 * halton_points(24)[5, 0]) + 1e-2 * 3  # the x offset +3h of probe 5, as pde_residual forms it
+
+    def planted(x, t):
+        Q = background_field(x, t).copy()
+        Q[..., 0, 1] += np.where(np.asarray(x) == x0, 0.25, 0.0)
+        return Q
+
+    assert pde_residual(planted, (-3, 3, -2, 2), 24, 1e-2, background_bg).max_asymmetry == 0.25
 
 
 def test_periodicity_background(background_bg, background_field):
