@@ -6,7 +6,7 @@ from .grids import ARTIFACT_VERSION as __version__
 
 from .errors import HirotaError
 from .grids import FieldGrid, GridSpec, read_csv, read_json, write_csv, write_json
-from .matrices import CMat2, CMat4, dagger, det2, inv2
+from .matrices import CMat2, CMat4, dagger, det2, embed, inv2
 from .presets import Preset, preset, preset_names
 from .scattering import (
     ScatteringSample,
@@ -26,7 +26,7 @@ from .solitons import (
     quartet_partner,
     reconstruct_Q,
 )
-from .spectral import Background, Region, SpectralPoint, classify_region, theta, uniformize
+from .spectral import Background, Region, SpectralPoint, asymptotic_eigenvectors, classify_region, theta, uniformize
 from .traceform import TraceInput, theta_condition, trace_det_a
 from .verification import (
     DecayReport,
@@ -36,4 +36,3 @@ from .verification import (
     periodicity_probe,
     symmetry_residual,
 )
-from .lax import asymptotic_eigenvectors, embed

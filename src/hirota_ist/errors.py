@@ -14,7 +14,7 @@ class ZeroArgument(HirotaError):
 
 
 class BranchPointSingular(HirotaError):
-    """Operation requested at (or too close to) a branch point where gamma = 0."""
+    """z within DELTA k0 of a branch point (classify_region's BRANCH_POINT), where gamma is small, 0 at the point."""
 
 
 class IntegrationFailure(HirotaError):

@@ -38,6 +38,14 @@ def dagger(M: np.ndarray) -> np.ndarray:
     return np.swapaxes(M.conj(), -1, -2)
 
 
+def embed(Q: np.ndarray, sigma: int) -> np.ndarray:
+    """Off-diagonal block embedding of a (..., 2, 2) stack, (..., 4, 4): Q up-right, sigma Q^dag down-left."""
+    Q = np.asarray(Q, dtype=complex)
+    E = np.zeros(Q.shape[:-2] + (4, 4), dtype=complex)
+    E[..., :2, 2:], E[..., 2:, :2] = Q, sigma * dagger(Q)
+    return E
+
+
 def from_blocks(ul: CMat2, ur: CMat2, dl: CMat2, dr: CMat2) -> CMat4:
     M = np.empty((4, 4), dtype=complex)
     M[:2, :2], M[:2, 2:], M[2:, :2], M[2:, 2:] = ul, ur, dl, dr

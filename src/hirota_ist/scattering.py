@@ -54,11 +54,11 @@ which the DEBUG records of the zero search and of scattering_matrix read.
 k = (z + sigma k0^2/z)/2 is two-to-one: z and its antipode sigma k0^2/z
 share k, hence every cell's exp(Omega), and have opposite lambda.  The
 shift w = i lambda eps takes eps = sign Im lambda off Sigma and sign
-Re lambda on Sigma (spectral.shift_sign), so the two share w too.  A call
-runs the blocks for the first z of each (k, w) only, and gives the other
-that product times e^{(w - w_first) sum h}, 1 to a few ulps.  A spectrum
-sample set closed under the map propagates half its z; det a's contour,
-wholly in D+, holds no antipodes.
+Re lambda on Sigma (spectral.shift_sign, on sp.region), so the two share
+w too.  A call runs the blocks for the first z of each (k, w) only, and
+gives the other that product times e^{(w - w_first) sum h}, 1 to a few
+ulps.  A spectrum sample set closed under the map propagates half its z;
+det a's contour, wholly in D+, holds no antipodes.
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationFailure, MissingPartner, NoBackground, NoConvergenceWarning, SingularWronskian
-from .lax import asymptotic_eigenvectors
 from .matrices import SIGMA2, SIGMA3, CMat2, dagger, inv2
-from .spectral import (Background, Region, SpectralPoint, background_defect, classify_region, shift_sign, theta,
-                       uniformize)
+from .spectral import (Background, Region, SpectralPoint, asymptotic_eigenvectors, background_defect,
+                       classify_region, dispersion, shift_sign, uniformize)
 from .verification import Field
 
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
@@ -376,7 +375,7 @@ def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: boo
     left = side == "left"
     cells = mesh[0] if left else mesh[1]
     X = asymptotic_eigenvectors(sp, cells.limit, bg)  # rejects branch points
-    eps = shift_sign(sp, bg)
+    eps = shift_sign(sp)
     P = _transfer(cells, sp.k, 1j * sp.lam * eps)
     analytic = (1.0 if left else -1.0) * _SGN == eps[:, None]  # (n, 4), two columns a row
     if analytic_only:
@@ -443,11 +442,11 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
     ValueError before any mesh is built, a branch point BranchPointSingular.
     """
     sp = _points(z, bg)
-    region = np.asarray(classify_region(sp.z, bg))
+    region = sp.region
     if (off := np.flatnonzero((region == Region.D_PLUS) | (region == Region.D_MINUS))).size:
         raise ValueError(f"scattering_matrix requires z on Sigma (got {region[off[0]]} at z = {complex(sp.z[off[0]])})")
     mesh = _mesh(field, tol, t0, bg)
-    ph = np.exp(1j * theta(0.0, t0, sp.z, bg)[:, None, None] * _SGN)  # scales the columns
+    ph = np.exp(1j * (sp.lam * (-0.0 - dispersion(sp.k, bg) * t0))[:, None, None] * _SGN)  # theta(0, t0)'s operations
     Phi, Psi = (_jost(mesh, sp, side, bg) * ph for side in ("left", "right"))
     d = np.linalg.det(Psi)
     bad = np.flatnonzero(np.abs(d) < 1e-12)
@@ -525,8 +524,8 @@ def det_a(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
     A 1-D array of z gives an array of values.
     """
     sp = _points(z, bg)
-    if (off := sp.z[classify_region(sp.z, bg) != Region.D_PLUS]).size:  # before the mesh is built; _det_a assumes D+
-        raise ValueError(f"det_a requires z in D+ (got {classify_region(off[0], bg)} at z = {complex(off[0])})")
+    if (off := np.flatnonzero(sp.region != Region.D_PLUS)).size:  # before the mesh is built; _det_a assumes D+
+        raise ValueError(f"det_a requires z in D+ (got {sp.region[off[0]]} at z = {complex(sp.z[off[0]])})")
     a = _det_a(_mesh(field, tol, t0, bg), sp, bg)
     return complex(a[0]) if np.ndim(z) == 0 else a
 

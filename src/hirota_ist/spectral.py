@@ -1,9 +1,10 @@
-"""Uniformized spectral plane: z <-> (k, lambda), regions and phase.
+"""Uniformized spectral plane: z <-> (k, lambda), regions, phase and background eigenvectors.
 
 Everything lives on the z-plane through the rational maps
 k = (z + sigma k0^2/z)/2 and lambda = (z - sigma k0^2/z)/2, so no square
 roots (and hence no sheet or branch-cut bookkeeping) appear anywhere.
-z, k and lambda are in units of k0, the only scale; regions are read on z/k0.
+z, k and lambda are in units of k0, the only scale; regions are read on z/k0,
+once a z, by uniformize: every later decision on z reads that Region.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroArgument
-from .matrices import CMat2, dagger
+from .errors import BranchPointSingular, ZeroArgument
+from .matrices import SIGMA3, CMat2, I4, dagger, embed
 
 
 class Region(enum.Enum):
@@ -25,7 +26,7 @@ class Region(enum.Enum):
 
 
 _BG_TOL = 1e-12  # a background's defects: Q Q^dag - k0^2 I in units of k0^2, Q - Q^T in units of k0
-DELTA = 1e-9  # Sigma's band and the branch points' discs in u = z/k0, and the smallest |gamma| (dimensionless)
+DELTA = 1e-9  # Sigma's band and the branch points' discs in u = z/k0 (dimensionless)
 
 
 def background_defect(Q: CMat2, k0: float) -> tuple[float, float]:
@@ -79,12 +80,13 @@ class Background:
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """z with k(z), lambda(z) and gamma(z), each of z's shape: 0-d for a scalar z."""
+    """z with k(z), lambda(z), gamma(z) and classify_region(z), each of z's shape: 0-d for a scalar z."""
 
     z: np.ndarray
     k: np.ndarray
     lam: np.ndarray
     gamma: np.ndarray
+    region: Region | np.ndarray
 
 
 def _check_nonzero(z, k0: float) -> np.ndarray:
@@ -105,21 +107,31 @@ def classify_region(z, bg: Background) -> Region | np.ndarray:
                      Region.SIGMA)[()]
 
 
-def shift_sign(sp: SpectralPoint, bg: Background) -> np.ndarray:
+def shift_sign(sp: SpectralPoint) -> np.ndarray:
     """eps of the Jost shift i lambda eps: +1 in D+, -1 in D-, where it picks the bounded column pair, and the sign
     of Re lambda on Sigma, where both pairs are bounded.  sigma k0^2/z has -lambda, so it gets z's shift."""
-    region = classify_region(sp.z, bg)
-    return np.select([region == Region.D_PLUS, region == Region.D_MINUS, sp.lam.real >= 0], [1.0, -1.0, 1.0], -1.0)
+    r = sp.region
+    return np.select([r == Region.D_PLUS, r == Region.D_MINUS, sp.lam.real >= 0], [1.0, -1.0, 1.0], -1.0)
 
 
 def uniformize(z, bg: Background) -> SpectralPoint:
-    """Attach k(z), lambda(z) and gamma(z) to z, in numpy arithmetic for a scalar and an array alike."""
+    """Attach k(z), lambda(z), gamma(z) and the Region of z, in numpy arithmetic for a scalar and an array alike."""
     z = _check_nonzero(z, bg.k0)
     w = bg.sigma * bg.k0**2 / z
     k = 0.5 * (z + w)
     lam = z - k  # keeps k + lam = z to the last bit
     gamma = 1.0 - w / z  # not sigma k0^2 / z^2: z^2 overflows for |z| above about 1.34e154
-    return SpectralPoint(z=z, k=k, lam=lam, gamma=gamma)
+    return SpectralPoint(z=z, k=k, lam=lam, gamma=gamma, region=classify_region(z, bg))
+
+
+def asymptotic_eigenvectors(sp: SpectralPoint, Qpm: CMat2, bg: Background) -> np.ndarray:
+    """Background eigenvector matrix X = I - (i/z) sigma3 embed(Qpm, sigma): a 4x4 for one z, (n, 4, 4) for n z.
+
+    U_pm X = -i lambda X sigma3 and det X = gamma^2; BranchPointSingular where sp.region puts z within DELTA k0
+    of a branch point, where gamma is small (0 at the point)."""
+    if (bad := np.ravel(sp.region) == Region.BRANCH_POINT).any():
+        raise BranchPointSingular(f"z = {complex(np.ravel(sp.z)[bad][0])} lies within DELTA k0 of a branch point")
+    return I4 - np.multiply.outer(1j / sp.z, SIGMA3) @ embed(Qpm, bg.sigma)
 
 
 def dispersion(k, bg: Background):

@@ -23,8 +23,7 @@ import math
 
 import numpy as np
 
-from hirota_ist.lax import embed
-from hirota_ist.matrices import SIGMA3
+from hirota_ist.matrices import SIGMA3, embed
 
 _BLOCK = 512
 _THETA = 0.1

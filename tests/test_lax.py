@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import hirota_ist as h
 from hirota_ist.errors import BranchPointSingular
-from hirota_ist.lax import asymptotic_eigenvectors, embed
-from hirota_ist.matrices import SIGMA3, I4, dagger
-from hirota_ist.spectral import Background, uniformize
+from hirota_ist.matrices import SIGMA3, I4, dagger, embed
+from hirota_ist.spectral import Background, asymptotic_eigenvectors, uniformize
 from zero_curvature import assemble_U, assemble_V, zero_curvature_residual
 
 EYE = np.eye(2, dtype=complex)

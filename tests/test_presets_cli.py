@@ -557,3 +557,17 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, hirota_ist.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_name_the_bench_reads_resolves_on_the_package():
+    # bench/ imports hirota_ist as api and changes only with the benchmark, so the package must keep each
+    # api.<name> that a bench file reads (dunders aside), and Background its Qminus argument
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    names = set()
+    for f in (os.path.join(bench, n) for n in os.listdir(bench) if n.endswith(".py")):
+        with open(f) as src:
+            names |= {n for n in re.findall(r"\bapi\.(\w+)", src.read()) if not n.startswith("__")}
+    assert {"Background", "preset", "reconstruct_Q"} <= names
+    assert [n for n in sorted(names) if not hasattr(h, n)] == []
+    eye = np.eye(2, dtype=complex)
+    assert h.Background(sigma=-1, k0=1.0, alpha=1.0, beta=0.1, Qplus=eye, Qminus=eye).Qminus.shape == (2, 2)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import hirota_ist as h
 import hirota_ist.scattering as scattering
+import hirota_ist.spectral as spectral
 from hirota_ist.cli import sigma_sample_points
 from hirota_ist.errors import (BranchPointSingular, IntegrationFailure, MissingPartner, NoConvergenceWarning,
                                SingularWronskian)
@@ -392,7 +393,7 @@ def test_off_dplus_agrees_with_classify_region(sigma):
     # keeps its analytic columns; just below it, on Sigma, eps is the sign of Re lambda
     sp = uniformize(bg.k0 * (-2.0 + 1j * np.array([2.0, 0.5]) * DELTA / (4.0 + bg.sigma)), bg)
     assert list(classify_region(sp.z, bg)) == [Region.D_PLUS, Region.SIGMA] and (sp.lam.real < 0).all()
-    assert list(shift_sign(sp, bg)) == [1.0, -1.0]
+    assert list(shift_sign(sp)) == [1.0, -1.0]
 
 
 def test_winding_counts_double_zero(fig3a_spec):
@@ -660,6 +661,39 @@ def test_scattering_matrix_refuses_z_off_sigma(fig3a_field, fig3a_spec, monkeypa
         scattering_matrix(fig3a_field, 1j, TOL, bg)
 
 
+def test_branch_point_disc_is_the_one_classify_region_reads(fig3a_field, fig3a_spec):
+    # z = i k0 (1 + 7e-10) lies within DELTA k0 of the branch point i k0, where gamma is 1.4e-9, not 0: the
+    # eigenvectors, the Jost solutions and S refuse it where classify_region does; 1.2e-9 off, in D+, it integrates
+    bg = fig3a_spec.bg
+    z = 1j * bg.k0 * (1 + 7e-10)
+    assert classify_region(z, bg) is Region.BRANCH_POINT and abs(uniformize(z, bg).gamma) > DELTA
+    match = re.escape(f"z = {z} lies within DELTA k0 of a branch point")
+    with pytest.raises(BranchPointSingular, match=match):
+        h.asymptotic_eigenvectors(uniformize(z, bg), bg.Qplus, bg)
+    with pytest.raises(BranchPointSingular, match=match):
+        integrate_jost(fig3a_field, z, "left", 1e-8, bg)
+    with pytest.raises(BranchPointSingular, match=match):
+        scattering_matrix(fig3a_field, np.array([z, np.conj(z)]), 1e-8, bg)
+    z = 1j * bg.k0 * (1 + 1.2e-9)
+    assert classify_region(z, bg) is Region.D_PLUS
+    assert np.isfinite(integrate_jost(fig3a_field, z, "left", 1e-8, bg)).all()
+
+
+def test_each_z_is_classified_once(fig3a_field, fig3a_spec, monkeypatch):
+    # uniformize classifies; _det_a, its Jost solutions and shift signs read sp.region, so a search round
+    # classifies its fresh z in one call, and scattering_matrix its z in one
+    bg, calls = fig3a_spec.bg, []
+    classify = spectral.classify_region
+    monkeypatch.setattr(spectral, "classify_region", lambda z, bg: calls.append(np.size(z)) or classify(z, bg))
+    rounds, det_a_round = [], scattering._det_a
+    monkeypatch.setattr(scattering, "_det_a", lambda mesh, sp, b: rounds.append(sp.z.size) or det_a_round(mesh, sp, b))
+    find_discrete_spectrum(fig3a_field, tuple(bg.k0 * e for e in CLI_BOX), 1e-4, bg)
+    assert len(rounds) > 1 and calls == rounds
+    calls.clear()
+    scattering_matrix(fig3a_field, np.array(sigma_sample_points(bg.k0, 2, 1)), 1e-4, bg)
+    assert calls == [12]
+
+
 @pytest.mark.parametrize("delta, singular", [(1e-7, True), (1e-6, False)])
 def test_singular_wronskian_near_a_branch_point(fig3a_field, fig3a_spec, delta, singular):
     # on the circle, delta from the branch point i: det Psi(0) = gamma^2 = -4 delta^2, against the bound 1e-12
@@ -767,7 +801,7 @@ def test_transfer_matches_the_taylor_reference(name, tol, t0, block, monkeypatch
     else:
         zs = np.array(sigma_sample_points(bg.k0, 8, 4))
     sp = uniformize(zs, bg)
-    w = 1j * sp.lam * shift_sign(sp, bg)
+    w = 1j * sp.lam * shift_sign(sp)
     mesh = _mesh(functools.partial(h.reconstruct_Q, spec=spec), tol, t0, bg)
     squarings, transfers = [], []
     for cells in mesh:
@@ -1081,7 +1115,7 @@ def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background
             assert [classify_region(z, bg) for z in zs[-2:]] == [Region.SIGMA, Region.D_PLUS]
     assert bg.sigma == -1
     sp = uniformize(zs, bg)
-    first = scattering._first_of_equal_k(sp.k, 1j * sp.lam * shift_sign(sp, bg))
+    first = scattering._first_of_equal_k(sp.k, 1j * sp.lam * shift_sign(sp))
     run = np.flatnonzero(first == np.arange(len(zs)))
     assert len(run) == (5 if case == "unpaired and k = 0" else len(zs) // 2)
     mesh = _mesh(field, tol, 0.0, bg)
@@ -1116,7 +1150,7 @@ def test_jost_on_sigma_does_not_depend_on_the_shift_sign(fig6_spec, monkeypatch)
     assert (classify_region(zs, bg) == Region.SIGMA).all()
     mesh = _mesh(functools.partial(h.reconstruct_Q, spec=fig6_spec), 1e-10, 0.0, bg)
     default = [scattering._jost(mesh, sp, side, bg) for side in ("left", "right")]
-    monkeypatch.setattr(scattering, "shift_sign", lambda sp, bg: -shift_sign(sp, bg))  # every z here is on Sigma
+    monkeypatch.setattr(scattering, "shift_sign", lambda sp: -shift_sign(sp))  # every z here is on Sigma
     flipped = [scattering._jost(mesh, sp, side, bg) for side in ("left", "right")]
     assert [c.tally["z"] for c in mesh] == [len(zs)] * 2  # half of them in each of the two calls a side
     for mu, other in zip(default, flipped):

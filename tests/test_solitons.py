@@ -254,7 +254,7 @@ def test_double_path_matches_mpmath_below_switch(name):
     assert max(_check_against_mpmath(spec, pts)) >= 6.0
 
 
-def test_double_path_matches_mpmath_on_exact_rank1_seed():
+def test_reconstruct_Q_matches_mpmath_on_exact_rank1_seed():
     # dyadic u, zeta = 2i and Q+ = I make both norming constants exactly
     # rank 1, so the oracle and the rank-factored solve see the same data
     u = np.array([0.75 + 0.5j, -1.25 + 0.25j])
@@ -267,7 +267,7 @@ def test_double_path_matches_mpmath_on_exact_rank1_seed():
     assert min(scales) < 6.0 <= max(scales)
 
 
-def test_double_path_matches_oracles_on_benchmark_range_seed():
+def test_reconstruct_Q_matches_oracles_on_benchmark_range_seed():
     # seeds from the range the benchmark's seeded config draws:
     # alpha = 0.5, beta = 0.02, |zeta| in [1.7, 1.85], arg zeta in [82, 98] deg
     bg = Background(sigma=-1, k0=1.0, alpha=0.5, beta=0.02, Qplus=EYE, Qminus=EYE)
@@ -425,7 +425,7 @@ def test_eval_field_fig6_robust(fig6_spec):
 
 def _seed_spec(rank):
     # off-preset seeds from the benchmark's seeded range (see
-    # test_double_path_matches_oracles_on_benchmark_range_seed)
+    # test_reconstruct_Q_matches_oracles_on_benchmark_range_seed)
     bg = Background(sigma=-1, k0=1.0, alpha=0.5, beta=0.02, Qplus=EYE, Qminus=EYE)
     rng = np.random.default_rng(7)
     zeta = rng.uniform(1.7, 1.85) * np.exp(1j * np.radians(rng.uniform(82.0, 98.0)))

@@ -50,6 +50,20 @@ def test_uniformize_zero_raises():
         uniformize(0.0, FOC)
 
 
+@pytest.mark.parametrize("bg", [FOC, DEF, bg_for(-1, k0=1.7), bg_for(1, k0=0.3)])
+def test_uniformize_attaches_the_region_of_each_z(bg):
+    # one classify_region pass inside uniformize: the region a SpectralPoint carries is the one classify_region
+    # gives, a Region for a scalar and an object array for an array, also within DELTA of a branch point
+    rng = np.random.default_rng(5)
+    zs = bg.k0 * np.concatenate([rng.normal(size=40) + 1j * rng.normal(size=40), np.exp(1j * rng.uniform(0, 6, 8)),
+                                 rng.normal(size=4), np.array(bg.branch_points()) / bg.k0 * (1 + 7e-10)])
+    sp = uniformize(zs, bg)
+    assert sp.region.shape == zs.shape and list(sp.region) == list(classify_region(zs, bg))
+    assert {r.name for r in sp.region} == {"D_PLUS", "D_MINUS", "SIGMA", "BRANCH_POINT"}
+    for z in zs:
+        assert uniformize(z, bg).region is classify_region(z, bg)
+
+
 def test_classify_examples():
     assert classify_region(2j, FOC) is Region.D_PLUS
     assert classify_region(0.5j, FOC) is Region.D_MINUS

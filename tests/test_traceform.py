@@ -14,7 +14,7 @@ from hirota_ist.matrices import dagger
 from hirota_ist.solitons import min_decay_rate
 from hirota_ist.spectral import Background
 from hirota_ist.traceform import TraceInput, theta_condition, trace_det_a
-from hirota_ist.verification import boundary_decay
+from hirota_ist.verification import X_FAR, boundary_decay
 from test_solitons import _symmetric_unitary, random_seeds, rank1_or_2, scaled_backgrounds
 
 EYE = np.eye(2, dtype=complex)
@@ -138,13 +138,32 @@ def _decays(quartet):
 
 @given(random_seeds(scaled_backgrounds, st.floats(min_value=1.05, max_value=3.0), rank1_or_2).filter(_decays))
 @settings(deadline=None, max_examples=50)
-# a fast soliton (|z| = 3 k0, beta = 1): by t = 0.25 it drifts to x = -23, where one reading of the left limit at
-# x = -40 was 1.2e-8 off in phase; by verify's t = 0.25 / k0^3 it reaches x = -3.9
+# a fast soliton (|z| = 3 k0, beta = 1): at t = 0.25 it sat at x = -23, where one reading of the left limit at
+# x = -40 was 1.2e-8 off in phase; at verify's t = 0.25 / k0^3 it sits at x = -3.9, short of the ladder's first
+# reading at -2 X_FAR / k0 = -20, whose drifted-front branch test_left_limit_is_read_past_a_drifted_soliton takes
 @example((h.DiscreteEigenpair(-5.875471724439123 + 1.2160723725652027j, np.diag([1.0, 0.0]).astype(complex)),
           Background(-1, 2.0, 1.0, 1.0, 2.0 * _symmetric_unitary(0.0, 0.0, 0.0), 2.0 * _symmetric_unitary(0.0, 0.0, 0.0))))
 def test_theta_condition_matches_measured_boundary_on_random_seeds(quartet):
     # the left limit as verify measures it, on random k0, Q+ and ranks
     seed, bg = quartet
+    assert _theta_gap_to_measured([seed], bg) <= 1e-9
+
+
+def test_left_limit_is_read_past_a_drifted_soliton():
+    # twice the @example's z (|z| = 6 k0) at beta = 2: at verify's t = 0.25 / k0^3 the front, the maximum of
+    # |Q Q^dag - k0^2 I| over x, sits at x = -25.3, past the ladder's first reading at -2 X_FAR / k0 = -20, which
+    # is 1.6 off the limit and 0.82 off in phase
+    U = 2.0 * _symmetric_unitary(0.0, 0.0, 0.0)
+    bg = Background(-1, 2.0, 1.0, 2.0, U, U)
+    seed = h.DiscreteEigenpair(2.0 * (-5.875471724439123 + 1.2160723725652027j), np.diag([1.0, 0.0]).astype(complex))
+    spec, t = h.expand_quartets([seed], bg), 0.25 / bg.k0**3
+    xs = np.linspace(-100.0, 10.0, 11001)
+    Q = h.reconstruct_Q(xs, t, spec)
+    front = xs[np.argmax(np.abs(Q @ dagger(Q) - bg.k0**2 * EYE).max(axis=(-2, -1)))]
+    first = h.reconstruct_Q(-2.0 * X_FAR / bg.k0, t, spec)
+    assert front < -2.0 * X_FAR / bg.k0
+    Qm = boundary_decay(functools.partial(h.reconstruct_Q, spec=spec), t=t, bg=bg).Qminus_measured
+    assert np.abs(Qm - first).max() > 1.0
     assert _theta_gap_to_measured([seed], bg) <= 1e-9
 
 

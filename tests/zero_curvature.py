@@ -7,8 +7,7 @@ conventions of V and the cubic term that `pde_residual` uses.
 
 import numpy as np
 
-from hirota_ist.lax import embed
-from hirota_ist.matrices import SIGMA3, I4
+from hirota_ist.matrices import SIGMA3, I4, embed
 from hirota_ist.spectral import Background, SpectralPoint, uniformize
 from hirota_ist.verification import Field
 
