@@ -76,7 +76,7 @@ import numpy as np
 from .errors import IntegrationFailure, MissingPartner, NoBackground, NoConvergenceWarning, SingularWronskian
 from .matrices import SIGMA2, SIGMA3, CMat2, dagger, inv2
 from .spectral import (Background, Region, SpectralPoint, asymptotic_eigenvectors, background_defect,
-                       classify_region, dispersion, shift_sign, uniformize)
+                       classify_region, shift_sign, theta, uniformize)
 from .verification import Field
 
 _SGN = np.array([1.0, 1.0, -1.0, -1.0])
@@ -390,13 +390,10 @@ def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: boo
 
 
 def _points(z, bg: Background) -> SpectralPoint:
-    """The spectral point of a scalar or a 1-D array of finite z, with fields of shape (n,)."""
+    """The spectral point of a scalar or a 1-D array of z, with fields of shape (n,)."""
     if np.ndim(z) > 1:
         raise ValueError("z must be a scalar or a 1-D array")
-    z = np.ravel(z)
-    if (bad := ~np.isfinite(z)).any():
-        raise ValueError(f"z must be finite, not {complex(z[bad][0])}")
-    return uniformize(z, bg)
+    return uniformize(np.ravel(z), bg)
 
 
 @dataclass(frozen=True)
@@ -446,7 +443,7 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
     if (off := np.flatnonzero((region == Region.D_PLUS) | (region == Region.D_MINUS))).size:
         raise ValueError(f"scattering_matrix requires z on Sigma (got {region[off[0]]} at z = {complex(sp.z[off[0]])})")
     mesh = _mesh(field, tol, t0, bg)
-    ph = np.exp(1j * (sp.lam * (-0.0 - dispersion(sp.k, bg) * t0))[:, None, None] * _SGN)  # theta(0, t0)'s operations
+    ph = np.exp(1j * theta(0.0, t0, sp, bg)[:, None, None] * _SGN)
     Phi, Psi = (_jost(mesh, sp, side, bg) * ph for side in ("left", "right"))
     d = np.linalg.det(Psi)
     bad = np.flatnonzero(np.abs(d) < 1e-12)
@@ -533,12 +530,12 @@ def det_a(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
 @functools.cache
 def _cc(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Clenshaw-Curtis nodes (1 - cos(pi j/n))/2, j = 0..n, on [0, 1] and their weights (n even)."""
-    theta = math.pi * np.arange(n + 1) / n
+    phi = math.pi * np.arange(n + 1) / n
     k = np.arange(1, n // 2)
-    w = (1.0 - 2.0 * (np.cos(2.0 * np.outer(theta, k)) / (4.0 * k**2 - 1.0)).sum(axis=1)
-         - np.cos(n * theta) / (n * n - 1.0)) / n
+    w = (1.0 - 2.0 * (np.cos(2.0 * np.outer(phi, k)) / (4.0 * k**2 - 1.0)).sum(axis=1)
+         - np.cos(n * phi) / (n * n - 1.0)) / n
     w[[0, -1]] = 0.5 / (n * n - 1.0)
-    t = 0.5 * (1.0 - np.cos(theta))
+    t = 0.5 * (1.0 - np.cos(phi))
     t.flags.writeable = w.flags.writeable = False  # shared by every caller
     return t, w
 
@@ -656,7 +653,9 @@ def find_discrete_spectrum(
     D+ is decided once per box, at its point nearest 0: where Im z > 0 and
     s = (|z|^2 + sigma k0^2) Im z > 0, s grows with |z| and Im z, both least
     there.  A searchbox off D+ raises ValueError before any det a; a grown
-    box off D+, or reaching down to the real axis, ends the moves.
+    box off D+, or reaching down to the real axis, ends the moves.  So the
+    box lies in D+, off Sigma, and every zero that the pencil finds in it is
+    returned: with sigma = +1 those on the circle |z| = k0 too.
     """
     re0, re1, im0, im1 = searchbox
     if not (re1 > re0 and im1 > im0 and im0 > 0):
@@ -724,17 +723,12 @@ def find_discrete_spectrum(
     m = np.rint(mult.real)
     if np.any(m < 1) or m.sum() != N or np.any(np.abs(mult - m) > 0.25):
         warnings.warn(f"multiplicities {mult} in {box} are not integers summing to {N}", NoConvergenceWarning)
-    kept: list[complex] = []
-    for zr in roots:
-        if abs(abs(zr) - bg.k0) >= 1e-6 * bg.k0 and abs(zr.imag) >= 1e-6 * bg.k0:
-            kept.append(complex(zr))
-        else:
-            warnings.warn(f"zero {zr} rejected: too close to the continuous spectrum", NoConvergenceWarning)
+    zeros = roots.tolist()
     if _log.isEnabledFor(logging.DEBUG):
         ns, (tl, tr) = [len(c.h) for c in mesh], (c.tally for c in mesh)
         _log.debug("find_discrete_spectrum: %d nodes, rounds [%s], cells %d left %d right x %d z propagated in %d "
                    "blocks, %d of %d cells x z scaled, at most %d squarings, winding %.4f, Hankel singular values "
                    "%s, zeros %s, multiplicities %s, contour moves %s", len(z), "; ".join(rounds), *ns, tl["z"],
                    tl["blocks"] + tr["blocks"], tl["scaled"] + tr["scaled"], (ns[0] + ns[1]) * tl["z"],
-                   max(tl["squarings"], tr["squarings"]), w, sv.tolist(), kept, mult.real.round(3).tolist(), moves)
-    return kept
+                   max(tl["squarings"], tr["squarings"]), w, sv.tolist(), zeros, mult.real.round(3).tolist(), moves)
+    return zeros

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .grids import ARTIFACT_VERSION, FieldGrid, GridSpec
 from .matrices import CMat2, dagger
-from .spectral import Background, dispersion, theta, uniformize
+from .spectral import Background, SpectralPoint, theta, uniformize
 
 if TYPE_CHECKING:
     import mpmath as mp
@@ -188,8 +188,7 @@ class _ResidueSystem:
     AB: np.ndarray  # 2R x R, (A^dag A)_{nk} / (zeta_n* - zeta_k) over (B B^dag)_{jm} / (zeta_m* - zeta_j)
     AB_abs: np.ndarray  # |AB|
     By: np.ndarray  # 2 x 2R, [B^dag | i Q+ A / zeta], rhs before the scaling by [e* | e]
-    lam: np.ndarray  # R, lambda(zeta_k)
-    disp: np.ndarray  # R, the dispersion w(zeta_k), so that theta = lam (-x - disp t)
+    sp: SpectralPoint  # of the R zeta_k, for theta
 
 
 def _residue_system(spec: SolitonSpec) -> _ResidueSystem:
@@ -202,16 +201,14 @@ def _residue_system(spec: SolitonSpec) -> _ResidueSystem:
     B = np.vstack([b for _, b in factors])
     zk = np.asarray(spec.zetas, dtype=complex)[col]
     G = 1.0 / (np.conj(zk)[None, :] - zk[:, None])  # G[k, m] = 1 / (zeta_m* - zeta_k)
-    AB, sp = np.vstack(((dagger(A) @ A) * G.T, (B @ dagger(B)) * G)), uniformize(zk, spec.bg)
-    return _ResidueSystem(
-        col=col, Ah=dagger(A), AB=AB, AB_abs=np.abs(AB), By=np.hstack((dagger(B), 1j * spec.bg.Qplus @ A / zk)),
-        lam=sp.lam, disp=dispersion(sp.k, spec.bg),
-    )
+    AB = np.vstack(((dagger(A) @ A) * G.T, (B @ dagger(B)) * G))
+    return _ResidueSystem(col=col, Ah=dagger(A), AB=AB, AB_abs=np.abs(AB),
+                          By=np.hstack((dagger(B), 1j * spec.bg.Qplus @ A / zk)), sp=uniformize(zk, spec.bg))
 
 
 def log_scale(x: float, t: float, spec: SolitonSpec) -> float:
     """Largest positive log-magnitude among the plane-wave factors E_j = e^{-2i theta(x, t; zeta_j)}."""
-    return float(np.max((-2j * theta(x, t, np.array(spec.zetas), spec.bg)).real, initial=0.0))
+    return float(np.max((-2j * theta(x, t, uniformize(np.array(spec.zetas), spec.bg), spec.bg)).real, initial=0.0))
 
 
 _BLOCK = 8192  # matrix entries per batched inverse: 512 points of a 4 x 4 system, 128 of an 8 x 8
@@ -225,7 +222,7 @@ def _system(x, t, spec: SolitonSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     rs = spec._residues
     R = len(rs.col)
-    log_e = -2j * (rs.lam * (-x[:, None] - rs.disp * t[:, None]))  # the operations of `theta`, so its bits
+    log_e = -2j * theta(x[:, None], t[:, None], rs.sp, spec.bg)
     g = np.maximum(log_e.real, 0.0)
     d, e, ae = np.exp(-g), np.exp(log_e - g), np.exp(log_e.real - g)  # ae = |e|
     M = np.zeros((len(g), 2 * R, 2 * R), dtype=complex)

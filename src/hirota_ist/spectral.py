@@ -4,7 +4,8 @@ Everything lives on the z-plane through the rational maps
 k = (z + sigma k0^2/z)/2 and lambda = (z - sigma k0^2/z)/2, so no square
 roots (and hence no sheet or branch-cut bookkeeping) appear anywhere.
 z, k and lambda are in units of k0, the only scale; regions are read on z/k0,
-once a z, by uniformize: every later decision on z reads that Region.
+once a z, by uniformize: every later decision on z reads that Region, and a
+z that is not finite or is 0 is refused here, wherever it enters.
 """
 
 from __future__ import annotations
@@ -89,9 +90,12 @@ class SpectralPoint:
     region: Region | np.ndarray
 
 
-def _check_nonzero(z, k0: float) -> np.ndarray:
-    """z as a complex array of its own shape (0-d for a scalar); ZeroArgument if any |z| < 1e-150 k0."""
+def _check_z(z, k0: float) -> np.ndarray:
+    """z as a complex array of its own shape (0-d for a scalar); ValueError if a z is not finite, else ZeroArgument
+    if a |z| < 1e-150 k0."""
     z = np.asarray(z, dtype=complex)
+    if (bad := ~np.isfinite(z)).any():
+        raise ValueError(f"z must be finite, not {complex(z[bad][0])}")
     if np.count_nonzero(np.abs(z) < 1e-150 * k0):
         raise ZeroArgument("spectral maps are singular at z = 0")
     return z
@@ -100,7 +104,7 @@ def _check_nonzero(z, k0: float) -> np.ndarray:
 def classify_region(z, bg: Background) -> Region | np.ndarray:
     """The Region of a scalar z, or an object array of them of z's shape, on u = z/k0: a branch point within DELTA,
     then D+ or D- where s = (|u|^2 + sigma) Im u passes +-DELTA, else Sigma."""
-    u = _check_nonzero(z, bg.k0) / bg.k0
+    u = _check_z(z, bg.k0) / bg.k0
     near = np.min([np.abs(u - b / bg.k0) for b in bg.branch_points()], axis=0) <= DELTA
     s = (np.abs(u) ** 2 + bg.sigma) * u.imag
     return np.select([near, s > DELTA, s < -DELTA], [Region.BRANCH_POINT, Region.D_PLUS, Region.D_MINUS],
@@ -116,7 +120,7 @@ def shift_sign(sp: SpectralPoint) -> np.ndarray:
 
 def uniformize(z, bg: Background) -> SpectralPoint:
     """Attach k(z), lambda(z), gamma(z) and the Region of z, in numpy arithmetic for a scalar and an array alike."""
-    z = _check_nonzero(z, bg.k0)
+    z = _check_z(z, bg.k0)
     w = bg.sigma * bg.k0**2 / z
     k = 0.5 * (z + w)
     lam = z - k  # keeps k + lam = z to the last bit
@@ -139,7 +143,6 @@ def dispersion(k, bg: Background):
     return bg.beta * (4.0 * k**2 - 2.0 * bg.k0**2) + 2.0 * bg.alpha * k
 
 
-def theta(x: float, t: float, z, bg: Background):
-    """Phase of the plane-wave factors, theta = lambda(z) (-x - w(z) t), broadcast over x, t and z."""
-    sp = uniformize(z, bg)
+def theta(x, t, sp: SpectralPoint, bg: Background):
+    """Phase of the plane-wave factors, theta = lambda(z) (-x - w(z) t), broadcast over x, t and sp's z."""
     return sp.lam * (-x - dispersion(sp.k, bg) * t)

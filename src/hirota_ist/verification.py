@@ -78,8 +78,9 @@ def pde_residual(
     produces; the commonly printed 6 sigma Q Q^dag Q_x differs from it where
     the norming constants are not normal (on fig11 that form reads > 1e-2).
     """
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step h must be positive and finite, not {h}")
+    h = float(h)  # a Python float's cube overflows to inf without a warning
+    if not (h > 0 and np.finfo(float).tiny <= h * h * h < math.inf):  # the stencils divide by h^3
+        raise ValueError(f"step h must be positive and finite, its cube a normal float, not {h}")
     xmin, xmax, tmin, tmax = region
     pts = halton_points(n_probe)
     xs = xmin + (xmax - xmin) * pts[:, 0]

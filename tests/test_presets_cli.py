@@ -382,13 +382,18 @@ def test_cli_exit_2_on_a_field_without_background(tmp_path, capsys, command, nam
 
 @pytest.mark.parametrize("argv", [["roundtrip", "--preset", "fig3a", "--find-tol", "inf"],
                                   ["scatter", "--preset", "fig3a", "--tol", "inf", "--out"],
-                                  ["verify", "--preset", "fig5", "--n-probe", "12", "--h", "inf", "--out"]])
+                                  ["verify", "--preset", "fig5", "--n-probe", "12", "--h", "inf", "--out"],
+                                  ["verify", "--preset", "fig4", "--h", "1e200", "--out"],
+                                  ["verify", "--preset", "fig4", "--h", "1e-110", "--out"]])
 def test_cli_exit_2_on_a_non_finite_tolerance_or_step(tmp_path, capsys, argv):
     # an infinite tolerance once divided by zero probe cells (exit 1 with a traceback), and an infinite
-    # step raised a singular system at x = -inf
+    # step raised a singular system at x = -inf; a step whose cube overflows or underflows (1e200: an
+    # OverflowError traceback, 1e-110: a NaN residual) exited 1, as if the verification had failed
     out = tmp_path / "out.json"
+    value = argv[-2] if argv[-1] == "--out" else argv[-1]
     assert main([*argv, str(out)] if argv[-1] == "--out" else argv) == 2
-    assert "must be positive and finite, not inf" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be positive and finite" in err and f"not {float(value)}" in err, err
     assert not out.exists()
 
 

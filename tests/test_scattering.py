@@ -419,6 +419,14 @@ def test_find_spectrum_double_zero_fig6(fig6_spec):
     assert abs(found[0] - (1 + 2j)) <= 1e-6
 
 
+def test_find_spectrum_keeps_a_dark_soliton_zero_on_the_circle(dark_bg, dark_field):
+    # with sigma = +1 Sigma is the real axis and the circle |z| = k0 lies in D+, where dark solitons put their
+    # zeros (Demontis, Prinari, van der Mee & Vitale, Stud. Appl. Math. 131, 2013); the search once dropped this
+    # double zero, located 2.5e-15 from e^{i}, as "too close to the continuous spectrum" and returned []
+    found = find_discrete_spectrum(dark_field, (-1.6, 1.6, 0.2, 1.6), 1e-8, dark_bg)  # no NoConvergenceWarning
+    assert len(found) == 1 and abs(found[0] - np.exp(1j)) <= 1e-12, found
+
+
 def test_two_eigenvalue_recovery(fig3a_spec):
     seeds = [
         DiscreteEigenpair(2j, np.ones((2, 2), dtype=complex)),
@@ -1162,7 +1170,9 @@ def test_non_finite_z_is_refused_before_the_mesh(fig3a_field, fig3a_spec, z, mon
     monkeypatch.setattr(scattering, "_mesh", lambda *args: pytest.fail("mesh built"))
     bg = fig3a_spec.bg
     for call in (lambda: scattering_matrix(fig3a_field, z, 1e-8, bg), lambda: det_a(fig3a_field, z, 1e-8, bg),
-                 lambda: integrate_jost(fig3a_field, z, "left", 1e-8, bg)):
+                 lambda: integrate_jost(fig3a_field, z, "left", 1e-8, bg), lambda: uniformize(z, bg),
+                 lambda: classify_region(z, bg), lambda: trace_det_a(z, TraceInput(bg, (2j,), (1,))),
+                 lambda: TraceInput(bg, tuple(np.atleast_1d(z)), (1,) * np.size(z))):
         with pytest.raises(ValueError, match="z must be finite"):
             call()
 

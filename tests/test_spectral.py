@@ -1,10 +1,13 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hirota_ist
 from hirota_ist.errors import ZeroArgument
 from hirota_ist.spectral import Background, Region, classify_region, theta, uniformize
 
@@ -74,21 +77,29 @@ def test_classify_examples():
 
 def test_theta_zero_arguments():
     for z in (2j, 0.3 + 0.1j, -1.7):
-        assert theta(0.0, 0.0, z, FOC) == 0
+        assert theta(0.0, 0.0, uniformize(z, FOC), FOC) == 0
 
 
 def test_theta_t0_reduction():
     z = 1.3 + 0.4j
     sp = uniformize(z, FOC)
-    assert abs(theta(2.2, 0.0, z, FOC) - (-sp.lam * 2.2)) < 1e-14
+    assert abs(theta(2.2, 0.0, sp, FOC) - (-sp.lam * 2.2)) < 1e-14
 
 
 def test_theta_hand_value():
     # k = 1.25i, lam = 0.75i at z = 2i; w = 0.1*(4k^2 - 2) + 2k
-    val = theta(1.0, 1.0, 2j, FOC)
+    val = theta(1.0, 1.0, uniformize(2j, FOC), FOC)
     expected = 0.75j * (-1.0 - (0.1 * (-8.25) + 2.5j))
     assert abs(val - expected) < 1e-14
     assert abs(expected - (1.875 - 0.13125j)) < 1e-15
+
+
+def test_only_spectral_calls_dispersion():
+    # the phase theta = lambda (-x - w t) is written once, in spectral: a module that calls dispersion writes it again
+    callers = {path.stem for path in Path(hirota_ist.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "dispersion"}
+    assert callers == {"spectral"}
 
 
 annulus = st.builds(
@@ -114,9 +125,8 @@ def test_uniformize_roundtrip(z, sigma):
 @given(annulus, st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
 @settings(max_examples=80)
 def test_theta_conjugation_symmetry(z, x, t):
-    assert abs(theta(x, t, np.conj(z), FOC) - np.conj(theta(x, t, z, FOC))) <= 1e-12 * max(
-        1.0, abs(theta(x, t, z, FOC))
-    )
+    th = theta(x, t, uniformize(z, FOC), FOC)
+    assert abs(theta(x, t, uniformize(np.conj(z), FOC), FOC) - np.conj(th)) <= 1e-12 * max(1.0, abs(th))
 
 
 def test_im_lambda_positive_in_dplus():

@@ -162,9 +162,10 @@ def test_periodicity_near_circle_quasi_period():
     assert dev < dev_off
 
 
-@pytest.mark.parametrize("h", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, 1e200, 1e-110])
 def test_pde_residual_rejects_a_step_that_is_not_positive_and_finite(background_field, background_bg, h):
-    # h = inf once passed `not h > 0` and failed later as a singular system at x = -inf
+    # h = inf once passed `not h > 0` and failed later as a singular system at x = -inf; the stencils divide by
+    # h^3, which h = 1e200 overflowed (an OverflowError at h**2) and h = 1e-110 flushed to 0 (a NaN residual)
     with pytest.raises(ValueError, match="step h must be positive and finite"):
         pde_residual(background_field, (-3, 3, -2, 2), 4, h, background_bg)
 
