@@ -23,10 +23,10 @@ from .solitons import (
     eval_field,
     expand_quartets,
     one_soliton_closed_form,
-    quartet_partner,
     reconstruct_Q,
 )
-from .spectral import Background, Region, SpectralPoint, asymptotic_eigenvectors, classify_region, theta, uniformize
+from .spectral import (Background, Region, SpectralPoint, antipode, asymptotic_eigenvectors, classify_region, theta,
+                       uniformize)
 from .traceform import TraceInput, theta_condition, trace_det_a
 from .verification import (
     DecayReport,

@@ -23,7 +23,7 @@ from .matrices import dagger
 from .presets import DEFAULT_GRID, Preset, preset, preset_names
 from .scattering import audit_symmetries, find_discrete_spectrum, scattering_matrix
 from .solitons import DiscreteEigenpair, eval_field, min_decay_rate, reconstruct_Q
-from .spectral import Background, uniformize
+from .spectral import Background, Region, uniformize
 from .traceform import TraceInput, theta_condition
 from .verification import boundary_decay, pde_residual, periodicity_probe
 
@@ -91,8 +91,8 @@ def _resolve_preset(args) -> Preset:
 def sigma_sample_points(k0: float, n_real_orbits: int = 2, n_circle_orbits: int = 1) -> list[complex]:
     """Spectrum sample set closed under z -> z* and z -> -k0^2/z.
 
-    Real points come in orbits {a, -k0^2/a, -a, k0^2/a}; circle points in
-    orbits {phi, -phi, pi - phi, phi - pi} of |z| = k0.
+    Real points come in orbits {a, -k0^2/a, -a, k0^2/a}, one set for either sigma, divided in floats (antipode's
+    complex division would move each by an ulp); circle points in orbits {phi, -phi, pi - phi, phi - pi} of |z| = k0.
     """
     if not (0 <= n_real_orbits <= 8 and 0 <= n_circle_orbits <= 4 and n_real_orbits + n_circle_orbits):
         raise ValueError("orbit counts must lie in 0..8 (real) and 0..4 (circle), not both 0")
@@ -217,10 +217,10 @@ def cmd_verify(args) -> int:
         skipped = {"skipped": f"no spatial decay (rate < {0.75 * k0:g})", "pass": True}
         checks["boundary_decay"] = checks["theta_condition"] = skipped
 
-    # seeds with Im lambda = 0 (on |z| = k0) that share one |Re lambda| make the field x-periodic
-    lam = uniformize(np.array([s.zn for s in p.seeds], dtype=complex), spec.bg).lam
-    if lam.size and np.all(np.abs(lam.imag) <= 1e-12 * np.abs(lam)) and np.ptp(np.abs(lam.real)) <= 1e-12 * abs(lam[0]):
-        period = float(math.pi / abs(lam[0].real))  # 2 pi / (2 Re lambda)
+    # seeds on Sigma (Im lambda = 0, on |z| = k0) that share one |Re lambda| make the field x-periodic
+    sp = uniformize(np.array([s.zn for s in p.seeds], dtype=complex), spec.bg)
+    if sp.z.size and np.all(sp.region == Region.SIGMA) and np.ptp(np.abs(sp.lam.real)) <= 1e-12 * abs(sp.lam[0]):
+        period = float(math.pi / abs(sp.lam[0].real))  # 2 pi / (2 Re lambda)
         dev = periodicity_probe(field, "x", period, args.n_probe, region)
         checks["periodicity"] = {"axis": "x", "period": period, "max_deviation": dev, "pass": dev <= 1e-3 * k0}
     else:

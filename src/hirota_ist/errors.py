@@ -34,7 +34,7 @@ class MissingPartner(HirotaError):
 
 
 class DefocusingUnsupported(HirotaError):
-    """Soliton construction requested in the defocusing (sigma = +1) regime."""
+    """Soliton construction or the trace product, both focusing-only, asked of a defocusing (sigma = +1) background."""
 
 
 class EigenvalueTooCloseToSigma(HirotaError):

@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import IntegrationFailure, MissingPartner, NoBackground, NoConvergenceWarning, SingularWronskian
 from .matrices import SIGMA2, SIGMA3, CMat2, dagger, inv2
-from .spectral import (Background, Region, SpectralPoint, asymptotic_eigenvectors, background_defect,
+from .spectral import (Background, Region, SpectralPoint, antipode, asymptotic_eigenvectors, background_defect,
                        classify_region, shift_sign, theta, uniformize)
 from .verification import Field
 
@@ -479,7 +479,7 @@ class SymmetryAuditReport:
 def audit_symmetries(sample: ScatteringSample, bg: Background) -> SymmetryAuditReport:
     """Check the three scattering-matrix symmetries on spectrum samples.
 
-    Needs the sample set closed under z -> z* and z -> sigma k0^2/z (real
+    Needs the sample set closed under z -> z* and z -> antipode(z) (real
     points are their own conjugates): one array search takes as each z's
     partner the first sample within 1e-9 max(k0, |partner|), and
     MissingPartner names the partner point of the first z that lacks one,
@@ -490,12 +490,11 @@ def audit_symmetries(sample: ScatteringSample, bg: Background) -> SymmetryAuditR
     e^{-2 i lambda eps sum h} and the t0 phase.
     """
     z = np.ravel(sample.z)  # a scalar z's sample always lacks its antipode, so only stacks reach the identities
-    w = np.stack([np.conj(z), bg.sigma * bg.k0**2 / z])  # each z's conjugate, then its antipode
+    w = np.stack([np.conj(z), antipode(z, bg)])  # each z's conjugate, then its antipode
     near = np.abs(z - w[..., None]) <= 1e-9 * np.maximum(bg.k0, np.abs(w))[..., None]  # (2, n, n)
     if not (found := near.any(axis=-1)).all():
         i, k = divmod(int(np.argmin(found.T)), 2)  # the first z that lacks a partner, its conjugate's first
-        point = complex(z[i]).conjugate() if k == 0 else bg.sigma * bg.k0**2 / complex(z[i])
-        raise MissingPartner(f"no sample at the partner point {point}")
+        raise MissingPartner(f"no sample at the partner point {complex(w[k, i])}")
     conj, anti = np.sum(np.cumsum(near, axis=-1) == 0, axis=-1)  # the misses before each first match; n = 0 too
     S, J, Qpd = sample.S, np.diag([1.0, 1.0, -bg.sigma, -bg.sigma]), dagger(bg.Qplus)
     devs = (

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .grids import ARTIFACT_VERSION, FieldGrid, GridSpec
 from .matrices import CMat2, dagger
-from .spectral import Background, SpectralPoint, theta, uniformize
+from .spectral import Background, SpectralPoint, antipode, theta, uniformize
 
 if TYPE_CHECKING:
     import mpmath as mp
@@ -91,11 +91,6 @@ class DiscreteEigenpair:
         object.__setattr__(self, "rank_flag", rank_of(self.Cn))
 
 
-def quartet_partner(z: complex, k0: float) -> complex:
-    """Second member of the eigenvalue quartet, z -> -k0^2 / z*."""
-    return complex(-k0**2 / np.conj(z))
-
-
 @dataclass(frozen=True)
 class SolitonSpec:
     """Fully quartet-expanded scattering data driving the linear system.
@@ -132,7 +127,7 @@ _CIRCLE_BAND = 0.25
 def expand_quartets(seeds: Sequence[DiscreteEigenpair], bg: Background) -> SolitonSpec:
     """Expand seeds into the 2N symmetric pairs (zeta_n, C_n).
 
-    For each seed (z_n, C_n): zeta_{n+N} = -k0^2/z_n*, and the partner norming
+    For each seed (z_n, C_n): zeta_{n+N} = antipode(z_n*) = -k0^2/z_n*, and the partner norming
     constant is Q+^dag Cbar_n Q+^dag / (z_n*)^2 with Cbar_n = -C_n^dag.
     """
     if bg.sigma != -1:
@@ -153,7 +148,7 @@ def expand_quartets(seeds: Sequence[DiscreteEigenpair], bg: Background) -> Solit
     for s in seeds:
         z = s.zn
         Cbar = -dagger(s.Cn)
-        zetas.append(quartet_partner(z, bg.k0))
+        zetas.append(complex(antipode(np.conj(z), bg)))
         Cs.append(dagger(Qp) @ Cbar @ dagger(Qp) / np.conj(z) ** 2)
     return SolitonSpec(bg=bg, zetas=tuple(zetas), Cs=tuple(Cs))
 

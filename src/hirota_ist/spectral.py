@@ -113,15 +113,19 @@ def classify_region(z, bg: Background) -> Region | np.ndarray:
 
 def shift_sign(sp: SpectralPoint) -> np.ndarray:
     """eps of the Jost shift i lambda eps: +1 in D+, -1 in D-, where it picks the bounded column pair, and the sign
-    of Re lambda on Sigma, where both pairs are bounded.  sigma k0^2/z has -lambda, so it gets z's shift."""
+    of Re lambda on Sigma, where both pairs are bounded.  antipode(z) has -lambda, so it gets z's shift."""
     r = sp.region
     return np.select([r == Region.D_PLUS, r == Region.D_MINUS, sp.lam.real >= 0], [1.0, -1.0, 1.0], -1.0)
 
 
+def antipode(z, bg: Background) -> np.ndarray:
+    """sigma k0^2/z, of z's shape: the z-plane's second symmetry, which keeps k and negates lambda."""
+    return bg.sigma * bg.k0**2 / _check_z(z, bg.k0)
+
+
 def uniformize(z, bg: Background) -> SpectralPoint:
     """Attach k(z), lambda(z), gamma(z) and the Region of z, in numpy arithmetic for a scalar and an array alike."""
-    z = _check_z(z, bg.k0)
-    w = bg.sigma * bg.k0**2 / z
+    z, w = np.asarray(z, dtype=complex), antipode(z, bg)
     k = 0.5 * (z + w)
     lam = z - k  # keeps k + lam = z to the last bit
     gamma = 1.0 - w / z  # not sigma k0^2 / z^2: z^2 overflows for |z| above about 1.34e154

@@ -16,24 +16,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleHit
-from .spectral import Background, Region, classify_region
+from .errors import DefocusingUnsupported, PoleHit
+from .spectral import Background, Region, antipode, classify_region
 
 
 @dataclass(frozen=True)
 class TraceInput:
-    """Discrete zeros in the seed normalization (Im z > 0, |z| > k0), pairwise apart by 1e-8 k0, and one
-    multiplicity per zero, 1 or 2: the rank of its norming constant, as the zero search's Hankel step reads it."""
+    """A focusing background's zeros in D+ with Im z > 0 (so |z| > k0), pairwise apart by 1e-8 k0, and one multiplicity
+    per zero, 1 or 2: the rank of its norming constant, as the zero search's Hankel step reads it."""
 
     bg: Background
     zeros: tuple[complex, ...] = ()
     multiplicities: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.bg.sigma != -1:
+            raise DefocusingUnsupported("the trace product is focusing-only")
         z, m = np.asarray(self.zeros, dtype=complex), np.asarray(self.multiplicities)
         if z.ndim != 1 or m.shape != z.shape or not np.isin(m, (1, 2)).all():
             raise ValueError(f"one multiplicity, 1 or 2, per zero is required ({m.tolist()} for zeros {z.tolist()})")
-        bad = (np.asarray(classify_region(z, self.bg)) != Region.D_PLUS) | (z.imag <= 0) | (np.abs(z) <= self.bg.k0)
+        bad = (np.asarray(classify_region(z, self.bg)) != Region.D_PLUS) | (z.imag <= 0)
         if bad.any():
             raise ValueError(f"zero {z[bad][0]} is not in the admissible part of D+")
         i, j = np.triu_indices(z.size, 1)
@@ -47,19 +49,19 @@ class TraceInput:
 def trace_det_a(z, inp: TraceInput):
     """det a(z) of a reflectionless field from its zeros, for a scalar z or an array of them (a scalar gives a scalar).
 
-    Product over the zeros of ((z - z_n)(z + k0^2/z_n*) / ((z - z_n*)(z + k0^2/z_n)))^m_n.
+    Product over the zeros of ((z - z_n)(z - antipode(z_n*)) / ((z - z_n*)(z - antipode(z_n))))^m_n.
     """
-    z, zn = np.asarray(z, dtype=complex), np.asarray(inp.zeros, dtype=complex)
-    k0sq, w = inp.bg.k0**2, z[..., None]
+    z, zn, bg = np.asarray(z, dtype=complex), np.asarray(inp.zeros, dtype=complex), inp.bg
+    w, zc, anti = z[..., None], zn.conj(), antipode(zn, bg)
     # the product's poles sit at the reflected zeros (in D-); check first so
     # a pole hit is reported as such rather than as a region violation
-    hit = np.any(np.abs(w - np.concatenate([zn.conj(), -k0sq / zn])) < 1e-10 * inp.bg.k0, axis=-1)
+    hit = np.any(np.abs(w - np.concatenate([zc, anti])) < 1e-10 * bg.k0, axis=-1)
     if hit.any():
         raise PoleHit(f"z = {z[hit][0]} hits a pole of the trace product")
-    outside = np.asarray(classify_region(z, inp.bg)) != Region.D_PLUS
+    outside = np.asarray(classify_region(z, bg)) != Region.D_PLUS
     if outside.any():
         raise ValueError(f"trace_det_a requires z in D+ (got z = {z[outside][0]})")
-    f = (w - zn) * (w + k0sq / zn.conj()) / ((w - zn.conj()) * (w + k0sq / zn))
+    f = (w - zn) * (w - antipode(zc, bg)) / ((w - zc) * (w - anti))
     return np.prod(f ** np.asarray(inp.multiplicities, dtype=int), axis=-1)[()]
 
 

@@ -22,8 +22,8 @@ from hirota_ist.cli import main, sigma_sample_points
 from hirota_ist.grids import FieldGrid, read_csv, write_csv
 from hirota_ist.matrices import dagger, det2
 from hirota_ist.scattering import audit_symmetries, det_a, scattering_matrix
-from hirota_ist.solitons import DiscreteEigenpair, expand_quartets, quartet_partner
-from hirota_ist.spectral import Background, classify_region, uniformize
+from hirota_ist.solitons import DiscreteEigenpair, expand_quartets
+from hirota_ist.spectral import Background, antipode, classify_region, uniformize
 from hirota_ist.traceform import TraceInput, theta_condition, trace_det_a
 from hirota_ist.verification import boundary_decay, halton_points, pde_residual, periodicity_probe
 
@@ -226,7 +226,7 @@ def test_criterion_09_invariants(tmp_path):
     closure_ok = True
     for _ in range(500):
         z = complex(rng.uniform(-4, 4), rng.uniform(0.2, 4))
-        w = quartet_partner(quartet_partner(z, 1.0), 1.0)
+        w = antipode(np.conj(antipode(np.conj(z), bg)), bg)
         if abs(w - z) > 4 * np.spacing(abs(z)):  # exact up to final rounding
             closure_ok = False
 

@@ -356,6 +356,22 @@ def test_cli_verify_checks_periodicity_only_with_im_lambda_zero(tmp_path, name):
         assert "skipped" in check and check["pass"] is True
 
 
+def test_cli_verify_checks_periodicity_of_a_seed_within_sigmas_band(tmp_path):
+    # fig11's seed moved to (1 + 1e-11) e^{i pi/3}: Im lambda is 1.7e-11 |lambda|, within Sigma's band DELTA, so
+    # spectral puts the seed on Sigma and verify probes the x-period; verify's own rule, |Im lambda| <= 1e-12
+    # |lambda|, once skipped the check
+    seed = preset("fig11").seeds[0]
+    cfg = {"background": {"sigma": -1, "k0": 1.0, "alpha": 1.0, "beta": 0.1,
+                          "qplus": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+           "seeds": [{"zeta": [(1 + 1e-11) * seed.zn.real, (1 + 1e-11) * seed.zn.imag],
+                      "c": [[[c.real, c.imag] for c in row] for row in seed.Cn.tolist()]}]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "v.json"
+    assert main(["verify", "--config", str(tmp_path / "cfg.json"), "--n-probe", "12", "--out", str(out)]) == 0
+    check = json.loads(out.read_text())["checks"]["periodicity"]
+    assert check["period"] == pytest.approx(2 * math.pi) and check["max_deviation"] <= 1e-3 and check["pass"] is True
+
+
 def test_cli_verify_exit_1_on_residual_failure(tmp_path):
     # fig3d's genuine stencil truncation at h = 1e-2 exceeds the default
     # 1e-5 tolerance (see ledger); the command reports it as failure

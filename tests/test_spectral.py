@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import hirota_ist
 from hirota_ist.errors import ZeroArgument
-from hirota_ist.spectral import Background, Region, classify_region, theta, uniformize
+from hirota_ist.spectral import Background, Region, antipode, classify_region, theta, uniformize
 
 EYE = np.eye(2, dtype=complex)
 
@@ -51,6 +51,8 @@ def test_uniformize_gamma_at_a_k0_near_the_top_of_the_range():
 def test_uniformize_zero_raises():
     with pytest.raises(ZeroArgument):
         uniformize(0.0, FOC)
+    with pytest.raises(ZeroArgument):
+        antipode(np.array([1.0, 0.0]), DEF)
 
 
 @pytest.mark.parametrize("bg", [FOC, DEF, bg_for(-1, k0=1.7), bg_for(1, k0=0.3)])
@@ -120,6 +122,18 @@ def test_uniformize_roundtrip(z, sigma):
     if abs(sp.gamma) > 1e-3:
         alt = 2.0 * sp.lam / (sp.lam + sp.k)
         assert abs(sp.gamma - alt) <= 1e-12 * max(1.0, abs(alt))
+
+
+@given(annulus, st.sampled_from([FOC, DEF, bg_for(-1, k0=1.7), bg_for(1, k0=0.3)]))
+def test_antipode_is_an_involution_that_keeps_k_and_negates_lambda(u, bg):
+    # sigma k0^2/z: twice gives z back, and z and its antipode share k and have opposite lambda, each to a few
+    # ulps of the larger of |z| and |sigma k0^2/z|, over which k and lambda may cancel
+    z = bg.k0 * u
+    w = antipode(z, bg)
+    ulps = 4 * np.spacing(max(abs(z), abs(w)))
+    assert w.shape == () and abs(antipode(w, bg) - z) <= 4 * np.spacing(abs(z))
+    sp, sw = uniformize(z, bg), uniformize(w, bg)
+    assert abs(sw.k - sp.k) <= ulps and abs(sw.lam + sp.lam) <= ulps
 
 
 @given(annulus, st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hirota_ist as h
-from hirota_ist.errors import PoleHit
+from hirota_ist.errors import DefocusingUnsupported, PoleHit
 from hirota_ist.matrices import dagger
 from hirota_ist.solitons import min_decay_rate
 from hirota_ist.spectral import Background
@@ -77,6 +77,13 @@ def test_zero_validation():
     for zeros, mults in (((2j,), (0,)), ((2j,), (3,)), ((2j,), ()), ((2j,), (1, 1)), (2j, 1)):
         with pytest.raises(ValueError, match="one multiplicity"):  # not one multiplicity, 1 or 2, per zero
             TraceInput(FOC, zeros, mults)
+
+
+def test_trace_product_refuses_a_defocusing_background(dark_bg):
+    # the product is the focusing quartet's; a dark soliton's double zero at e^{i}, which the zero search returns,
+    # was once refused as "not in the admissible part of D+", a message that blamed the zero
+    with pytest.raises(DefocusingUnsupported, match="the trace product is focusing-only"):
+        TraceInput(dark_bg, (np.exp(1j),), (2,))
 
 
 def test_requires_dplus_argument():
