@@ -9,11 +9,10 @@ from .grids import FieldGrid, GridSpec, read_csv, read_json, write_csv, write_js
 from .matrices import CMat2, CMat4, dagger, det2, embed, inv2
 from .presets import Preset, preset, preset_names
 from .scattering import (
+    JostMesh,
     ScatteringSample,
     audit_symmetries,
-    det_a,
     find_discrete_spectrum,
-    integrate_jost,
     scattering_matrix,
 )
 from .solitons import (

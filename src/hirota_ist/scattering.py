@@ -40,22 +40,23 @@ that keeps the analytic pair bounded, are multiplied in pairs along the
 cells of each z.
 The z travel as arrays: one spectral point of arrays, then (4, 4, ...)
 stacks, the layout of every 4x4 product here, the cells' generators included
-(_mm: broadcast ufuncs over the whole stack).  A call builds one mesh,
-which all its z share, and takes a side's z in blocks of whole sides:
+(_mm: broadcast ufuncs over the whole stack).  A JostMesh is one mesh,
+which its probes share; a probe takes a side's z in blocks of whole sides:
 the n cells of _BLOCK // n z, or of one z where n > _BLOCK, z-major, so
 that a block's fixed cost of about 140 numpy calls stays small.  A block
 exponentiates its cells and multiplies each z's in one pairwise tree.  Each
 step is elementwise, along one z's cells or on one z's matrix, so a z gets
-the same bits in any batch.  A call allocates one workspace, four 4x4 stacks
+the same bits in any batch.  A probe allocates one workspace, four 4x4 stacks
 of a block and rows of 4 and 3 entries a cell x z, into which every block
 writes with out=, the products' temporaries included.  Each block adds its
 z, the cells x z it scaled and their most squarings to its side's tally,
-which the DEBUG records of the zero search and of scattering_matrix read.
+which adds up over a held mesh's probes, and which the DEBUG records of the
+zero search and of scattering_matrix read.
 k = (z + sigma k0^2/z)/2 is two-to-one: z and its antipode sigma k0^2/z
 share k, hence every cell's exp(Omega), and have opposite lambda.  The
 shift w = i lambda eps takes eps = sign Im lambda off Sigma and sign
 Re lambda on Sigma (spectral.shift_sign, on sp.region), so the two share
-w too.  A call runs the blocks for the first z of each (k, w) only, and
+w too.  A probe runs the blocks for the first z of each (k, w) only, and
 gives the other that product times e^{(w - w_first) sum h}, 1 to a few
 ulps.  A spectrum sample set closed under the map propagates half its z;
 det a's contour, wholly in D+, holds no antipodes.
@@ -154,57 +155,6 @@ def _field_at(field: Field, xs: np.ndarray, t0: float) -> np.ndarray:
     if bad.any():
         raise IntegrationFailure(f"non-finite field sample at x = {xs[bad][0]}, t = {t0}")
     return Q
-
-
-def _mesh(field: Field, tol: float, t0: float, bg: Background) -> tuple[_Cells, _Cells]:
-    """(left, right) cells: [-L, 0] travelled upward, [0, L] downward, L and grading as the module states."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, not {tol}")
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, not {t0}")
-    h0 = H * (tol / 1e-8) ** (1.0 / 6.0) / bg.k0
-    L, evals, settled = L0 / bg.k0, 0, 0.1 * tol * bg.k0
-    while True:
-        m = L / (R * h0)  # probe cells a side, checked before it is rounded up and before any array is sized
-        if not m <= _MAX_PROBES:
-            raise ValueError(f"Jost mesh too fine: tol {tol:g} and k0 {bg.k0:g} ask for {m:.4g} probe cells a side "
-                             f"at L = {L:g}, above {_MAX_PROBES}")
-        m = math.ceil(m)
-        p = L / m
-        probe = p * (np.arange(2 * m) + 0.5) - L
-        Qs = _field_at(field, np.concatenate(([-2.0 * L], probe)), t0)
-        Qlim, Qp, evals = Qs[0], Qs[1:], evals + len(Qs)
-        dev, bound = background_defect(Qlim, bg.k0)
-        edges = np.abs(Qlim - Qp[0]).max(), np.abs(Qp[-1] - bg.Qplus).max()
-        if L >= L_MAX / bg.k0 or (dev <= bound and max(edges) <= settled):
-            break
-        L *= 2.0
-    if dev > bound:
-        raise NoBackground(f"field does not settle: |Q Q^dag - k0^2 I| = {dev:.2g} at x = {-2 * L:g}, t = {t0:g}")
-    if max(edges) > settled:
-        warnings.warn(f"field not settled at L = {L:g}: its outermost probes are {edges[0]:.2g} (left) and "
-                      f"{edges[1]:.2g} (right) from its limits, above tol k0/10, at t = {t0:g}", NoConvergenceWarning)
-    g = np.minimum(*(np.abs(Qp - Qp[i]).max(axis=(1, 2)) for i in (0, -1)))
-    g[:-1] = np.maximum(g[:-1], np.abs(np.diff(Qp, axis=0)).max(axis=(1, 2)))
-    g = np.pad(g, 1)
-    g = np.maximum.reduce([g[:-2], g[1:-1], g[2:]])
-    ratio = np.divide(g.max(), g, out=np.full_like(g, float(R) ** 7), where=g > 0)  # R^7 where g = 0
-    stretch = np.clip(ratio ** (1.0 / 7.0), 1.0, R)
-    n = np.ceil(p / (h0 * stretch) - 1e-9).astype(int)  # cells a probe cell; p <= R h0 makes one where stretch = R
-    h = np.repeat(p / n, n)
-    x0 = np.cumsum(h) - h - L  # left edges, ascending over [-L, L]
-    Q = _field_at(field, (x0[:, None] + h[:, None] * _GAUSS).ravel(), t0).reshape(-1, 3, 2, 2)
-    left = n[:m].sum()
-    sides = (_cells(Q[:left], bg.sigma, h[:left], Qlim),
-             _cells(Q[left:][::-1, ::-1], bg.sigma, -h[left:][::-1], bg.Qplus))
-    if not all(np.isfinite(c.A).all() for c in sides):
-        raise IntegrationFailure(f"Magnus generators overflow for the field at t = {t0}")
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("Jost mesh L=%g tol=%g t0=%g: %d probes, cells %d left %d right, length %.3g to %.3g, "
-                   "%d field evaluations, edges |Q(-2L) - Q(-L + p/2)| %.2g and "
-                   "|Q(L - p/2) - Q+| %.2g, |Q Q^dag - k0^2 I| %.2g at -2L",
-                   L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), evals + 3 * len(h), *edges, dev)
-    return sides
 
 
 def _mm(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
@@ -366,34 +316,122 @@ def _transfer(cells: _Cells, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jost(mesh, sp: SpectralPoint, side: str, bg: Background, analytic_only: bool = False) -> np.ndarray:
-    """mu(0) of one side at each z of sp: all four columns, (n, 4, 4), or only the bounded pair, (n, 4, 2).
-
-    The bounded (analytic) pair is M / N in D+, the barred pair in D-; the
-    other pair grows like e^{2 |Im lambda| L} off the continuous spectrum.
-    """
-    left = side == "left"
-    cells = mesh[0] if left else mesh[1]
-    X = asymptotic_eigenvectors(sp, cells.limit, bg)  # rejects branch points
-    eps = shift_sign(sp)
-    P = _transfer(cells, sp.k, 1j * sp.lam * eps)
-    analytic = (1.0 if left else -1.0) * _SGN == eps[:, None]  # (n, 4), two columns a row
-    if analytic_only:
-        cols = np.where(analytic[:, :1], [0, 1], [2, 3])
-        mu = P @ np.take_along_axis(X, cols[:, None, :], axis=2)
-    else:
-        mu = P @ (X * np.where(analytic, 1.0, np.exp(-2j * sp.lam * cells.h.sum() * eps)[:, None])[:, None, :])
-    bad = np.flatnonzero(~np.isfinite(mu).all(axis=(1, 2)))
-    if bad.size:
-        raise IntegrationFailure(f"non-finite Jost solution at z = {sp.z[bad[0]]} ({side})")
-    return mu
-
-
-def _points(z, bg: Background) -> SpectralPoint:
-    """The spectral point of a scalar or a 1-D array of z, with fields of shape (n,)."""
+def _points(z, bg: Background, regions: tuple[Region, ...] = tuple(Region), rule: str = "") -> SpectralPoint:
+    """The spectral point of a scalar or a 1-D array of z, with fields of shape (n,); a z whose Region is not
+    one of regions raises ValueError, stating rule, before anything is propagated."""
     if np.ndim(z) > 1:
         raise ValueError("z must be a scalar or a 1-D array")
-    return uniformize(np.ravel(z), bg)
+    sp = uniformize(np.ravel(z), bg)
+    if (off := np.flatnonzero(~np.isin(sp.region, regions))).size:
+        raise ValueError(f"{rule} (got {sp.region[off[0]]} at z = {complex(sp.z[off[0]])})")
+    return sp
+
+
+@dataclass(frozen=True)
+class JostMesh:
+    """One field's cells at t0 on bg: sides (left, right), [-L, 0] travelled upward and [0, L] downward.
+
+    build makes one; any number of probes, jost and det_a, share its cells and add to its sides' tallies.
+    """
+
+    sides: tuple[_Cells, _Cells]
+    bg: Background
+
+    @classmethod
+    def build(cls, field: Field, tol: float, bg: Background, t0: float = 0.0) -> JostMesh:
+        """The mesh of field at t0, L and grading as the module states."""
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance must be positive and finite, not {tol}")
+        if not math.isfinite(t0):
+            raise ValueError(f"t0 must be finite, not {t0}")
+        h0 = H * (tol / 1e-8) ** (1.0 / 6.0) / bg.k0
+        L, evals, settled = L0 / bg.k0, 0, 0.1 * tol * bg.k0
+        while True:
+            m = L / (R * h0)  # probe cells a side, checked before it is rounded up and before any array is sized
+            if not m <= _MAX_PROBES:
+                raise ValueError(f"Jost mesh too fine: tol {tol:g} and k0 {bg.k0:g} ask for {m:.4g} probe cells a side "
+                                 f"at L = {L:g}, above {_MAX_PROBES}")
+            m = math.ceil(m)
+            p = L / m
+            probe = p * (np.arange(2 * m) + 0.5) - L
+            Qs = _field_at(field, np.concatenate(([-2.0 * L], probe)), t0)
+            Qlim, Qp, evals = Qs[0], Qs[1:], evals + len(Qs)
+            dev, bound = background_defect(Qlim, bg.k0)
+            edges = np.abs(Qlim - Qp[0]).max(), np.abs(Qp[-1] - bg.Qplus).max()
+            if L >= L_MAX / bg.k0 or (dev <= bound and max(edges) <= settled):
+                break
+            L *= 2.0
+        if dev > bound:
+            raise NoBackground(f"field does not settle: |Q Q^dag - k0^2 I| = {dev:.2g} at x = {-2 * L:g}, t = {t0:g}")
+        if max(edges) > settled:
+            warnings.warn(f"field not settled at L = {L:g}: its outermost probes are {edges[0]:.2g} (left) and "
+                          f"{edges[1]:.2g} (right) from its limits, above tol k0/10, at t = {t0:g}",
+                          NoConvergenceWarning)
+        g = np.minimum(*(np.abs(Qp - Qp[i]).max(axis=(1, 2)) for i in (0, -1)))
+        g[:-1] = np.maximum(g[:-1], np.abs(np.diff(Qp, axis=0)).max(axis=(1, 2)))
+        g = np.pad(g, 1)
+        g = np.maximum.reduce([g[:-2], g[1:-1], g[2:]])
+        ratio = np.divide(g.max(), g, out=np.full_like(g, float(R) ** 7), where=g > 0)  # R^7 where g = 0
+        stretch = np.clip(ratio ** (1.0 / 7.0), 1.0, R)
+        n = np.ceil(p / (h0 * stretch) - 1e-9).astype(int)  # cells a probe cell; p <= R h0 makes one where stretch = R
+        h = np.repeat(p / n, n)
+        x0 = np.cumsum(h) - h - L  # left edges, ascending over [-L, L]
+        Q = _field_at(field, (x0[:, None] + h[:, None] * _GAUSS).ravel(), t0).reshape(-1, 3, 2, 2)
+        left = n[:m].sum()
+        sides = (_cells(Q[:left], bg.sigma, h[:left], Qlim),
+                 _cells(Q[left:][::-1, ::-1], bg.sigma, -h[left:][::-1], bg.Qplus))
+        if not all(np.isfinite(c.A).all() for c in sides):
+            raise IntegrationFailure(f"Magnus generators overflow for the field at t = {t0}")
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("Jost mesh L=%g tol=%g t0=%g: %d probes, cells %d left %d right, length %.3g to %.3g, "
+                       "%d field evaluations, edges |Q(-2L) - Q(-L + p/2)| %.2g and "
+                       "|Q(L - p/2) - Q+| %.2g, |Q Q^dag - k0^2 I| %.2g at -2L",
+                       L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), evals + 3 * len(h), *edges, dev)
+        return cls(sides, bg)
+
+    def jost(self, z, side: str):
+        """mu(0) of side "left" (from -L) or "right" (from +L): a 4x4 at a scalar z, (n, 4, 4) at a 1-D array.
+
+        Each side starts from its limit's eigenvector matrix; off the continuous
+        spectrum the non-analytic column pair grows like e^{2 |Im lambda| L}.
+        """
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+        mu = self._mu(_points(z, self.bg), side)
+        return mu[0] if np.ndim(z) == 0 else mu
+
+    def det_a(self, z):
+        """det a(z) = det(phi, psi)/gamma^2 at x = 0 for z in D+: a complex, or an array at a 1-D array of z.
+
+        Analytic in D+; uses only the two analytic column pairs, so it stays
+        well defined arbitrarily deep in D+ where the other columns overflow.
+        """
+        sp = _points(z, self.bg, (Region.D_PLUS,), "det_a requires z in D+")
+        W = np.concatenate([self._mu(sp, side, analytic_only=True) for side in ("left", "right")], axis=-1)
+        a = np.linalg.det(W) / sp.gamma**2
+        return complex(a[0]) if np.ndim(z) == 0 else a
+
+    def _mu(self, sp: SpectralPoint, side: str, analytic_only: bool = False) -> np.ndarray:
+        """mu(0) of one side at each z of sp: all four columns, (n, 4, 4), or only the bounded pair, (n, 4, 2).
+
+        The bounded (analytic) pair is M / N in D+, the barred pair in D-; the
+        other pair grows like e^{2 |Im lambda| L} off the continuous spectrum.
+        """
+        left = side == "left"
+        cells = self.sides[0 if left else 1]
+        X = asymptotic_eigenvectors(sp, cells.limit, self.bg)  # rejects branch points
+        eps = shift_sign(sp)
+        P = _transfer(cells, sp.k, 1j * sp.lam * eps)
+        analytic = (1.0 if left else -1.0) * _SGN == eps[:, None]  # (n, 4), two columns a row
+        if analytic_only:
+            cols = np.where(analytic[:, :1], [0, 1], [2, 3])
+            mu = P @ np.take_along_axis(X, cols[:, None, :], axis=2)
+        else:
+            mu = P @ (X * np.where(analytic, 1.0, np.exp(-2j * sp.lam * cells.h.sum() * eps)[:, None])[:, None, :])
+        bad = np.flatnonzero(~np.isfinite(mu).all(axis=(1, 2)))
+        if bad.size:
+            raise IntegrationFailure(f"non-finite Jost solution at z = {sp.z[bad[0]]} ({side})")
+        return mu
 
 
 @dataclass(frozen=True)
@@ -409,22 +447,6 @@ class ScatteringSample:
     rhobar: np.ndarray
 
 
-def integrate_jost(field: Field, z, side: str, tol: float, bg: Background, t0: float = 0.0):
-    """Propagate the modified eigenfunction mu_x = U mu + i lambda mu sigma3.
-
-    Starts from the background eigenvector matrix at -L (side "left") or +L
-    (side "right"), L the truncation that the mesh chose from the field, and
-    returns the 4x4 value at x = 0, stacked to (n, 4, 4) for a 1-D array of
-    z.  Off the continuous spectrum the non-analytic column pair grows like
-    e^{2 |Im lambda| L}.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    sp = _points(z, bg)
-    mu = _jost(_mesh(field, tol, t0, bg), sp, side, bg)
-    return mu[0] if np.ndim(z) == 0 else mu
-
-
 def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
     """Scattering matrix S with Phi = Psi S, blocks, and reflection data.
 
@@ -438,13 +460,10 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
     cells each side ran.  b and rho exist on Sigma only: z in D+ or D- raises
     ValueError before any mesh is built, a branch point BranchPointSingular.
     """
-    sp = _points(z, bg)
-    region = sp.region
-    if (off := np.flatnonzero((region == Region.D_PLUS) | (region == Region.D_MINUS))).size:
-        raise ValueError(f"scattering_matrix requires z on Sigma (got {region[off[0]]} at z = {complex(sp.z[off[0]])})")
-    mesh = _mesh(field, tol, t0, bg)
+    sp = _points(z, bg, (Region.SIGMA, Region.BRANCH_POINT), "scattering_matrix requires z on Sigma")
+    mesh = JostMesh.build(field, tol, bg, t0)
     ph = np.exp(1j * theta(0.0, t0, sp, bg)[:, None, None] * _SGN)
-    Phi, Psi = (_jost(mesh, sp, side, bg) * ph for side in ("left", "right"))
+    Phi, Psi = (mesh._mu(sp, side) * ph for side in ("left", "right"))
     d = np.linalg.det(Psi)
     bad = np.flatnonzero(np.abs(d) < 1e-12)
     if bad.size:
@@ -453,7 +472,7 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
     a, bbar, b, abar = S[:, :2, :2], S[:, :2, 2:], S[:, 2:, :2], S[:, 2:, 2:]
     rho, rhobar = b @ inv2(a), bbar @ inv2(abar)
     if _log.isEnabledFor(logging.DEBUG):
-        (nl, nr), (tl, tr) = [len(c.h) for c in mesh], (c.tally for c in mesh)
+        (nl, nr), (tl, tr) = [len(c.h) for c in mesh.sides], (c.tally for c in mesh.sides)
         _log.debug("scattering_matrix: %d samples, z propagated %d left %d right, cells %d left %d right, "
                    "blocks %d left %d right", len(sp.z), tl["z"], tr["z"], nl, nr, tl["blocks"], tr["blocks"])
     one = np.ndim(z) == 0
@@ -505,25 +524,6 @@ def audit_symmetries(sample: ScatteringSample, bg: Background) -> SymmetryAuditR
         sample.abar[conj] - np.conj(sample.a),
     )
     return SymmetryAuditReport(*(float(np.abs(D).max(initial=0.0)) for D in devs), n_samples=len(z))
-
-
-def _det_a(mesh, sp: SpectralPoint, bg: Background) -> np.ndarray:
-    W = np.concatenate([_jost(mesh, sp, side, bg, analytic_only=True) for side in ("left", "right")], axis=-1)
-    return np.linalg.det(W) / sp.gamma**2
-
-
-def det_a(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
-    """det a(z) via the Wronskian det(phi, psi)/gamma^2 at x = 0.
-
-    Analytic in D+; uses only the two analytic column pairs, so it stays
-    well defined arbitrarily deep in D+ where the other columns overflow.
-    A 1-D array of z gives an array of values.
-    """
-    sp = _points(z, bg)
-    if (off := np.flatnonzero(sp.region != Region.D_PLUS)).size:  # before the mesh is built; _det_a assumes D+
-        raise ValueError(f"det_a requires z in D+ (got {sp.region[off[0]]} at z = {complex(sp.z[off[0]])})")
-    a = _det_a(_mesh(field, tol, t0, bg), sp, bg)
-    return complex(a[0]) if np.ndim(z) == 0 else a
 
 
 @functools.cache
@@ -667,7 +667,7 @@ def find_discrete_spectrum(
 
     if (off := box_off_dplus(box)) is not None:
         raise ValueError(f"searchbox touches the complement of D+ at {off}")
-    mesh = _mesh(field, tol, t0, bg)
+    mesh = JostMesh.build(field, tol, bg, t0)
     moves: list[_Box] = []
     rounds: list[str] = []
     fresh = None  # the nodes that the next round evaluates; None lays out a new box, all of whose nodes are fresh
@@ -678,7 +678,7 @@ def find_discrete_spectrum(
             fresh, a = np.ones(n.sum(), dtype=bool), np.empty(0, dtype=complex)
         z, old = _contour(start, extent, n), a
         a = np.empty(len(z), dtype=complex)
-        a[~fresh], a[fresh] = old, _det_a(mesh, _points(z[fresh], bg), bg)
+        a[~fresh], a[fresh] = old, mesh.det_a(z[fresh])
         mag = np.abs(a)
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.angle(np.roll(a, -1) / a)  # node j to j + 1, the last one closing the contour
@@ -724,7 +724,7 @@ def find_discrete_spectrum(
         warnings.warn(f"multiplicities {mult} in {box} are not integers summing to {N}", NoConvergenceWarning)
     zeros = roots.tolist()
     if _log.isEnabledFor(logging.DEBUG):
-        ns, (tl, tr) = [len(c.h) for c in mesh], (c.tally for c in mesh)
+        ns, (tl, tr) = [len(c.h) for c in mesh.sides], (c.tally for c in mesh.sides)
         _log.debug("find_discrete_spectrum: %d nodes, rounds [%s], cells %d left %d right x %d z propagated in %d "
                    "blocks, %d of %d cells x z scaled, at most %d squarings, winding %.4f, Hankel singular values "
                    "%s, zeros %s, multiplicities %s, contour moves %s", len(z), "; ".join(rounds), *ns, tl["z"],

@@ -21,7 +21,7 @@ import hirota_ist as h
 from hirota_ist.cli import main, sigma_sample_points
 from hirota_ist.grids import FieldGrid, read_csv, write_csv
 from hirota_ist.matrices import dagger, det2
-from hirota_ist.scattering import audit_symmetries, det_a, scattering_matrix
+from hirota_ist.scattering import JostMesh, audit_symmetries, scattering_matrix
 from hirota_ist.solitons import DiscreteEigenpair, expand_quartets
 from hirota_ist.spectral import Background, antipode, classify_region, uniformize
 from hirota_ist.traceform import TraceInput, theta_condition, trace_det_a
@@ -137,7 +137,7 @@ def test_criterion_04_symmetry_audit(fig3a_field, fig3a_spec):
 
 def test_criterion_05_trace_formula(fig3a_field, fig3a_spec):
     inp = TraceInput(fig3a_spec.bg, (2j,), (1,))
-    da3 = det_a(fig3a_field, 3j, 1e-10, fig3a_spec.bg)
+    da3 = JostMesh.build(fig3a_field, 1e-10, fig3a_spec.bg).det_a(3j)
     hand_ok = abs(da3 - 0.28) <= 1e-3
     pts = []
     for u, v in halton_points(60):
@@ -147,7 +147,7 @@ def test_criterion_05_trace_formula(fig3a_field, fig3a_spec):
         if len(pts) == 20:
             break
     zs = np.array(pts)
-    worst = float(np.max(np.abs(det_a(fig3a_field, zs, 1e-8, fig3a_spec.bg) - trace_det_a(zs, inp))))
+    worst = float(np.max(np.abs(JostMesh.build(fig3a_field, 1e-8, fig3a_spec.bg).det_a(zs) - trace_det_a(zs, inp))))
     ok = hand_ok and worst <= 1e-3
     report(
         "criterion 5", ok,

@@ -592,3 +592,27 @@ def test_every_name_the_bench_reads_resolves_on_the_package():
     assert [n for n in sorted(names) if not hasattr(h, n)] == []
     eye = np.eye(2, dtype=complex)
     assert h.Background(sigma=-1, k0=1.0, alpha=1.0, beta=0.1, Qplus=eye, Qminus=eye).Qminus.shape == (2, 2)
+
+
+def test_cli_reaches_the_direct_problem_through_the_names_the_bench_wraps(tmp_path, monkeypatch):
+    # bench/spans.py times the direct problem by replacing these functions, by identity, in every hirota_ist module
+    # that holds them; a CLI that reached the direct problem by another route would leave the bench's per-layer
+    # spans at zero with no error
+    seen = []
+    for name in ("scattering_matrix", "find_discrete_spectrum", "audit_symmetries"):
+        original = getattr(h.scattering, name)
+
+        def wrapper(*args, name=name, original=original, **kwargs):
+            seen.append(name)
+            return original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if mod is not None and modname.split(".")[0] == "hirota_ist":
+                for attr, val in list(vars(mod).items()):
+                    if val is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    assert main(["roundtrip", "--preset", "fig3a", "--find-tol", "1e-4"]) == 0
+    assert sorted(seen) == ["find_discrete_spectrum", "scattering_matrix"]
+    seen.clear()
+    assert main(["scatter", "--preset", "fig6", "--out", str(tmp_path / "s.json")]) == 0
+    assert sorted(seen) == ["audit_symmetries", "scattering_matrix"]

@@ -29,18 +29,16 @@ from hirota_ist.scattering import (
     _cells,
     _contour,
     _expm1,
-    _mesh,
     _mm,
     _moment_zeros,
     _moments,
     _panels,
     _stack,
     _transfer,
+    JostMesh,
     SymmetryAuditReport,
     audit_symmetries,
-    det_a,
     find_discrete_spectrum,
-    integrate_jost,
     scattering_matrix,
 )
 from hirota_ist.solitons import DiscreteEigenpair, RankFlag, expand_quartets, min_decay_rate
@@ -55,8 +53,8 @@ TOL = 1e-10
 
 def test_background_jost_equals_X(background_bg, background_field):
     zs = np.array([0.5, 2.0, 0.4 + 1.3j])
-    mus_l = integrate_jost(background_field, zs, "left", TOL, background_bg)
-    mus_r = integrate_jost(background_field, zs, "right", TOL, background_bg)
+    mesh = JostMesh.build(background_field, TOL, background_bg)
+    mus_l, mus_r = mesh.jost(zs, "left"), mesh.jost(zs, "right")
     for z, mu_l, mu_r in zip(zs, mus_l, mus_r):
         sp = uniformize(complex(z), background_bg)
         X = h.asymptotic_eigenvectors(sp, background_bg.Qplus, background_bg)
@@ -69,20 +67,20 @@ def test_background_jost_equals_X(background_bg, background_field):
 def test_background_scattering_is_identity(background_bg, background_field):
     s = scattering_matrix(background_field, 0.7, TOL, background_bg)
     assert np.max(np.abs(s.S - np.eye(4))) < 1e-8
-    assert abs(det_a(background_field, 2.5j, TOL, background_bg) - 1.0) < 1e-8
+    assert abs(JostMesh.build(background_field, TOL, background_bg).det_a(2.5j) - 1.0) < 1e-8
 
 
 def test_integrate_jost_rejects_branch_point(background_bg, background_field):
     from hirota_ist.errors import BranchPointSingular
 
     with pytest.raises(BranchPointSingular):
-        integrate_jost(background_field, 1j, "left", TOL, background_bg)
+        JostMesh.build(background_field, TOL, background_bg).jost(1j, "left")
 
 
 def test_jost_det_conservation(fig3a_field, fig3a_spec):
     z = 0.5
     sp = uniformize(z, fig3a_spec.bg)
-    mu = integrate_jost(fig3a_field, z, "left", TOL, fig3a_spec.bg)
+    mu = JostMesh.build(fig3a_field, TOL, fig3a_spec.bg).jost(z, "left")
     assert abs(np.linalg.det(mu) - sp.gamma**2) <= 1e-9 * abs(sp.gamma**2)
     assert np.linalg.cond(mu) < 1e6
 
@@ -102,14 +100,14 @@ def test_scattering_time_invariance(fig3a_spec, fig3a_field):
 
 
 def test_det_a_trace_value(fig3a_field, fig3a_spec):
-    da = det_a(fig3a_field, 3j, TOL, fig3a_spec.bg)
+    da = JostMesh.build(fig3a_field, TOL, fig3a_spec.bg).det_a(3j)
     assert abs(da - 0.28) <= 1e-3
 
 
 def test_det_a_large_z_normalization(fig3a_field, fig3a_spec):
     # det a -> 1 like O(1/z); the 1/z coefficient for this spectrum is
     # |z1* - z1 + k0^2(1/z1 - 1/z1*)| = 5, so expect |det a - 1| ~ 5/|z|
-    da50, da20 = det_a(fig3a_field, np.array([50j, 20j]), TOL, fig3a_spec.bg)
+    da50, da20 = JostMesh.build(fig3a_field, TOL, fig3a_spec.bg).det_a(np.array([50j, 20j]))
     assert abs(da50 - 1.0) <= 6.0 / 50.0
     assert abs(da50 - 1.0) < abs(da20 - 1.0)
     # and the value itself agrees with the product form to 1e-3
@@ -118,29 +116,27 @@ def test_det_a_large_z_normalization(fig3a_field, fig3a_spec):
     assert abs(da50 - tr) <= 1e-3
 
 
-def test_det_a_requires_dplus(fig3a_field, fig3a_spec):
+def test_det_a_requires_dplus(fig3a_field, fig3a_spec, monkeypatch):
+    mesh = JostMesh.build(fig3a_field, TOL, fig3a_spec.bg)
     with pytest.raises(ValueError):
-        det_a(fig3a_field, 0.5, TOL, fig3a_spec.bg)
-
-    def unreachable(x, t):
-        raise AssertionError("the mesh was built before the region check")
-
+        mesh.det_a(0.5)
+    monkeypatch.setattr(scattering, "_transfer", lambda *args: pytest.fail("propagated before the region check"))
     with pytest.raises(ValueError):
-        det_a(unreachable, np.array([2.5j, 0.5]), TOL, fig3a_spec.bg)
+        mesh.det_a(np.array([2.5j, 0.5]))
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8])
 def test_mesh_rejects_a_tolerance_that_is_not_positive_and_finite(fig3a_field, fig3a_spec, tol):
     # tol = inf once made no probe cells and divided by their count
     with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-        det_a(fig3a_field, 2.5j, tol, fig3a_spec.bg)
+        JostMesh.build(fig3a_field, tol, fig3a_spec.bg)
 
 
 @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
 def test_mesh_rejects_a_t0_that_is_not_finite(fig3a_field, fig3a_spec, t0):
     # t0 = nan once failed as an ill-conditioned system at (x, t) = (-40, nan)
     with pytest.raises(ValueError, match="t0 must be finite"):
-        det_a(fig3a_field, 2.5j, 1e-8, fig3a_spec.bg, t0=t0)
+        JostMesh.build(fig3a_field, 1e-8, fig3a_spec.bg, t0=t0)
 
 
 @pytest.mark.parametrize("tol, k0", [(1e-40, 1.0), (1e-8, 1e4)], ids=["tol-1e-40", "k0-1e4"])
@@ -155,14 +151,14 @@ def test_mesh_refuses_more_probe_cells_than_its_bound(background_bg, tol, k0):
     if k0 == 1.0:
         with pytest.raises(ValueError, match=rf"tol {tol:g} and k0 1 ask for .* probe cells a side at L = 20, "
                                              rf"above {scattering._MAX_PROBES}"):
-            integrate_jost(unreachable, 0.7, "left", tol, bg)
+            JostMesh.build(unreachable, tol, bg)
         return
 
     def field(x, t):
         return np.broadcast_to(bg.Qplus, np.broadcast_shapes(np.shape(x), np.shape(t)) + (2, 2))
 
-    one = _mesh(lambda x, t: field(x, t) / k0, tol, 0.0, background_bg)
-    for cells, ref in zip(_mesh(field, tol, 0.0, bg), one):
+    one = JostMesh.build(lambda x, t: field(x, t) / k0, tol, background_bg).sides
+    for cells, ref in zip(JostMesh.build(field, tol, bg).sides, one):
         assert len(cells.h) == len(ref.h)
         np.testing.assert_allclose(cells.h * k0, ref.h, rtol=1e-15)
 
@@ -172,7 +168,7 @@ def test_det_a_ignores_the_backgrounds_Qminus(fig3a_field, fig3a_spec):
     zs = np.array([3j, 1.2 + 1.9j])
     other = dataclasses.replace(fig3a_spec.bg, Qminus=1j * np.eye(2))
     np.testing.assert_array_equal(
-        det_a(fig3a_field, zs, 1e-8, other), det_a(fig3a_field, zs, 1e-8, fig3a_spec.bg)
+        JostMesh.build(fig3a_field, 1e-8, other).det_a(zs), JostMesh.build(fig3a_field, 1e-8, fig3a_spec.bg).det_a(zs)
     )
 
 
@@ -187,7 +183,7 @@ def test_det_a_analytic(fig3a_field, fig3a_spec):
     # Cauchy-Riemann: the d/dzbar stencil (d_x + i d_y)/2 vanishes for an
     # analytic function
     z0, hs = 1.2 + 1.9j, 1e-3
-    f = det_a(fig3a_field, z0 + np.array([hs, -hs, 1j * hs, -1j * hs]), TOL, fig3a_spec.bg)
+    f = JostMesh.build(fig3a_field, TOL, fig3a_spec.bg).det_a(z0 + np.array([hs, -hs, 1j * hs, -1j * hs]))
     dre = (f[0] - f[1]) / (2 * hs)
     dim = (f[2] - f[3]) / (2 * hs)
     assert abs(dre + 1j * dim) / 2 <= 1e-5
@@ -195,7 +191,7 @@ def test_det_a_analytic(fig3a_field, fig3a_spec):
 
 def test_wkb_tail_of_modified_eigenfunction(fig3a_field, fig3a_spec):
     z = 8j
-    mu = integrate_jost(fig3a_field, z, "left", TOL, fig3a_spec.bg)
+    mu = JostMesh.build(fig3a_field, TOL, fig3a_spec.bg).jost(z, "left")
     Q0 = fig3a_field(0.0, 0.0)
     expected_dn = (1j * fig3a_spec.bg.sigma / z) * dagger(Q0)
     assert np.max(np.abs(mu[2:, :2] - expected_dn)) <= 2.0 / abs(z) ** 2
@@ -296,7 +292,7 @@ def test_first_symmetry_scales_with_tolerance(fig3a_field, fig3a_spec):
     zs = np.array([3j, 1.2 + 1.9j, -0.8 + 2.6j])
 
     def err(tol):
-        return np.max(np.abs(det_a(fig3a_field, zs, tol, fig3a_spec.bg) - trace_det_a(zs, inp)))
+        return np.max(np.abs(JostMesh.build(fig3a_field, tol, fig3a_spec.bg).det_a(zs) - trace_det_a(zs, inp)))
 
     assert 10.0 <= err(1e-6) / err(1e-8) <= 1000.0
 
@@ -316,8 +312,8 @@ def test_find_spectrum_roundtrip_fig3a(fig3a_field, fig3a_spec):
 def test_zero_on_contour_moves_and_warns(fig3a_field, fig3a_spec, box, caplog, monkeypatch):
     # an edge of each box passes through the zero 2i
     calls = []
-    det_a_ = scattering._det_a
-    monkeypatch.setattr(scattering, "_det_a", lambda mesh, sp, bg: calls.append(sp.z) or det_a_(mesh, sp, bg))
+    det_a_ = JostMesh.det_a
+    monkeypatch.setattr(JostMesh, "det_a", lambda mesh, z: calls.append(z) or det_a_(mesh, z))
     with pytest.warns(NoConvergenceWarning), caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
         found = find_discrete_spectrum(fig3a_field, box, 1e-4, fig3a_spec.bg)
     assert len(found) == 1
@@ -340,6 +336,23 @@ def test_zero_on_contour_moves_and_warns(fig3a_field, fig3a_spec, box, caplog, m
     assert next(left, None) is None
 
 
+def test_zero_just_outside_the_contour_is_seen_by_the_dip_alone(fig3a_field, fig3a_spec, monkeypatch):
+    # 2i lies 0.005 above the node 1.995i, the middle of the box's top edge, whose neighbours are 0.038 away:
+    # no node is a zero, no phase step reaches pi/2 (the largest is 0.46 pi) and the winding is 0, so neither the
+    # phase rule nor the located zeros see it; only |det a| at 1.995i, below _DIP times both neighbours, does.
+    # The box moves by 4/72 of its perimeter and the search finds 2i; without the dip rule it returned []
+    rounds, det_a_ = [], JostMesh.det_a
+    monkeypatch.setattr(JostMesh, "det_a", lambda mesh, z: rounds.append((z, det_a_(mesh, z))) or rounds[-1][1])
+    with pytest.warns(NoConvergenceWarning, match="box moved") as record:
+        found = find_discrete_spectrum(fig3a_field, (-0.3, 0.3, 1.395, 1.995), 1e-4, fig3a_spec.bg)
+    assert len(record) == 1 and len(found) == 1 and abs(found[0] - 2j) <= 1e-6
+    z, a = rounds[0]
+    mag, steps = np.abs(a), np.angle(np.roll(a, -1) / a)
+    assert mag.all() and np.abs(steps).max() < 0.5 * math.pi and abs(steps.sum()) < 1e-12
+    dip = mag < scattering._DIP * np.minimum(np.roll(mag, 1), np.roll(mag, -1))
+    assert np.allclose(z[dip], [1.995j])
+
+
 def test_zero_on_contour_warns_where_the_box_cannot_grow(fig3a_field, fig3a_spec):
     # 2i is on the bottom edge, and growing the box by two panels (1.06) would cross |z| = 1
     with pytest.warns(NoConvergenceWarning, match="cannot move on"):
@@ -350,7 +363,8 @@ def test_zero_on_contour_warns_where_the_box_cannot_grow(fig3a_field, fig3a_spec
 def test_box_dipping_inside_the_circle_between_nodes_is_refused(fig3a_field, fig3a_spec, tol, monkeypatch):
     # the bottom edge passes 0.999i, inside |z| = 1, between contour nodes; D+ is decided at the point nearest 0
     calls = []
-    monkeypatch.setattr(scattering, "_det_a", lambda *args: calls.append(args))
+    monkeypatch.setattr(JostMesh, "det_a", lambda *args: calls.append(args))
+    monkeypatch.setattr(JostMesh, "build", lambda *args: pytest.fail("mesh built"))
     with pytest.raises(ValueError, match=re.escape("complement of D+ at 0.999j")):
         find_discrete_spectrum(fig3a_field, (-1.5, 0.8, 0.999, 2.5), tol, fig3a_spec.bg)
     assert calls == []
@@ -360,7 +374,7 @@ def test_box_near_the_real_axis_does_not_grow_across_it(fig3a_field, fig3a_spec,
     # a zero 1e-4 above the bottom edge (Im z = 0.05); growing the box by 0.76 would take it below the real
     # axis, where the grown box's point nearest 0 (0.34 - 0.71i, inside |z| = 1) has s > 0
     calls = []
-    monkeypatch.setattr(scattering, "_det_a", lambda mesh, sp, bg: calls.append(sp.z) or sp.z - (3.0 + 0.0501j))
+    monkeypatch.setattr(JostMesh, "det_a", lambda mesh, z: calls.append(z) or z - (3.0 + 0.0501j))
     with pytest.warns(NoConvergenceWarning) as record:
         find_discrete_spectrum(fig3a_field, (1.1, 5.0, 0.05, 3.0), 1e-4, fig3a_spec.bg)
     messages = [str(w.message) for w in record]
@@ -372,7 +386,7 @@ def test_box_near_the_real_axis_does_not_grow_across_it(fig3a_field, fig3a_spec,
 
 
 @pytest.mark.parametrize("sigma", [-1, 1])
-def test_off_dplus_agrees_with_classify_region(sigma):
+def test_off_dplus_agrees_with_classify_region(sigma, monkeypatch):
     # det_a's entry check classifies all z in one array call; it must read as the scalar calls do, also
     # within a few DELTA k0 of the branch points, of the circle |z| = k0 and of the real axis
     bg = bg_for(sigma, k0=1.7)
@@ -385,10 +399,10 @@ def test_off_dplus_agrees_with_classify_region(sigma):
     assert regions.shape == zs.shape and list(regions) == [classify_region(z, bg) for z in zs]
     inside = regions == Region.D_PLUS
     assert 0 < inside.sum() < len(zs)
-    calls = []
+    mesh = JostMesh.build(lambda x, t: np.broadcast_to(bg.Qplus, np.shape(x) + (2, 2)), 1e-4, bg)
+    monkeypatch.setattr(scattering, "_transfer", lambda *args: pytest.fail("propagated before the region check"))
     with pytest.raises(ValueError, match=re.escape(f"at z = {complex(zs[~inside][0])})")):
-        det_a(lambda x, t: calls.append(x), zs, 1e-4, bg)
-    assert calls == []
+        mesh.det_a(zs)
     # the shift's sign reads the same D+ test: just above DELTA a z of Re lambda < 0 keeps eps = +1, so det_a
     # keeps its analytic columns; just below it, on Sigma, eps is the sign of Re lambda
     sp = uniformize(bg.k0 * (-2.0 + 1j * np.array([2.0, 0.5]) * DELTA / (4.0 + bg.sigma)), bg)
@@ -404,7 +418,7 @@ def test_winding_counts_double_zero(fig3a_spec):
     bg = spec.bg
     corners = [1.7j - 0.3, 1.7j + 0.3, 2.3j + 0.3, 2.3j - 0.3, 1.7j - 0.3]
     zs = np.concatenate([a + (b - a) * np.arange(16) / 16 for a, b in zip(corners, corners[1:])])
-    phase = np.unwrap(np.angle(h.det_a(field, np.append(zs, zs[0]), 1e-8, bg)))
+    phase = np.unwrap(np.angle(h.JostMesh.build(field, 1e-8, bg).det_a(np.append(zs, zs[0]))))
     w = (phase[-1] - phase[0]) / (2.0 * math.pi)
     assert abs(w - 2.0) < 0.2
     found = find_discrete_spectrum(field, (-0.3, 0.3, 1.7, 2.3), 1e-8, bg)
@@ -465,7 +479,7 @@ def _det_a_error(seeds, bg, zs=None, tol=1e-8):
     field = functools.partial(h.reconstruct_Q, spec=expand_quartets(seeds, bg))
     inp = TraceInput(bg, [s.zn for s in seeds], [s.rank_flag.value for s in seeds])
     zs = np.array(_dplus_points(seeds[0].zn) if zs is None else zs)
-    return np.max(np.abs(det_a(field, zs, tol, bg) - trace_det_a(zs, inp)))
+    return np.max(np.abs(JostMesh.build(field, tol, bg).det_a(zs) - trace_det_a(zs, inp)))
 
 
 @pytest.mark.parametrize("name", sorted(RK45_DET_A_ERROR))
@@ -620,8 +634,9 @@ def _mapped(seed, bg, k0):
 def _direct_problem(seed, bg):
     """Cells a side, det a at 4 points of D+, rho at 8 points of Sigma and the zeros in the CLI box, each z times k0."""
     field, k0 = functools.partial(h.reconstruct_Q, spec=expand_quartets([seed], bg)), bg.k0
-    cells = [len(c.h) for c in _mesh(field, 1e-8, 0.0, bg)]
-    a = det_a(field, k0 * np.array([3j, 1.2 + 1.9j, -0.8 + 2.6j, -2.0 + 1.5j]), 1e-8, bg)
+    mesh = JostMesh.build(field, 1e-8, bg)
+    cells = [len(c.h) for c in mesh.sides]
+    a = mesh.det_a(k0 * np.array([3j, 1.2 + 1.9j, -0.8 + 2.6j, -2.0 + 1.5j]))
     rho = scattering_matrix(field, sigma_sample_points(k0, 1, 1), 1e-8, bg).rho
     return cells, a, rho, find_discrete_spectrum(field, tuple(k0 * e for e in CLI_BOX), 1e-4, bg)
 
@@ -668,7 +683,7 @@ def test_scattering_matrix_refuses_z_off_sigma(fig3a_field, fig3a_spec, monkeypa
     # b and rho exist on Sigma only; off it the non-analytic pair grew like e^{2 |Im lambda| L} and fig6's
     # 1.5i read rho 4.2e-7 where rho = 0.  The refusal names z and its region before any mesh is built
     bg = fig3a_spec.bg
-    monkeypatch.setattr(scattering, "_mesh", lambda *args: pytest.fail("mesh built"))
+    monkeypatch.setattr(JostMesh, "build", lambda *args: pytest.fail("mesh built"))
     for zs, region, z in (([0.7, 1.5j], "D_PLUS", "1.5j"), (0.5j, "D_MINUS", "0.5j"),
                           ([0.7, 1.5 - 0.3j], "D_MINUS", "(1.5-0.3j)")):
         with pytest.raises(ValueError, match=re.escape(f"requires z on Sigma (got Region.{region} at z = {z})")):
@@ -688,22 +703,22 @@ def test_branch_point_disc_is_the_one_classify_region_reads(fig3a_field, fig3a_s
     with pytest.raises(BranchPointSingular, match=match):
         h.asymptotic_eigenvectors(uniformize(z, bg), bg.Qplus, bg)
     with pytest.raises(BranchPointSingular, match=match):
-        integrate_jost(fig3a_field, z, "left", 1e-8, bg)
+        JostMesh.build(fig3a_field, 1e-8, bg).jost(z, "left")
     with pytest.raises(BranchPointSingular, match=match):
         scattering_matrix(fig3a_field, np.array([z, np.conj(z)]), 1e-8, bg)
     z = 1j * bg.k0 * (1 + 1.2e-9)
     assert classify_region(z, bg) is Region.D_PLUS
-    assert np.isfinite(integrate_jost(fig3a_field, z, "left", 1e-8, bg)).all()
+    assert np.isfinite(JostMesh.build(fig3a_field, 1e-8, bg).jost(z, "left")).all()
 
 
 def test_each_z_is_classified_once(fig3a_field, fig3a_spec, monkeypatch):
-    # uniformize classifies; _det_a, its Jost solutions and shift signs read sp.region, so a search round
+    # uniformize classifies; det_a, its Jost solutions and shift signs read sp.region, so a search round
     # classifies its fresh z in one call, and scattering_matrix its z in one
     bg, calls = fig3a_spec.bg, []
     classify = spectral.classify_region
     monkeypatch.setattr(spectral, "classify_region", lambda z, bg: calls.append(np.size(z)) or classify(z, bg))
-    rounds, det_a_round = [], scattering._det_a
-    monkeypatch.setattr(scattering, "_det_a", lambda mesh, sp, b: rounds.append(sp.z.size) or det_a_round(mesh, sp, b))
+    rounds, det_a_round = [], JostMesh.det_a
+    monkeypatch.setattr(JostMesh, "det_a", lambda mesh, z: rounds.append(np.size(z)) or det_a_round(mesh, z))
     find_discrete_spectrum(fig3a_field, tuple(bg.k0 * e for e in CLI_BOX), 1e-4, bg)
     assert len(rounds) > 1 and calls == rounds
     calls.clear()
@@ -740,8 +755,8 @@ def test_background_field_gets_only_the_longest_cells(background_bg, caplog):
         return np.broadcast_to(Qp, np.broadcast_shapes(np.shape(x), np.shape(t)) + (2, 2))
 
     with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
-        assert abs(det_a(field, 2.5j, 1e-8, background_bg) - 1.0) < 1e-8
-        for cells in _mesh(field, 1e-8, 0.0, background_bg):
+        assert abs(JostMesh.build(field, 1e-8, background_bg).det_a(2.5j) - 1.0) < 1e-8
+        for cells in JostMesh.build(field, 1e-8, background_bg).sides:
             assert len(cells.h) <= math.ceil(L0 / (R * H))
             assert np.all(cells.h == cells.h.max())
     assert sum("Jost mesh" in r.getMessage() for r in caplog.records) == 2  # one line per mesh built
@@ -755,7 +770,7 @@ def test_truncation_stops_at_its_cap_and_warns(background_bg, caplog):
         return np.exp(1j * 1e-3 / (1.0 + np.asarray(x) ** 2))[..., None, None] * Qp
 
     with pytest.warns(NoConvergenceWarning, match="L = 80"), caplog.at_level(logging.DEBUG, "hirota_ist.scattering"):
-        da = det_a(field, 2.5j, 1e-8, background_bg)
+        da = JostMesh.build(field, 1e-8, background_bg).det_a(2.5j)
     assert np.isfinite(da)
     assert [r.getMessage().startswith("Jost mesh L=80 ") for r in caplog.records] == [True]
 
@@ -763,9 +778,9 @@ def test_truncation_stops_at_its_cap_and_warns(background_bg, caplog):
 def test_batched_z_gives_the_same_bits(fig3a_field, fig3a_spec):
     bg = fig3a_spec.bg
     zs = np.array([3j, 1.2 + 1.9j, -0.8 + 2.6j, 3j])
-    batch = det_a(fig3a_field, zs, 1e-8, bg)
+    batch = JostMesh.build(fig3a_field, 1e-8, bg).det_a(zs)
     assert batch.shape == (4,)
-    np.testing.assert_array_equal(batch, [det_a(fig3a_field, z, 1e-8, bg) for z in zs])
+    np.testing.assert_array_equal(batch, [JostMesh.build(fig3a_field, 1e-8, bg).det_a(z) for z in zs])
     zs = np.array([0.5, -1.7, np.exp(0.25j * math.pi)])
     sample = scattering_matrix(fig3a_field, zs, 1e-8, bg)
     np.testing.assert_array_equal(sample.z, zs)
@@ -774,8 +789,8 @@ def test_batched_z_gives_the_same_bits(fig3a_field, fig3a_spec):
         for name in ("S", "a", "b", "abar", "bbar", "rho", "rhobar"):
             np.testing.assert_array_equal(getattr(sample, name)[i], getattr(one, name), err_msg=name)
     np.testing.assert_array_equal(
-        integrate_jost(fig3a_field, zs, "right", 1e-8, bg)[1],
-        integrate_jost(fig3a_field, zs[1], "right", 1e-8, bg),
+        JostMesh.build(fig3a_field, 1e-8, bg).jost(zs, "right")[1],
+        JostMesh.build(fig3a_field, 1e-8, bg).jost(zs[1], "right"),
     )
 
 
@@ -785,8 +800,8 @@ def test_mixed_region_batch_gives_the_same_bits(fig3a_field, fig3a_spec):
     zs = np.array([1.5 + 1j, 1.5 - 1j, 0.5, -0.3 + 0.6j, 2.5j])
     assert [classify_region(z, bg).value for z in zs] == ["D+", "D-", "Sigma", "D-", "D+"]
     for side in ("left", "right"):
-        np.testing.assert_array_equal(integrate_jost(fig3a_field, zs, side, 1e-8, bg),
-                                      [integrate_jost(fig3a_field, z, side, 1e-8, bg) for z in zs], err_msg=side)
+        np.testing.assert_array_equal(JostMesh.build(fig3a_field, 1e-8, bg).jost(zs, side),
+                                      [JostMesh.build(fig3a_field, 1e-8, bg).jost(z, side) for z in zs], err_msg=side)
 
 
 
@@ -819,7 +834,7 @@ def test_transfer_matches_the_taylor_reference(name, tol, t0, block, monkeypatch
         zs = np.array(sigma_sample_points(bg.k0, 8, 4))
     sp = uniformize(zs, bg)
     w = 1j * sp.lam * shift_sign(sp)
-    mesh = _mesh(functools.partial(h.reconstruct_Q, spec=spec), tol, t0, bg)
+    mesh = JostMesh.build(functools.partial(h.reconstruct_Q, spec=spec), tol, bg, t0).sides
     squarings, transfers = [], []
     for cells in mesh:
         taylor = SimpleNamespace(A=cells.A, h=cells.h, norm=np.abs(cells.A).sum(axis=1).max(axis=1))  # |A[j]|_1
@@ -852,7 +867,7 @@ def _assert_cells_match_the_reference(Q, sigma, steps):
 @pytest.mark.parametrize("name, tol, t0", [(name, tol, 0.0) for name in ("fig3a", "fig6", "fig8")
                                            for tol in (1e-4, 1e-10)] + [("fig6", 1e-10, 12.0)])
 def test_cells_match_the_matmul_reference(name, tol, t0, monkeypatch):
-    # each side's samples and steps as _mesh passes them; fig6 at t0 = 12 has a left side of 984 cells,
+    # each side's samples and steps as JostMesh.build passes them; fig6 at t0 = 12 has a left side of 984 cells,
     # more than one block of _cells
     spec, sides = h.preset(name).spec, []
 
@@ -861,7 +876,7 @@ def test_cells_match_the_matmul_reference(name, tol, t0, monkeypatch):
         return _cells(Q, sigma, steps, limit)
 
     monkeypatch.setattr(scattering, "_cells", recording)
-    _mesh(functools.partial(h.reconstruct_Q, spec=spec), tol, t0, spec.bg)
+    JostMesh.build(functools.partial(h.reconstruct_Q, spec=spec), tol, spec.bg, t0)
     assert len(sides) == 2 and (max(len(s[2]) for s in sides) > scattering._CELL_BLOCK) == (t0 > 0)
     for side in sides:
         _assert_cells_match_the_reference(*side)
@@ -919,8 +934,8 @@ def test_jost_products_keep_out_and_tmp_apart_from_their_factors(fig3a_field, fi
     monkeypatch.setattr(scattering, "_mm", checked)
     monkeypatch.setattr(scattering, "_BLOCK", 64)
     zs = np.array([3j, 1.2 + 1.9j, 0.5])
-    mu = integrate_jost(fig3a_field, zs, "left", 1e-4, fig3a_spec.bg)
-    np.testing.assert_array_equal(mu[1], integrate_jost(fig3a_field, zs[1], "left", 1e-4, fig3a_spec.bg))
+    mu = JostMesh.build(fig3a_field, 1e-4, fig3a_spec.bg).jost(zs, "left")
+    np.testing.assert_array_equal(mu[1], JostMesh.build(fig3a_field, 1e-4, fig3a_spec.bg).jost(zs[1], "left"))
     assert len(overlaps) > 100 and not any(overlaps)
 
 
@@ -984,17 +999,17 @@ def test_cell_exponential_matches_scipy_expm(oms):
 
 
 def _search(field, box, tol, bg, monkeypatch, caplog):
-    """The zeros found, every z passed to _det_a in the search, and the search's DEBUG record."""
-    evaluated, det_a_of_mesh = [], scattering._det_a
+    """The zeros found, every z passed to JostMesh.det_a in the search, and the search's DEBUG record."""
+    evaluated, det_a_of_mesh = [], JostMesh.det_a
 
-    def recording(mesh, sp, bg):
-        evaluated.append(sp.z)
-        return det_a_of_mesh(mesh, sp, bg)
+    def recording(mesh, z):
+        evaluated.append(z)
+        return det_a_of_mesh(mesh, z)
 
-    monkeypatch.setattr(scattering, "_det_a", recording)
+    monkeypatch.setattr(JostMesh, "det_a", recording)
     with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
         found = find_discrete_spectrum(field, box, tol, bg)
-    monkeypatch.setattr(scattering, "_det_a", det_a_of_mesh)
+    monkeypatch.setattr(JostMesh, "det_a", det_a_of_mesh)
     record = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_discrete_spectrum: ")]
     caplog.clear()
     return found, np.concatenate(evaluated), record[-1]
@@ -1008,17 +1023,17 @@ def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog, mon
     start, extent, n = _panels(CLI_BOX)
     nodes = _contour(start, extent, 3 * n)
     zs = np.append(nodes, nodes[0])
-    mesh = _mesh(fig3a_field, tol, 0.0, bg)
+    mesh = JostMesh.build(fig3a_field, tol, bg).sides
     cells = [len(c.h) for c in mesh]
     per = [max(1, _BLOCK // n) for n in cells]
     assert len(zs) >= 289 and min(per) > 1 and all(len(zs) % p for p in per)
     some = np.r_[0:len(zs):7, len(zs) - 1]  # every position in a block of 6 or 8, and the partial block
-    batch = det_a(fig3a_field, zs, tol, bg)
-    np.testing.assert_array_equal(batch[some], [det_a(fig3a_field, z, tol, bg) for z in zs[some]])
+    batch = JostMesh.build(fig3a_field, tol, bg).det_a(zs)
+    np.testing.assert_array_equal(batch[some], [JostMesh.build(fig3a_field, tol, bg).det_a(z) for z in zs[some]])
     assert batch[-1] == batch[0]
     few = np.r_[0:len(zs):29, len(zs) - 1]
-    mu = integrate_jost(fig3a_field, zs, "left", tol, bg)
-    np.testing.assert_array_equal(mu[few], [integrate_jost(fig3a_field, z, "left", tol, bg) for z in zs[few]])
+    mu = JostMesh.build(fig3a_field, tol, bg).jost(zs, "left")
+    np.testing.assert_array_equal(mu[few], [JostMesh.build(fig3a_field, tol, bg).jost(z, "left") for z in zs[few]])
     reals = np.linspace(0.3, 3.0, len(zs))
     sample = scattering_matrix(fig3a_field, reals, tol, bg)
     assert sample.z.shape == (len(zs),) and sample.S.shape == (len(zs), 4, 4)
@@ -1053,11 +1068,11 @@ def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog, mon
 
 def test_debug_record_changes_nothing_the_search_runs(fig3a_field, fig3a_spec, caplog, monkeypatch):
     # the record reads the counts that the transfer kept while it ran, so DEBUG evaluates nothing more
-    det_a_of_mesh, invariants = scattering._det_a, scattering._invariants
+    det_a_of_mesh, invariants = JostMesh.det_a, scattering._invariants
     runs = []
     for level in (logging.INFO, logging.DEBUG):
         zs, calls = [], []
-        monkeypatch.setattr(scattering, "_det_a", lambda mesh, sp, bg: zs.append(sp.z) or det_a_of_mesh(mesh, sp, bg))
+        monkeypatch.setattr(JostMesh, "det_a", lambda mesh, z: zs.append(z) or det_a_of_mesh(mesh, z))
         monkeypatch.setattr(scattering, "_invariants", lambda *args: calls.append(1) or invariants(*args))
         with caplog.at_level(level, logger="hirota_ist.scattering"):
             found = find_discrete_spectrum(fig3a_field, CLI_BOX, 1e-4, fig3a_spec.bg)
@@ -1105,6 +1120,18 @@ def test_noise_eigenvalues_of_the_pencil_are_dropped():
     assert len(roots) == 1 and abs(roots[0] - 2j) <= 1e-6 and round(mult[0].real) == 2
 
 
+def test_z_a_relative_1e_13_apart_run_their_own_transfers(fig3a_field, fig3a_spec):
+    # z and z (1 + 1e-13) fall in one 2^-40 bucket of _first_of_equal_k, but their k differ by far more than _ULPS
+    # ulps, so neither takes the other's transfer: each keeps the bits of its own call.  With the share widened to
+    # 4e5 ulps the second read 2.0e-12 to 5.2e-12 off
+    mesh = JostMesh.build(fig3a_field, 1e-8, fig3a_spec.bg)
+    for z in (0.5 + 1.5j, 2.5j, -1 + 3j):
+        pair = np.array([z, z * (1 + 1e-13)])
+        got = mesh.det_a(pair)
+        assert got[0] != got[1]
+        np.testing.assert_array_equal(got, [mesh.det_a(w) for w in pair])
+
+
 @pytest.mark.parametrize("case", ["fig6 samples", "background", "off-Sigma pair", "unpaired and k = 0"])
 def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background_field, monkeypatch, caplog):
     # z and sigma k0^2/z share k and, through shift_sign, the shift w, so _transfer runs the first of them and
@@ -1114,7 +1141,7 @@ def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background
     # last, 0.5 k0 and -2 k0 pair, so do +-k0, where k = 0, and 0.7 k0 has no partner; nor has (0.5 + 1e-9 i) k0,
     # inside Sigma's DELTA band, whose antipode in D+ shares its k but takes the opposite shift.  The largest
     # deviations read 1.3e-14 (fig6), 8.0e-15, 1.2e-14 and 0 (the pairs share w to the last bit).  The last two
-    # sets leave Sigma, which scattering_matrix refuses, so only integrate_jost reads them
+    # sets leave Sigma, which scattering_matrix refuses, so only JostMesh.jost reads them
     if case == "background":
         bg, field, tol = background_bg, background_field, 1e-8
         zs = np.array(sigma_sample_points(bg.k0, 2, 1))
@@ -1135,21 +1162,22 @@ def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background
     first = scattering._first_of_equal_k(sp.k, 1j * sp.lam * shift_sign(sp))
     run = np.flatnonzero(first == np.arange(len(zs)))
     assert len(run) == (5 if case == "unpaired and k = 0" else len(zs) // 2)
-    mesh = _mesh(field, tol, 0.0, bg)
-    monkeypatch.setattr(scattering, "_mesh", lambda *args: mesh)  # the calls below share one mesh and its tallies
+    mesh = JostMesh.build(field, tol, bg)
+    monkeypatch.setattr(JostMesh, "build", lambda *args: mesh)  # the calls below share one mesh and its tallies
     on_sigma = case in ("fig6 samples", "background")
     if on_sigma:
         with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
             sample = scattering_matrix(field, zs, tol, bg)
-        assert [c.tally["z"] for c in mesh] == [len(run)] * 2
+        assert [c.tally["z"] for c in mesh.sides] == [len(run)] * 2
+        left, right = mesh.sides
         assert (f"scattering_matrix: {len(zs)} samples, z propagated {len(run)} left {len(run)} right, cells "
-                f"{len(mesh[0].h)} left {len(mesh[1].h)} right, blocks {mesh[0].tally['blocks']} left "
-                f"{mesh[1].tally['blocks']} right") in caplog.messages
-    mus = [integrate_jost(field, zs, side, tol, bg) for side in ("left", "right")]
-    assert [c.tally["z"] for c in mesh] == [(1 + on_sigma) * len(run)] * 2
+                f"{len(left.h)} left {len(right.h)} right, blocks {left.tally['blocks']} left "
+                f"{right.tally['blocks']} right") in caplog.messages
+    mus = [mesh.jost(zs, side) for side in ("left", "right")]
+    assert [c.tally["z"] for c in mesh.sides] == [(1 + on_sigma) * len(run)] * 2
     for i, z in enumerate(zs):
         pairs = [(sample.S[i], scattering_matrix(field, z, tol, bg).S)] if on_sigma else []
-        pairs += [(mu[i], integrate_jost(field, z, side, tol, bg)) for mu, side in zip(mus, ("left", "right"))]
+        pairs += [(mu[i], mesh.jost(z, side)) for mu, side in zip(mus, ("left", "right"))]
         for got, alone in pairs:
             assert np.abs(got - alone).max() <= 1e-13 * np.abs(alone).max(), z
             if i in run:
@@ -1163,28 +1191,57 @@ def test_jost_on_sigma_does_not_depend_on_the_shift_sign(fig6_spec, monkeypatch)
     # largest entry
     bg = fig6_spec.bg
     zs = np.array(sigma_sample_points(bg.k0, 8, 4))
-    sp = uniformize(zs, bg)
     assert (classify_region(zs, bg) == Region.SIGMA).all()
-    mesh = _mesh(functools.partial(h.reconstruct_Q, spec=fig6_spec), 1e-10, 0.0, bg)
-    default = [scattering._jost(mesh, sp, side, bg) for side in ("left", "right")]
+    mesh = JostMesh.build(functools.partial(h.reconstruct_Q, spec=fig6_spec), 1e-10, bg)
+    default = [mesh.jost(zs, side) for side in ("left", "right")]
     monkeypatch.setattr(scattering, "shift_sign", lambda sp: -shift_sign(sp))  # every z here is on Sigma
-    flipped = [scattering._jost(mesh, sp, side, bg) for side in ("left", "right")]
-    assert [c.tally["z"] for c in mesh] == [len(zs)] * 2  # half of them in each of the two calls a side
+    flipped = [mesh.jost(zs, side) for side in ("left", "right")]
+    assert [c.tally["z"] for c in mesh.sides] == [len(zs)] * 2  # half of them in each of the two calls a side
     for mu, other in zip(default, flipped):
         assert (np.abs(other - mu).max(axis=(1, 2)) <= 1e-13 * np.abs(mu).max(axis=(1, 2))).all()
 
 
 @pytest.mark.parametrize("z", [np.nan, complex(0.5, np.inf), [0.5, complex(np.nan, 1.0)]])
 def test_non_finite_z_is_refused_before_the_mesh(fig3a_field, fig3a_spec, z, monkeypatch):
-    monkeypatch.setattr(scattering, "_mesh", lambda *args: pytest.fail("mesh built"))
+    # a held mesh's probes refuse z before they propagate anything; every other entry before any mesh is built
     bg = fig3a_spec.bg
-    for call in (lambda: scattering_matrix(fig3a_field, z, 1e-8, bg), lambda: det_a(fig3a_field, z, 1e-8, bg),
-                 lambda: integrate_jost(fig3a_field, z, "left", 1e-8, bg), lambda: uniformize(z, bg),
+    mesh = JostMesh.build(fig3a_field, 1e-4, bg)
+    monkeypatch.setattr(JostMesh, "build", lambda *args: pytest.fail("mesh built"))
+    monkeypatch.setattr(scattering, "_transfer", lambda *args: pytest.fail("propagated"))
+    for call in (lambda: scattering_matrix(fig3a_field, z, 1e-8, bg), lambda: mesh.det_a(z),
+                 lambda: mesh.jost(z, "left"), lambda: uniformize(z, bg),
                  lambda: classify_region(z, bg), lambda: antipode(z, bg),
                  lambda: trace_det_a(z, TraceInput(bg, (2j,), (1,))),
                  lambda: TraceInput(bg, tuple(np.atleast_1d(z)), (1,) * np.size(z))):
         with pytest.raises(ValueError, match="z must be finite"):
             call()
+
+
+def test_a_held_mesh_gives_the_bits_of_fresh_meshes_and_adds_up_its_tallies(fig3a_field, fig3a_spec):
+    # one mesh probed at arrays of z and then at each z alone reads what a fresh mesh reads for each probe, and
+    # each side's tally counts all of its probes: the sum of the fresh meshes' counts, their most squarings
+    bg = fig3a_spec.bg
+    zs, ws = np.array([3j, 1.2 + 1.9j, -0.8 + 2.6j]), np.array([0.5, 1.5 + 1j, 2.5j, 1.5 - 1j])
+    probes = [lambda m: m.det_a(zs), *(lambda m, z=z: m.det_a(z) for z in zs),
+              *(lambda m, s=s: m.jost(ws, s) for s in ("left", "right")),
+              *(lambda m, w=w: m.jost(w, "right") for w in ws)]
+    held, fresh = JostMesh.build(fig3a_field, 1e-8, bg), [JostMesh.build(fig3a_field, 1e-8, bg) for _ in probes]
+    for probe, mesh in zip(probes, fresh):
+        np.testing.assert_array_equal(probe(held), probe(mesh))
+    for i, cells in enumerate(held.sides):
+        tallies = [mesh.sides[i].tally for mesh in fresh]
+        assert {k: cells.tally[k] for k in ("z", "blocks", "scaled")} == {k: sum(t[k] for t in tallies)
+                                                                          for k in ("z", "blocks", "scaled")}
+        assert cells.tally["squarings"] == max(t["squarings"] for t in tallies)
+    assert [c.tally["z"] for c in held.sides] == [2 * len(zs) + len(ws), 2 * (len(zs) + len(ws))]
+
+
+def test_jost_refuses_a_side_other_than_left_or_right(background_bg, background_field, monkeypatch):
+    mesh = JostMesh.build(background_field, 1e-8, background_bg)
+    monkeypatch.setattr(scattering, "_transfer", lambda *args: pytest.fail("propagated"))
+    for side in ("Left", "up", "", None):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            mesh.jost(0.7, side)
 
 
 def test_non_finite_field_or_propagator_raises(background_bg, background_field):
@@ -1194,18 +1251,19 @@ def test_non_finite_field_or_propagator_raises(background_bg, background_field):
         return Q
 
     with pytest.raises(IntegrationFailure):
-        det_a(nan_field, 2.5j, 1e-8, background_bg)
+        JostMesh.build(nan_field, 1e-8, background_bg).det_a(2.5j)
     with pytest.raises(IntegrationFailure):
         scattering_matrix(nan_field, 0.7, 1e-8, background_bg)
     # at z = 50i the non-analytic columns grow like e^{2 |Im lambda| L} = e^{1000}
-    assert abs(det_a(background_field, 50j, 1e-8, background_bg) - 1.0) < 1e-8
+    mesh = JostMesh.build(background_field, 1e-8, background_bg)
+    assert abs(mesh.det_a(50j) - 1.0) < 1e-8
     with pytest.raises(IntegrationFailure), np.errstate(over="ignore", invalid="ignore"):
-        integrate_jost(background_field, 50j, "left", 1e-8, background_bg)
+        mesh.jost(50j, "left")
 
 
 @pytest.mark.parametrize("z", [1e-120, 1e-60, 1e60, 1e120])
 def test_overflowing_cells_raise_the_typed_failure(fig3a_field, fig3a_spec, z):
     # k = (z + sigma k0^2 / z) / 2 makes Omega^2 overflow, so |p| + |r| is not finite: such a cell takes no
-    # squarings and stays non-finite, and _jost reports it (a count from log2 would raise on the nan or the inf)
+    # squarings and stays non-finite, and jost reports it (a count from log2 would raise on the nan or the inf)
     with pytest.raises(IntegrationFailure, match="non-finite Jost solution"), np.errstate(all="ignore"):
-        integrate_jost(fig3a_field, z, "left", 1e-4, fig3a_spec.bg)
+        JostMesh.build(fig3a_field, 1e-4, fig3a_spec.bg).jost(z, "left")
