@@ -21,7 +21,7 @@ from .errors import HirotaError
 from .grids import SCHEMA_VERSION, GridSpec, write_csv, write_json
 from .matrices import dagger
 from .presets import DEFAULT_GRID, Preset, preset, preset_names
-from .scattering import audit_symmetries, find_discrete_spectrum, scattering_matrix
+from .scattering import JostMesh, audit_symmetries, find_discrete_spectrum, scattering_matrix
 from .solitons import DiscreteEigenpair, eval_field, min_decay_rate, reconstruct_Q
 from .spectral import Background, Region, uniformize
 from .traceform import TraceInput, theta_condition
@@ -137,7 +137,7 @@ def cmd_scatter(args) -> int:
     spec = p.spec
     field = functools.partial(reconstruct_Q, spec=spec)
     zs = args.z or sigma_sample_points(spec.bg.k0, args.n_real_orbits, args.n_circle_orbits)
-    sample = scattering_matrix(field, zs, args.tol, spec.bg, t0=args.t0)
+    sample = scattering_matrix(JostMesh.build(field, args.tol, spec.bg, args.t0), zs)
     blocks = ("a", "b", "abar", "bbar", "rho", "rhobar")
     pairs = np.stack([getattr(sample, name) for name in blocks], axis=1).view(float).reshape(-1, 6, 2, 2, 2)
     columns = zip(sample.z, np.linalg.det(sample.S), np.abs(sample.rho).max(axis=(1, 2)), pairs.tolist())
@@ -162,7 +162,8 @@ def cmd_roundtrip(args) -> int:
     # slightly asymmetric box so its edges avoid common eigenvalue locations
     # (integer/half-integer real parts); a zero near an edge moves the contour
     box = (-3.07 * k0, 3.05 * k0, 1.085 * k0, 3.21 * k0)
-    found = find_discrete_spectrum(field, box, args.find_tol, spec.bg, t0=0.0)
+    mesh = JostMesh.build(field, args.find_tol, spec.bg)  # one mesh for the search and the spectrum samples
+    found = find_discrete_spectrum(mesh, box)
     # one to one: the closest (seed, zero) pairs within tol first, so that a zero recovers at most one seed
     dist = [[abs(z - seed.zn) for z in found] for seed in p.seeds]
     match: dict[int, int] = {}
@@ -179,7 +180,7 @@ def cmd_roundtrip(args) -> int:
         ok = False
         print(f"spurious zeros found: {extras}")
     zs = sigma_sample_points(k0, n_real_orbits=3, n_circle_orbits=1)
-    sample = scattering_matrix(field, zs, 1e-10, spec.bg, t0=0.0)
+    sample = scattering_matrix(mesh, zs)
     rho_max = float(np.abs(sample.rho).max())
     dets_ok = all(abs(d - 1.0) <= 1e-8 for d in np.linalg.det(sample.S))
     print(f"max |rho| on spectrum samples: {rho_max:.2e} (tol {args.tol:.1e}); det S ok: {dets_ok}")
@@ -224,7 +225,7 @@ def cmd_verify(args) -> int:
         dev = periodicity_probe(field, "x", period, args.n_probe, region)
         checks["periodicity"] = {"axis": "x", "period": period, "max_deviation": dev, "pass": dev <= 1e-3 * k0}
     else:
-        checks["periodicity"] = {"skipped": "no x-period (a seed with Im lambda != 0, or two values of |Re lambda|)",
+        checks["periodicity"] = {"skipped": "no x-period (a seed off Sigma, or two values of |Re lambda|)",
                                  "pass": True}
 
     ok = all(c.get("pass", False) for c in checks.values())
@@ -272,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("roundtrip", help="recover seed eigenvalues from the constructed field")
     add_common(sp)
     sp.add_argument("--tol", type=_positive, default=1e-3)
-    sp.add_argument("--find-tol", type=_positive, default=1e-8, help="Jost mesh tolerance for the search")
+    sp.add_argument("--find-tol", type=_positive, default=1e-8,
+                    help="Jost mesh tolerance of the whole run: the search and the spectrum samples share one mesh")
     sp.set_defaults(fn=cmd_roundtrip)
 
     sp = sub.add_parser("verify", help="PDE residual, decay, symmetry, phase condition")

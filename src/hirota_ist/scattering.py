@@ -50,8 +50,10 @@ the same bits in any batch.  A probe allocates one workspace, four 4x4 stacks
 of a block and rows of 4 and 3 entries a cell x z, into which every block
 writes with out=, the products' temporaries included.  Each block adds its
 z, the cells x z it scaled and their most squarings to its side's tally,
-which adds up over a held mesh's probes, and which the DEBUG records of the
-zero search and of scattering_matrix read.
+which adds up over a held mesh's probes.  The zero search and
+scattering_matrix take a held mesh (its tol is the search's target, its t0
+the phase of S), and the DEBUG record of each states its own call's z,
+blocks and scaled cells x z, the tallies' difference over the call.
 k = (z + sigma k0^2/z)/2 is two-to-one: z and its antipode sigma k0^2/z
 share k, hence every cell's exp(Omega), and have opposite lambda.  The
 shift w = i lambda eps takes eps = sign Im lambda off Sigma and sign
@@ -329,13 +331,16 @@ def _points(z, bg: Background, regions: tuple[Region, ...] = tuple(Region), rule
 
 @dataclass(frozen=True)
 class JostMesh:
-    """One field's cells at t0 on bg: sides (left, right), [-L, 0] travelled upward and [0, L] downward.
+    """One field's cells at t0 on bg for tol: sides (left, right), [-L, 0] travelled upward and [0, L] downward.
 
-    build makes one; any number of probes, jost and det_a, share its cells and add to its sides' tallies.
+    build makes one; its probes, jost and det_a, and find_discrete_spectrum and scattering_matrix share its
+    cells, any number of times, and add to its sides' tallies.
     """
 
     sides: tuple[_Cells, _Cells]
     bg: Background
+    tol: float
+    t0: float
 
     @classmethod
     def build(cls, field: Field, tol: float, bg: Background, t0: float = 0.0) -> JostMesh:
@@ -387,7 +392,7 @@ class JostMesh:
                        "%d field evaluations, edges |Q(-2L) - Q(-L + p/2)| %.2g and "
                        "|Q(L - p/2) - Q+| %.2g, |Q Q^dag - k0^2 I| %.2g at -2L",
                        L, tol, t0, 2 * m, left, len(h) - left, h.min(), h.max(), evals + 3 * len(h), *edges, dev)
-        return cls(sides, bg)
+        return cls(sides, bg, tol, t0)
 
     def jost(self, z, side: str):
         """mu(0) of side "left" (from -L) or "right" (from +L): a 4x4 at a scalar z, (n, 4, 4) at a 1-D array.
@@ -447,8 +452,8 @@ class ScatteringSample:
     rhobar: np.ndarray
 
 
-def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0.0):
-    """Scattering matrix S with Phi = Psi S, blocks, and reflection data.
+def scattering_matrix(mesh: JostMesh, z):
+    """Scattering matrix S with Phi = Psi S, blocks, and reflection data, on the held mesh at its t0.
 
     Phi(0) and Psi(0) are rebuilt from the two modified-eigenfunction halves
     by restoring the phase factor e^{i theta(0, t0) sigma3}; that factor is
@@ -456,13 +461,15 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
     fields stack the n z of a 1-D array: z (n,), S (n, 4, 4) and a, b, abar,
     bbar, rho, rhobar (n, 2, 2); a scalar z gives a complex z, a 4x4 S and
     2x2 blocks.  z and sigma k0^2/z share k, so a set closed under that map
-    propagates half its z (see _transfer); the DEBUG record states the z and
-    cells each side ran.  b and rho exist on Sigma only: z in D+ or D- raises
-    ValueError before any mesh is built, a branch point BranchPointSingular.
+    propagates half its z (see _transfer); the DEBUG record states the z
+    each side ran in this call, its cells and this call's blocks.  b and rho
+    exist on Sigma only: z in D+ or D- raises ValueError before anything is
+    propagated, a branch point BranchPointSingular.
     """
+    bg = mesh.bg
     sp = _points(z, bg, (Region.SIGMA, Region.BRANCH_POINT), "scattering_matrix requires z on Sigma")
-    mesh = JostMesh.build(field, tol, bg, t0)
-    ph = np.exp(1j * theta(0.0, t0, sp, bg)[:, None, None] * _SGN)
+    before = [Counter(c.tally) for c in mesh.sides]  # the record counts this call's z, blocks and scaled cells
+    ph = np.exp(1j * theta(0.0, mesh.t0, sp, bg)[:, None, None] * _SGN)
     Phi, Psi = (mesh._mu(sp, side) * ph for side in ("left", "right"))
     d = np.linalg.det(Psi)
     bad = np.flatnonzero(np.abs(d) < 1e-12)
@@ -472,11 +479,11 @@ def scattering_matrix(field: Field, z, tol: float, bg: Background, t0: float = 0
     a, bbar, b, abar = S[:, :2, :2], S[:, :2, 2:], S[:, 2:, :2], S[:, 2:, 2:]
     rho, rhobar = b @ inv2(a), bbar @ inv2(abar)
     if _log.isEnabledFor(logging.DEBUG):
-        (nl, nr), (tl, tr) = [len(c.h) for c in mesh.sides], (c.tally for c in mesh.sides)
+        (nl, nr), (tl, tr) = [len(c.h) for c in mesh.sides], (c.tally - b for c, b in zip(mesh.sides, before))
         _log.debug("scattering_matrix: %d samples, z propagated %d left %d right, cells %d left %d right, "
                    "blocks %d left %d right", len(sp.z), tl["z"], tr["z"], nl, nr, tl["blocks"], tr["blocks"])
     one = np.ndim(z) == 0
-    return ScatteringSample(complex(sp.z[0]) if one else sp.z, t0,
+    return ScatteringSample(complex(sp.z[0]) if one else sp.z, mesh.t0,
                             *(m[0] if one else m for m in (S, a, b, abar, bbar, rho, rhobar)))
 
 
@@ -621,16 +628,14 @@ def _moment_zeros(s: np.ndarray, box: _Box) -> tuple[np.ndarray, np.ndarray, np.
     return roots[keep], mult[keep], sv
 
 
-def find_discrete_spectrum(
-    field: Field, searchbox: _Box, tol: float, bg: Background, t0: float = 0.0
-) -> list[complex]:
+def find_discrete_spectrum(mesh: JostMesh, searchbox: _Box) -> list[complex]:
     """Distinct zeros of det a(z) inside a rectangle of D+ (upper half plane).
 
-    det a is evaluated on one mesh, built once for the search, at the nodes
-    of composite Clenshaw-Curtis panels on the box boundary (_BASE panels of
-    _DEGREE intervals at first).  The unwrapped phase gives the winding N,
-    the moments of d log a by parts the power sums of the zeros
-    (Delves-Lyness), and the Hankel pencil of the power sums the distinct
+    det a is evaluated on the held mesh, whose tol is the refinement target,
+    at the nodes of composite Clenshaw-Curtis panels on the box boundary
+    (_BASE panels of _DEGREE intervals at first).  The unwrapped phase gives
+    the winding N, the moments of d log a by parts the power sums of the
+    zeros (Delves-Lyness), and the Hankel pencil of the power sums the distinct
     zeros; its numerical rank is their number, so a multiple zero comes
     back once (Kravanja-Van Barel).  The search refines in rounds: every
     panel whose error estimate (see _moments) exceeds tol times its
@@ -651,11 +656,14 @@ def find_discrete_spectrum(
 
     D+ is decided once per box, at its point nearest 0: where Im z > 0 and
     s = (|z|^2 + sigma k0^2) Im z > 0, s grows with |z| and Im z, both least
-    there.  A searchbox off D+ raises ValueError before any det a; a grown
-    box off D+, or reaching down to the real axis, ends the moves.  So the
-    box lies in D+, off Sigma, and every zero that the pencil finds in it is
-    returned: with sigma = +1 those on the circle |z| = k0 too.
+    there.  A searchbox off D+ raises ValueError before anything is
+    propagated; a grown box off D+, or reaching down to the real axis, ends
+    the moves.  So the box lies in D+, off Sigma, and every zero that the
+    pencil finds in it is returned: with sigma = +1 those on the circle
+    |z| = k0 too.  The DEBUG record states this call's z, blocks and scaled
+    cells x z, and the most squarings of any probe of the mesh.
     """
+    bg, tol = mesh.bg, mesh.tol
     re0, re1, im0, im1 = searchbox
     if not (re1 > re0 and im1 > im0 and im0 > 0):
         raise ValueError("searchbox must be a rectangle in the upper half plane")
@@ -667,7 +675,7 @@ def find_discrete_spectrum(
 
     if (off := box_off_dplus(box)) is not None:
         raise ValueError(f"searchbox touches the complement of D+ at {off}")
-    mesh = JostMesh.build(field, tol, bg, t0)
+    before = [Counter(c.tally) for c in mesh.sides]  # the record counts this call's z, blocks and scaled cells
     moves: list[_Box] = []
     rounds: list[str] = []
     fresh = None  # the nodes that the next round evaluates; None lays out a new box, all of whose nodes are fresh
@@ -724,10 +732,11 @@ def find_discrete_spectrum(
         warnings.warn(f"multiplicities {mult} in {box} are not integers summing to {N}", NoConvergenceWarning)
     zeros = roots.tolist()
     if _log.isEnabledFor(logging.DEBUG):
-        ns, (tl, tr) = [len(c.h) for c in mesh.sides], (c.tally for c in mesh.sides)
+        ns, (tl, tr) = [len(c.h) for c in mesh.sides], (c.tally - b for c, b in zip(mesh.sides, before))
         _log.debug("find_discrete_spectrum: %d nodes, rounds [%s], cells %d left %d right x %d z propagated in %d "
                    "blocks, %d of %d cells x z scaled, at most %d squarings, winding %.4f, Hankel singular values "
                    "%s, zeros %s, multiplicities %s, contour moves %s", len(z), "; ".join(rounds), *ns, tl["z"],
                    tl["blocks"] + tr["blocks"], tl["scaled"] + tr["scaled"], (ns[0] + ns[1]) * tl["z"],
-                   max(tl["squarings"], tr["squarings"]), w, sv.tolist(), zeros, mult.real.round(3).tolist(), moves)
+                   max(c.tally["squarings"] for c in mesh.sides), w, sv.tolist(), zeros, mult.real.round(3).tolist(),
+                   moves)
     return zeros

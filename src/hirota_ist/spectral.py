@@ -120,16 +120,23 @@ def shift_sign(sp: SpectralPoint) -> np.ndarray:
 
 def antipode(z, bg: Background) -> np.ndarray:
     """sigma k0^2/z, of z's shape: the z-plane's second symmetry, which keeps k and negates lambda."""
-    return bg.sigma * bg.k0**2 / _check_z(z, bg.k0)
+    return _antipode(_check_z(z, bg.k0), bg)
+
+
+def _antipode(z: np.ndarray, bg: Background) -> np.ndarray:
+    """antipode of a checked z."""
+    return bg.sigma * bg.k0**2 / z
 
 
 def uniformize(z, bg: Background) -> SpectralPoint:
     """Attach k(z), lambda(z), gamma(z) and the Region of z, in numpy arithmetic for a scalar and an array alike."""
-    z, w = np.asarray(z, dtype=complex), antipode(z, bg)
+    region = classify_region(z, bg)  # the one check of z
+    z = np.asarray(z, dtype=complex)
+    w = _antipode(z, bg)
     k = 0.5 * (z + w)
     lam = z - k  # keeps k + lam = z to the last bit
     gamma = 1.0 - w / z  # not sigma k0^2 / z^2: z^2 overflows for |z| above about 1.34e154
-    return SpectralPoint(z=z, k=k, lam=lam, gamma=gamma, region=classify_region(z, bg))
+    return SpectralPoint(z=z, k=k, lam=lam, gamma=gamma, region=region)
 
 
 def asymptotic_eigenvectors(sp: SpectralPoint, Qpm: CMat2, bg: Background) -> np.ndarray:

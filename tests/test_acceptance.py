@@ -116,7 +116,7 @@ def test_criterion_03_roundtrip():
 def test_criterion_04_symmetry_audit(fig3a_field, fig3a_spec):
     zs = sigma_sample_points(1.0, n_real_orbits=4, n_circle_orbits=4)
     assert len(zs) == 32
-    sample = scattering_matrix(fig3a_field, zs, 1e-10, fig3a_spec.bg)
+    sample = scattering_matrix(JostMesh.build(fig3a_field, 1e-10, fig3a_spec.bg), zs)
     rep = audit_symmetries(sample, fig3a_spec.bg)
     devs = {
         "S^dag(z*) J S(z) - J": rep.conjugation_identity,

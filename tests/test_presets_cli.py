@@ -372,6 +372,24 @@ def test_cli_verify_checks_periodicity_of_a_seed_within_sigmas_band(tmp_path):
     assert check["period"] == pytest.approx(2 * math.pi) and check["max_deviation"] <= 1e-3 and check["pass"] is True
 
 
+def test_cli_verify_says_why_it_skips_periodicity_of_a_seed_off_sigma(tmp_path):
+    # fig11's seed moved off |z| = k0 until Im lambda is 1e-8 |lambda|, past Sigma's band DELTA: spectral puts it
+    # in D+, the field is not x-periodic, and the skipped check names that rule, not a zero Im lambda
+    seed = preset("fig11").seeds[0]  # on |z| = 1 at phi = pi/3; at |z| = 1 + d, Im lambda is d tan(phi) |lambda|
+    zeta = (1 + 1e-8 / math.tan(math.pi / 3)) * seed.zn
+    sp = h.uniformize(zeta, preset("fig11").bg)
+    assert sp.region is h.Region.D_PLUS and sp.lam.imag / abs(sp.lam) == pytest.approx(1e-8, rel=1e-6)
+    cfg = {"background": {"sigma": -1, "k0": 1.0, "alpha": 1.0, "beta": 0.1,
+                          "qplus": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+           "seeds": [{"zeta": [zeta.real, zeta.imag],
+                      "c": [[[c.real, c.imag] for c in row] for row in seed.Cn.tolist()]}]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "v.json"
+    assert main(["verify", "--config", str(tmp_path / "cfg.json"), "--n-probe", "12", "--out", str(out)]) == 0
+    check = json.loads(out.read_text())["checks"]["periodicity"]
+    assert check == {"skipped": "no x-period (a seed off Sigma, or two values of |Re lambda|)", "pass": True}
+
+
 def test_cli_verify_exit_1_on_residual_failure(tmp_path):
     # fig3d's genuine stencil truncation at h = 1e-2 exceeds the default
     # 1e-5 tolerance (see ledger); the command reports it as failure
@@ -566,10 +584,12 @@ def test_cli_roundtrip_logs_each_mesh_and_search(name, find_tol, caplog):
     with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
         assert main(["roundtrip", "--preset", name, *find_tol]) == 0
     messages = [r.getMessage() for r in caplog.records if r.name == "hirota_ist.scattering"]
-    assert sum(m.startswith("Jost mesh ") for m in messages) == 2  # the search's mesh and the samples' mesh
+    assert sum(m.startswith("Jost mesh ") for m in messages) == 1  # the search and the samples share one mesh
     # the search starts from the CLI box's 12 panels of 8 intervals and states each refinement round
     assert sum(m.startswith("find_discrete_spectrum: ") and "rounds [96 nodes (96 new z), largest estimate" in m
                for m in messages) == 1
+    # the samples' record counts its own call on the shared mesh: 16 samples, antipodes sharing a transfer
+    assert sum(m.startswith("scattering_matrix: 16 samples, z propagated 8 left 8 right, ") for m in messages) == 1
 
 
 def test_cli_import_loads_no_scipy():

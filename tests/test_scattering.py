@@ -65,7 +65,7 @@ def test_background_jost_equals_X(background_bg, background_field):
 
 
 def test_background_scattering_is_identity(background_bg, background_field):
-    s = scattering_matrix(background_field, 0.7, TOL, background_bg)
+    s = scattering_matrix(JostMesh.build(background_field, TOL, background_bg), 0.7)
     assert np.max(np.abs(s.S - np.eye(4))) < 1e-8
     assert abs(JostMesh.build(background_field, TOL, background_bg).det_a(2.5j) - 1.0) < 1e-8
 
@@ -86,7 +86,7 @@ def test_jost_det_conservation(fig3a_field, fig3a_spec):
 
 
 def test_soliton_scattering_reflectionless(fig3a_field, fig3a_spec):
-    s = scattering_matrix(fig3a_field, 0.5, TOL, fig3a_spec.bg)
+    s = scattering_matrix(JostMesh.build(fig3a_field, TOL, fig3a_spec.bg), 0.5)
     assert np.max(np.abs(s.rho)) <= 1e-4
     assert abs(np.linalg.det(s.S) - 1.0) <= 1e-8
 
@@ -94,8 +94,8 @@ def test_soliton_scattering_reflectionless(fig3a_field, fig3a_spec):
 def test_scattering_time_invariance(fig3a_spec, fig3a_field):
     field_t = functools.partial(h.reconstruct_Q, spec=fig3a_spec)
     zs = [0.5, -1.7]
-    at0 = scattering_matrix(fig3a_field, zs, TOL, fig3a_spec.bg, t0=0.0)
-    at1 = scattering_matrix(field_t, zs, TOL, fig3a_spec.bg, t0=0.5)
+    at0 = scattering_matrix(JostMesh.build(fig3a_field, TOL, fig3a_spec.bg, 0.0), zs)
+    at1 = scattering_matrix(JostMesh.build(field_t, TOL, fig3a_spec.bg, 0.5), zs)
     assert np.max(np.abs(at0.S - at1.S)) <= 1e-6
 
 
@@ -175,7 +175,7 @@ def test_det_a_ignores_the_backgrounds_Qminus(fig3a_field, fig3a_spec):
 def test_fig6_reflectionless_on_its_own_background(fig6_spec):
     # fig6's left limit is not Qplus; read from bg.Qminus = Qplus it gave max |rho| = 0.83
     field = functools.partial(h.reconstruct_Q, spec=fig6_spec)
-    s = scattering_matrix(field, 0.5, 1e-8, fig6_spec.bg)
+    s = scattering_matrix(JostMesh.build(field, 1e-8, fig6_spec.bg), 0.5)
     assert np.max(np.abs(s.rho)) <= 1e-4
 
 
@@ -228,7 +228,7 @@ def _reference_audit(sample, bg):
 
 
 def test_audit_background_zero(background_bg, background_field):
-    sample = scattering_matrix(background_field, [0.5, -2.0, -0.5, 2.0], TOL, background_bg)
+    sample = scattering_matrix(JostMesh.build(background_field, TOL, background_bg), [0.5, -2.0, -0.5, 2.0])
     rep = audit_symmetries(sample, background_bg)
     assert rep.max_deviation() < 1e-8
 
@@ -237,7 +237,7 @@ def test_audit_soliton_small(fig3a_field, fig3a_spec):
     zs = [0.45, -1 / 0.45, -0.45, 1 / 0.45]
     for phi in (math.pi / 4, -math.pi / 4, 3 * math.pi / 4, -3 * math.pi / 4):
         zs.append(np.exp(1j * phi))
-    sample = scattering_matrix(fig3a_field, zs, TOL, fig3a_spec.bg)
+    sample = scattering_matrix(JostMesh.build(fig3a_field, TOL, fig3a_spec.bg), zs)
     rep = audit_symmetries(sample, fig3a_spec.bg)
     assert rep.max_deviation() <= 1e-6
 
@@ -248,13 +248,13 @@ def test_array_audit_gives_the_per_sample_report_bit_for_bit(name, n_real, n_cir
     # the samples of `scatter --n-real-orbits 8 --n-circle-orbits 4` (the bench's 48) and of `roundtrip`'s det S check
     spec = h.preset(name).spec
     zs = sigma_sample_points(spec.bg.k0, n_real, n_circle)
-    sample = scattering_matrix(functools.partial(h.reconstruct_Q, spec=spec), zs, 1e-10, spec.bg)
+    sample = scattering_matrix(JostMesh.build(functools.partial(h.reconstruct_Q, spec=spec), 1e-10, spec.bg), zs)
     rep = audit_symmetries(sample, spec.bg)
     assert rep == _reference_audit(sample, spec.bg) and rep.n_samples == len(zs)
 
 
 def test_audit_flags_corruption(background_bg, background_field):
-    sample = scattering_matrix(background_field, [0.5, -2.0, -0.5, 2.0], TOL, background_bg)
+    sample = scattering_matrix(JostMesh.build(background_field, TOL, background_bg), [0.5, -2.0, -0.5, 2.0])
     b, rho = sample.b.copy(), sample.rho.copy()
     b[0] += 0.1
     rho[0] = b[0] @ np.linalg.inv(sample.a[0])
@@ -271,7 +271,7 @@ def test_audit_missing_partner(background_bg, background_field):
         ([0.5, -2.0, -0.5], "(2-0j)"),  # only -0.5 lacks a partner, its antipode
         ([0.5, 1j ** 0.5, -2.0], f"{(1j ** 0.5).conjugate()}"),  # e^{i pi/4} lacks both: its conjugate is named first
     ):
-        sample = scattering_matrix(background_field, zs, TOL, background_bg)
+        sample = scattering_matrix(JostMesh.build(background_field, TOL, background_bg), zs)
         with pytest.raises(MissingPartner) as ref:
             _reference_audit(sample, background_bg)
         with pytest.raises(MissingPartner) as got:
@@ -285,7 +285,7 @@ def test_first_symmetry_scales_with_tolerance(fig3a_field, fig3a_spec):
     # tolerance; what tol sets is the distance to the exact det a.
     J = np.eye(4)  # diag(1, 1, -sigma, -sigma) in the focusing case
     for tol in (1e-6, 1e-10):
-        s = scattering_matrix(fig3a_field, 0.5, tol, fig3a_spec.bg)
+        s = scattering_matrix(JostMesh.build(fig3a_field, tol, fig3a_spec.bg), 0.5)
         assert np.max(np.abs(dagger(s.S) @ J @ s.S - J)) <= 1e-12
 
     inp = TraceInput(fig3a_spec.bg, (2j,), (1,))
@@ -298,12 +298,12 @@ def test_first_symmetry_scales_with_tolerance(fig3a_field, fig3a_spec):
 
 
 def test_find_spectrum_background_empty(background_bg, background_field):
-    found = find_discrete_spectrum(background_field, (-0.8, 0.8, 1.4, 2.6), 1e-8, background_bg)
+    found = find_discrete_spectrum(JostMesh.build(background_field, 1e-8, background_bg), (-0.8, 0.8, 1.4, 2.6))
     assert found == []
 
 
 def test_find_spectrum_roundtrip_fig3a(fig3a_field, fig3a_spec):
-    found = find_discrete_spectrum(fig3a_field, (-1.0, 1.0, 1.3, 2.8), 1e-8, fig3a_spec.bg)
+    found = find_discrete_spectrum(JostMesh.build(fig3a_field, 1e-8, fig3a_spec.bg), (-1.0, 1.0, 1.3, 2.8))
     assert len(found) == 1
     assert abs(found[0] - 2j) <= 1e-4
 
@@ -315,7 +315,7 @@ def test_zero_on_contour_moves_and_warns(fig3a_field, fig3a_spec, box, caplog, m
     det_a_ = JostMesh.det_a
     monkeypatch.setattr(JostMesh, "det_a", lambda mesh, z: calls.append(z) or det_a_(mesh, z))
     with pytest.warns(NoConvergenceWarning), caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
-        found = find_discrete_spectrum(fig3a_field, box, 1e-4, fig3a_spec.bg)
+        found = find_discrete_spectrum(JostMesh.build(fig3a_field, 1e-4, fig3a_spec.bg), box)
     assert len(found) == 1
     assert abs(found[0] - 2j) <= 1e-6
     assert sum("Jost mesh" in r.getMessage() for r in caplog.records) == 1  # moved contours share one mesh
@@ -344,7 +344,7 @@ def test_zero_just_outside_the_contour_is_seen_by_the_dip_alone(fig3a_field, fig
     rounds, det_a_ = [], JostMesh.det_a
     monkeypatch.setattr(JostMesh, "det_a", lambda mesh, z: rounds.append((z, det_a_(mesh, z))) or rounds[-1][1])
     with pytest.warns(NoConvergenceWarning, match="box moved") as record:
-        found = find_discrete_spectrum(fig3a_field, (-0.3, 0.3, 1.395, 1.995), 1e-4, fig3a_spec.bg)
+        found = find_discrete_spectrum(JostMesh.build(fig3a_field, 1e-4, fig3a_spec.bg), (-0.3, 0.3, 1.395, 1.995))
     assert len(record) == 1 and len(found) == 1 and abs(found[0] - 2j) <= 1e-6
     z, a = rounds[0]
     mag, steps = np.abs(a), np.angle(np.roll(a, -1) / a)
@@ -356,17 +356,17 @@ def test_zero_just_outside_the_contour_is_seen_by_the_dip_alone(fig3a_field, fig
 def test_zero_on_contour_warns_where_the_box_cannot_grow(fig3a_field, fig3a_spec):
     # 2i is on the bottom edge, and growing the box by two panels (1.06) would cross |z| = 1
     with pytest.warns(NoConvergenceWarning, match="cannot move on"):
-        find_discrete_spectrum(fig3a_field, (-4.0, 4.0, 2.0, 3.5), 1e-4, fig3a_spec.bg)
+        find_discrete_spectrum(JostMesh.build(fig3a_field, 1e-4, fig3a_spec.bg), (-4.0, 4.0, 2.0, 3.5))
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-8])
 def test_box_dipping_inside_the_circle_between_nodes_is_refused(fig3a_field, fig3a_spec, tol, monkeypatch):
     # the bottom edge passes 0.999i, inside |z| = 1, between contour nodes; D+ is decided at the point nearest 0
-    calls = []
+    calls, mesh = [], JostMesh.build(fig3a_field, tol, fig3a_spec.bg)
     monkeypatch.setattr(JostMesh, "det_a", lambda *args: calls.append(args))
-    monkeypatch.setattr(JostMesh, "build", lambda *args: pytest.fail("mesh built"))
+    monkeypatch.setattr(scattering, "_transfer", lambda *args: pytest.fail("propagated"))
     with pytest.raises(ValueError, match=re.escape("complement of D+ at 0.999j")):
-        find_discrete_spectrum(fig3a_field, (-1.5, 0.8, 0.999, 2.5), tol, fig3a_spec.bg)
+        find_discrete_spectrum(mesh, (-1.5, 0.8, 0.999, 2.5))
     assert calls == []
 
 
@@ -376,7 +376,7 @@ def test_box_near_the_real_axis_does_not_grow_across_it(fig3a_field, fig3a_spec,
     calls = []
     monkeypatch.setattr(JostMesh, "det_a", lambda mesh, z: calls.append(z) or z - (3.0 + 0.0501j))
     with pytest.warns(NoConvergenceWarning) as record:
-        find_discrete_spectrum(fig3a_field, (1.1, 5.0, 0.05, 3.0), 1e-4, fig3a_spec.bg)
+        find_discrete_spectrum(JostMesh.build(fig3a_field, 1e-4, fig3a_spec.bg), (1.1, 5.0, 0.05, 3.0))
     messages = [str(w.message) for w in record]
     assert not any("box moved" in m for m in messages)
     # besides refusing to move, the search reports the contour and Hankel steps that the stub's zero defeats
@@ -421,14 +421,14 @@ def test_winding_counts_double_zero(fig3a_spec):
     phase = np.unwrap(np.angle(h.JostMesh.build(field, 1e-8, bg).det_a(np.append(zs, zs[0]))))
     w = (phase[-1] - phase[0]) / (2.0 * math.pi)
     assert abs(w - 2.0) < 0.2
-    found = find_discrete_spectrum(field, (-0.3, 0.3, 1.7, 2.3), 1e-8, bg)
+    found = find_discrete_spectrum(JostMesh.build(field, 1e-8, bg), (-0.3, 0.3, 1.7, 2.3))
     assert len(found) == 1 and abs(found[0] - 2j) <= 1e-3
 
 
 def test_find_spectrum_double_zero_fig6(fig6_spec):
     # fig6's 1 + 2i is a double zero of det a; the search box is the CLI roundtrip's
     field = functools.partial(h.reconstruct_Q, spec=fig6_spec)
-    found = find_discrete_spectrum(field, (-3.07, 3.05, 1.085, 3.21), 1e-8, fig6_spec.bg)
+    found = find_discrete_spectrum(JostMesh.build(field, 1e-8, fig6_spec.bg), (-3.07, 3.05, 1.085, 3.21))
     assert len(found) == 1
     assert abs(found[0] - (1 + 2j)) <= 1e-6
 
@@ -437,7 +437,7 @@ def test_find_spectrum_keeps_a_dark_soliton_zero_on_the_circle(dark_bg, dark_fie
     # with sigma = +1 Sigma is the real axis and the circle |z| = k0 lies in D+, where dark solitons put their
     # zeros (Demontis, Prinari, van der Mee & Vitale, Stud. Appl. Math. 131, 2013); the search once dropped this
     # double zero, located 2.5e-15 from e^{i}, as "too close to the continuous spectrum" and returned []
-    found = find_discrete_spectrum(dark_field, (-1.6, 1.6, 0.2, 1.6), 1e-8, dark_bg)  # no NoConvergenceWarning
+    found = find_discrete_spectrum(JostMesh.build(dark_field, 1e-8, dark_bg), (-1.6, 1.6, 0.2, 1.6))  # no warning
     assert len(found) == 1 and abs(found[0] - np.exp(1j)) <= 1e-12, found
 
 
@@ -449,7 +449,7 @@ def test_two_eigenvalue_recovery(fig3a_spec):
     spec = expand_quartets(seeds, fig3a_spec.bg)
     field = functools.partial(h.reconstruct_Q, spec=spec)
     bg = spec.bg
-    found = find_discrete_spectrum(field, (-3.07, 3.05, 1.085, 3.21), 1e-8, bg)
+    found = find_discrete_spectrum(JostMesh.build(field, 1e-8, bg), (-3.07, 3.05, 1.085, 3.21))
     assert len(found) == 2
     for z in (2j, 1 + 2j):
         assert min(abs(f - z) for f in found) <= 1e-3
@@ -598,7 +598,7 @@ def test_symmetry_audit_holds_on_random_seeds(quartet):
     # over 300 examples at t0 = 0 the audit read at most 1.2e-13 (median 1.9e-14); the bound leaves 8x
     seed, bg = quartet
     field = functools.partial(h.reconstruct_Q, spec=expand_quartets([seed], bg))
-    sample = scattering_matrix(field, sigma_sample_points(bg.k0, 2, 1), 1e-10, bg)
+    sample = scattering_matrix(JostMesh.build(field, 1e-10, bg), sigma_sample_points(bg.k0, 2, 1))
     assert audit_symmetries(sample, bg).max_deviation() <= 1e-12
 
 
@@ -620,7 +620,7 @@ def _inside_cli_box(quartet):
 def test_find_spectrum_recovers_random_seeds(quartet):
     seed, bg = quartet
     field = functools.partial(h.reconstruct_Q, spec=expand_quartets([seed], bg))
-    found = find_discrete_spectrum(field, tuple(bg.k0 * e for e in CLI_BOX), 1e-8, bg)
+    found = find_discrete_spectrum(JostMesh.build(field, 1e-8, bg), tuple(bg.k0 * e for e in CLI_BOX))
     assert len(found) == 1
     assert abs(found[0] - seed.zn) <= 1e-6 * bg.k0
 
@@ -637,8 +637,8 @@ def _direct_problem(seed, bg):
     mesh = JostMesh.build(field, 1e-8, bg)
     cells = [len(c.h) for c in mesh.sides]
     a = mesh.det_a(k0 * np.array([3j, 1.2 + 1.9j, -0.8 + 2.6j, -2.0 + 1.5j]))
-    rho = scattering_matrix(field, sigma_sample_points(k0, 1, 1), 1e-8, bg).rho
-    return cells, a, rho, find_discrete_spectrum(field, tuple(k0 * e for e in CLI_BOX), 1e-4, bg)
+    rho = scattering_matrix(JostMesh.build(field, 1e-8, bg), sigma_sample_points(k0, 1, 1)).rho
+    return cells, a, rho, find_discrete_spectrum(JostMesh.build(field, 1e-4, bg), tuple(k0 * e for e in CLI_BOX))
 
 
 _FIG6 = h.preset("fig6")
@@ -681,16 +681,15 @@ def test_direct_problem_is_covariant_in_k0(problem, k0):
 
 def test_scattering_matrix_refuses_z_off_sigma(fig3a_field, fig3a_spec, monkeypatch):
     # b and rho exist on Sigma only; off it the non-analytic pair grew like e^{2 |Im lambda| L} and fig6's
-    # 1.5i read rho 4.2e-7 where rho = 0.  The refusal names z and its region before any mesh is built
-    bg = fig3a_spec.bg
-    monkeypatch.setattr(JostMesh, "build", lambda *args: pytest.fail("mesh built"))
+    # 1.5i read rho 4.2e-7 where rho = 0.  The refusal names z and its region before anything is propagated
+    mesh = JostMesh.build(fig3a_field, TOL, fig3a_spec.bg)
+    monkeypatch.setattr(scattering, "_transfer", lambda *args: pytest.fail("propagated"))
     for zs, region, z in (([0.7, 1.5j], "D_PLUS", "1.5j"), (0.5j, "D_MINUS", "0.5j"),
                           ([0.7, 1.5 - 0.3j], "D_MINUS", "(1.5-0.3j)")):
         with pytest.raises(ValueError, match=re.escape(f"requires z on Sigma (got Region.{region} at z = {z})")):
-            scattering_matrix(fig3a_field, zs, TOL, bg)
-    monkeypatch.undo()
+            scattering_matrix(mesh, zs)
     with pytest.raises(BranchPointSingular):
-        scattering_matrix(fig3a_field, 1j, TOL, bg)
+        scattering_matrix(mesh, 1j)
 
 
 def test_branch_point_disc_is_the_one_classify_region_reads(fig3a_field, fig3a_spec):
@@ -705,7 +704,7 @@ def test_branch_point_disc_is_the_one_classify_region_reads(fig3a_field, fig3a_s
     with pytest.raises(BranchPointSingular, match=match):
         JostMesh.build(fig3a_field, 1e-8, bg).jost(z, "left")
     with pytest.raises(BranchPointSingular, match=match):
-        scattering_matrix(fig3a_field, np.array([z, np.conj(z)]), 1e-8, bg)
+        scattering_matrix(JostMesh.build(fig3a_field, 1e-8, bg), np.array([z, np.conj(z)]))
     z = 1j * bg.k0 * (1 + 1.2e-9)
     assert classify_region(z, bg) is Region.D_PLUS
     assert np.isfinite(JostMesh.build(fig3a_field, 1e-8, bg).jost(z, "left")).all()
@@ -714,15 +713,17 @@ def test_branch_point_disc_is_the_one_classify_region_reads(fig3a_field, fig3a_s
 def test_each_z_is_classified_once(fig3a_field, fig3a_spec, monkeypatch):
     # uniformize classifies; det_a, its Jost solutions and shift signs read sp.region, so a search round
     # classifies its fresh z in one call, and scattering_matrix its z in one
+    # (the mesh is built first: its field call classifies the spec's eigenvalues once, when nothing else has)
     bg, calls = fig3a_spec.bg, []
+    mesh = JostMesh.build(fig3a_field, 1e-4, bg)
     classify = spectral.classify_region
     monkeypatch.setattr(spectral, "classify_region", lambda z, bg: calls.append(np.size(z)) or classify(z, bg))
     rounds, det_a_round = [], JostMesh.det_a
     monkeypatch.setattr(JostMesh, "det_a", lambda mesh, z: rounds.append(np.size(z)) or det_a_round(mesh, z))
-    find_discrete_spectrum(fig3a_field, tuple(bg.k0 * e for e in CLI_BOX), 1e-4, bg)
+    find_discrete_spectrum(mesh, tuple(bg.k0 * e for e in CLI_BOX))
     assert len(rounds) > 1 and calls == rounds
     calls.clear()
-    scattering_matrix(fig3a_field, np.array(sigma_sample_points(bg.k0, 2, 1)), 1e-4, bg)
+    scattering_matrix(mesh, np.array(sigma_sample_points(bg.k0, 2, 1)))
     assert calls == [12]
 
 
@@ -731,11 +732,12 @@ def test_singular_wronskian_near_a_branch_point(fig3a_field, fig3a_spec, delta, 
     # on the circle, delta from the branch point i: det Psi(0) = gamma^2 = -4 delta^2, against the bound 1e-12
     z = np.exp(1j * (math.pi / 2 + delta))
     assert classify_region(z, fig3a_spec.bg) is Region.SIGMA
+    mesh = JostMesh.build(fig3a_field, TOL, fig3a_spec.bg)
     if singular:
         with pytest.raises(SingularWronskian, match=r"det Psi\(0\) = \(-3\.99999\d*e-14"):
-            scattering_matrix(fig3a_field, z, TOL, fig3a_spec.bg)
+            scattering_matrix(mesh, z)
     else:
-        assert abs(np.linalg.det(scattering_matrix(fig3a_field, z, TOL, fig3a_spec.bg).S) - 1.0) <= 1e-8
+        assert abs(np.linalg.det(scattering_matrix(mesh, z).S) - 1.0) <= 1e-8
 
 
 
@@ -745,7 +747,7 @@ def test_zero_beside_resolved_panels_is_not_near_the_contour(fig3a_spec):
     # the zero meet their target, so the zero is resolved where it is, with no warning
     seed = DiscreteEigenpair(0.3 + 1.131j, np.ones((2, 2), dtype=complex))
     field = functools.partial(h.reconstruct_Q, spec=expand_quartets([seed], fig3a_spec.bg))
-    found = find_discrete_spectrum(field, CLI_BOX, 1e-4, fig3a_spec.bg)
+    found = find_discrete_spectrum(JostMesh.build(field, 1e-4, fig3a_spec.bg), CLI_BOX)
     assert len(found) == 1 and abs(found[0] - seed.zn) <= 1e-9
 
 def test_background_field_gets_only_the_longest_cells(background_bg, caplog):
@@ -782,10 +784,10 @@ def test_batched_z_gives_the_same_bits(fig3a_field, fig3a_spec):
     assert batch.shape == (4,)
     np.testing.assert_array_equal(batch, [JostMesh.build(fig3a_field, 1e-8, bg).det_a(z) for z in zs])
     zs = np.array([0.5, -1.7, np.exp(0.25j * math.pi)])
-    sample = scattering_matrix(fig3a_field, zs, 1e-8, bg)
+    sample = scattering_matrix(JostMesh.build(fig3a_field, 1e-8, bg), zs)
     np.testing.assert_array_equal(sample.z, zs)
     for i, z in enumerate(zs):
-        one = scattering_matrix(fig3a_field, z, 1e-8, bg)
+        one = scattering_matrix(JostMesh.build(fig3a_field, 1e-8, bg), z)
         for name in ("S", "a", "b", "abar", "bbar", "rho", "rhobar"):
             np.testing.assert_array_equal(getattr(sample, name)[i], getattr(one, name), err_msg=name)
     np.testing.assert_array_equal(
@@ -1008,7 +1010,7 @@ def _search(field, box, tol, bg, monkeypatch, caplog):
 
     monkeypatch.setattr(JostMesh, "det_a", recording)
     with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
-        found = find_discrete_spectrum(field, box, tol, bg)
+        found = find_discrete_spectrum(JostMesh.build(field, tol, bg), box)
     monkeypatch.setattr(JostMesh, "det_a", det_a_of_mesh)
     record = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_discrete_spectrum: ")]
     caplog.clear()
@@ -1035,12 +1037,12 @@ def test_z_sharing_blocks_get_the_same_bits(fig3a_field, fig3a_spec, caplog, mon
     mu = JostMesh.build(fig3a_field, tol, bg).jost(zs, "left")
     np.testing.assert_array_equal(mu[few], [JostMesh.build(fig3a_field, tol, bg).jost(z, "left") for z in zs[few]])
     reals = np.linspace(0.3, 3.0, len(zs))
-    sample = scattering_matrix(fig3a_field, reals, tol, bg)
+    sample = scattering_matrix(JostMesh.build(fig3a_field, tol, bg), reals)
     assert sample.z.shape == (len(zs),) and sample.S.shape == (len(zs), 4, 4)
     blocks = ("a", "b", "abar", "bbar", "rho", "rhobar")
     assert all(getattr(sample, name).shape == (len(zs), 2, 2) for name in blocks)
     for i in few:
-        one = scattering_matrix(fig3a_field, reals[i], tol, bg)
+        one = scattering_matrix(JostMesh.build(fig3a_field, tol, bg), reals[i])
         assert type(one.z) is complex and one.S.shape == (4, 4)
         assert all(getattr(one, name).shape == (2, 2) for name in blocks)
         assert one.z == sample.z[i] and one.t0 == sample.t0
@@ -1075,7 +1077,7 @@ def test_debug_record_changes_nothing_the_search_runs(fig3a_field, fig3a_spec, c
         monkeypatch.setattr(JostMesh, "det_a", lambda mesh, z: zs.append(z) or det_a_of_mesh(mesh, z))
         monkeypatch.setattr(scattering, "_invariants", lambda *args: calls.append(1) or invariants(*args))
         with caplog.at_level(level, logger="hirota_ist.scattering"):
-            found = find_discrete_spectrum(fig3a_field, CLI_BOX, 1e-4, fig3a_spec.bg)
+            found = find_discrete_spectrum(JostMesh.build(fig3a_field, 1e-4, fig3a_spec.bg), CLI_BOX)
         records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_discrete_spectrum: ")]
         caplog.clear()
         runs.append((found, np.concatenate(zs), len(calls), len(records)))
@@ -1133,7 +1135,7 @@ def test_z_a_relative_1e_13_apart_run_their_own_transfers(fig3a_field, fig3a_spe
 
 
 @pytest.mark.parametrize("case", ["fig6 samples", "background", "off-Sigma pair", "unpaired and k = 0"])
-def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background_field, monkeypatch, caplog):
+def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background_field, caplog):
     # z and sigma k0^2/z share k and, through shift_sign, the shift w, so _transfer runs the first of them and
     # gives the other that product times e^{(w - w_first) sum h}.  Each z must read within 1e-13 of itself
     # propagated alone, the z run keep their bits, and each side's tally count only the z run.  fig6: the 48
@@ -1162,12 +1164,11 @@ def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background
     first = scattering._first_of_equal_k(sp.k, 1j * sp.lam * shift_sign(sp))
     run = np.flatnonzero(first == np.arange(len(zs)))
     assert len(run) == (5 if case == "unpaired and k = 0" else len(zs) // 2)
-    mesh = JostMesh.build(field, tol, bg)
-    monkeypatch.setattr(JostMesh, "build", lambda *args: mesh)  # the calls below share one mesh and its tallies
+    mesh = JostMesh.build(field, tol, bg)  # the calls below share one mesh and its tallies
     on_sigma = case in ("fig6 samples", "background")
     if on_sigma:
         with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
-            sample = scattering_matrix(field, zs, tol, bg)
+            sample = scattering_matrix(mesh, zs)
         assert [c.tally["z"] for c in mesh.sides] == [len(run)] * 2
         left, right = mesh.sides
         assert (f"scattering_matrix: {len(zs)} samples, z propagated {len(run)} left {len(run)} right, cells "
@@ -1176,7 +1177,7 @@ def test_z_sharing_k_read_as_if_propagated_alone(case, background_bg, background
     mus = [mesh.jost(zs, side) for side in ("left", "right")]
     assert [c.tally["z"] for c in mesh.sides] == [(1 + on_sigma) * len(run)] * 2
     for i, z in enumerate(zs):
-        pairs = [(sample.S[i], scattering_matrix(field, z, tol, bg).S)] if on_sigma else []
+        pairs = [(sample.S[i], scattering_matrix(mesh, z).S)] if on_sigma else []
         pairs += [(mu[i], mesh.jost(z, side)) for mu, side in zip(mus, ("left", "right"))]
         for got, alone in pairs:
             assert np.abs(got - alone).max() <= 1e-13 * np.abs(alone).max(), z
@@ -1203,12 +1204,12 @@ def test_jost_on_sigma_does_not_depend_on_the_shift_sign(fig6_spec, monkeypatch)
 
 @pytest.mark.parametrize("z", [np.nan, complex(0.5, np.inf), [0.5, complex(np.nan, 1.0)]])
 def test_non_finite_z_is_refused_before_the_mesh(fig3a_field, fig3a_spec, z, monkeypatch):
-    # a held mesh's probes refuse z before they propagate anything; every other entry before any mesh is built
+    # a held mesh's probes and scattering_matrix refuse z before they propagate anything, and so does every
+    # entry that takes no mesh
     bg = fig3a_spec.bg
     mesh = JostMesh.build(fig3a_field, 1e-4, bg)
-    monkeypatch.setattr(JostMesh, "build", lambda *args: pytest.fail("mesh built"))
     monkeypatch.setattr(scattering, "_transfer", lambda *args: pytest.fail("propagated"))
-    for call in (lambda: scattering_matrix(fig3a_field, z, 1e-8, bg), lambda: mesh.det_a(z),
+    for call in (lambda: scattering_matrix(mesh, z), lambda: mesh.det_a(z),
                  lambda: mesh.jost(z, "left"), lambda: uniformize(z, bg),
                  lambda: classify_region(z, bg), lambda: antipode(z, bg),
                  lambda: trace_det_a(z, TraceInput(bg, (2j,), (1,))),
@@ -1236,6 +1237,27 @@ def test_a_held_mesh_gives_the_bits_of_fresh_meshes_and_adds_up_its_tallies(fig3
     assert [c.tally["z"] for c in held.sides] == [2 * len(zs) + len(ws), 2 * (len(zs) + len(ws))]
 
 
+def test_records_on_a_held_mesh_count_only_their_own_call(fig3a_field, fig3a_spec, caplog):
+    # a held mesh's tallies add up over its calls, and each call's DEBUG record states the difference over it; a
+    # record that read the whole tallies would count a search's z among the samples' of a later call
+    bg, zs = fig3a_spec.bg, np.array(sigma_sample_points(fig3a_spec.bg.k0, 2, 1))
+    counts = r"x (\d+) z propagated in (\d+) blocks, (\d+) of (\d+) cells x z scaled"
+    fresh, held = JostMesh.build(fig3a_field, 1e-4, bg), JostMesh.build(fig3a_field, 1e-4, bg)
+    with caplog.at_level(logging.DEBUG, logger="hirota_ist.scattering"):
+        find_discrete_spectrum(fresh, CLI_BOX)
+        for _ in range(2):
+            scattering_matrix(held, zs)
+        find_discrete_spectrum(held, CLI_BOX)
+        scattering_matrix(held, zs)
+    searches = [re.search(counts, m).groups() for m in caplog.messages if m.startswith("find_discrete_spectrum: ")]
+    samples = [m for m in caplog.messages if m.startswith("scattering_matrix: ")]
+    assert len(searches) == 2 and searches[0] == searches[1]
+    assert len(samples) == 3 and all(m.startswith("scattering_matrix: 12 samples, z propagated 6 left 6 right, ")
+                                     for m in samples), samples
+    assert len(set(samples)) == 1
+    assert held.sides[0].tally["z"] == 3 * 6 + int(searches[0][0])
+
+
 def test_jost_refuses_a_side_other_than_left_or_right(background_bg, background_field, monkeypatch):
     mesh = JostMesh.build(background_field, 1e-8, background_bg)
     monkeypatch.setattr(scattering, "_transfer", lambda *args: pytest.fail("propagated"))
@@ -1253,7 +1275,7 @@ def test_non_finite_field_or_propagator_raises(background_bg, background_field):
     with pytest.raises(IntegrationFailure):
         JostMesh.build(nan_field, 1e-8, background_bg).det_a(2.5j)
     with pytest.raises(IntegrationFailure):
-        scattering_matrix(nan_field, 0.7, 1e-8, background_bg)
+        scattering_matrix(JostMesh.build(nan_field, 1e-8, background_bg), 0.7)
     # at z = 50i the non-analytic columns grow like e^{2 |Im lambda| L} = e^{1000}
     mesh = JostMesh.build(background_field, 1e-8, background_bg)
     assert abs(mesh.det_a(50j) - 1.0) < 1e-8

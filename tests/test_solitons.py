@@ -529,6 +529,27 @@ def test_kappa_inf_lies_within_2R_of_the_svd_condition_number(name):
         np.testing.assert_array_equal(kappa <= solitons.COND_LIMIT, kappa2 <= solitons.COND_LIMIT)
 
 
+def test_cond_limit_masks_what_the_oracle_cannot_vouch_for(fig3a_spec):
+    # a near-rank-deficient seed, C = diag(1, 2e-12) (rank 2: above rank_of's 1e-12), whose kappa_inf climbs to
+    # 1.6e12 near x = -31 and settles at 9.4e11 farther left; eval_field must mask exactly the points above 1e12,
+    # and every other point must agree with the mpmath closed form within eps kappa_inf (it read at most 0.48 eps
+    # kappa_inf).  Every other test of the guard sets COND_LIMIT itself, so only this one ties its value to 1e12
+    from hirota_ist.solitons import _field
+
+    bg = fig3a_spec.bg
+    seed = DiscreteEigenpair(0.5 + 1.5j, np.diag([1.0, 2e-12]))
+    spec = expand_quartets([seed], bg)
+    grid = GridSpec(-40.0, 0.0, 41, 0.0, 0.05, 2)
+    fg = h.eval_field(grid, spec)
+    _, kappa = _field(fg.xs[None, :], fg.ts[:, None], spec)
+    assert seed.rank_flag is RankFlag.RANK2 and np.any((1e12 < kappa) & (kappa < 1e15)) and kappa.max() < 1e15
+    np.testing.assert_array_equal(fg.mask, kappa > 1e12)
+    for (it, ix), k in np.ndenumerate(kappa):
+        if k <= 1e12:
+            ref = h.one_soliton_closed_form(float(fg.xs[ix]), float(fg.ts[it]), seed, bg)
+            assert np.abs(fg.values[it, ix] - ref).max() <= np.finfo(float).eps * k, (fg.xs[ix], fg.ts[it], k)
+
+
 def test_field_masks_nonfinite_and_ill_conditioned_points_across_blocks(monkeypatch):
     from hirota_ist import solitons
     from hirota_ist.errors import SingularSystem

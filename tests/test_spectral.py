@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hirota_ist
+import hirota_ist.spectral as spectral
 from hirota_ist.errors import ZeroArgument
 from hirota_ist.spectral import Background, Region, antipode, classify_region, theta, uniformize
 
@@ -67,6 +68,21 @@ def test_uniformize_attaches_the_region_of_each_z(bg):
     assert {r.name for r in sp.region} == {"D_PLUS", "D_MINUS", "SIGMA", "BRANCH_POINT"}
     for z in zs:
         assert uniformize(z, bg).region is classify_region(z, bg)
+
+
+@pytest.mark.parametrize("z", [1.5 + 0.5j, np.array([0.7, 2j, np.exp(0.3j), 1j])], ids=["scalar", "array"])
+def test_uniformize_checks_z_once(z, monkeypatch):
+    # classify_region checks z, and the antipode reads the checked array: one _check_z a point, with the bits of
+    # antipode(z) and classify_region(z) each checking z alone
+    calls, check = [], spectral._check_z
+    monkeypatch.setattr(spectral, "_check_z", lambda *args: calls.append(1) or check(*args))
+    sp = uniformize(z, FOC)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    w = antipode(z, FOC)
+    np.testing.assert_array_equal(sp.k, 0.5 * (np.asarray(z) + w))
+    np.testing.assert_array_equal(sp.gamma, 1.0 - w / np.asarray(z))
+    assert np.array_equal(sp.region, classify_region(z, FOC))
 
 
 def test_classify_examples():

@@ -46,6 +46,20 @@ def test_decay_background(background_bg, background_field):
     assert rep.left_deviation == 0.0
 
 
+def test_decay_rate_is_fitted_on_the_far_half_of_x_far(background_bg):
+    # Q - Q+ = (e^{-|x|} + 1e-3 e^{-|x|/2}) Q+ is no single exponential, so the fitted rate names its window: the
+    # log-linear fit over 9 points of [x_far/2, x_far] = [10, 20] reads 0.6954, and over [x_far/4, x_far] 0.7986
+    Qp = background_bg.Qplus
+    dev = lambda x: np.exp(-np.abs(x)) + 1e-3 * np.exp(-np.abs(x) / 2.0)
+
+    def field(x, t):
+        return (1.0 + dev(np.asarray(x)))[..., None, None] * Qp
+
+    xs = np.linspace(10.0, 20.0, 9)
+    rate = -np.polyfit(xs, np.log(dev(xs) * np.abs(Qp).max()), 1)[0]
+    assert abs(boundary_decay(field, 0.0, background_bg).rate - rate) <= 1e-6
+
+
 def test_decay_reads_the_left_limit_past_a_drifted_front(background_bg):
     # a front at x = -45, left of the first left reading at -40, where it is still 4.5e-5 off
     Qp = background_bg.Qplus
